@@ -27,7 +27,7 @@ from .demazure import (
 from .hecke import HeckeElem, ThetaTable, lambda_w, t_basis, t_mul, theta
 from .kl import KLTable, check_theta_power_conjecture
 from .polyring import LaurentPoly, RationalFn, binomial, binomial_divide
-from .rpoly import RPolyTable, bar, s_set, s_set3
+from .rpoly import RPolyTable, s_set, s_set3
 from .sigma import (
     ClassificationReport,
     SigmaEngine,
@@ -66,7 +66,6 @@ __all__ = [
     "binomial",
     "binomial_divide",
     "RPolyTable",
-    "bar",
     "s_set",
     "s_set3",
     "ClassificationReport",

@@ -9,7 +9,7 @@ Subcommands:
 - ``theta --type T -x W -y W -w W``: the pairing polynomial in q.
 - ``rpoly --type T -u W -v W [--bar]``: the deformed R rational function.
 - ``sigma --type T -u W -v W -w W [--format text|json]``.
-- ``classify --type T [--jobs N] [--cache DIR] [--out FILE] [--format json|csv]``.
+- ``classify --type T [--jobs N] [--out FILE] [--format json|csv]``.
 - ``verify --type T --suite NAME|all [--jobs N] [--samples N]``.
 
 Element words are "e" or digit strings ("121"), with a comma-separated form
@@ -18,12 +18,10 @@ lexicographically smallest reduced word. stdout carries data only; all
 diagnostics go to stderr. Exit codes: 0 success, 1 verification failure,
 2 usage error.
 
-Environment: BHL_CACHE_DIR sets the default cache directory for classify;
-BHL_MAX_ORDER overrides the group order cap.
+``--jobs`` must be at least 1; at most min(N, |W|, cpu count) worker
+processes are started.
 
-The cache file is versioned JSON holding the deformed R table, guarded by a
-group fingerprint (order plus length histogram); on any header, type or
-fingerprint mismatch the cache is ignored and the table recomputed.
+Environment: BHL_MAX_ORDER overrides the group order cap.
 """
 
 from __future__ import annotations
@@ -42,75 +40,9 @@ from .coxeter import (
 )
 from .demazure import mixed_meet, v_min
 from .hecke import theta
-from .polyring import LaurentPoly, RationalFn
 from .rpoly import RPolyTable
 from .sigma import SigmaEngine, classify
 from .verify import SUITE_NAMES, run_suite
-
-CACHE_HEADER = "BHLCACHE v1"
-
-
-def _fingerprint(g: CoxeterGroup) -> dict:
-    return {"order": g.order, "lengths": g.length_histogram()}
-
-
-def save_rtable_cache(path: str, g: CoxeterGroup, rtable: RPolyTable) -> None:
-    rtable.prefill()
-    entries = {}
-    for (u, v), val in rtable.entries():
-        if val.is_zero() or u == v:
-            continue  # cheap cases are recomputed instantly
-        key = f"{g.word_str(u)}|{g.word_str(v)}"
-        entries[key] = {
-            "num": [list(e) + [c] for e, c in sorted(val.num.terms.items())],
-            "den": [list(b) for b in val.den],
-        }
-    payload = {
-        "header": CACHE_HEADER,
-        "type": str(g.cartan_type),
-        "fingerprint": _fingerprint(g),
-        "rtable": entries,
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
-
-
-def load_rtable_cache(path: str, g: CoxeterGroup) -> RPolyTable | None:
-    """The cached table, or None when missing or failing validation."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("header") != CACHE_HEADER
-        or payload.get("type") != str(g.cartan_type)
-        or payload.get("fingerprint") != _fingerprint(g)
-    ):
-        return None
-    rtable = RPolyTable(g)
-    try:
-        for key, entry in payload["rtable"].items():
-            u_word, v_word = key.split("|")
-            u = g.parse_word_idx(u_word)
-            v = g.parse_word_idx(v_word)
-            terms = {}
-            for row in entry["num"]:
-                terms[tuple(row[:-1])] = row[-1]
-            num = LaurentPoly(g.rank, terms)
-            den = tuple(tuple(b) for b in entry["den"])
-            rtable.preload(u, v, RationalFn(num, den, reduce=False))
-    except (KeyError, ValueError, TypeError, WordError):
-        return None
-    return rtable
-
-
-def _cache_path(cache_dir: str, g: CoxeterGroup) -> str:
-    return os.path.join(cache_dir, f"rtable-{g.cartan_type}.json")
-
 
 def _build(args) -> CoxeterGroup:
     cap = os.environ.get("BHL_MAX_ORDER")
@@ -192,20 +124,7 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    g = _build(args)
-    cache_dir = args.cache or os.environ.get("BHL_CACHE_DIR")
-    rtable = None
-    cache_file = None
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_file = _cache_path(cache_dir, g)
-        rtable = load_rtable_cache(cache_file, g)
-        if rtable is None:
-            print(f"cache miss, recomputing: {cache_file}", file=sys.stderr)
-    engine = SigmaEngine(g, rtable=rtable)
-    report = classify(engine=engine, jobs=args.jobs)
-    if cache_file and rtable is None:
-        save_rtable_cache(cache_file, g, engine.rtable)
+    report = classify(_build(args), jobs=args.jobs)
     text = report.to_csv_text() if args.format == "csv" else report.to_json_text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -227,6 +146,18 @@ def _cmd_verify(args) -> int:
         print(f"{res.name}: {'PASS' if res.ok else 'FAIL'} ({res.detail})")
         all_ok = all_ok and res.ok
     return 0 if all_ok else 1
+
+
+def _jobs(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}"
+        )
+    return n
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -275,8 +206,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_sigma)
 
     sp = with_type(sub.add_parser("classify", help="classify all triples"))
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--cache", help="cache directory (default: BHL_CACHE_DIR)")
+    sp.add_argument("--jobs", type=_jobs, default=1)
     sp.add_argument("--out", help="write the report to a file")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_classify)
@@ -287,7 +217,7 @@ def _parser() -> argparse.ArgumentParser:
         required=True,
         choices=SUITE_NAMES + ["all"],
     )
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_jobs, default=1)
     sp.add_argument(
         "--samples",
         type=int,

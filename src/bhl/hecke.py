@@ -186,27 +186,6 @@ class ThetaTable:
             g.check_same(el.group)
         return self.theta_idx(x.index, y.index, w.index)
 
-    def prefill(self) -> None:
-        """Fill every theta value; call before sharing across workers."""
-        g = self.group
-        for x in range(g.order):
-            for y in range(g.order):
-                prod = self.product(x, y)
-                for w in range(g.order):
-                    key = (x, y, w)
-                    if key not in self._theta:
-                        self._theta[key] = _theta_from_product(g, prod, w)
-
-    def prefill_for_w(self, w: int) -> None:
-        g = self.group
-        for x in range(g.order):
-            for y in range(g.order):
-                key = (x, y, w)
-                if key not in self._theta:
-                    self._theta[key] = _theta_from_product(
-                        g, self.product(x, y), w
-                    )
-
 
 def support_extrema(a: HeckeElem) -> tuple:
     """(Bruhat-minimal, Bruhat-maximal) support elements; None when mixed.

@@ -346,10 +346,6 @@ class RationalFn:
     def one(cls, arity: int) -> "RationalFn":
         return cls(LaurentPoly.one(arity))
 
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RationalFn":
-        return cls(p)
-
     @property
     def arity(self) -> int:
         return self.num.arity
@@ -406,12 +402,6 @@ class RationalFn:
 
     def __hash__(self):
         raise TypeError("RationalFn is unhashable; compare with ==")
-
-    def as_poly(self) -> LaurentPoly:
-        """The numerator, provided the denominator is empty."""
-        if self.den:
-            raise ValueError(f"value is not polynomial: {self}")
-        return self.num
 
     def evaluate(self, q, xs: tuple = ()) -> Fraction:
         val = self.num.evaluate(q, xs)

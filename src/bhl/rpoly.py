@@ -25,14 +25,10 @@ All tables are per-group memos, filled single-threaded and read-only after.
 from __future__ import annotations
 
 from .coxeter import CoxeterGroup, Element
+from .hecke import _Q_MINUS_1
 from .polyring import LaurentPoly, RationalFn
 
-__all__ = ["RPolyTable", "bar", "s_set", "s_set3", "s_set_idx"]
-
-
-def bar(f: RationalFn) -> RationalFn:
-    """Replace q by q^-1 in the numerator; denominator factors carry no q."""
-    return f.bar_q()
+__all__ = ["RPolyTable", "s_set", "s_set3", "s_set_idx"]
 
 
 class RPolyTable:
@@ -123,12 +119,8 @@ class RPolyTable:
                 self.bar_r_idx(u, v)
 
     def entries(self):
-        """The filled (u, v) -> value map, for serialization."""
+        """The filled (u, v) -> r(u, v) map."""
         return self._r.items()
-
-    def preload(self, u: int, v: int, value: RationalFn) -> None:
-        """Seed a memo entry, e.g. from a validated cache."""
-        self._r[(u, v)] = value
 
     # -- classical -----------------------------------------------------------
 
@@ -150,8 +142,7 @@ class RPolyTable:
             if g.lengths[su] < g.lengths[u]:
                 val = self.classical_idx(su, sv)
             else:
-                q_minus_1 = LaurentPoly(0, {(1,): 1, (0,): -1})
-                val = q_minus_1 * self.classical_idx(u, sv) + self.classical_idx(
+                val = _Q_MINUS_1 * self.classical_idx(u, sv) + self.classical_idx(
                     su, sv
                 ).shift_q(1)
         self._classical[key] = val

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import random
 from dataclasses import dataclass, field
 
@@ -46,6 +47,13 @@ __all__ = [
     "verify_main_theorem",
     "verify_vanishing",
 ]
+
+
+def _q_polynomial(val: RationalFn) -> LaurentPoly | None:
+    """The q-polynomial equal to val, or None if torus dependence remains."""
+    if val.den or not val.num.is_q_only():
+        return None
+    return val.num.q_only()
 
 
 class SigmaEngine:
@@ -136,15 +144,17 @@ class SigmaEngine:
         return self.sigma_idx(u.index, v.index, w.index)
 
     def sigma0_idx(self, u: int, w: int) -> LaurentPoly:
-        vm = self.vmin_idx(u, w)
-        val = self.sigma_idx(u, vm, w)
-        if val.den or not val.num.is_q_only():
+        return self._sigma0(u, w, self.sigma_idx(u, self.vmin_idx(u, w), w))
+
+    def _sigma0(self, u: int, w: int, sig_at_vmin: RationalFn) -> LaurentPoly:
+        val = _q_polynomial(sig_at_vmin)
+        if val is None:
             raise RuntimeError(
                 "sigma at v_min kept torus dependence; this is a bug, "
                 f"not bad input (u={self.group.word_str(u)}, "
-                f"w={self.group.word_str(w)}, value={val})"
+                f"w={self.group.word_str(w)}, value={sig_at_vmin})"
             )
-        return val.num.q_only()
+        return val
 
     def sigma0(self, u: Element, w: Element) -> LaurentPoly:
         g = self.group
@@ -166,7 +176,14 @@ class SigmaEngine:
 
     # -- GK form -------------------------------------------------------------
 
-    def is_gk_idx(self, u: int, v: int, w: int, sig: RationalFn | None = None) -> bool:
+    def is_gk_idx(
+        self,
+        u: int,
+        v: int,
+        w: int,
+        sig: RationalFn | None = None,
+        sigma0: LaurentPoly | None = None,
+    ) -> bool:
         g = self.group
         vm = self.vmin_idx(u, w)
         if not g.leq_idx(vm, v):
@@ -176,7 +193,8 @@ class SigmaEngine:
             )
         if sig is None:
             sig = self.sigma_idx(u, v, w)
-        sigma0 = self.sigma0_idx(u, w)
+        if sigma0 is None:
+            sigma0 = self.sigma0_idx(u, w)
         rhs = self.gk_factor(self.s_set3_idx(u, v, w)).mul_poly(
             sigma0.embed(g.rank)
         )
@@ -260,17 +278,9 @@ class SigmaEngine:
                         f"w={g.word_str(w)})"
                     )
                 nonzero += 1
-                if v == vm:
-                    if sig.den or not sig.num.is_q_only():
-                        raise RuntimeError(
-                            "sigma at v_min kept torus dependence "
-                            f"(u={g.word_str(u)}, w={g.word_str(w)})"
-                        )
-                    sigma0 = sig.num.q_only()
-                rhs = self.gk_factor(self.s_set3_idx(u, v, w)).mul_poly(
-                    sigma0.embed(g.rank)
-                )
-                flag = sig == rhs
+                if v == vm:  # indices are sorted by length: v_min comes first
+                    sigma0 = self._sigma0(u, w, sig)
+                flag = self.is_gk_idx(u, v, w, sig, sigma0)
                 if flag:
                     gk += 1
                 rows.append(
@@ -312,12 +322,35 @@ class ClassificationReport:
         return "\n".join(lines) + "\n"
 
 
-_WORKER_ENGINE: SigmaEngine | None = None
+_WORKER: tuple | None = None  # (engine, fn) inherited by forked workers
 
 
-def _classify_worker(w: int) -> tuple:
-    assert _WORKER_ENGINE is not None
-    return _WORKER_ENGINE.classify_for_w(w)
+def _worker(w: int):
+    assert _WORKER is not None
+    engine, fn = _WORKER
+    return fn(engine, w)
+
+
+def _map_over_w(engine: SigmaEngine, fn, jobs: int) -> list:
+    """[fn(engine, w) for every w], in w order. Forks min(jobs, |W|,
+    cpu_count) workers where fork is available, after filling the tables
+    they share read-only (a no-op when already full); runs serially when
+    that minimum is 1 or fork is unavailable."""
+    global _WORKER
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    order = engine.group.order
+    workers = min(jobs, order, os.cpu_count() or 1)
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(engine, w) for w in range(order)]
+    engine.prefill_shared_tables()
+    ctx = multiprocessing.get_context("fork")
+    _WORKER = (engine, fn)
+    try:
+        with ctx.Pool(processes=workers) as pool:
+            return pool.map(_worker, range(order))
+    finally:
+        _WORKER = None
 
 
 def classify(
@@ -326,24 +359,13 @@ def classify(
     engine: SigmaEngine | None = None,
 ) -> ClassificationReport:
     """Classify every triple of the group; deterministic for any job count."""
-    global _WORKER_ENGINE
     if engine is None:
         if group is None:
             raise ValueError("need a group or an engine")
         engine = SigmaEngine(group)
     g = engine.group
     engine.prefill_shared_tables()
-    w_indices = range(g.order)
-    if jobs > 1 and "fork" in multiprocessing.get_all_start_methods():
-        ctx = multiprocessing.get_context("fork")
-        _WORKER_ENGINE = engine
-        try:
-            with ctx.Pool(processes=jobs) as pool:
-                parts = pool.map(_classify_worker, w_indices)
-        finally:
-            _WORKER_ENGINE = None
-    else:
-        parts = [engine.classify_for_w(w) for w in w_indices]
+    parts = _map_over_w(engine, SigmaEngine.classify_for_w, jobs)
     nonzero = sum(p[0] for p in parts)
     gk = sum(p[1] for p in parts)
     rows = [row for p in parts for row in p[2]]
@@ -362,20 +384,12 @@ def classify(
 
 
 def _main_theorem_for_w(engine: SigmaEngine, w: int) -> bool:
-    g = engine.group
-    for u in range(g.order):
+    for u in range(engine.group.order):
         vm = engine.vmin_idx(u, w)
-        sig = engine.sigma_idx(u, vm, w)
-        if sig.den or not sig.num.is_q_only():
-            return False
-        if sig.num.q_only() != engine.main_theorem_rhs_idx(u, w):
+        val = _q_polynomial(engine.sigma_idx(u, vm, w))
+        if val is None or val != engine.main_theorem_rhs_idx(u, w):
             return False
     return True
-
-
-def _main_theorem_worker(w: int) -> bool:
-    assert _WORKER_ENGINE is not None
-    return _main_theorem_for_w(_WORKER_ENGINE, w)
 
 
 def verify_main_theorem(
@@ -385,21 +399,9 @@ def verify_main_theorem(
 ) -> bool:
     """Check sigma(u, v_min, w) is torus-free and matches the translated
     Bruhat-interval length series, for every pair (u, w)."""
-    global _WORKER_ENGINE
     if engine is None:
         engine = SigmaEngine(group)
-    g = engine.group
-    if jobs > 1 and "fork" in multiprocessing.get_all_start_methods():
-        engine.prefill_shared_tables()
-        ctx = multiprocessing.get_context("fork")
-        _WORKER_ENGINE = engine
-        try:
-            with ctx.Pool(processes=jobs) as pool:
-                results = pool.map(_main_theorem_worker, range(g.order))
-        finally:
-            _WORKER_ENGINE = None
-        return all(results)
-    return all(_main_theorem_for_w(engine, w) for w in range(g.order))
+    return all(_map_over_w(engine, _main_theorem_for_w, jobs))
 
 
 def verify_vanishing(

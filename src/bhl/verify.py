@@ -38,7 +38,6 @@ __all__ = [
     "SUITE_NAMES",
     "SuiteResult",
     "run_suite",
-    "run_suites",
     "check_r_descent_independence",
     "check_kl_defining_identity",
     "check_deodhar_under_q1",
@@ -468,17 +467,6 @@ def run_suite(
     if name == "gk-base":
         return _suite_gk_base(g, samples, seed, engine)
     raise ValueError(f"unknown suite {name!r}")
-
-
-def run_suites(
-    names,
-    group: CoxeterGroup,
-    samples: int | None = None,
-    seed: int = DEFAULT_SEED,
-    jobs: int = 1,
-) -> list:
-    engine = SigmaEngine(group)
-    return [run_suite(n, group, samples, seed, engine, jobs) for n in names]
 
 
 # -- extra checks used by the test suite --------------------------------------

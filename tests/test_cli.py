@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -114,40 +113,6 @@ def test_classify_jobs_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_classify_cache_roundtrip(capsys, tmp_path):
-    cache = str(tmp_path / "cache")
-    code, cold, err = invoke(
-        capsys, "classify", "--type", "A2", "--cache", cache
-    )
-    assert code == 0 and "cache miss" in err
-    cache_file = os.path.join(cache, "rtable-A2.json")
-    assert os.path.exists(cache_file)
-    with open(cache_file) as fh:
-        payload = json.load(fh)
-    assert payload["header"] == "BHLCACHE v1"
-    assert payload["type"] == "A2"
-    code, warm, err = invoke(
-        capsys, "classify", "--type", "A2", "--cache", cache
-    )
-    assert code == 0 and err == ""
-    assert warm == cold
-
-
-def test_classify_cache_rejects_corruption(capsys, tmp_path):
-    cache = str(tmp_path / "cache")
-    code, cold, _ = invoke(capsys, "classify", "--type", "A2", "--cache", cache)
-    assert code == 0
-    cache_file = os.path.join(cache, "rtable-A2.json")
-    with open(cache_file) as fh:
-        payload = json.load(fh)
-    payload["header"] = "BHLCACHE v0"
-    with open(cache_file, "w") as fh:
-        json.dump(payload, fh)
-    code, out, err = invoke(capsys, "classify", "--type", "A2", "--cache", cache)
-    assert code == 0 and "cache miss" in err
-    assert out == cold
-
-
 def test_verify_command(capsys):
     code, out, _ = invoke(
         capsys, "verify", "--type", "A2", "--suite", "main-theorem"
@@ -181,6 +146,10 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, _, err = invoke(capsys, "verify", "--type", "A2", "--suite", "nope")
     assert code == 2
+    for cmd in (["classify"], ["verify", "--suite", "theta"]):
+        for jobs in ("0", "-3", "x"):
+            code, out, err = invoke(capsys, *cmd, "--type", "A2", "--jobs", jobs)
+            assert code == 2 and out == "" and "at least 1" in err
 
 
 def test_order_cap_env(capsys, monkeypatch):
@@ -188,9 +157,3 @@ def test_order_cap_env(capsys, monkeypatch):
     code, _, err = invoke(capsys, "group", "--type", "A3")
     assert code == 2 and "cap" in err
 
-
-def test_cache_dir_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("BHL_CACHE_DIR", str(tmp_path))
-    code, _, err = invoke(capsys, "classify", "--type", "A2")
-    assert code == 0
-    assert os.path.exists(tmp_path / "rtable-A2.json")

@@ -1,4 +1,7 @@
+import multiprocessing
+import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -142,6 +145,48 @@ def test_classify_deterministic_across_jobs(a2):
     rep2 = classify(a2, jobs=3)
     assert rep1.to_json_text() == rep2.to_json_text()
     assert rep1.to_csv_text() == rep2.to_csv_text()
+
+
+def test_worker_count_is_capped(a2, monkeypatch):
+    """min(jobs, |W|, cpu_count) workers; fewer than two runs serially. The
+    pool is replaced by an in-process stand-in, so no process starts."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(i) for i in items]
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
+    monkeypatch.setattr(
+        multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=InlinePool)
+    )
+    serial = classify(a2).to_csv_text()
+    # (jobs, cpu_count, expected pool size); |W| = 6 for A2
+    for jobs, cpus, workers in ((3, 8, 3), (10, 8, 6), (10, 4, 4), (1, 8, None), (5, 1, None)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        assert classify(a2, jobs=jobs).to_csv_text() == serial
+        assert sizes == ([] if workers is None else [workers])
+    with pytest.raises(ValueError):
+        classify(a2, jobs=0)
+
+
+def test_classify_rows_match_public_gk_api(a2, b2, engine_a2, engine_b2):
+    for g, eng in ((a2, engine_a2), (b2, engine_b2)):
+        for w in range(g.order):
+            for u_word, v_word, _, flag, sigma0 in eng.classify_for_w(w)[2]:
+                u, v = g.parse_word_idx(u_word), g.parse_word_idx(v_word)
+                assert flag == eng.is_gk_idx(u, v, w)
+                assert sigma0 == str(eng.sigma0_idx(u, w))
 
 
 def test_main_theorem(a2, b2, engine_a2, engine_b2):
