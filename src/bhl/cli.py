@@ -18,8 +18,8 @@ lexicographically smallest reduced word. stdout carries data only; all
 diagnostics go to stderr. Exit codes: 0 success, 1 verification failure,
 2 usage error.
 
-``--jobs`` must be at least 1; at most min(N, |W|, cpu count) worker
-processes are started.
+``--jobs`` and ``--samples`` must be at least 1; at most min(N, |W|, cpu
+count) worker processes are started.
 
 Environment: BHL_MAX_ORDER overrides the group order cap.
 """
@@ -46,7 +46,10 @@ from .verify import SUITE_NAMES, run_suite
 
 def _build(args) -> CoxeterGroup:
     cap = os.environ.get("BHL_MAX_ORDER")
-    max_order = int(cap) if cap else None
+    try:
+        max_order = int(cap) if cap else None
+    except ValueError:
+        raise ValueError(f"BHL_MAX_ORDER must be an integer, got {cap!r}") from None
     return build_group(args.type, max_order=max_order)
 
 
@@ -148,7 +151,7 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-def _jobs(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
@@ -206,7 +209,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_sigma)
 
     sp = with_type(sub.add_parser("classify", help="classify all triples"))
-    sp.add_argument("--jobs", type=_jobs, default=1)
+    sp.add_argument("--jobs", type=_positive_int, default=1)
     sp.add_argument("--out", help="write the report to a file")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_classify)
@@ -217,10 +220,10 @@ def _parser() -> argparse.ArgumentParser:
         required=True,
         choices=SUITE_NAMES + ["all"],
     )
-    sp.add_argument("--jobs", type=_jobs, default=1)
+    sp.add_argument("--jobs", type=_positive_int, default=1)
     sp.add_argument(
         "--samples",
-        type=int,
+        type=_positive_int,
         default=None,
         help="sample count for large groups (default: exhaustive when small)",
     )

@@ -13,8 +13,8 @@ Representation conventions:
 - A ``RationalFn`` is a ``LaurentPoly`` numerator over a multiset of x-degree
   vectors, each standing for one factor ``1 - x^beta``. In applications beta
   ranges over positive roots written in simple-root coordinates, so beta is a
-  nonzero vector of nonnegative ints. Values are kept reduced: no stored
-  factor divides the numerator exactly.
+  nonzero vector of nonnegative ints. Only ``reduced()`` cancels factors
+  that divide the numerator; printing and evaluation go through it.
 
 Canonical string form sorts monomials by ``(x_degrees, q_degree)`` ascending,
 and denominator factors by their degree vectors, e.g.::
@@ -66,10 +66,6 @@ class LaurentPoly:
     @classmethod
     def one(cls, arity: int) -> "LaurentPoly":
         return cls(arity, {(0,) * (arity + 1): 1})
-
-    @classmethod
-    def constant(cls, arity: int, c: int) -> "LaurentPoly":
-        return cls(arity, {(0,) * (arity + 1): c})
 
     @classmethod
     def q_power(cls, arity: int, k: int, coeff: int = 1) -> "LaurentPoly":
@@ -317,16 +313,16 @@ def binomial_divide(p: LaurentPoly, beta: tuple) -> Optional[LaurentPoly]:
 
 class RationalFn:
     """
-    num / prod of (1 - x^beta) factors, kept reduced.
+    num / prod of (1 - x^beta) factors, as built: only ``reduced()`` cancels.
 
     ``den`` is a sorted tuple of x-degree vectors with multiplicity. Equality
     is decided by cross-multiplying numerators against the other side's
-    denominator factors, never by comparing reduced shapes.
+    denominator factors, never by comparing shapes.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: Iterable[tuple] = (), reduce: bool = True):
+    def __init__(self, num: LaurentPoly, den: Iterable[tuple] = (), reduce: bool = False):
         den = tuple(sorted(tuple(b) for b in den))
         for b in den:
             if len(b) != num.arity:
@@ -370,7 +366,7 @@ class RationalFn:
         return RationalFn(na + nb, tuple(common.elements()))
 
     def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den, reduce=False)
+        return RationalFn(-self.num, self.den)
 
     def __sub__(self, other: "RationalFn") -> "RationalFn":
         return self + (-other)
@@ -388,7 +384,7 @@ class RationalFn:
 
     def bar_q(self) -> "RationalFn":
         """Replace q by q^-1 in the numerator; the factors carry no q."""
-        return RationalFn(self.num.bar_q(), self.den, reduce=False)
+        return RationalFn(self.num.bar_q(), self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFn):
@@ -403,9 +399,14 @@ class RationalFn:
     def __hash__(self):
         raise TypeError("RationalFn is unhashable; compare with ==")
 
+    def reduced(self) -> "RationalFn":
+        """The same value with every factor that divides ``num`` cancelled."""
+        return RationalFn(self.num, self.den, reduce=True)
+
     def evaluate(self, q, xs: tuple = ()) -> Fraction:
-        val = self.num.evaluate(q, xs)
-        for b in self.den:
+        r = self.reduced()
+        val = r.num.evaluate(q, xs)
+        for b in r.den:
             d = Fraction(1)
             for xi, deg in zip(xs, b):
                 d *= Fraction(xi) ** deg
@@ -413,10 +414,11 @@ class RationalFn:
         return val
 
     def __str__(self) -> str:
-        num_s = str(self.num)
-        if not self.den:
+        r = self.reduced()
+        num_s = str(r.num)
+        if not r.den:
             return num_s
-        factors = "*".join(f"({binomial(self.arity, b)})" for b in self.den)
+        factors = "*".join(f"({binomial(self.arity, b)})" for b in r.den)
         return f"({num_s}) / {factors}"
 
     def __repr__(self) -> str:
@@ -432,17 +434,14 @@ def _scale_by_factors(num: LaurentPoly, factors: Counter) -> LaurentPoly:
 
 
 def _reduce(num: LaurentPoly, den: tuple) -> tuple:
-    """Cancel every denominator factor that divides the numerator exactly."""
-    remaining = Counter(den)
-    changed = True
-    while changed:
-        changed = False
-        for b in list(remaining):
-            q = binomial_divide(num, b)
-            if q is not None:
-                num = q
-                remaining[b] -= 1
-                if not remaining[b]:
-                    del remaining[b]
-                changed = True
-    return num, tuple(sorted(remaining.elements()))
+    """Cancel every denominator factor that divides the numerator exactly.
+    One pass suffices: a factor that does not divide num cannot divide a
+    quotient num / b either, since num is a multiple of that quotient."""
+    kept = []
+    for b in den:
+        q = binomial_divide(num, b)
+        if q is None:
+            kept.append(b)
+        else:
+            num = q
+    return num, tuple(kept)

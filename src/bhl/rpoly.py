@@ -32,13 +32,12 @@ __all__ = ["RPolyTable", "s_set", "s_set3", "s_set_idx"]
 
 
 class RPolyTable:
-    """Memoized r(u, v), bar r(u, v) and classical R(u, v) over one group."""
+    """Memoized unreduced r(u, v) and classical R(u, v) over one group."""
 
     def __init__(self, group: CoxeterGroup):
         self.group = group
         r = group.rank
         self._r: dict = {}
-        self._bar: dict = {}
         self._classical: dict = {}
         self._one = RationalFn.one(r)
         self._zero = RationalFn.zero(r)
@@ -63,10 +62,10 @@ class RPolyTable:
         su = g.lmult[u][i]
         beta = self._pivot_root(v, i)
         if g.lengths[su] < g.lengths[u]:
-            head = RationalFn(self._one_minus_q, (beta,), reduce=False)
+            head = RationalFn(self._one_minus_q, (beta,))
             return head * self.r_idx(u, sv) + self.r_idx(su, sv)
         x_beta = LaurentPoly.monomial(0, beta)
-        head = RationalFn(self._one_minus_q * x_beta, (beta,), reduce=False)
+        head = RationalFn(self._one_minus_q * x_beta, (beta,))
         q = LaurentPoly.q_power(g.rank, 1)
         return head * self.r_idx(u, sv) + self.r_idx(su, sv).mul_poly(q)
 
@@ -105,18 +104,13 @@ class RPolyTable:
         return self.r_idx(u.index, v.index)
 
     def bar_r_idx(self, u: int, v: int) -> RationalFn:
-        key = (u, v)
-        val = self._bar.get(key)
-        if val is None:
-            val = self.r_idx(u, v).bar_q()
-            self._bar[key] = val
-        return val
+        return self.r_idx(u, v).bar_q()
 
     def prefill(self) -> None:
         """Fill every pair; call before sharing across workers."""
         for v in range(self.group.order):
             for u in range(self.group.order):
-                self.bar_r_idx(u, v)
+                self.r_idx(u, v)
 
     def entries(self):
         """The filled (u, v) -> r(u, v) map."""

@@ -51,6 +51,7 @@ __all__ = [
 
 def _q_polynomial(val: RationalFn) -> LaurentPoly | None:
     """The q-polynomial equal to val, or None if torus dependence remains."""
+    val = val.reduced()
     if val.den or not val.num.is_q_only():
         return None
     return val.num.q_only()

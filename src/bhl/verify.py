@@ -375,7 +375,7 @@ def _suite_poles(g: CoxeterGroup, samples, seed, engine: SigmaEngine) -> SuiteRe
     checked = 0
     for v in range(g.order):
         for u in _bits(g.down_masks[v]):
-            den = Counter(rtable.r_idx(u, v).den)
+            den = Counter(rtable.r_idx(u, v).reduced().den)
             allowed = s_set_idx(g, u, v)
             for b, mult in den.items():
                 if mult > 1 or root_coords[b] not in allowed:
@@ -386,7 +386,7 @@ def _suite_poles(g: CoxeterGroup, samples, seed, engine: SigmaEngine) -> SuiteRe
         if not g.leq_idx(vm, v):
             continue
         sig = engine.sigma_idx(u, v, w)
-        den = Counter(sig.den)
+        den = Counter(sig.reduced().den)
         allowed = engine.s_set3_idx(u, v, w)
         for b, mult in den.items():
             if mult > 1 or root_coords[b] not in allowed:
@@ -436,6 +436,8 @@ def run_suite(
     engine: SigmaEngine | None = None,
     jobs: int = 1,
 ) -> SuiteResult:
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if engine is None:
         engine = SigmaEngine(group)
     g = group

@@ -5,6 +5,7 @@ import pytest
 from bhl.cli import run
 from bhl.coxeter import build_group
 from bhl.sigma import SigmaEngine
+from bhl.verify import run_suite
 
 
 def invoke(capsys, *argv):
@@ -150,10 +151,21 @@ def test_usage_errors_exit_two(capsys):
         for jobs in ("0", "-3", "x"):
             code, out, err = invoke(capsys, *cmd, "--type", "A2", "--jobs", jobs)
             assert code == 2 and out == "" and "at least 1" in err
+    for suite in ("vanishing", "mixed-meet", "all"):
+        for samples in ("0", "-3", "x"):
+            code, out, err = invoke(
+                capsys, "verify", "--type", "B3", "--suite", suite, "--samples", samples
+            )
+            assert code == 2 and out == "" and "at least 1" in err
+    with pytest.raises(ValueError, match="at least 1"):
+        run_suite("vanishing", build_group("A2"), samples=0)
 
 
 def test_order_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("BHL_MAX_ORDER", "10")
     code, _, err = invoke(capsys, "group", "--type", "A3")
     assert code == 2 and "cap" in err
+    monkeypatch.setenv("BHL_MAX_ORDER", "abc")
+    code, out, err = invoke(capsys, "group", "--type", "A2")
+    assert code == 2 and out == "" and "BHL_MAX_ORDER" in err
 

@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import os
 import random
@@ -5,10 +6,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from bhl.coxeter import GroupMismatchError, _bits
+from bhl.coxeter import GroupMismatchError, _bits, build_group
 from bhl.demazure import v_min
 from bhl.polyring import LaurentPoly, RationalFn
-from bhl.rpoly import s_set
+from bhl.rpoly import s_set, s_set_idx
 from bhl.sigma import SigmaEngine, classify, verify_main_theorem, verify_vanishing
 
 # the twenty non-product-form triples in rank 2, canonical words,
@@ -35,6 +36,14 @@ A2_EXCEPTIONS = [
     ("21", "121", "21"),
     ("21", "21", "21"),
 ]
+
+# sha256 prefixes of the CSV and JSON classification reports
+GOLDEN_REPORTS = {
+    "A2": ("eb713052a6929c9e", "ff8d498e3cb41c98"),
+    "B2": ("b333a5810a025b51", "e3cf1c6234a9576b"),
+    "C2": ("19c1cee52fee905a", "c3dbccd7ba8757ad"),
+    "G2": ("056d86b9702e3c4d", "3b474881d4e9c14a"),
+}
 
 
 def test_sigma_base_example(a2, engine_a2):
@@ -140,6 +149,18 @@ def test_classify_b2(b2):
     assert rep.gk_count == 305
 
 
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("cartan_type", sorted(GOLDEN_REPORTS))
+def test_classify_reports_match_golden_digests(cartan_type):
+    rep = classify(build_group(cartan_type))
+    assert (_digest(rep.to_csv_text()), _digest(rep.to_json_text())) == (
+        GOLDEN_REPORTS[cartan_type]
+    )
+
+
 def test_classify_deterministic_across_jobs(a2):
     rep1 = classify(a2, jobs=1)
     rep2 = classify(a2, jobs=3)
@@ -209,10 +230,30 @@ def test_sigma_pole_containment_a2(a2, engine_a2):
                 sig = engine_a2.sigma_idx(u, v, w)
                 allowed = engine_a2.s_set3_idx(u, v, w)
                 seen = set()
-                for b in sig.den:
+                for b in sig.reduced().den:
                     assert b not in seen  # multiplicity one
                     seen.add(b)
                     assert coords[b] in allowed
+
+
+def test_unreduced_denominators_stay_in_s_e_v(a3, b2, engine_a3, engine_b2):
+    """Values are built without cancelling; every factor they carry is still
+    a distinct root of S(e, v), so numerators stay bounded and the reduced
+    form is unique."""
+    rng = random.Random(11)
+    for g, eng in ((a3, engine_a3), (b2, engine_b2)):
+        coords = {tuple(b): a for a, b in enumerate(g.positive_roots)}
+
+        def check(den, v):
+            assert len(set(den)) == len(den)
+            assert {coords[b] for b in den} <= s_set_idx(g, 0, v)
+
+        for v in range(g.order):
+            for u in range(g.order):
+                check(eng.rtable.r_idx(u, v).den, v)
+        for _ in range(100):
+            u, v, w = (rng.randrange(g.order) for _ in range(3))
+            check(eng.sigma_idx(u, v, w).den, v)
 
 
 def test_group_mismatch_rejected(a2, b2, engine_a2):
