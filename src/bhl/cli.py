@@ -15,8 +15,8 @@ Subcommands:
 Element words are "e" or digit strings ("121"), with a comma-separated form
 ("1,2,1") accepted for every rank; printed words are always the canonical
 lexicographically smallest reduced word. stdout carries data only; all
-diagnostics go to stderr. Exit codes: 0 success, 1 verification failure,
-2 usage error.
+diagnostics go to stderr. Exit codes: 0 success, 1 verification failure or
+a broken engine invariant (its message names the triple), 2 usage error.
 
 ``--jobs`` and ``--samples`` must be at least 1; at most min(N, |W|, cpu
 count) worker processes are started.
@@ -242,6 +242,9 @@ def run(argv) -> int:
     except (UnsupportedTypeError, WordError, OrderCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a broken engine invariant, also from a worker
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

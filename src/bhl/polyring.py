@@ -15,6 +15,10 @@ Representation conventions:
   ranges over positive roots written in simple-root coordinates, so beta is a
   nonzero vector of nonnegative ints. Only ``reduced()`` cancels factors
   that divide the numerator; printing and evaluation go through it.
+- ``_pack`` and ``_unpack`` turn an exponent tuple into one int of signed
+  base-2^20 digits (q-degree lowest) and back, so that multiplying
+  monomials is one int addition. Only sigma's accumulation uses them;
+  ``LaurentPoly`` keys are always tuples.
 
 Canonical string form sorts monomials by ``(x_degrees, q_degree)`` ascending,
 and denominator factors by their degree vectors, e.g.::
@@ -42,6 +46,34 @@ __all__ = [
 
 def _normalized(terms: dict) -> dict:
     return {e: c for e, c in terms.items() if c}
+
+
+_DIGIT_BITS = 20
+_DIGIT_BOUND = 1 << (_DIGIT_BITS - 1)  # every digit d has |d| < 2^19
+_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
+
+
+def _pack(e: tuple) -> int:
+    """The exponent tuple e as one int, sum of e[i] * 2^(20 i): signed base
+    2^20 digits with the q-degree lowest. Adding keys multiplies monomials,
+    as long as every digit of the sum stays inside the bound."""
+    key = 0
+    for d in reversed(e):
+        if not -_DIGIT_BOUND < d < _DIGIT_BOUND:
+            raise ValueError(f"exponent {e} has a degree outside (-2^19, 2^19)")
+        key = (key << _DIGIT_BITS) + d
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple:
+    """The n-digit exponent tuple packed into key, by balanced digit
+    extraction (the inverse of ``_pack``)."""
+    out = []
+    for _ in range(n):
+        d = ((key + _DIGIT_BOUND) & _DIGIT_MASK) - _DIGIT_BOUND
+        out.append(d)
+        key = (key - d) >> _DIGIT_BITS
+    return tuple(out)
 
 
 class LaurentPoly:

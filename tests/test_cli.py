@@ -169,3 +169,20 @@ def test_order_cap_env(capsys, monkeypatch):
     code, out, err = invoke(capsys, "group", "--type", "A2")
     assert code == 2 and out == "" and "BHL_MAX_ORDER" in err
 
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_engine_invariant_failure_exits_one(capsys, monkeypatch, jobs):
+    """A RuntimeError raised for one w, in a forked worker too, ends the run
+    with its message on stderr and exit 1, not a traceback."""
+    original = SigmaEngine.classify_for_w
+
+    def failing(self, w):
+        if w == 3:
+            raise RuntimeError(f"invariant broken (u=1, v=1, w={self.group.word_str(w)})")
+        return original(self, w)
+
+    monkeypatch.setattr(SigmaEngine, "classify_for_w", failing)
+    code, out, err = invoke(capsys, "classify", "--type", "A2", "--jobs", jobs)
+    w = build_group("A2").word_str(3)
+    assert (code, out) == (1, "")
+    assert err == f"error: invariant broken (u=1, v=1, w={w})\n"

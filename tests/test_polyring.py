@@ -1,11 +1,22 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhl.polyring import LaurentPoly, RationalFn, binomial, binomial_divide
+import bhl
+from bhl.polyring import (
+    LaurentPoly,
+    RationalFn,
+    _pack,
+    _unpack,
+    binomial,
+    binomial_divide,
+)
 
 
 def lp(arity, terms):
@@ -179,3 +190,56 @@ def test_eq_transitive_on_padded_copies():
         c = RationalFn(a.num * binomial(2, (1, 0)), a.den + ((1, 0),))
         assert a == b and b == c and a == c
         assert str(b) == str(c) == str(a)
+
+
+# -- packed exponent keys -------------------------------------------------------
+
+BOUND = 2**19
+
+
+# exponent tuples of arity 0 to 7 (1 to 8 digits)
+@given(st.lists(st.integers(-BOUND + 1, BOUND - 1), min_size=1, max_size=8).map(tuple))
+def test_pack_round_trip(e):
+    assert _unpack(_pack(e), len(e)) == e
+
+
+@st.composite
+def exponent_pairs(draw):
+    """Two exponent tuples of one length whose sum stays inside the bound."""
+    n = draw(st.integers(1, 8))
+    half = st.integers(-BOUND // 2 + 1, BOUND // 2 - 1)
+    pair = st.lists(half, min_size=n, max_size=n).map(tuple)
+    return draw(pair), draw(pair)
+
+
+@given(exponent_pairs())
+def test_pack_is_linear_inside_the_bound(pair):
+    a, b = pair
+    total = tuple(x + y for x, y in zip(a, b))
+    assert _pack(a) + _pack(b) == _pack(total)
+    assert _unpack(_pack(a) + _pack(b), len(a)) == total
+
+
+PACK_OUT_OF_BOUND = """
+from bhl.polyring import _pack
+for e in [(2**19,), (0, -2**19), (1, 2, 3, 4, 5, 6, 7, 2**19)]:
+    try:
+        _pack(e)
+    except ValueError as exc:
+        if str(e) not in str(exc):
+            raise SystemExit(f"message does not name {e}: {exc}")
+    else:
+        raise SystemExit(f"no ValueError for {e}")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_pack_rejects_digit_at_the_bound(flags):
+    """A raise, not an assert: it must hold under python -O too."""
+    src = os.path.dirname(os.path.dirname(bhl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", PACK_OUT_OF_BOUND],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import multiprocessing
 import os
 import random
@@ -254,6 +255,38 @@ def test_unreduced_denominators_stay_in_s_e_v(a3, b2, engine_a3, engine_b2):
         for _ in range(100):
             u, v, w = (rng.randrange(g.order) for _ in range(3))
             check(eng.sigma_idx(u, v, w).den, v)
+
+
+def _sigma_by_rational_sum(eng, u, v, w):
+    """sigma as a chain of RationalFn additions, the oracle for the packed
+    accumulation of SigmaEngine.sigma_idx."""
+    g = eng.group
+    acc = RationalFn.zero(g.rank)
+    for y in _bits(g.down_masks[v]):
+        xi = eng._xi(u, y, w)
+        if not xi.is_zero():
+            coeff = xi.shift_q(-g.lengths[y]).embed(g.rank)
+            acc = acc + eng.rtable.bar_r_idx(y, v).mul_poly(coeff)
+    return acc
+
+
+def test_packed_sigma_matches_rational_sum_term_for_term(
+    a2, b2, g2, a3, b3, engine_a2, engine_b2, engine_a3, engine_b3
+):
+    """Same numerator dict and same unreduced den, not just equal values."""
+    rng = random.Random(5)
+    cases = []
+    for g, eng in ((a2, engine_a2), (b2, engine_b2), (g2, SigmaEngine(g2))):
+        cases += [(eng, t) for t in itertools.product(range(g.order), repeat=3)]
+    for g, eng in ((a3, engine_a3), (b3, engine_b3)):
+        cases += [
+            (eng, tuple(rng.randrange(g.order) for _ in range(3)))
+            for _ in range(200)
+        ]
+    for eng, (u, v, w) in cases:
+        got = eng.sigma_idx(u, v, w)
+        want = _sigma_by_rational_sum(eng, u, v, w)
+        assert (got.num.terms, got.den) == (want.num.terms, want.den), (u, v, w)
 
 
 def test_group_mismatch_rejected(a2, b2, engine_a2):
