@@ -15,7 +15,6 @@ from .coxeter import (
     build_group,
 )
 from .demazure import (
-    DemazureContext,
     circ,
     down_left,
     down_right,
@@ -45,7 +44,6 @@ __all__ = [
     "UnsupportedTypeError",
     "WordError",
     "build_group",
-    "DemazureContext",
     "circ",
     "up_left",
     "down_left",

@@ -127,7 +127,15 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    report = classify(_build(args), jobs=args.jobs)
+    g = _build(args)
+    if args.out:
+        # fail on an unwritable path now, not after the whole run; append
+        # mode leaves an existing report as it is until the new one is ready
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
+    report = classify(g, jobs=args.jobs)
     text = report.to_csv_text() if args.format == "csv" else report.to_json_text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

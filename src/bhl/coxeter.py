@@ -309,10 +309,6 @@ class CoxeterGroup:
             sum(1 << i for i in range(self.rank) if lengths[lmult[w][i]] < lengths[w])
             for w in range(self.order)
         ]
-        self.right_desc_masks = [
-            sum(1 << i for i in range(self.rank) if lengths[rmult[w][i]] < lengths[w])
-            for w in range(self.order)
-        ]
 
     def _build_words_and_inverses(self) -> None:
         # canonical word = lex smallest reduced word, by greedy smallest
@@ -395,6 +391,13 @@ class CoxeterGroup:
     def interval_mask(self, u: int, w: int) -> int:
         return self.up_masks[u] & self.down_masks[w]
 
+    def poincare_idx(self, u: int, w: int) -> LaurentPoly:
+        terms: dict = {}
+        for x in _bits(self.interval_mask(u, w)):
+            k = (self.lengths[x],)
+            terms[k] = terms.get(k, 0) + 1
+        return LaurentPoly(0, terms)
+
     def word_str(self, w: int) -> str:
         if w == 0:
             return "e"
@@ -466,20 +469,11 @@ class CoxeterGroup:
     def length(self, u: Element) -> int:
         return self.lengths[self._idx(u)]
 
-    def left_descents(self, u: Element) -> frozenset:
-        return frozenset(i + 1 for i in _bits(self.left_desc_masks[self._idx(u)]))
-
-    def right_descents(self, u: Element) -> frozenset:
-        return frozenset(i + 1 for i in _bits(self.right_desc_masks[self._idx(u)]))
-
     def bruhat_leq(self, u: Element, w: Element) -> bool:
         return self.leq_idx(self._idx(u), self._idx(w))
 
     def weak_leq_right(self, u: Element, w: Element) -> bool:
         return self.weak_leq_right_idx(self._idx(u), self._idx(w))
-
-    def weak_leq_left(self, u: Element, w: Element) -> bool:
-        return self.weak_leq_left_idx(self._idx(u), self._idx(w))
 
     def interval(self, u: Element, w: Element) -> list:
         mask = self.interval_mask(self._idx(u), self._idx(w))
@@ -487,12 +481,7 @@ class CoxeterGroup:
 
     def poincare(self, u: Element, w: Element) -> LaurentPoly:
         """Sum of q^len(x) over the Bruhat interval [u, w]."""
-        mask = self.interval_mask(self._idx(u), self._idx(w))
-        terms: dict = {}
-        for x in _bits(mask):
-            k = (self.lengths[x],)
-            terms[k] = terms.get(k, 0) + 1
-        return LaurentPoly(0, terms)
+        return self.poincare_idx(self._idx(u), self._idx(w))
 
     def root_action(self, w: Element, root) -> tuple:
         """Image of a root under w, in simple-root coordinates.

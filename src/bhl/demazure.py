@@ -25,7 +25,6 @@ from __future__ import annotations
 from .coxeter import CoxeterGroup, Element
 
 __all__ = [
-    "DemazureContext",
     "circ",
     "up_left",
     "down_left",
@@ -145,32 +144,3 @@ def v_min(u: Element, w: Element) -> Element:
     """U_{w^{-1}} down-arrow u, the least v with nonvanishing pairing."""
     g = _pair(u, w)
     return Element(g, v_min_idx(g, u.index, w.index))
-
-
-class DemazureContext:
-    """Demazure operations over one group, with a lazily filled product table.
-
-    Folding words costs O(len) per product, which is fine for scattered
-    queries; bulk enumeration can call ``circ_table`` once and index it.
-    """
-
-    def __init__(self, group: CoxeterGroup):
-        self.group = group
-        self._circ_table = None
-
-    def circ_table(self) -> list:
-        if self._circ_table is None:
-            g = self.group
-            self._circ_table = [
-                [circ_idx(g, u, v) for v in range(g.order)]
-                for u in range(g.order)
-            ]
-        return self._circ_table
-
-    def circ(self, u: Element, v: Element) -> Element:
-        g = self.group
-        g.check_same(u.group)
-        g.check_same(v.group)
-        if self._circ_table is not None:
-            return Element(g, self._circ_table[u.index][v.index])
-        return Element(g, circ_idx(g, u.index, v.index))

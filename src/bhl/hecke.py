@@ -36,29 +36,9 @@ class HeckeElem:
     group: CoxeterGroup
     coeffs: dict
 
-    def support(self) -> list:
-        return [Element(self.group, t) for t in sorted(self.coeffs)]
-
     def coeff(self, w: Element) -> LaurentPoly:
         self.group.check_same(w.group)
         return self.coeffs.get(w.index, LaurentPoly.zero(0))
-
-    def __add__(self, other: "HeckeElem") -> "HeckeElem":
-        self.group.check_same(other.group)
-        out = dict(self.coeffs)
-        for t, c in other.coeffs.items():
-            s = out.get(t)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(t, None)
-            else:
-                out[t] = s
-        return HeckeElem(self.group, out)
-
-    def scale(self, c: LaurentPoly) -> "HeckeElem":
-        if c.is_zero():
-            return HeckeElem(self.group, {})
-        return HeckeElem(self.group, {t: v * c for t, v in self.coeffs.items()})
 
 
 def t_basis(w: Element) -> HeckeElem:
@@ -185,19 +165,3 @@ class ThetaTable:
         for el in (x, y, w):
             g.check_same(el.group)
         return self.theta_idx(x.index, y.index, w.index)
-
-
-def support_extrema(a: HeckeElem) -> tuple:
-    """(Bruhat-minimal, Bruhat-maximal) support elements; None when mixed.
-
-    An element is reported as extremal only if it is comparable to, and on
-    the right side of, every other support member.
-    """
-    g = a.group
-    supp = list(a.coeffs)
-    lo = [t for t in supp if all(g.leq_idx(t, s) for s in supp)]
-    hi = [t for t in supp if all(g.leq_idx(s, t) for s in supp)]
-    return (
-        Element(g, lo[0]) if len(lo) == 1 else None,
-        Element(g, hi[0]) if len(hi) == 1 else None,
-    )

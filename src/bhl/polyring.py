@@ -128,15 +128,6 @@ class LaurentPoly:
         out.terms = t
         return out
 
-    def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.arity = self.arity
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
         a, b = self.terms, other.terms
@@ -154,14 +145,6 @@ class LaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
         out.arity = self.arity
         out.terms = t
-        return out
-
-    def scale(self, c: int) -> "LaurentPoly":
-        if c == 0:
-            return LaurentPoly.zero(self.arity)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.arity = self.arity
-        out.terms = {e: c * v for e, v in self.terms.items()}
         return out
 
     def shift_q(self, k: int) -> "LaurentPoly":
@@ -396,12 +379,6 @@ class RationalFn:
         na = _scale_by_factors(self.num, common - ca)
         nb = _scale_by_factors(other.num, common - cb)
         return RationalFn(na + nb, tuple(common.elements()))
-
-    def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return self + (-other)
 
     def __mul__(self, other: "RationalFn") -> "RationalFn":
         self._check(other)

@@ -86,17 +86,6 @@ class RPolyTable:
         self._r[key] = val
         return val
 
-    def r_idx_with_pivot(self, u: int, v: int, i: int) -> RationalFn:
-        """One top-level step with an explicit pivot, for independence checks."""
-        g = self.group
-        if u == v:
-            return self._one
-        if not g.leq_idx(u, v):
-            return self._zero
-        if not g.left_desc_masks[v] >> i & 1:
-            raise ValueError(f"s{i + 1} is not a left descent of the target")
-        return self._step(u, v, i)
-
     def r(self, u: Element, v: Element) -> RationalFn:
         g = self.group
         g.check_same(u.group)

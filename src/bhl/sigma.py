@@ -57,6 +57,9 @@ __all__ = [
     "verify_vanishing",
 ]
 
+# verify_vanishing scans every triple of a group up to this order
+_VANISHING_EXHAUSTIVE_ORDER = 10
+
 
 def _q_polynomial(val: RationalFn) -> LaurentPoly | None:
     """The q-polynomial equal to val, or None if torus dependence remains."""
@@ -224,13 +227,7 @@ class SigmaEngine:
         """q^(-len(v_min)) times the length generating series of [u, w*v_min]."""
         g = self.group
         vm = self.vmin_idx(u, w)
-        wv = g.mul_idx(w, vm)
-        shift = -g.lengths[vm]
-        terms: dict = {}
-        for z in _bits(g.interval_mask(u, wv)):
-            k = (g.lengths[z] + shift,)
-            terms[k] = terms.get(k, 0) + 1
-        return LaurentPoly(0, terms)
+        return g.poincare_idx(u, g.mul_idx(w, vm)).shift_q(-g.lengths[vm])
 
     # -- GK form -------------------------------------------------------------
 
@@ -266,29 +263,31 @@ class SigmaEngine:
 
     # -- mu cross-check path ---------------------------------------------------
 
-    def mu_element(self, v: Element) -> dict:
-        """The Hecke coefficients of the intertwining image of the identity:
-        maps y^{-1} to q^(-len(y)) * bar r(y, v)."""
+    def _mu_idx(self, v: int) -> dict:
+        """y -> q^(-len(y)) * bar r(y, v) over y <= v."""
         g = self.group
-        g.check_same(v.group)
-        out = {}
-        for y in _bits(g.down_masks[v.index]):
-            rf = self.rtable.bar_r_idx(y, v.index).mul_poly(
-                LaurentPoly.q_power(g.rank, -g.lengths[y])
-            )
-            out[Element(g, g.inv_table[y])] = rf
-        return out
-
-    def sigma_via_mu_idx(self, u: int, v: int, w: int) -> RationalFn:
-        """Oracle route: sum over x >= u of lambda_w(T_x * mu(v)), with the
-        Hecke product carried out before the functional is applied."""
-        g = self.group
-        mu = {
+        return {
             y: self.rtable.bar_r_idx(y, v).mul_poly(
                 LaurentPoly.q_power(g.rank, -g.lengths[y])
             )
             for y in _bits(g.down_masks[v])
         }
+
+    def mu_element(self, v: Element) -> dict:
+        """The Hecke coefficients of the intertwining image of the identity:
+        maps y^{-1} to q^(-len(y)) * bar r(y, v)."""
+        g = self.group
+        g.check_same(v.group)
+        return {
+            Element(g, g.inv_table[y]): rf
+            for y, rf in self._mu_idx(v.index).items()
+        }
+
+    def sigma_via_mu_idx(self, u: int, v: int, w: int) -> RationalFn:
+        """Oracle route: sum over x >= u of lambda_w(T_x * mu(v)), with the
+        Hecke product carried out before the functional is applied."""
+        g = self.group
+        mu = self._mu_idx(v)
         total = RationalFn.zero(g.rank)
         for x in _bits(g.up_masks[u]):
             cell: dict = {}
@@ -383,6 +382,15 @@ class ClassificationReport:
 _WORKER: tuple | None = None  # (engine, fn) inherited by forked workers
 
 
+def _engine_for(group: CoxeterGroup, engine: SigmaEngine | None) -> SigmaEngine:
+    """engine, or a new one over group; an engine built over another group
+    raises GroupMismatchError."""
+    if engine is None:
+        return SigmaEngine(group)
+    group.check_same(engine.group)
+    return engine
+
+
 def _worker(w: int):
     assert _WORKER is not None
     engine, fn = _WORKER
@@ -417,11 +425,12 @@ def classify(
     engine: SigmaEngine | None = None,
 ) -> ClassificationReport:
     """Classify every triple of the group; deterministic for any job count."""
-    if engine is None:
-        if group is None:
+    if group is None:
+        if engine is None:
             raise ValueError("need a group or an engine")
-        engine = SigmaEngine(group)
-    g = engine.group
+        group = engine.group
+    engine = _engine_for(group, engine)
+    g = group
     engine.prefill_shared_tables()
     parts = _map_over_w(engine, SigmaEngine.classify_for_w, jobs)
     nonzero = sum(p[0] for p in parts)
@@ -457,8 +466,7 @@ def verify_main_theorem(
 ) -> bool:
     """Check sigma(u, v_min, w) is torus-free and matches the translated
     Bruhat-interval length series, for every pair (u, w)."""
-    if engine is None:
-        engine = SigmaEngine(group)
+    engine = _engine_for(group, engine)
     return all(_map_over_w(engine, _main_theorem_for_w, jobs))
 
 
@@ -469,11 +477,11 @@ def verify_vanishing(
     engine: SigmaEngine | None = None,
 ) -> bool:
     """Check sigma(u, v, w) == 0 for v not >= v_min(u, w); exhaustive for
-    groups of order at most 10, else on ``samples`` seeded random triples."""
-    if engine is None:
-        engine = SigmaEngine(group)
-    g = engine.group
-    if g.order <= 10:
+    groups of order at most ``_VANISHING_EXHAUSTIVE_ORDER``, else on
+    ``samples`` seeded random triples."""
+    engine = _engine_for(group, engine)
+    g = group
+    if g.order <= _VANISHING_EXHAUSTIVE_ORDER:
         for u in range(g.order):
             for w in range(g.order):
                 vm = engine.vmin_idx(u, w)

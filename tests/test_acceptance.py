@@ -18,13 +18,13 @@ from bhl.kl import KLTable, check_theta_power_conjecture
 from bhl.polyring import LaurentPoly
 from bhl.rpoly import s_set_idx
 from bhl.sigma import classify, verify_main_theorem, verify_vanishing
-from bhl.verify import (
+from bhl.verify import run_suite
+
+from checks import (
     check_deodhar_under_q1,
     check_kl_defining_identity,
     check_r_descent_independence,
-    run_suite,
 )
-
 from test_sigma import A2_EXCEPTIONS
 
 

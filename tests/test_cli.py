@@ -138,7 +138,7 @@ def test_word_round_trip_via_cli(capsys, a3):
         assert code == 0 and out.strip() == w.word()
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, tmp_path):
     code, _, err = invoke(capsys, "group", "--type", "Z9")
     assert code == 2 and "unsupported" in err
     code, _, err = invoke(capsys, "sigma", "--type", "A2", "-u", "x", "-v", "1", "-w", "e")
@@ -159,6 +159,10 @@ def test_usage_errors_exit_two(capsys):
             assert code == 2 and out == "" and "at least 1" in err
     with pytest.raises(ValueError, match="at least 1"):
         run_suite("vanishing", build_group("A2"), samples=0)
+    for path in (tmp_path, tmp_path / "missing" / "f.json"):
+        code, out, err = invoke(capsys, "classify", "--type", "A2", "--out", str(path))
+        assert code == 2 and out == "" and err.startswith("error: cannot write")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_order_cap_env(capsys, monkeypatch):

@@ -2,8 +2,8 @@ import pytest
 
 from bhl.coxeter import GroupMismatchError
 from bhl.demazure import (
-    DemazureContext,
     circ,
+    circ_idx,
     down_left,
     down_right,
     fold_word_idx,
@@ -100,12 +100,12 @@ def test_demazure_suite_sampled_b3(b3):
 
 
 def test_context_table_matches_folding(a2):
-    ctx = DemazureContext(a2)
-    table = ctx.circ_table()
     for u in a2.elements():
+        letters = tuple(i + 1 for i in a2.words[u.index])
         for v in a2.elements():
-            assert table[u.index][v.index] == circ(u, v).index
-            assert ctx.circ(u, v) == circ(u, v)
+            folded = fold_word_idx(a2, letters, v.index, "up_left")
+            assert circ_idx(a2, u.index, v.index) == folded
+            assert circ(u, v).index == folded
 
 
 def test_group_mismatch_rejected(a2, b2):

@@ -1,7 +1,8 @@
 from bhl.coxeter import _bits
 from bhl.kl import KLTable, check_theta_power_conjecture
 from bhl.polyring import LaurentPoly
-from bhl.verify import check_kl_defining_identity
+
+from checks import check_kl_defining_identity
 
 
 def test_p_base_cases(a3):

@@ -2,11 +2,13 @@ import random
 
 from bhl.polyring import LaurentPoly, RationalFn
 from bhl.rpoly import RPolyTable, s_set, s_set3
-from bhl.verify import (
+from bhl.sigma import SigmaEngine
+from bhl.verify import run_suite
+
+from checks import (
     check_deodhar_under_q1,
     check_r_descent_independence,
     check_r_numerical_limit,
-    run_suite,
 )
 
 
@@ -77,6 +79,16 @@ def test_pole_containment_suite(a2, b2, engine_a2, engine_b2):
     assert res.ok, res.detail
     res = run_suite("poles", b2, engine=engine_b2)
     assert res.ok, res.detail
+
+
+def test_pole_suite_fails_on_non_root_factor(a2, monkeypatch):
+    """A sigma den factor that is not a positive root is an escape: the
+    suite reports FAIL instead of raising."""
+    eng = SigmaEngine(a2)
+    bad = RationalFn(LaurentPoly.one(2), ((2, 0),))  # 2*alpha_1 is no root
+    monkeypatch.setattr(eng, "sigma_idx", lambda u, v, w, xi_cache=None: bad)
+    res = run_suite("poles", a2, engine=eng)
+    assert not res.ok and "sigma denominator escapes" in res.detail
 
 
 def test_deodhar_under_q1(a3):

@@ -12,6 +12,7 @@ from bhl.demazure import v_min
 from bhl.polyring import LaurentPoly, RationalFn
 from bhl.rpoly import s_set, s_set_idx
 from bhl.sigma import SigmaEngine, classify, verify_main_theorem, verify_vanishing
+from bhl.verify import SUITE_NAMES, run_suite
 
 # the twenty non-product-form triples in rank 2, canonical words,
 # sorted lexicographically
@@ -44,6 +45,7 @@ GOLDEN_REPORTS = {
     "B2": ("b333a5810a025b51", "e3cf1c6234a9576b"),
     "C2": ("19c1cee52fee905a", "c3dbccd7ba8757ad"),
     "G2": ("056d86b9702e3c4d", "3b474881d4e9c14a"),
+    "A3": ("643eba03b88cac48", "d12c7a173c9f9afb"),
 }
 
 
@@ -289,6 +291,16 @@ def test_packed_sigma_matches_rational_sum_term_for_term(
         assert (got.num.terms, got.den) == (want.num.terms, want.den), (u, v, w)
 
 
-def test_group_mismatch_rejected(a2, b2, engine_a2):
+def test_group_mismatch_rejected(a2, b2, engine_a2, engine_b2):
     with pytest.raises(GroupMismatchError):
         engine_a2.sigma(a2.identity(), a2.identity(), b2.identity())
+    # an engine over another group is refused, not silently used
+    with pytest.raises(GroupMismatchError):
+        classify(a2, engine=engine_b2)
+    with pytest.raises(GroupMismatchError):
+        verify_main_theorem(a2, engine=engine_b2)
+    with pytest.raises(GroupMismatchError):
+        verify_vanishing(a2, engine=engine_b2)
+    for name in SUITE_NAMES:
+        with pytest.raises(GroupMismatchError):
+            run_suite(name, a2, engine=engine_b2)
