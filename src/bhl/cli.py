@@ -16,7 +16,9 @@ Element words are "e" or digit strings ("121"), with a comma-separated form
 ("1,2,1") accepted for every rank; printed words are always the canonical
 lexicographically smallest reduced word. stdout carries data only; all
 diagnostics go to stderr. Exit codes: 0 success, 1 verification failure or
-a broken engine invariant (its message names the triple), 2 usage error.
+a broken engine invariant (its message names the triple), 2 usage error;
+where the platform has SIGPIPE, a closed stdout ends the process by that
+signal, with nothing on stderr.
 
 ``--jobs`` and ``--samples`` must be at least 1; at most min(N, |W|, cpu
 count) worker processes are started.
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 
 from .coxeter import (
@@ -256,6 +259,10 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # a reader that closes stdout ends bhl as it ends cat: by SIGPIPE,
+    # without a BrokenPipeError traceback
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

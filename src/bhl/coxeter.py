@@ -20,6 +20,7 @@ comma-separated indices ("1,2,1"), which is accepted for all ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterator, Optional, Sequence
 
 from .polyring import LaurentPoly
@@ -55,11 +56,6 @@ class WordError(ValueError):
     """An element word failed to parse."""
 
 
-_FACTORIAL = [1]
-for _n in range(1, 13):
-    _FACTORIAL.append(_FACTORIAL[-1] * _n)
-
-
 @dataclass(frozen=True)
 class CartanType:
     """A finite Weyl group family label: A, B, C, D or G, plus a rank."""
@@ -90,11 +86,11 @@ class CartanType:
     def order(self) -> int:
         r = self.rank
         if self.family == "A":
-            return _FACTORIAL[r + 1] if r + 1 < len(_FACTORIAL) else _big_factorial(r + 1)
+            return factorial(r + 1)
         if self.family in ("B", "C"):
-            return 2**r * _big_factorial(r)
+            return 2**r * factorial(r)
         if self.family == "D":
-            return 2 ** (r - 1) * _big_factorial(r)
+            return 2 ** (r - 1) * factorial(r)
         return 12
 
     def num_positive_roots(self) -> int:
@@ -111,16 +107,8 @@ class CartanType:
         return f"{self.family}{self.rank}"
 
 
-def _big_factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-def _cartan_matrix(t: CartanType) -> tuple[list[list[int]], list[int]]:
-    """Cartan matrix C with s_i(a_j) = a_j - C[i][j] a_i, and a symmetrizer d
-    with d[i]*C[i][j] symmetric."""
+def _cartan_matrix(t: CartanType) -> list[list[int]]:
+    """Cartan matrix C with s_i(a_j) = a_j - C[i][j] a_i."""
     r = t.rank
     C = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
 
@@ -131,28 +119,23 @@ def _cartan_matrix(t: CartanType) -> tuple[list[list[int]], list[int]]:
     if t.family == "A":
         for i in range(r - 1):
             link(i, i + 1)
-        d = [1] * r
     elif t.family == "B":
         # last simple root short
         for i in range(r - 2):
             link(i, i + 1)
         link(r - 2, r - 1, -1, -2)
-        d = [2] * (r - 1) + [1]
     elif t.family == "C":
         # last simple root long
         for i in range(r - 2):
             link(i, i + 1)
         link(r - 2, r - 1, -2, -1)
-        d = [1] * (r - 1) + [2]
     elif t.family == "D":
         for i in range(r - 2):
             link(i, i + 1)
         link(r - 3, r - 1)
-        d = [1] * r
     else:  # G2, first simple root short
         link(0, 1, -3, -1)
-        d = [1, 3]
-    return C, d
+    return C
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -209,7 +192,7 @@ class CoxeterGroup:
             )
         self.cartan_type = cartan_type
         self.rank = cartan_type.rank
-        self.cartan, self.symmetrizer = _cartan_matrix(cartan_type)
+        self.cartan = _cartan_matrix(cartan_type)
         self._build_roots()
         self._build_elements(expected)
         self._build_words_and_inverses()
@@ -290,7 +273,6 @@ class CoxeterGroup:
         self.cols = cols_list
         self.lengths = lengths
         self.rmult = rmult
-        self.index_of_cols = index_of
 
         # left multiplication: apply s_i to every column
         lmult: list[list[int]] = []
@@ -346,29 +328,18 @@ class CoxeterGroup:
         self.up_masks = up
 
     def _build_reflections(self) -> None:
-        r = self.rank
-        B = [
-            [self.symmetrizer[k] * self.cartan[k][l] for l in range(r)]
-            for k in range(r)
-        ]
-        refl = []
-        for beta in self.positive_roots:
-            norm = sum(
-                beta[k] * beta[l] * B[k][l] for k in range(r) for l in range(r)
-            )
-            cols = []
-            for j in range(r):
-                two_prod = 2 * self.symmetrizer[j] * sum(
-                    self.cartan[j][k] * beta[k] for k in range(r)
-                )
-                assert two_prod % norm == 0
-                c = two_prod // norm
-                col = tuple(
-                    (1 if k == j else 0) - c * beta[k] for k in range(r)
-                )
-                cols.append(col)
-            refl.append(self.index_of_cols[tuple(cols)])
-        self.reflection_of_root = refl
+        # a root beta = w(a_i) has reflection w s_i w^-1; take the first
+        # such (w, i) in index order
+        n_pos = len(self.positive_roots)
+        refl: dict = {}
+        for w, cols in enumerate(self.cols):
+            for i, col in enumerate(cols):
+                a = self._pos_index.get(col)
+                if a is not None and a not in refl:
+                    refl[a] = self.mul_idx(self.rmult[w][i], self.inv_table[w])
+            if len(refl) == n_pos:
+                break
+        self.reflection_of_root = [refl[a] for a in range(n_pos)]
 
     # -- index-level operations (used by sibling modules) -------------------
 

@@ -95,13 +95,7 @@ def t_mul(a: HeckeElem, b: HeckeElem) -> HeckeElem:
 def lambda_w(w: Element, a: HeckeElem) -> LaurentPoly:
     """Apply the functional sending T_y to q^len(y) for y <= w, else 0."""
     w.group.check_same(a.group)
-    g = w.group
-    mask = g.down_masks[w.index]
-    out = LaurentPoly.zero(0)
-    for t, c in a.coeffs.items():
-        if mask >> t & 1:
-            out = out + c.shift_q(g.lengths[t])
-    return out
+    return _theta_from_product(w.group, a.coeffs, w.index)
 
 
 def theta(x: Element, y: Element, w: Element) -> LaurentPoly:

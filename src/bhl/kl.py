@@ -77,9 +77,7 @@ class KLTable:
 
 
 def check_theta_power_conjecture(
-    group: CoxeterGroup,
-    theta_table: ThetaTable | None = None,
-    kl_table: KLTable | None = None,
+    group: CoxeterGroup, theta_table: ThetaTable | None = None
 ) -> list:
     """Scan all (x, y, w) with x y^{-1} <= w and P(x y^{-1}, w) = 1 and
     collect the triples whose theta(x, y, w) is not a single power of q.
@@ -88,9 +86,8 @@ def check_theta_power_conjecture(
     """
     g = group
     theta = theta_table if theta_table is not None else ThetaTable(g)
-    kl = kl_table if kl_table is not None else KLTable(g)
+    kl = KLTable(g)
     theta.group.check_same(g)
-    kl.group.check_same(g)
     one = LaurentPoly.one(0)
     violations = []
     for x in range(g.order):

@@ -100,13 +100,13 @@ class LaurentPoly:
         return cls(arity, {(0,) * (arity + 1): 1})
 
     @classmethod
-    def q_power(cls, arity: int, k: int, coeff: int = 1) -> "LaurentPoly":
-        return cls(arity, {(k,) + (0,) * arity: coeff})
+    def q_power(cls, arity: int, k: int) -> "LaurentPoly":
+        return cls(arity, {(k,) + (0,) * arity: 1})
 
     @classmethod
-    def monomial(cls, q_deg: int, x_degs: Iterable[int], coeff: int = 1) -> "LaurentPoly":
+    def monomial(cls, q_deg: int, x_degs: Iterable[int]) -> "LaurentPoly":
         x_degs = tuple(x_degs)
-        return cls(len(x_degs), {(q_deg,) + x_degs: coeff})
+        return cls(len(x_degs), {(q_deg,) + x_degs: 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -123,10 +123,7 @@ class LaurentPoly:
                 t[e] = nc
             else:
                 t.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.arity = self.arity
-        out.terms = t
-        return out
+        return _new(self.arity, t)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
@@ -142,24 +139,15 @@ class LaurentPoly:
                     t[e] = nc
                 else:
                     del t[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.arity = self.arity
-        out.terms = t
-        return out
+        return _new(self.arity, t)
 
     def shift_q(self, k: int) -> "LaurentPoly":
         """Multiply by q^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.arity = self.arity
-        out.terms = {(e[0] + k,) + e[1:]: c for e, c in self.terms.items()}
-        return out
+        return _new(self.arity, {(e[0] + k,) + e[1:]: c for e, c in self.terms.items()})
 
     def bar_q(self) -> "LaurentPoly":
         """Replace q by q^-1 (negate every q-degree; x-degrees untouched)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.arity = self.arity
-        out.terms = {(-e[0],) + e[1:]: c for e, c in self.terms.items()}
-        return out
+        return _new(self.arity, {(-e[0],) + e[1:]: c for e, c in self.terms.items()})
 
     # -- structure ---------------------------------------------------------
 
@@ -262,6 +250,15 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
+
+
+def _new(arity: int, terms: dict) -> LaurentPoly:
+    """A LaurentPoly owning terms as given: no copy, no zero or length
+    check, for callers whose terms are already normalized."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.arity = arity
+    out.terms = terms
+    return out
 
 
 def _monomial_str(e: tuple) -> str:

@@ -72,39 +72,14 @@ def _q_polynomial(val: RationalFn) -> LaurentPoly | None:
 class SigmaEngine:
     """sigma evaluation over one group, with shared memoized tables."""
 
-    def __init__(
-        self,
-        group: CoxeterGroup,
-        rtable: RPolyTable | None = None,
-        theta: ThetaTable | None = None,
-    ):
+    def __init__(self, group: CoxeterGroup):
         self.group = group
-        self.rtable = rtable if rtable is not None else RPolyTable(group)
-        self.theta = theta if theta is not None else ThetaTable(group)
-        self.rtable.group.check_same(group)
-        self.theta.group.check_same(group)
-        self._vmin: dict = {}
-        self._sset3: dict = {}
+        self.rtable = RPolyTable(group)
+        self.theta = ThetaTable(group)
         self._gk_factor: dict = {}
         self._bar_r_packed: dict = {}  # filled lazily by sigma_idx
 
     # -- building blocks -----------------------------------------------------
-
-    def vmin_idx(self, u: int, w: int) -> int:
-        key = (u, w)
-        val = self._vmin.get(key)
-        if val is None:
-            val = v_min_idx(self.group, u, w)
-            self._vmin[key] = val
-        return val
-
-    def s_set3_idx(self, u: int, v: int, w: int) -> frozenset:
-        key = (self.vmin_idx(u, w), v)
-        val = self._sset3.get(key)
-        if val is None:
-            val = s_set_idx(self.group, key[0], v)
-            self._sset3[key] = val
-        return val
 
     def gk_factor(self, roots: frozenset) -> RationalFn:
         """prod over alpha in roots of (1 - q^-1 x^alpha)/(1 - x^alpha)."""
@@ -205,7 +180,7 @@ class SigmaEngine:
         return self.sigma_idx(u.index, v.index, w.index)
 
     def sigma0_idx(self, u: int, w: int) -> LaurentPoly:
-        return self._sigma0(u, w, self.sigma_idx(u, self.vmin_idx(u, w), w))
+        return self._sigma0(u, w, self.sigma_idx(u, v_min_idx(self.group, u, w), w))
 
     def _sigma0(self, u: int, w: int, sig_at_vmin: RationalFn) -> LaurentPoly:
         val = _q_polynomial(sig_at_vmin)
@@ -226,7 +201,7 @@ class SigmaEngine:
     def main_theorem_rhs_idx(self, u: int, w: int) -> LaurentPoly:
         """q^(-len(v_min)) times the length generating series of [u, w*v_min]."""
         g = self.group
-        vm = self.vmin_idx(u, w)
+        vm = v_min_idx(g, u, w)
         return g.poincare_idx(u, g.mul_idx(w, vm)).shift_q(-g.lengths[vm])
 
     # -- GK form -------------------------------------------------------------
@@ -240,7 +215,7 @@ class SigmaEngine:
         sigma0: LaurentPoly | None = None,
     ) -> bool:
         g = self.group
-        vm = self.vmin_idx(u, w)
+        vm = v_min_idx(g, u, w)
         if not g.leq_idx(vm, v):
             raise ValueError(
                 "GK type is undefined when sigma vanishes "
@@ -250,7 +225,7 @@ class SigmaEngine:
             sig = self.sigma_idx(u, v, w)
         if sigma0 is None:
             sigma0 = self.sigma0_idx(u, w)
-        rhs = self.gk_factor(self.s_set3_idx(u, v, w)).mul_poly(
+        rhs = self.gk_factor(s_set_idx(g, vm, v)).mul_poly(
             sigma0.embed(g.rank)
         )
         return sig == rhs
@@ -323,7 +298,7 @@ class SigmaEngine:
         nonzero = 0
         gk = 0
         for u in range(g.order):
-            vm = self.vmin_idx(u, w)
+            vm = v_min_idx(g, u, w)
             xi_cache: dict = {}
             sigma0 = None
             for v in _bits(g.up_masks[vm]):
@@ -379,7 +354,7 @@ class ClassificationReport:
         return "\n".join(lines) + "\n"
 
 
-_WORKER: tuple | None = None  # (engine, fn) inherited by forked workers
+_WORKER: tuple | None = None  # (engine, fn), set in each forked worker
 
 
 def _engine_for(group: CoxeterGroup, engine: SigmaEngine | None) -> SigmaEngine:
@@ -389,6 +364,11 @@ def _engine_for(group: CoxeterGroup, engine: SigmaEngine | None) -> SigmaEngine:
         return SigmaEngine(group)
     group.check_same(engine.group)
     return engine
+
+
+def _init_worker(engine: SigmaEngine, fn) -> None:
+    global _WORKER
+    _WORKER = (engine, fn)
 
 
 def _worker(w: int):
@@ -401,8 +381,9 @@ def _map_over_w(engine: SigmaEngine, fn, jobs: int) -> list:
     """[fn(engine, w) for every w], in w order. Forks min(jobs, |W|,
     cpu_count) workers where fork is available, after filling the tables
     they share read-only (a no-op when already full); runs serially when
-    that minimum is 1 or fork is unavailable."""
-    global _WORKER
+    that minimum is 1 or fork is unavailable. Each worker inherits
+    (engine, fn) as its initializer's arguments, so callers in other
+    threads cannot swap them."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     order = engine.group.order
@@ -411,24 +392,14 @@ def _map_over_w(engine: SigmaEngine, fn, jobs: int) -> list:
         return [fn(engine, w) for w in range(order)]
     engine.prefill_shared_tables()
     ctx = multiprocessing.get_context("fork")
-    _WORKER = (engine, fn)
-    try:
-        with ctx.Pool(processes=workers) as pool:
-            return pool.map(_worker, range(order))
-    finally:
-        _WORKER = None
+    with ctx.Pool(workers, _init_worker, (engine, fn)) as pool:
+        return pool.map(_worker, range(order))
 
 
 def classify(
-    group: CoxeterGroup | None = None,
-    jobs: int = 1,
-    engine: SigmaEngine | None = None,
+    group: CoxeterGroup, jobs: int = 1, engine: SigmaEngine | None = None
 ) -> ClassificationReport:
     """Classify every triple of the group; deterministic for any job count."""
-    if group is None:
-        if engine is None:
-            raise ValueError("need a group or an engine")
-        group = engine.group
     engine = _engine_for(group, engine)
     g = group
     engine.prefill_shared_tables()
@@ -451,8 +422,9 @@ def classify(
 
 
 def _main_theorem_for_w(engine: SigmaEngine, w: int) -> bool:
-    for u in range(engine.group.order):
-        vm = engine.vmin_idx(u, w)
+    g = engine.group
+    for u in range(g.order):
+        vm = v_min_idx(g, u, w)
         val = _q_polynomial(engine.sigma_idx(u, vm, w))
         if val is None or val != engine.main_theorem_rhs_idx(u, w):
             return False
@@ -484,8 +456,7 @@ def verify_vanishing(
     if g.order <= _VANISHING_EXHAUSTIVE_ORDER:
         for u in range(g.order):
             for w in range(g.order):
-                vm = engine.vmin_idx(u, w)
-                up = g.up_masks[vm]
+                up = g.up_masks[v_min_idx(g, u, w)]
                 for v in range(g.order):
                     if not up >> v & 1:
                         if not engine.sigma_idx(u, v, w).is_zero():
@@ -497,7 +468,7 @@ def verify_vanishing(
         u = rng.randrange(g.order)
         v = rng.randrange(g.order)
         w = rng.randrange(g.order)
-        if g.leq_idx(engine.vmin_idx(u, w), v):
+        if g.leq_idx(v_min_idx(g, u, w), v):
             continue
         if not engine.sigma_idx(u, v, w).is_zero():
             return False

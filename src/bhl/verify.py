@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .coxeter import CoxeterGroup, _bits
 from .demazure import (
@@ -57,10 +57,9 @@ SUITE_NAMES = [
 DEFAULT_SEED = 20240811
 DEFAULT_SAMPLES = 2000
 
-# exhaustive cutoffs: quadratic checks scan all pairs below this order,
-# cubic checks all triples
-_PAIR_EXHAUSTIVE_ORDER = 120
-_TRIPLE_EXHAUSTIVE_ORDER = 24
+# exhaustive cutoffs by tuple size: quadratic checks scan all pairs up to
+# order 120, cubic checks all triples up to order 24
+_EXHAUSTIVE_ORDER = {2: 120, 3: 24}
 
 
 @dataclass
@@ -70,34 +69,14 @@ class SuiteResult:
     detail: str
 
 
-def _triples(g: CoxeterGroup, samples: int | None, seed: int):
-    """All triples when the group is small, else seeded random triples."""
-    if samples is None and g.order <= _TRIPLE_EXHAUSTIVE_ORDER:
-        for x in range(g.order):
-            for y in range(g.order):
-                for w in range(g.order):
-                    yield x, y, w
-        return
+def _tuples(g: CoxeterGroup, k: int, samples: int | None, seed: int):
+    """All k-tuples of elements when the group is small, else seeded random
+    ones, each drawn coordinate by coordinate."""
+    if samples is None and g.order <= _EXHAUSTIVE_ORDER[k]:
+        return product(range(g.order), repeat=k)
     n = samples if samples is not None else DEFAULT_SAMPLES
     rng = random.Random(seed)
-    for _ in range(n):
-        yield (
-            rng.randrange(g.order),
-            rng.randrange(g.order),
-            rng.randrange(g.order),
-        )
-
-
-def _pairs(g: CoxeterGroup, samples: int | None, seed: int):
-    if samples is None and g.order <= _PAIR_EXHAUSTIVE_ORDER:
-        for u in range(g.order):
-            for v in range(g.order):
-                yield u, v
-        return
-    n = samples if samples is not None else DEFAULT_SAMPLES
-    rng = random.Random(seed)
-    for _ in range(n):
-        yield rng.randrange(g.order), rng.randrange(g.order)
+    return (tuple(rng.randrange(g.order) for _ in range(k)) for _ in range(n))
 
 
 # -- theta ---------------------------------------------------------------
@@ -109,7 +88,7 @@ def _suite_theta(
     theta = engine.theta
     checked = 0
     # support extrema of T_u T_v: min u*v, max Demazure product
-    for u, v in _pairs(g, samples, seed):
+    for u, v in _tuples(g, 2, samples, seed):
         prod = theta.product(u, g.inv_table[v])  # T_u T_v with v = (v^-1)^-1
         supp = list(prod)
         uv = g.mul_idx(u, v)
@@ -119,7 +98,7 @@ def _suite_theta(
         if not all(g.leq_idx(uv, s) and g.leq_idx(s, mx) for s in supp):
             return SuiteResult("theta", False, f"support extrema wrong at {u},{v}")
         checked += 1
-    for x, y, w in _triples(g, samples, seed + 1):
+    for x, y, w in _tuples(g, 3, samples, seed + 1):
         xyi = g.mul_idx(x, g.inv_table[y])
         val = theta.theta_idx(x, y, w)
         if not g.leq_idx(xyi, w):
@@ -136,8 +115,8 @@ def _suite_theta(
                 return SuiteResult("theta", False, f"full power case wrong at {x},{y},{w}")
         checked += 1
     # theta(z, v_min, w) = q^len(z) along the ladder interval
-    for u, w in _pairs(g, samples, seed + 2):
-        vm = engine.vmin_idx(u, w)
+    for u, w in _tuples(g, 2, samples, seed + 2):
+        vm = v_min_idx(g, u, w)
         wv = g.mul_idx(w, vm)
         for z in _bits(g.interval_mask(u, wv)):
             if theta.theta_idx(z, vm, w) != LaurentPoly.q_power(0, g.lengths[z]):
@@ -151,7 +130,7 @@ def _suite_theta(
 
 def _suite_mixed_meet(g: CoxeterGroup, samples, seed, engine) -> SuiteResult:
     checked = 0
-    for u, w in _pairs(g, samples, seed):
+    for u, w in _tuples(g, 2, samples, seed):
         cands = [
             x
             for x in range(g.order)
@@ -207,7 +186,7 @@ def _suite_demazure(g: CoxeterGroup, samples, seed, engine) -> SuiteResult:
 
     # monoid action laws: folding u o v equals folding v then u (left),
     # u then v (right)
-    for u, v, x in _triples(g, samples, seed + 1):
+    for u, v, x in _tuples(g, 3, samples, seed + 1):
         uv = circ_idx(g, u, v)
         if down_left_idx(g, uv, x) != down_left_idx(g, u, down_left_idx(g, v, x)):
             return SuiteResult(name, False, f"left down action law fails at {u},{v},{x}")
@@ -219,7 +198,7 @@ def _suite_demazure(g: CoxeterGroup, samples, seed, engine) -> SuiteResult:
             return SuiteResult(name, False, f"right up action law fails at {u},{v},{x}")
         checked += 1
 
-    for u, v in _pairs(g, samples, seed + 2):
+    for u, v in _tuples(g, 2, samples, seed + 2):
         # the two Demazure product routes agree
         if circ_idx(g, u, v) != up_right_idx(g, u, v):
             return SuiteResult(name, False, f"product routes differ at {u},{v}")
@@ -250,7 +229,7 @@ def _suite_demazure(g: CoxeterGroup, samples, seed, engine) -> SuiteResult:
         checked += 1
 
     # monotonicity of the product and the down actions
-    for u, x, w in _triples(g, samples, seed + 3):
+    for u, x, w in _tuples(g, 3, samples, seed + 3):
         if g.leq_idx(u, x):
             if not g.leq_idx(down_left_idx(g, w, u), down_left_idx(g, w, x)):
                 return SuiteResult(name, False, f"left down monotone fails at {u},{x},{w}")
@@ -269,7 +248,7 @@ def _suite_demazure(g: CoxeterGroup, samples, seed, engine) -> SuiteResult:
 
     # translated-interval extrema against brute force; u[1,v] and [u,w0]v
     # share their minimum, as do [1,u]v and u[v,w0]
-    for u, v in _pairs(g, samples, seed + 4):
+    for u, v in _tuples(g, 2, samples, seed + 4):
         left_translate = [g.mul_idx(u, z) for z in _bits(g.down_masks[v])]
         right_translate = [g.mul_idx(z, v) for z in _bits(g.down_masks[u])]
         top = circ_idx(g, u, v)
@@ -292,7 +271,7 @@ def _suite_demazure(g: CoxeterGroup, samples, seed, engine) -> SuiteResult:
         checked += 1
 
     # weak-order consequences of the down actions
-    for u, w in _pairs(g, samples, seed + 5):
+    for u, w in _tuples(g, 2, samples, seed + 5):
         if not g.weak_leq_right_idx(down_right_idx(g, u, w), u):
             return SuiteResult(name, False, f"down stays weakly below at {u},{w}")
         m = g.mul_idx(u, down_right_idx(g, g.inv_table[u], w))
@@ -308,7 +287,7 @@ def _suite_demazure(g: CoxeterGroup, samples, seed, engine) -> SuiteResult:
         checked += 1
 
     # lifting through a common weak prefix, and conditional order reversal
-    for a, b, c in _triples(g, samples, seed + 6):
+    for a, b, c in _tuples(g, 3, samples, seed + 6):
         wz, wv = g.mul_idx(a, b), g.mul_idx(a, c)
         if (
             g.weak_leq_right_idx(a, wz)
@@ -329,7 +308,7 @@ def _suite_demazure(g: CoxeterGroup, samples, seed, engine) -> SuiteResult:
 
     # the ladder around v_min: lengths add, the bracket interval matches,
     # the two chains are strict, and only v itself divides back into [1, w]
-    for u, w in _pairs(g, samples, seed + 7):
+    for u, w in _tuples(g, 2, samples, seed + 7):
         vm = v_min_idx(g, u, w)
         wv = g.mul_idx(w, vm)
         if g.lengths[wv] != g.lengths[w] + g.lengths[vm]:
@@ -382,13 +361,13 @@ def _suite_poles(g: CoxeterGroup, samples, seed, engine: SigmaEngine) -> SuiteRe
                 if mult > 1 or root_coords.get(b) not in allowed:
                     return SuiteResult("poles", False, f"r denominator escapes at {u},{v}")
             checked += 1
-    for u, v, w in _triples(g, samples, seed):
-        vm = engine.vmin_idx(u, w)
+    for u, v, w in _tuples(g, 3, samples, seed):
+        vm = v_min_idx(g, u, w)
         if not g.leq_idx(vm, v):
             continue
         sig = engine.sigma_idx(u, v, w)
         den = Counter(sig.reduced().den)
-        allowed = engine.s_set3_idx(u, v, w)
+        allowed = s_set_idx(g, vm, v)
         for b, mult in den.items():
             if mult > 1 or root_coords.get(b) not in allowed:
                 return SuiteResult("poles", False, f"sigma denominator escapes at {u},{v},{w}")

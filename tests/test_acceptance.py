@@ -53,10 +53,10 @@ def test_criterion_02_b2_c2_classification(b2, c2):
     print("PASS criterion 2: B2 and C2 both give 401 nonzero, 305 of GK type")
 
 
-def test_criterion_03_a3_classification(engine_a3):
+def test_criterion_03_a3_classification(a3, engine_a3):
     engine_a3.prefill_shared_tables()  # warm caches, as the budget assumes
     t0 = time.monotonic()
-    rep = classify(engine=engine_a3, jobs=4)
+    rep = classify(a3, jobs=4, engine=engine_a3)
     elapsed = time.monotonic() - t0
     assert elapsed < 1800
     assert rep.total_triples == 13824

@@ -1,7 +1,14 @@
+import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bhl
 from bhl.cli import run
 from bhl.coxeter import build_group
 from bhl.sigma import SigmaEngine
@@ -128,6 +135,49 @@ def test_verify_all_suites_b2(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 8
     assert all(": PASS (" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--type", "B2"], "6f4ef21a9eac648765d9f16116579801ba59f03b5a2a6d4c127de3350cac092a"),
+        (
+            ["--type", "B3", "--samples", "40"],
+            "4dfb98c64f6534a68cae98d17267e0074be5d3b8282a9685da1c1ece57325665",
+        ),
+    ],
+    ids=["B2", "B3-samples40"],
+)
+def test_verify_all_stdout_is_pinned(capsys, args, digest):
+    """The sha256 of the whole stdout pins every suite's detail count, so a
+    change in what a suite samples or counts shows here."""
+    code, out, _ = invoke(capsys, "verify", "--suite", "all", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "--type", "A2"],
+        ["classify", "--type", "A2", "--format", "csv"],
+        ["verify", "--type", "A2", "--suite", "all"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_ends_by_sigpipe_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before bhl writes anything
+    env = dict(os.environ, PYTHONPATH=str(Path(bhl.__file__).parent.parent))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bhl.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, b"")
 
 
 def test_word_round_trip_via_cli(capsys, a3):

@@ -192,11 +192,27 @@ def test_root_action_and_reflections(a2):
     assert g.root_action(s1, alpha1) == (-1, 0)
     assert g.reflection((1, 1)).word() == "121"
     assert g.longest().word() == "121"
-    # conjugation recovers every root reflection
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "C2", "G2", "A3", "B3", "C3", "D4"])
+def test_root_reflections_are_involutions_negating_their_root(cartan_type):
+    """Every root reflection squares to e, sends its root beta to -beta and
+    moves each simple root by a multiple of beta (which w0 = -1 in B2 or G2
+    would not); root lengths differ in B, C and G, so those are the telling
+    cases."""
+    g = build_group(cartan_type)
     for a, beta in enumerate(g.positive_roots):
         r = g.reflection(a)
         assert r * r == g.identity()
         assert g.root_action(r, beta) == tuple(-c for c in beta)
+        for j in range(g.rank):
+            simple = tuple(int(k == j) for k in range(g.rank))
+            d = [x - y for x, y in zip(g.root_action(r, simple), simple)]
+            assert all(
+                d[k] * beta[l] == d[l] * beta[k]
+                for k in range(g.rank)
+                for l in range(g.rank)
+            )
 
 
 def test_length_parity_additive(a3):

@@ -7,8 +7,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from bhl import sigma
 from bhl.coxeter import GroupMismatchError, _bits, build_group
-from bhl.demazure import v_min
+from bhl.demazure import v_min, v_min_idx
 from bhl.polyring import LaurentPoly, RationalFn
 from bhl.rpoly import s_set, s_set_idx
 from bhl.sigma import SigmaEngine, classify, verify_main_theorem, verify_vanishing
@@ -177,8 +178,9 @@ def test_worker_count_is_capped(a2, monkeypatch):
     sizes = []
 
     class InlinePool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -189,6 +191,7 @@ def test_worker_count_is_capped(a2, monkeypatch):
         def map(self, fn, items):
             return [fn(i) for i in items]
 
+    monkeypatch.setattr(sigma, "_WORKER", None)  # the stand-in sets it here
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
     monkeypatch.setattr(
         multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=InlinePool)
@@ -202,6 +205,29 @@ def test_worker_count_is_capped(a2, monkeypatch):
         assert sizes == ([] if workers is None else [workers])
     with pytest.raises(ValueError):
         classify(a2, jobs=0)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_workers_ignore_a_worker_global_set_by_another_caller(a2, engine_b2, monkeypatch):
+    """Another thread's classify may set sigma._WORKER between this call's
+    set-up and its fork; the workers must still run this call's engine."""
+    real_context = multiprocessing.get_context
+
+    def racing_context(method):
+        ctx = real_context(method)
+
+        def pool(*args, **kwargs):
+            sigma._WORKER = (engine_b2, SigmaEngine.classify_for_w)
+            return ctx.Pool(*args, **kwargs)
+
+        return SimpleNamespace(Pool=pool)
+
+    monkeypatch.setattr(sigma, "_WORKER", None)
+    monkeypatch.setattr(multiprocessing, "get_context", racing_context)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert classify(a2, jobs=2).to_csv_text() == classify(a2).to_csv_text()
 
 
 def test_classify_rows_match_public_gk_api(a2, b2, engine_a2, engine_b2):
@@ -228,10 +254,10 @@ def test_sigma_pole_containment_a2(a2, engine_a2):
     coords = {tuple(b): a for a, b in enumerate(g.positive_roots)}
     for u in range(g.order):
         for w in range(g.order):
-            vm = engine_a2.vmin_idx(u, w)
+            vm = v_min_idx(g, u, w)
             for v in _bits(g.up_masks[vm]):
                 sig = engine_a2.sigma_idx(u, v, w)
-                allowed = engine_a2.s_set3_idx(u, v, w)
+                allowed = s_set_idx(g, vm, v)
                 seen = set()
                 for b in sig.reduced().den:
                     assert b not in seen  # multiplicity one
