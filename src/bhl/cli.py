@@ -15,10 +15,11 @@ Subcommands:
 Element words are "e" or digit strings ("121"), with a comma-separated form
 ("1,2,1") accepted for every rank; printed words are always the canonical
 lexicographically smallest reduced word. stdout carries data only; all
-diagnostics go to stderr. Exit codes: 0 success, 1 verification failure or
-a broken engine invariant (its message names the triple), 2 usage error;
-where the platform has SIGPIPE, a closed stdout ends the process by that
-signal, with nothing on stderr.
+diagnostics go to stderr. Exit codes: 0 success, 1 verification failure,
+a broken engine invariant (its message names the triple) or output that
+cannot be written (a full disk or device), 2 usage error; where the
+platform has SIGPIPE, a closed stdout ends the process by that signal,
+with nothing on stderr.
 
 ``--jobs`` and ``--samples`` must be at least 1; at most min(N, |W|, cpu
 count) worker processes are started.
@@ -141,8 +142,11 @@ def _cmd_classify(args) -> int:
     report = classify(g, jobs=args.jobs)
     text = report.to_csv_text() if args.format == "csv" else report.to_json_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # name the file the write error came from
+            raise OSError(exc.errno, exc.strerror, args.out) from None
     else:
         sys.stdout.write(text)
     return 0
@@ -249,11 +253,16 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a write error shows here, not at interpreter exit
+        return code
     except (UnsupportedTypeError, WordError, OrderCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # a broken engine invariant, also from a worker
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # e.g. the output went to a full disk
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -263,7 +272,12 @@ def main() -> None:
     # without a BrokenPipeError traceback
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:  # run() has reported it; drop what cannot be written
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

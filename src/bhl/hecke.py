@@ -15,6 +15,11 @@ q that vanishes exactly when x y^{-1} is not <= w.
 
 ThetaTable memoizes the basis products and the theta values; the tables are
 meant to be filled before any parallel enumeration and then shared read-only.
+Canonical words satisfy words[y] = (i,) + words[s_i y], so the table builds
+T_x T_{y^{-1}} from its entry for s_i y with one generator step: the same
+steps, in the same order, as walking the whole reversed word of y. A step
+keeps every coefficient it does not change, and coefficients are immutable,
+so an entry shares most of its polynomials with the shorter one it extends.
 """
 
 from __future__ import annotations
@@ -22,11 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import CoxeterGroup, Element
-from .polyring import LaurentPoly
+from .polyring import LaurentPoly, _new
 
 __all__ = ["HeckeElem", "t_basis", "t_mul", "lambda_w", "theta", "ThetaTable"]
-
-_Q_MINUS_1 = LaurentPoly(0, {(1,): 1, (0,): -1})
 
 
 @dataclass(frozen=True)
@@ -46,25 +49,47 @@ def t_basis(w: Element) -> HeckeElem:
     return HeckeElem(w.group, {w.index: LaurentPoly.one(0)})
 
 
+def _add_into(terms: dict, other: dict, sign: int) -> None:
+    """terms += sign * other, in place, dropping zeros."""
+    for e, v in other.items():
+        nv = terms.get(e, 0) + sign * v
+        if nv:
+            terms[e] = nv
+        else:
+            del terms[e]
+
+
 def _rmul_gen(g: CoxeterGroup, coeffs: dict, i: int) -> dict:
-    """Multiply a coefficient dict by T_{s_i} on the right."""
+    """Multiply a coefficient dict by T_{s_i} on the right.
+
+    Only the upper element t of a coset {t s_i, t} can receive two terms:
+    c(t s_i) moved up and (q - 1)*c(t). A coefficient that is moved up
+    alone is kept as the same object."""
     out: dict = {}
-
-    def bump(t: int, c: LaurentPoly) -> None:
-        s = out.get(t)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(t, None)
-        else:
-            out[t] = s
-
+    rmult, lengths = g.rmult, g.lengths
     for t, c in coeffs.items():
-        ts = g.rmult[t][i]
-        if g.lengths[ts] > g.lengths[t]:
-            bump(ts, c)
-        else:
-            bump(t, c * _Q_MINUS_1)
-            bump(ts, c.shift_q(1))
+        ts = rmult[t][i]
+        if lengths[ts] > lengths[t]:
+            prev = out.get(ts)
+            if prev is None:
+                out[ts] = c
+            else:  # prev is (q - 1)*c(ts), built below by this call
+                _add_into(prev.terms, c.terms, 1)
+                if not prev.terms:
+                    del out[ts]
+            continue
+        # q*c, and (q - 1)*c as q*c - c
+        qc = {(e[0] + 1,) + e[1:]: v for e, v in c.terms.items()}
+        terms = dict(qc)
+        _add_into(terms, c.terms, -1)
+        prev = out.get(t)
+        if prev is not None:  # c(t s_i) moved up, a shared object
+            _add_into(terms, prev.terms, 1)
+        if terms:
+            out[t] = _new(c.arity, terms)
+        elif prev is not None:
+            del out[t]
+        out[ts] = _new(c.arity, qc)
     return out
 
 
@@ -131,7 +156,12 @@ def _theta_from_product(g: CoxeterGroup, prod: dict, w: int) -> LaurentPoly:
 
 
 class ThetaTable:
-    """Memoized T_x T_{y^{-1}} products and theta values over one group."""
+    """Memoized T_x T_{y^{-1}} products and theta values over one group.
+
+    The product for (x, y) with y != e is the product for (x, s_i y),
+    i = words[y][0], times T_{s_i}, so each entry costs one generator step
+    and shares the coefficients that step leaves alone with its shorter
+    neighbour."""
 
     def __init__(self, group: CoxeterGroup):
         self.group = group
@@ -139,11 +169,27 @@ class ThetaTable:
         self._theta: dict = {}
 
     def product(self, x: int, y: int) -> dict:
-        key = (x, y)
-        prod = self._products.get(key)
-        if prod is None:
-            prod = _product_coeffs(self.group, x, y)
-            self._products[key] = prod
+        products = self._products
+        prod = products.get((x, y))
+        if prod is not None:
+            return prod
+        # walk down to the longest memoized prefix, then build back up; a
+        # loop, not recursion, so a cold product(x, w0) stays shallow
+        g = self.group
+        words, lmult = g.words, g.lmult
+        pending = []
+        while prod is None:
+            if y == g.identity_idx:
+                prod = {x: LaurentPoly.one(0)}
+                products[(x, y)] = prod
+                break
+            i = words[y][0]
+            pending.append((y, i))
+            y = lmult[y][i]
+            prod = products.get((x, y))
+        for y, i in reversed(pending):
+            prod = _rmul_gen(g, prod, i)
+            products[(x, y)] = prod
         return prod
 
     def theta_idx(self, x: int, y: int, w: int) -> LaurentPoly:

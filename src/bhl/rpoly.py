@@ -25,10 +25,11 @@ All tables are per-group memos, filled single-threaded and read-only after.
 from __future__ import annotations
 
 from .coxeter import CoxeterGroup, Element
-from .hecke import _Q_MINUS_1
 from .polyring import LaurentPoly, RationalFn
 
 __all__ = ["RPolyTable", "s_set", "s_set3", "s_set_idx"]
+
+_Q_MINUS_1 = LaurentPoly(0, {(1,): 1, (0,): -1})
 
 
 class RPolyTable:

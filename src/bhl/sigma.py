@@ -383,7 +383,8 @@ def _map_over_w(engine: SigmaEngine, fn, jobs: int) -> list:
     they share read-only (a no-op when already full); runs serially when
     that minimum is 1 or fork is unavailable. Each worker inherits
     (engine, fn) as its initializer's arguments, so callers in other
-    threads cannot swap them."""
+    threads cannot swap them. The pool takes one w at a time, longest
+    first, so the costliest w do not start last."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     order = engine.group.order
@@ -392,8 +393,14 @@ def _map_over_w(engine: SigmaEngine, fn, jobs: int) -> list:
         return [fn(engine, w) for w in range(order)]
     engine.prefill_shared_tables()
     ctx = multiprocessing.get_context("fork")
+    lengths = engine.group.lengths
+    by_length = sorted(range(order), key=lengths.__getitem__, reverse=True)
     with ctx.Pool(workers, _init_worker, (engine, fn)) as pool:
-        return pool.map(_worker, range(order))
+        results = pool.map(_worker, by_length, chunksize=1)
+    out = [None] * order
+    for w, res in zip(by_length, results):
+        out[w] = res
+    return out
 
 
 def classify(

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -121,6 +122,17 @@ def test_classify_jobs_byte_identical(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("cartan_type", ["B2", "G2"])
+def test_classify_jobs_two_matches_one(capsys, cartan_type):
+    """The pool hands out w longest first; the report bytes must not show it."""
+    for fmt in ("csv", "json"):
+        argv = ["classify", "--type", cartan_type, "--format", fmt]
+        code1, out1, _ = invoke(capsys, *argv, "--jobs", "1")
+        code2, out2, _ = invoke(capsys, *argv, "--jobs", "2")
+        assert (code1, code2) == (0, 0)
+        assert out1 == out2
+
+
 def test_verify_command(capsys):
     code, out, _ = invoke(
         capsys, "verify", "--type", "A2", "--suite", "main-theorem"
@@ -178,6 +190,40 @@ def test_closed_stdout_ends_by_sigpipe_without_traceback(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, b"")
+
+
+_NO_SPACE = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv, to_stdout, unbuffered, message",
+    [
+        (["group", "--type", "A2"], True, False, _NO_SPACE),
+        (["group", "--type", "A2"], True, True, _NO_SPACE),
+        (
+            ["classify", "--type", "A2", "--out", "/dev/full"],
+            False,
+            False,
+            f"{_NO_SPACE}: '/dev/full'",
+        ),
+    ],
+    ids=["group-stdout", "group-stdout-unbuffered", "classify-out"],
+)
+def test_full_device_exits_one_with_one_error_line(argv, to_stdout, unbuffered, message):
+    """A write error other than a closed pipe ends bhl with one error line
+    and exit 1, not a traceback; with a buffered stdout the interpreter's
+    exit flush must not fail a second time."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bhl.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    flags = ["-u"] if unbuffered else []
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "bhl.cli", *argv],
+            stdout=full if to_stdout else subprocess.DEVNULL,
+            stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    assert (proc.returncode, proc.stderr.decode()) == (1, f"{message}\n")
 
 
 def test_word_round_trip_via_cli(capsys, a3):

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from bhl.coxeter import GroupMismatchError
-from bhl.hecke import ThetaTable, lambda_w, t_basis, t_mul, theta
+from bhl.hecke import ThetaTable, _product_coeffs, lambda_w, t_basis, t_mul, theta
 from bhl.polyring import LaurentPoly
+from bhl.sigma import SigmaEngine
 from bhl.verify import run_suite
 
 
@@ -64,6 +65,57 @@ def test_theta_table_matches_direct(b2):
     for _ in range(200):
         x, y, w = (g.element(rng.randrange(g.order)) for _ in range(3))
         assert table.theta(x, y, w) == theta(x, y, w)
+
+
+_Q_MINUS_1 = LaurentPoly(0, {(1,): 1, (0,): -1})
+_Q = LaurentPoly(0, {(1,): 1})
+
+
+def _left_mul_product(g, x, y):
+    """T_x T_{y^-1} by the left relation T_s T_z = T_{sz} if sz > z, else
+    (q - 1) T_z + q T_{sz}: T_{y^-1} multiplied on the left by the letters
+    of x, last letter first. Shares no step with the table's right route."""
+    coeffs = {g.inv_table[y]: LaurentPoly.one(0)}
+    for i in reversed(g.words[x]):
+        out = {}
+        for z, c in coeffs.items():
+            sz = g.lmult[z][i]
+            if g.lengths[sz] > g.lengths[z]:
+                parts = [(sz, c)]
+            else:
+                parts = [(z, c * _Q_MINUS_1), (sz, c * _Q)]
+            for t, add in parts:
+                s = out[t] + add if t in out else add
+                if s.is_zero():
+                    out.pop(t, None)
+                else:
+                    out[t] = s
+        coeffs = out
+    return coeffs
+
+
+@pytest.mark.parametrize("fill", ["prefilled", "lazy-shuffled"])
+@pytest.mark.parametrize("cartan_type", ["A3", "B3", "G2"])
+def test_theta_table_products_match_independent_routes(cartan_type, fill, request):
+    """Every memoized T_x T_{y^-1} equals the single-shot word walk, t_mul,
+    and the left-multiplication route, whether the table was filled whole or
+    built lazily by queries in a seeded shuffled order."""
+    g = request.getfixturevalue(cartan_type.lower())
+    pairs = [(x, y) for x in range(g.order) for y in range(g.order)]
+    if fill == "prefilled":
+        engine = SigmaEngine(g)
+        engine.prefill_shared_tables()
+        table = engine.theta
+    else:
+        table = ThetaTable(g)
+        random.Random(20240811).shuffle(pairs)
+    for x, y in pairs:
+        prod = table.product(x, y)
+        assert prod == _product_coeffs(g, x, y), (x, y)
+        yinv = g.element(g.inv_table[y])
+        assert prod == t_mul(t_basis(g.element(x)), t_basis(yinv)).coeffs, (x, y)
+        assert prod == _left_mul_product(g, x, y), (x, y)
+        assert table.product(x, y) is prod
 
 
 def test_theta_suite(a3, b2):

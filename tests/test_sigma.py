@@ -188,7 +188,7 @@ def test_worker_count_is_capped(a2, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=None):
             return [fn(i) for i in items]
 
     monkeypatch.setattr(sigma, "_WORKER", None)  # the stand-in sets it here
@@ -205,6 +205,40 @@ def test_worker_count_is_capped(a2, monkeypatch):
         assert sizes == ([] if workers is None else [workers])
     with pytest.raises(ValueError):
         classify(a2, jobs=0)
+
+
+def test_pool_takes_one_w_at_a_time_longest_first(b2, engine_b2, monkeypatch):
+    """The pool is handed every w by descending length with chunksize 1, and
+    the results come back in w order. The stand-in pool runs in process."""
+    calls = []
+
+    class InlinePool:
+        def __init__(self, processes, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=None):
+            items = list(items)
+            calls.append((items, chunksize))
+            return [fn(i) for i in items]
+
+    monkeypatch.setattr(sigma, "_WORKER", None)  # the stand-in sets it here
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
+    monkeypatch.setattr(
+        multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=InlinePool)
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out = sigma._map_over_w(engine_b2, lambda engine, w: (w, engine.group.lengths[w]), 2)
+    assert out == [(w, b2.lengths[w]) for w in range(b2.order)]
+    ((items, chunksize),) = calls
+    assert chunksize == 1
+    assert sorted(items) == list(range(b2.order))
+    assert [b2.lengths[w] for w in items] == sorted(b2.lengths, reverse=True)
 
 
 @pytest.mark.skipif(
