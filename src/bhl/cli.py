@@ -100,10 +100,8 @@ def _cmd_rpoly(args) -> int:
     g = _build(args)
     u = g.from_word(args.u)
     v = g.from_word(args.v)
-    val = RPolyTable(g).r(u, v)
-    if args.bar:
-        val = val.bar_q()
-    print(val)
+    rtable = RPolyTable(g)
+    print(rtable.bar_r_idx(u.index, v.index) if args.bar else rtable.r(u, v))
     return 0
 
 

@@ -17,8 +17,10 @@ Representation conventions:
   that divide the numerator; printing and evaluation go through it.
 - ``_pack`` and ``_unpack`` turn an exponent tuple into one int of signed
   base-2^20 digits (q-degree lowest) and back, so that multiplying
-  monomials is one int addition. Only sigma's accumulation uses them;
-  ``LaurentPoly`` keys are always tuples.
+  monomials is one int addition; ``_times_binomial`` multiplies a packed
+  numerator by one factor 1 - x^beta. The bar r table of ``rpoly`` is
+  stored on packed keys and sigma accumulates on them, reading that table
+  as it is; ``LaurentPoly`` keys are always tuples.
 
 Canonical string form sorts monomials by ``(x_degrees, q_degree)`` ascending,
 and denominator factors by their degree vectors, e.g.::
@@ -74,6 +76,17 @@ def _unpack(key: int, n: int) -> tuple:
         out.append(d)
         key = (key - d) >> _DIGIT_BITS
     return tuple(out)
+
+
+def _times_binomial(num: dict, b: int) -> dict:
+    """num * (1 - X^b) on packed keys, X^b the monomial packed as b; may
+    leave zero coefficients."""
+    out = num.copy()
+    get = out.get
+    for k, c in num.items():
+        k += b
+        out[k] = get(k, 0) - c
+    return out
 
 
 class LaurentPoly:

@@ -15,12 +15,13 @@ what makes the vanishing verification meaningful.
 
 The sum is built over one denominator U, the union of the denominators of
 the bar r(y, v) that meet a nonzero xi: U is the least common denominator of
-the terms, since each bar r carries distinct factors 1 - x^beta (checked as
-each is read). Each term is multiplied by the factors of U it lacks and
-added into a single numerator whose monomials are packed ints (see
-``polyring._pack``), so a monomial product is one int addition and no
-intermediate ``RationalFn`` is built. At v = v_min only y = v_min
-contributes and bar r(v_min, v_min) = 1, so sigma0 needs no division.
+the terms, since each bar r carries distinct factors 1 - x^beta (the r fill
+raises on a repeated one). The bar r entries are read from the r table as
+stored, on packed int monomials (see ``polyring._pack``). Each term is
+multiplied by the factors of U it lacks and added into a single packed
+numerator, so a monomial product is one int addition and no intermediate
+``RationalFn`` is built. At v = v_min only y = v_min contributes and
+bar r(v_min, v_min) = 1, so sigma0 needs no division.
 
 A triple with v >= v_min(u, w) is "of GK type" when
 
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 from .coxeter import CoxeterGroup, Element, _bits
 from .demazure import v_min_idx
 from .hecke import ThetaTable
-from .polyring import LaurentPoly, RationalFn, _pack, _unpack
+from .polyring import LaurentPoly, RationalFn, _times_binomial, _unpack
 from .rpoly import RPolyTable, s_set_idx
 
 __all__ = [
@@ -77,7 +78,6 @@ class SigmaEngine:
         self.rtable = RPolyTable(group)
         self.theta = ThetaTable(group)
         self._gk_factor: dict = {}
-        self._bar_r_packed: dict = {}  # filled lazily by sigma_idx
 
     # -- building blocks -----------------------------------------------------
 
@@ -109,33 +109,17 @@ class SigmaEngine:
             out = out + self.theta.theta_idx(x, y, w)
         return out
 
-    def _packed_bar_r(self, y: int, v: int) -> tuple:
-        """bar r(y, v) as built: (frozenset of packed (0, beta) factor keys,
-        packed numerator keys, numerator coefficients)."""
-        key = (y, v)
-        val = self._bar_r_packed.get(key)
-        if val is None:
-            rf = self.rtable.bar_r_idx(y, v)
-            den = frozenset(_pack((0,) + b) for b in rf.den)
-            if len(den) != len(rf.den):
-                raise RuntimeError(
-                    "bar r has a repeated denominator factor; this is a bug "
-                    f"(y={self.group.word_str(y)}, v={self.group.word_str(v)})"
-                )
-            terms = rf.num.terms
-            val = (den, tuple(map(_pack, terms)), tuple(terms.values()))
-            self._bar_r_packed[key] = val
-        return val
-
     def sigma_idx(self, u: int, v: int, w: int, xi_cache: dict | None = None) -> RationalFn:
         """sigma(u, v, w) over den U, the union of the dens of the bar r(y, v)
-        whose xi(u, y, w) is nonzero. Each term q^-len(y) xi bar r(y, v) is
+        whose xi(u, y, w) is nonzero. Each bar r(y, v) is the r table's
+        packed entry, read as stored; each term q^-len(y) xi bar r(y, v) is
         brought to U by the factors 1 - x^beta it lacks and added into one
         numerator on packed keys, where a monomial product is one int
         addition. This is, term for term, what the chain of
         ``RationalFn.__add__`` over y builds, as long as no partial sum of
         that chain is zero (the chain would restart its den there)."""
         g = self.group
+        bar_r = self.rtable.bar_r_packed_idx
         parts = []
         for y in _bits(g.down_masks[v]):
             if xi_cache is not None:
@@ -146,24 +130,19 @@ class SigmaEngine:
             else:
                 xi = self._xi(u, y, w)
             if not xi.is_zero():
-                parts.append((xi, g.lengths[y]) + self._packed_bar_r(y, v))
+                parts.append((xi, g.lengths[y]) + bar_r(y, v))
         union = frozenset().union(*(part[2] for part in parts))
         acc: dict = {}
-        for xi, length, den, keys, coeffs in parts:
+        for xi, length, den, bar in parts:
             term: dict = {}
             get = term.get
             for (k,), c in xi.terms.items():
                 k -= length
-                for key, b in zip(keys, coeffs):
+                for key, b in bar.items():
                     key += k
                     term[key] = get(key, 0) + c * b
-            for beta in union - den:  # multiply by 1 - x^beta
-                scaled = term.copy()
-                get = scaled.get
-                for key, c in term.items():
-                    key += beta
-                    scaled[key] = get(key, 0) - c
-                term = scaled
+            for beta in union - den:
+                term = _times_binomial(term, beta)
             get = acc.get
             for key, c in term.items():
                 acc[key] = get(key, 0) + c

@@ -355,7 +355,8 @@ def _suite_poles(g: CoxeterGroup, samples, seed, engine: SigmaEngine) -> SuiteRe
     checked = 0
     for v in range(g.order):
         for u in _bits(g.down_masks[v]):
-            den = Counter(rtable.r_idx(u, v).reduced().den)
+            # bar touches only q, so this is the reduced den of r(u, v)
+            den = Counter(rtable.bar_r_idx(u, v).reduced().den)
             allowed = s_set_idx(g, u, v)
             for b, mult in den.items():
                 if mult > 1 or root_coords.get(b) not in allowed:

@@ -1,6 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 
-from bhl.polyring import LaurentPoly, RationalFn
+import pytest
+
+import bhl
+from bhl import polyring
+from bhl.coxeter import build_group
+from bhl.polyring import LaurentPoly, RationalFn, _pack, _unpack
 from bhl.rpoly import RPolyTable, s_set, s_set3
 from bhl.sigma import SigmaEngine
 from bhl.verify import run_suite
@@ -142,3 +150,112 @@ def test_s_set3_examples(a2):
         for w in g.elements():
             assert s_set3(u, v_min(u, w), w) == frozenset()
     assert s_set3(e, s2, s2) == frozenset({g.positive_root_index((0, 1))})
+
+
+def _r_by_rational_recursion(g):
+    """Every r(u, v) of g by the recursion in RationalFn arithmetic, the
+    route the packed fill replaces: (u, v) -> r, 0 where u is not <= v."""
+    one_minus_q = LaurentPoly(g.rank, {(0,) * (g.rank + 1): 1, (1,) + (0,) * g.rank: -1})
+    q = LaurentPoly.q_power(g.rank, 1)
+    table = {}
+    for v in range(g.order):  # indices are sorted by length
+        for u in range(g.order):
+            if u == v:
+                val = RationalFn.one(g.rank)
+            elif not g.leq_idx(u, v):
+                val = RationalFn.zero(g.rank)
+            else:
+                mask = g.left_desc_masks[v]
+                i = (mask & -mask).bit_length() - 1
+                sv, su = g.lmult[v][i], g.lmult[u][i]
+                beta = tuple(-c for c in g.cols[g.inv_table[v]][i])
+                if g.lengths[su] < g.lengths[u]:
+                    head = RationalFn(one_minus_q, (beta,))
+                    val = head * table[u, sv] + table[su, sv]
+                else:
+                    x_beta = LaurentPoly.monomial(0, beta)
+                    head = RationalFn(one_minus_q * x_beta, (beta,))
+                    val = head * table[u, sv] + table[su, sv].mul_poly(q)
+            table[u, v] = val
+    return table
+
+
+@pytest.mark.parametrize("cartan", ["A2", "B2", "C2", "G2", "A3", "B3", "C3"])
+def test_packed_fill_matches_rational_recursion_term_for_term(cartan):
+    """Same numerator dict and same unreduced den as RationalFn arithmetic,
+    for bar_r_idx, r_idx and entries(), on every pair."""
+    g = build_group(cartan)
+    want = _r_by_rational_recursion(g)
+    rt = RPolyTable(g)
+    for (u, v), r in want.items():
+        bar = r.bar_q()
+        got_bar = rt.bar_r_idx(u, v)
+        assert (got_bar.num.terms, got_bar.den) == (bar.num.terms, bar.den), (u, v)
+        got = rt.r_idx(u, v)
+        assert (got.num.terms, got.den) == (r.num.terms, r.den), (u, v)
+    entries = dict(rt.entries())
+    assert entries.keys() == want.keys()
+    for key, r in entries.items():
+        assert (r.num.terms, r.den) == (want[key].num.terms, want[key].den), key
+
+
+@pytest.mark.parametrize("cartan", ["G2", "B3", "C3", "A4"])
+def test_fill_digits_stay_within_the_computed_bound(cartan):
+    g = build_group(cartan)
+    rt = RPolyTable(g)
+    rt.prefill()
+    assert rt.max_digit < polyring._DIGIT_BOUND
+    n = g.rank + 1
+    seen = 0
+    for u in range(g.order):
+        for v in range(g.order):
+            den, num = rt.bar_r_packed_idx(u, v)
+            for key in (*den, *num):
+                seen = max(seen, max(map(abs, _unpack(key, n))))
+    assert 0 < seen <= rt.max_digit
+
+
+def test_table_refuses_a_group_whose_fill_could_reach_the_digit_bound(a2, monkeypatch):
+    bound = RPolyTable(a2).max_digit
+    monkeypatch.setattr(polyring, "_DIGIT_BOUND", bound + 1)
+    RPolyTable(a2)
+    monkeypatch.setattr(polyring, "_DIGIT_BOUND", bound)
+    with pytest.raises(ValueError, match="packed digit range"):
+        RPolyTable(a2)
+
+
+TABLE_AT_THE_BOUND = """
+from bhl import polyring
+from bhl.coxeter import build_group
+from bhl.rpoly import RPolyTable
+g = build_group("A2")
+polyring._DIGIT_BOUND = RPolyTable(g).max_digit
+try:
+    RPolyTable(g)
+except ValueError:
+    pass
+else:
+    raise SystemExit("no ValueError")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_table_guard_raises_under_optimize(flags):
+    """A raise, not an assert: it must hold under python -O too."""
+    src = os.path.dirname(os.path.dirname(bhl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", TABLE_AT_THE_BOUND],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_fill_refuses_a_repeated_den_factor(a2, monkeypatch):
+    """With every pivot root forced to alpha_1, the step at v = s1 s2 reads
+    bar r(e, s2), whose den already holds alpha_1, and would add it again."""
+    monkeypatch.setattr(RPolyTable, "_pivot_root", lambda self, v, i: _pack((0, 1, 0)))
+    rt = RPolyTable(a2)
+    v = a2.from_word("12").index
+    with pytest.raises(RuntimeError, match=f"u=e, v={a2.word_str(v)}\\)"):
+        rt.bar_r_idx(0, v)
