@@ -24,7 +24,8 @@ with nothing on stderr.
 ``--jobs`` and ``--samples`` must be at least 1; at most min(N, |W|, cpu
 count) worker processes are started.
 
-Environment: BHL_MAX_ORDER overrides the group order cap.
+Environment: BHL_MAX_ORDER, a positive integer, overrides the group order
+cap.
 """
 
 from __future__ import annotations
@@ -50,10 +51,14 @@ from .verify import SUITE_NAMES, run_suite
 
 def _build(args) -> CoxeterGroup:
     cap = os.environ.get("BHL_MAX_ORDER")
+    if not cap:
+        return build_group(args.type)
     try:
-        max_order = int(cap) if cap else None
+        max_order = int(cap)
     except ValueError:
-        raise ValueError(f"BHL_MAX_ORDER must be an integer, got {cap!r}") from None
+        max_order = 0
+    if max_order < 1:
+        raise ValueError(f"BHL_MAX_ORDER must be a positive integer, got {cap!r}")
     return build_group(args.type, max_order=max_order)
 
 

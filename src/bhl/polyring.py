@@ -21,6 +21,12 @@ Representation conventions:
   numerator by one factor 1 - x^beta. The bar r table of ``rpoly`` is
   stored on packed keys and sigma accumulates on them, reading that table
   as it is; ``LaurentPoly`` keys are always tuples.
+- Exact division by 1 - x^beta (``binomial_divide`` and ``reduced()``)
+  also runs on packed keys, in ``_divide_packed``: a term's coset of
+  Z*beta is pinned by one digit, the top nonzero digit of beta, read with
+  a shift and a mask. Division therefore needs every degree of the
+  numerator and of beta inside (-2^19, 2^19); one outside raises
+  ``ValueError`` naming its exponent.
 
 Canonical string form sorts monomials by ``(x_degrees, q_degree)`` ascending,
 and denominator factors by their degree vectors, e.g.::
@@ -292,30 +298,49 @@ def binomial(arity: int, beta: tuple) -> LaurentPoly:
     return LaurentPoly(arity, {one: 1, (0,) + tuple(beta): -1})
 
 
-def binomial_divide(p: LaurentPoly, beta: tuple) -> Optional[LaurentPoly]:
-    """
-    Exact quotient p / (1 - x^beta), or None when the division leaves a
-    remainder. beta must be a nonzero vector of nonnegative x-degrees.
-
-    Group the terms of p into cosets of the shift lattice Z*beta: divisibility
-    by 1 - x^beta means exactly that every coset sums to zero (set x^beta = 1),
-    and on a coset with coefficients c_t at x^(rep + t*beta) the quotient has
-    the running prefix sums as coefficients, because multiplying
-    sum_t g_t x^(rep + t*beta) by 1 - x^beta yields first differences.
-    """
+def _packed_factor(beta: tuple, arity: int) -> int:
+    """The factor 1 - x^beta as the packed key of x^beta, after checking
+    that beta is a nonzero vector of nonnegative x-degrees of this arity."""
     beta = tuple(beta)
-    if len(beta) != p.arity:
+    if len(beta) != arity:
         raise ValueError("beta has wrong length")
     if sum(beta) <= 0 or any(b < 0 for b in beta):
         raise ValueError("beta must be a nonzero nonnegative vector")
-    if not p.terms:
-        return LaurentPoly.zero(p.arity)
-    support = [j for j, b in enumerate(beta) if b > 0]
+    return _pack((0,) + beta)
+
+
+def _divide_packed(num: dict, b: int) -> Optional[dict]:
+    """
+    Exact quotient num / (1 - X^b) on packed keys, or None when the division
+    leaves a remainder; b packs a nonzero nonnegative x-degree vector beta.
+
+    Group the terms into cosets of the shift lattice Z*b: divisibility by
+    1 - X^b means exactly that every coset sums to zero (set X^b = 1), and
+    on a coset with coefficients c_t at X^(rep + t*b) the quotient has the
+    running prefix sums as coefficients, because multiplying
+    sum_t g_t X^(rep + t*b) by 1 - X^b yields first differences.
+
+    One digit pins the coset: with j the top nonzero digit of b (found from
+    b's bit length, as no digit of b is negative), a key with digit d
+    there has t = floor(d / beta_j) and representative k - t*b, whose
+    digit j lies in [0, beta_j). Digit j is read by one shift and mask after
+    adding 2^19 to every digit up to j, which makes them all nonnegative.
+    Keys of the quotient lie between terms of their coset, so their digits
+    stay inside the bound when those of num do.
+    """
+    j = (b.bit_length() - 1) // _DIGIT_BITS
+    shift = _DIGIT_BITS * j
+    step = b >> shift
+    offset = _DIGIT_BOUND * sum(1 << (_DIGIT_BITS * i) for i in range(j + 1))
     classes: dict = {}
-    for e, c in p.terms.items():
-        t = min(e[j + 1] // beta[j] for j in support)
-        rep = (e[0],) + tuple(e[j + 1] - t * beta[j] for j in range(p.arity))
-        classes.setdefault(rep, []).append((t, c))
+    for k, c in num.items():
+        t = ((((k + offset) >> shift) & _DIGIT_MASK) - _DIGIT_BOUND) // step
+        rep = k - t * b
+        items = classes.get(rep)
+        if items is None:
+            classes[rep] = [(t, c)]
+        else:
+            items.append((t, c))
     quot: dict = {}
     for rep, items in classes.items():
         items.sort()
@@ -323,17 +348,36 @@ def binomial_divide(p: LaurentPoly, beta: tuple) -> Optional[LaurentPoly]:
         running = 0
         t_last = items[-1][0]
         for t in range(items[0][0], t_last):
-            if pos < len(items) and items[pos][0] == t:
+            if items[pos][0] == t:
                 running += items[pos][1]
                 pos += 1
             if running:
-                e = (rep[0],) + tuple(
-                    rep[j + 1] + t * beta[j] for j in range(p.arity)
-                )
-                quot[e] = running
+                quot[rep + t * b] = running
         if running + items[-1][1]:
             return None
-    return LaurentPoly(p.arity, quot)
+    return quot
+
+
+def _packed_terms(p: LaurentPoly) -> dict:
+    return {_pack(e): c for e, c in p.terms.items()}
+
+
+def _unpacked(arity: int, terms: dict) -> LaurentPoly:
+    return _new(arity, {_unpack(k, arity + 1): c for k, c in terms.items()})
+
+
+def binomial_divide(p: LaurentPoly, beta: tuple) -> Optional[LaurentPoly]:
+    """
+    Exact quotient p / (1 - x^beta), or None when the division leaves a
+    remainder. beta must be a nonzero vector of nonnegative x-degrees, and
+    every degree of p and beta must lie in (-2^19, 2^19).
+
+    p is packed, divided by ``_divide_packed`` (cosets of Z*beta, each
+    pinned by one digit of the key) and unpacked.
+    """
+    b = _packed_factor(beta, p.arity)
+    quot = _divide_packed(_packed_terms(p), b)
+    return None if quot is None else _unpacked(p.arity, quot)
 
 
 class RationalFn:
@@ -453,14 +497,19 @@ def _scale_by_factors(num: LaurentPoly, factors: Counter) -> LaurentPoly:
 
 
 def _reduce(num: LaurentPoly, den: tuple) -> tuple:
-    """Cancel every denominator factor that divides the numerator exactly.
-    One pass suffices: a factor that does not divide num cannot divide a
-    quotient num / b either, since num is a multiple of that quotient."""
+    """Cancel every denominator factor that divides the numerator exactly,
+    on packed keys: the numerator is packed once, each factor is tried by
+    ``_divide_packed`` and the result is unpacked once. One pass suffices: a
+    factor that does not divide num cannot divide a quotient num / b either,
+    since num is a multiple of that quotient."""
+    terms = _packed_terms(num)
     kept = []
-    for b in den:
-        q = binomial_divide(num, b)
-        if q is None:
-            kept.append(b)
+    for beta in den:
+        quot = _divide_packed(terms, _packed_factor(beta, num.arity))
+        if quot is None:
+            kept.append(beta)
         else:
-            num = q
-    return num, tuple(kept)
+            terms = quot
+    if len(kept) == len(den):  # nothing cancelled: skip the unpack
+        return num, den
+    return _unpacked(num.arity, terms), tuple(kept)

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from . import polyring
 from .coxeter import CoxeterGroup, Element
-from .polyring import LaurentPoly, RationalFn, _new, _pack, _times_binomial, _unpack
+from .polyring import LaurentPoly, RationalFn, _pack, _times_binomial, _unpack, _unpacked
 
 __all__ = ["RPolyTable", "s_set", "s_set3", "s_set_idx"]
 
@@ -155,11 +155,8 @@ class RPolyTable:
     def _rational(self, entry: tuple) -> RationalFn:
         """A packed entry as the RationalFn it stands for."""
         den, num = entry
-        n = self.group.rank + 1
-        return RationalFn(
-            _new(n - 1, {_unpack(k, n): c for k, c in num.items()}),
-            [_unpack(b, n)[1:] for b in den],
-        )
+        n = self.group.rank
+        return RationalFn(_unpacked(n, num), [_unpack(b, n + 1)[1:] for b in den])
 
     def bar_r_idx(self, u: int, v: int) -> RationalFn:
         return self._rational(self.bar_r_packed_idx(u, v))

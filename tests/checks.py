@@ -4,6 +4,10 @@ independence of r, the defining identity of the Kazhdan-Lusztig table, the
 root count under a trivial inverse KL polynomial, and the classical limit of
 r. Each returns how many cases it compared and raises AssertionError at the
 first failure.
+
+Also the tuple-key division by 1 - x^beta, the reference that the packed
+kernel behind ``binomial_divide`` and ``RationalFn.reduced()`` is compared
+against.
 """
 
 from fractions import Fraction
@@ -129,3 +133,51 @@ def check_r_numerical_limit(
             )
         checked += 1
     return checked
+
+
+def binomial_divide_tuples(p: LaurentPoly, beta: tuple) -> LaurentPoly | None:
+    """p / (1 - x^beta) on tuple keys, or None on a remainder: terms are
+    grouped into cosets of Z*beta, represented by their lowest point over
+    every coordinate of beta's support, and each coset must sum to zero,
+    with its running prefix sums as the quotient."""
+    beta = tuple(beta)
+    if not p.terms:
+        return LaurentPoly.zero(p.arity)
+    support = [j for j, b in enumerate(beta) if b > 0]
+    classes: dict = {}
+    for e, c in p.terms.items():
+        t = min(e[j + 1] // beta[j] for j in support)
+        rep = (e[0],) + tuple(e[j + 1] - t * beta[j] for j in range(p.arity))
+        classes.setdefault(rep, []).append((t, c))
+    quot: dict = {}
+    for rep, items in classes.items():
+        items.sort()
+        pos = 0
+        running = 0
+        t_last = items[-1][0]
+        for t in range(items[0][0], t_last):
+            if pos < len(items) and items[pos][0] == t:
+                running += items[pos][1]
+                pos += 1
+            if running:
+                e = (rep[0],) + tuple(
+                    rep[j + 1] + t * beta[j] for j in range(p.arity)
+                )
+                quot[e] = running
+        if running + items[-1][1]:
+            return None
+    return LaurentPoly(p.arity, quot)
+
+
+def reduced_tuples(f: RationalFn) -> tuple:
+    """(num, den) of f with every den factor that divides num cancelled, one
+    pass in den order through ``binomial_divide_tuples``."""
+    num = f.num
+    kept = []
+    for beta in f.den:
+        quot = binomial_divide_tuples(num, beta)
+        if quot is None:
+            kept.append(beta)
+        else:
+            num = quot
+    return num, tuple(kept)

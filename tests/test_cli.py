@@ -268,6 +268,11 @@ def test_order_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("BHL_MAX_ORDER", "abc")
     code, out, err = invoke(capsys, "group", "--type", "A2")
     assert code == 2 and out == "" and "BHL_MAX_ORDER" in err
+    for cap in ("0", "-5"):
+        monkeypatch.setenv("BHL_MAX_ORDER", cap)
+        code, out, err = invoke(capsys, "group", "--type", "A2")
+        assert (code, out) == (2, "")
+        assert err == f"error: BHL_MAX_ORDER must be a positive integer, got '{cap}'\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

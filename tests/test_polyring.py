@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bhl
+from bhl.coxeter import _bits, build_group
+from bhl.demazure import v_min_idx
 from bhl.polyring import (
     LaurentPoly,
     RationalFn,
@@ -17,6 +20,8 @@ from bhl.polyring import (
     binomial,
     binomial_divide,
 )
+from bhl.rpoly import RPolyTable
+from checks import binomial_divide_tuples, reduced_tuples
 
 
 def lp(arity, terms):
@@ -243,3 +248,122 @@ def test_pack_rejects_digit_at_the_bound(flags):
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# -- packed division against the tuple-key oracle --------------------------------
+
+
+def _terms(p):
+    return None if p is None else p.terms
+
+
+def assert_division_matches_oracle(f: RationalFn) -> None:
+    """binomial_divide by each den factor, and reduced(), equal the tuple-key
+    route term for term."""
+    for beta in f.den:
+        assert _terms(binomial_divide(f.num, beta)) == _terms(
+            binomial_divide_tuples(f.num, beta)
+        ), beta
+    got = f.reduced()
+    num, den = reduced_tuples(f)
+    assert (got.num.terms, sorted(got.den)) == (num.terms, sorted(den))
+
+
+def _in_bound(p: LaurentPoly) -> bool:
+    return all(-BOUND < d < BOUND for e in p.terms for d in e)
+
+
+@st.composite
+def division_cases(draw, shifts=(0,)):
+    """A numerator of arity 1 to 7 over 1 to 3 den factors, which it is a
+    multiple of some of, plus optionally a term-wise perturbation that
+    usually leaves a remainder; then every exponent is moved by one shift
+    per coordinate, drawn from shifts."""
+    n = draw(st.integers(1, 7))
+    exps = st.tuples(*[st.integers(-3, 3)] * (n + 1))
+    coeffs = st.integers(-5, 5).filter(bool)
+    polys = st.dictionaries(exps, coeffs, min_size=1, max_size=6).map(
+        lambda t: LaurentPoly(n, t)
+    )
+    beta = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple).filter(any)
+    betas = draw(st.lists(beta, min_size=1, max_size=3))
+    num = draw(polys)
+    for b in betas[: draw(st.integers(0, len(betas)))]:
+        num = num * binomial(n, b)
+    if draw(st.booleans()):
+        num = num + draw(polys)
+    shift = draw(st.lists(st.sampled_from(shifts), min_size=n + 1, max_size=n + 1))
+    terms = {tuple(d + s for d, s in zip(e, shift)): c for e, c in num.terms.items()}
+    return RationalFn(LaurentPoly(n, terms), betas)
+
+
+@settings(max_examples=300)
+@given(division_cases())
+def test_packed_division_matches_oracle(f):
+    assert_division_matches_oracle(f)
+
+
+@settings(max_examples=300)
+@given(division_cases(shifts=(BOUND - 6, -BOUND + 2, 0)))
+def test_packed_division_near_the_digit_bound(f):
+    """Inside the bound the quotient is the oracle's; a degree on or past it
+    raises and never yields a quotient."""
+    if _in_bound(f.num):
+        assert_division_matches_oracle(f)
+        return
+    for beta in f.den:
+        with pytest.raises(ValueError, match=r"outside \(-2\^19, 2\^19\)"):
+            binomial_divide(f.num, beta)
+    with pytest.raises(ValueError, match=r"outside \(-2\^19, 2\^19\)"):
+        f.reduced()
+
+
+def test_out_of_bound_degree_is_named():
+    e = (0, BOUND)
+    p = lp(1, {(0, 0): 1, e: -1})
+    for call in (lambda: binomial_divide(p, (1,)), lambda: RationalFn(p, [(1,)]).reduced()):
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            call()
+    # a factor past the bound is refused the same way
+    with pytest.raises(ValueError, match=re.escape(str((0, BOUND)))):
+        binomial_divide(lp(1, {(0, 0): 1}), (BOUND,))
+
+
+@pytest.mark.parametrize(
+    "beta, message",
+    [
+        ((0, 0), "beta must be a nonzero nonnegative vector"),
+        ((2, -1), "beta must be a nonzero nonnegative vector"),
+        ((-1, -1), "beta must be a nonzero nonnegative vector"),
+        ((1,), "beta has wrong length"),
+        ((1, 0, 0), "beta has wrong length"),
+    ],
+)
+def test_bad_factor_raises(beta, message):
+    p = lp(2, {(0, 0, 0): 1, (0, 1, 0): -1})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        binomial_divide(p, beta)
+    if len(beta) != p.arity:
+        message = "denominator factor has wrong arity"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RationalFn(p, [beta]).reduced()
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_bar_r_division_matches_oracle(cartan_type):
+    g = build_group(cartan_type)
+    rtable = RPolyTable(g)
+    for v in range(g.order):
+        for u in _bits(g.down_masks[v]):
+            assert_division_matches_oracle(rtable.bar_r_idx(u, v))
+
+
+def test_sigma_division_matches_oracle_on_b3(b3, engine_b3):
+    rng = random.Random(10)
+    compared = 0
+    while compared < 40:
+        u, v, w = (rng.randrange(b3.order) for _ in range(3))
+        if not b3.leq_idx(v_min_idx(b3, u, w), v):
+            continue
+        assert_division_matches_oracle(engine_b3.sigma_idx(u, v, w))
+        compared += 1
