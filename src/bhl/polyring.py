@@ -26,7 +26,11 @@ Representation conventions:
   Z*beta is pinned by one digit, the top nonzero digit of beta, read with
   a shift and a mask. Division therefore needs every degree of the
   numerator and of beta inside (-2^19, 2^19); one outside raises
-  ``ValueError`` naming its exponent.
+  ``ValueError`` naming its exponent. It also needs each coset
+  representative inside that bound: with j the last coordinate of beta's
+  support and m_i the largest |x_i-degree| of the numerator, every i < j
+  must have m_i + ceil(m_j / beta_j) * beta_i < 2^19, or ``ValueError`` is
+  raised. Either way a wrong quotient is never returned.
 
 Canonical string form sorts monomials by ``(x_degrees, q_degree)`` ascending,
 and denominator factors by their degree vectors, e.g.::
@@ -298,15 +302,42 @@ def binomial(arity: int, beta: tuple) -> LaurentPoly:
     return LaurentPoly(arity, {one: 1, (0,) + tuple(beta): -1})
 
 
-def _packed_factor(beta: tuple, arity: int) -> int:
-    """The factor 1 - x^beta as the packed key of x^beta, after checking
-    that beta is a nonzero vector of nonnegative x-degrees of this arity."""
+def _spans(p: LaurentPoly) -> tuple:
+    """The largest |degree| of p's terms in each coordinate, q first; empty
+    for p = 0."""
+    return tuple(max(map(abs, col)) for col in zip(*p.terms))
+
+
+def _packed_factor(beta: tuple, arity: int, spans: tuple) -> int:
+    """
+    The factor 1 - x^beta as the packed key of x^beta, after checking that
+    beta is a nonzero vector of nonnegative x-degrees of this arity, and
+    that ``_divide_packed`` can divide by it a numerator whose largest
+    |degree| per coordinate is spans.
+
+    That kernel subtracts t*beta from a key with |t| up to
+    ceil(spans_j / beta_j), j the last coordinate of beta's support, so the
+    coset representative has |x_i-degree| up to spans_i + that*beta_i for
+    i < j. Past the digit bound that digit would carry into the next one and
+    two cosets could share a key, so such a numerator raises instead.
+    """
     beta = tuple(beta)
     if len(beta) != arity:
         raise ValueError("beta has wrong length")
     if sum(beta) <= 0 or any(b < 0 for b in beta):
         raise ValueError("beta must be a nonzero nonnegative vector")
-    return _pack((0,) + beta)
+    b = _pack((0,) + beta)
+    if spans:
+        j = max(i for i, d in enumerate(beta) if d)
+        turns = -(-spans[j + 1] // beta[j])
+        for i in range(j):
+            if spans[i + 1] + turns * beta[i] >= _DIGIT_BOUND:
+                raise ValueError(
+                    f"cannot divide by 1 - x^{beta}: x{i + 1}-degrees up to "
+                    f"{spans[i + 1]} and x{j + 1}-degrees up to {spans[j + 1]} "
+                    "put a coset representative outside (-2^19, 2^19)"
+                )
+    return b
 
 
 def _divide_packed(num: dict, b: int) -> Optional[dict]:
@@ -318,15 +349,21 @@ def _divide_packed(num: dict, b: int) -> Optional[dict]:
     1 - X^b means exactly that every coset sums to zero (set X^b = 1), and
     on a coset with coefficients c_t at X^(rep + t*b) the quotient has the
     running prefix sums as coefficients, because multiplying
-    sum_t g_t X^(rep + t*b) by 1 - X^b yields first differences.
+    sum_t g_t X^(rep + t*b) by 1 - X^b yields first differences. Every
+    coset sum is tested before any quotient term is made, and a prefix sum
+    is written only where it is nonzero, so the work is linear in the terms
+    of num and of the quotient however far apart those terms lie.
 
     One digit pins the coset: with j the top nonzero digit of b (found from
     b's bit length, as no digit of b is negative), a key with digit d
     there has t = floor(d / beta_j) and representative k - t*b, whose
     digit j lies in [0, beta_j). Digit j is read by one shift and mask after
     adding 2^19 to every digit up to j, which makes them all nonnegative.
-    Keys of the quotient lie between terms of their coset, so their digits
-    stay inside the bound when those of num do.
+    Every representative must keep its digits inside the bound, or it
+    would carry into the next digit and two cosets could share a key;
+    ``_packed_factor`` checks that for num. Keys of the quotient then lie
+    between terms of their coset, digit by digit, so their digits stay
+    inside the bound as well.
     """
     j = (b.bit_length() - 1) // _DIGIT_BITS
     shift = _DIGIT_BITS * j
@@ -341,20 +378,21 @@ def _divide_packed(num: dict, b: int) -> Optional[dict]:
             classes[rep] = [(t, c)]
         else:
             items.append((t, c))
+    for items in classes.values():
+        total = 0
+        for _, c in items:
+            total += c
+        if total:
+            return None
     quot: dict = {}
     for rep, items in classes.items():
         items.sort()
-        pos = 0
         running = 0
-        t_last = items[-1][0]
-        for t in range(items[0][0], t_last):
-            if items[pos][0] == t:
-                running += items[pos][1]
-                pos += 1
+        for (t, c), (t_next, _) in zip(items, items[1:]):
+            running += c
             if running:
-                quot[rep + t * b] = running
-        if running + items[-1][1]:
-            return None
+                for s in range(t, t_next):
+                    quot[rep + s * b] = running
     return quot
 
 
@@ -370,13 +408,14 @@ def binomial_divide(p: LaurentPoly, beta: tuple) -> Optional[LaurentPoly]:
     """
     Exact quotient p / (1 - x^beta), or None when the division leaves a
     remainder. beta must be a nonzero vector of nonnegative x-degrees, and
-    every degree of p and beta must lie in (-2^19, 2^19).
+    every degree of p and beta must lie in (-2^19, 2^19); so must the coset
+    representatives, as ``_packed_factor`` states, or ValueError is raised.
 
     p is packed, divided by ``_divide_packed`` (cosets of Z*beta, each
     pinned by one digit of the key) and unpacked.
     """
-    b = _packed_factor(beta, p.arity)
-    quot = _divide_packed(_packed_terms(p), b)
+    terms = _packed_terms(p)
+    quot = _divide_packed(terms, _packed_factor(beta, p.arity, _spans(p)))
     return None if quot is None else _unpacked(p.arity, quot)
 
 
@@ -501,11 +540,14 @@ def _reduce(num: LaurentPoly, den: tuple) -> tuple:
     on packed keys: the numerator is packed once, each factor is tried by
     ``_divide_packed`` and the result is unpacked once. One pass suffices: a
     factor that does not divide num cannot divide a quotient num / b either,
-    since num is a multiple of that quotient."""
+    since num is a multiple of that quotient. The degree spans of num bound
+    those of every quotient, whose keys lie between terms of num, so they
+    are taken once for the checks of ``_packed_factor``."""
     terms = _packed_terms(num)
+    spans = _spans(num)
     kept = []
     for beta in den:
-        quot = _divide_packed(terms, _packed_factor(beta, num.arity))
+        quot = _divide_packed(terms, _packed_factor(beta, num.arity, spans))
         if quot is None:
             kept.append(beta)
         else:

@@ -139,7 +139,8 @@ def binomial_divide_tuples(p: LaurentPoly, beta: tuple) -> LaurentPoly | None:
     """p / (1 - x^beta) on tuple keys, or None on a remainder: terms are
     grouped into cosets of Z*beta, represented by their lowest point over
     every coordinate of beta's support, and each coset must sum to zero,
-    with its running prefix sums as the quotient."""
+    with its running prefix sums as the quotient. Runs of zero prefix sums
+    are skipped, so terms far apart cost no walk between them."""
     beta = tuple(beta)
     if not p.terms:
         return LaurentPoly.zero(p.arity)
@@ -149,23 +150,21 @@ def binomial_divide_tuples(p: LaurentPoly, beta: tuple) -> LaurentPoly | None:
         t = min(e[j + 1] // beta[j] for j in support)
         rep = (e[0],) + tuple(e[j + 1] - t * beta[j] for j in range(p.arity))
         classes.setdefault(rep, []).append((t, c))
+    if any(sum(c for _, c in items) for items in classes.values()):
+        return None
     quot: dict = {}
     for rep, items in classes.items():
         items.sort()
-        pos = 0
         running = 0
-        t_last = items[-1][0]
-        for t in range(items[0][0], t_last):
-            if pos < len(items) and items[pos][0] == t:
-                running += items[pos][1]
-                pos += 1
-            if running:
+        for (t, c), (t_next, _) in zip(items, items[1:]):
+            running += c
+            if not running:
+                continue
+            for s in range(t, t_next):
                 e = (rep[0],) + tuple(
-                    rep[j + 1] + t * beta[j] for j in range(p.arity)
+                    rep[j + 1] + s * beta[j] for j in range(p.arity)
                 )
                 quot[e] = running
-        if running + items[-1][1]:
-            return None
     return LaurentPoly(p.arity, quot)
 
 

@@ -274,14 +274,15 @@ def _in_bound(p: LaurentPoly) -> bool:
 
 
 @st.composite
-def division_cases(draw, shifts=(0,)):
-    """A numerator of arity 1 to 7 over 1 to 3 den factors, which it is a
-    multiple of some of, plus optionally a term-wise perturbation that
-    usually leaves a remainder; then every exponent is moved by one shift
-    per coordinate, drawn from shifts."""
+def division_cases(
+    draw, degrees=st.integers(-3, 3), coeffs=st.integers(-5, 5).filter(bool), shifts=(0,)
+):
+    """A numerator of arity 1 to 7, with degrees drawn from degrees, over 1
+    to 3 den factors, which it is a multiple of some of, plus optionally a
+    term-wise perturbation that usually leaves a remainder; then every
+    exponent is moved by one shift per coordinate, drawn from shifts."""
     n = draw(st.integers(1, 7))
-    exps = st.tuples(*[st.integers(-3, 3)] * (n + 1))
-    coeffs = st.integers(-5, 5).filter(bool)
+    exps = st.tuples(*[degrees] * (n + 1))
     polys = st.dictionaries(exps, coeffs, min_size=1, max_size=6).map(
         lambda t: LaurentPoly(n, t)
     )
@@ -303,19 +304,83 @@ def test_packed_division_matches_oracle(f):
     assert_division_matches_oracle(f)
 
 
+def _representatives_in_bound(p: LaurentPoly, beta: tuple) -> bool:
+    """The documented domain of packed division by 1 - x^beta: with j the
+    last coordinate of beta's support and m_i the largest |x_i-degree| of p,
+    m_i + ceil(m_j / beta_j) * beta_i < 2^19 for every i < j."""
+    if not p.terms:
+        return True
+    m = [max(abs(e[i + 1]) for e in p.terms) for i in range(p.arity)]
+    j = max(i for i, d in enumerate(beta) if d)
+    turns = -(-m[j] // beta[j])
+    return all(m[i] + turns * beta[i] < BOUND for i in range(j))
+
+
+def assert_division_matches_oracle_or_refuses(f: RationalFn) -> None:
+    """Inside the documented domain the quotient is the oracle's; a degree on
+    or past the bound, or a coset representative past it, raises and never
+    yields a quotient."""
+    if not _in_bound(f.num):
+        for beta in f.den:
+            with pytest.raises(ValueError, match=r"has a degree outside"):
+                binomial_divide(f.num, beta)
+        with pytest.raises(ValueError, match=r"has a degree outside"):
+            f.reduced()
+        return
+    fits = [_representatives_in_bound(f.num, beta) for beta in f.den]
+    if all(fits):
+        assert_division_matches_oracle(f)
+        return
+    for beta, fit in zip(f.den, fits):
+        if fit:
+            assert _terms(binomial_divide(f.num, beta)) == _terms(
+                binomial_divide_tuples(f.num, beta)
+            ), beta
+        else:
+            with pytest.raises(ValueError, match="coset representative outside"):
+                binomial_divide(f.num, beta)
+    with pytest.raises(ValueError, match="coset representative outside"):
+        f.reduced()
+
+
 @settings(max_examples=300)
 @given(division_cases(shifts=(BOUND - 6, -BOUND + 2, 0)))
 def test_packed_division_near_the_digit_bound(f):
-    """Inside the bound the quotient is the oracle's; a degree on or past it
-    raises and never yields a quotient."""
-    if _in_bound(f.num):
-        assert_division_matches_oracle(f)
-        return
-    for beta in f.den:
-        with pytest.raises(ValueError, match=r"outside \(-2\^19, 2\^19\)"):
-            binomial_divide(f.num, beta)
-    with pytest.raises(ValueError, match=r"outside \(-2\^19, 2\^19\)"):
-        f.reduced()
+    """Every term of a coordinate moved next to the bound."""
+    assert_division_matches_oracle_or_refuses(f)
+
+
+WIDE_DEGREES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-BOUND + 1, -BOUND + 8),
+    st.integers(BOUND - 14, BOUND - 8),
+)
+
+
+@settings(max_examples=300)
+@given(division_cases(degrees=WIDE_DEGREES, coeffs=st.integers(1, 5)))
+def test_packed_division_across_the_digit_range(f):
+    """Terms of one coordinate near both ends of the bound at once, where a
+    coset representative can leave it. The drawn coefficients are positive,
+    so no quotient is a run of some 2^20 terms: the oracle would walk it."""
+    assert_division_matches_oracle_or_refuses(f)
+
+
+@pytest.mark.parametrize(
+    "terms, beta",
+    [
+        ({(0, BOUND - 1, 0): 1, (0, -BOUND + 1, 5): -1}, (1, 2)),
+        ({(0, BOUND - 1, 0): 1, (0, -BOUND + 1, 3): -1}, (2, 2)),
+    ],
+)
+def test_carrying_representative_is_refused(terms, beta):
+    """Two cosets whose representatives would share a key once the x1-digit
+    carries: refused, where a shared key would give a wrong quotient."""
+    p = lp(2, terms)
+    assert binomial_divide_tuples(p, beta) is None
+    for call in (lambda: binomial_divide(p, beta), lambda: RationalFn(p, [beta]).reduced()):
+        with pytest.raises(ValueError, match=re.escape(f"1 - x^{beta}")):
+            call()
 
 
 def test_out_of_bound_degree_is_named():
