@@ -20,6 +20,14 @@ T_x T_{y^{-1}} from its entry for s_i y with one generator step: the same
 steps, in the same order, as walking the whole reversed word of y. A step
 keeps every coefficient it does not change, and coefficients are immutable,
 so an entry shares most of its polynomials with the shorter one it extends.
+
+theta(x, y, w) sums q^len(t) c_t over the t in supp(T_x T_{y^{-1}}) with
+t <= w, so it reads w only through the bit mask down(w) & supp(x, y): two w
+with the same mask give the same theta, exactly, whatever else lies below
+them. The theta memo is keyed by (x, y, that mask), so it holds one entry
+per distinct mask of each (x, y), not one per (x, y, w): A3 needs 2 612
+keys for all 24^3 triples, and once the masks repeat a new w adds nothing
+instead of |W|^2 entries.
 """
 
 from __future__ import annotations
@@ -161,12 +169,19 @@ class ThetaTable:
     The product for (x, y) with y != e is the product for (x, s_i y),
     i = words[y][0], times T_{s_i}, so each entry costs one generator step
     and shares the coefficients that step leaves alone with its shorter
-    neighbour."""
+    neighbour.
+
+    theta(x, y, w) is memoized under (x, y, down_masks[w] & supp), supp the
+    bit mask of the product's support, built once per (x, y) on its first
+    theta query. theta reads exactly the product's terms at the bits of that
+    mask, so the key loses nothing, and the memo is bounded by the number of
+    distinct masks per (x, y) rather than by |W|^3."""
 
     def __init__(self, group: CoxeterGroup):
         self.group = group
         self._products: dict = {}
-        self._theta: dict = {}
+        self._supports: dict = {}  # (x, y) -> support mask of the product
+        self._theta: dict = {}  # (x, y, down mask & support) -> theta
 
     def product(self, x: int, y: int) -> dict:
         products = self._products
@@ -193,7 +208,13 @@ class ThetaTable:
         return prod
 
     def theta_idx(self, x: int, y: int, w: int) -> LaurentPoly:
-        key = (x, y, w)
+        supp = self._supports.get((x, y))
+        if supp is None:
+            supp = 0
+            for t in self.product(x, y):
+                supp |= 1 << t
+            self._supports[(x, y)] = supp
+        key = (x, y, self.group.down_masks[w] & supp)
         val = self._theta.get(key)
         if val is None:
             val = _theta_from_product(self.group, self.product(x, y), w)

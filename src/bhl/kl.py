@@ -77,16 +77,20 @@ class KLTable:
 
 
 def check_theta_power_conjecture(
-    group: CoxeterGroup, theta_table: ThetaTable | None = None
+    group: CoxeterGroup,
+    theta_table: ThetaTable | None = None,
+    rtable: RPolyTable | None = None,
 ) -> list:
     """Scan all (x, y, w) with x y^{-1} <= w and P(x y^{-1}, w) = 1 and
     collect the triples whose theta(x, y, w) is not a single power of q.
+    P is read through rtable's classical R-polynomials when one is given,
+    so a caller holding an R table does not build a second one.
 
     Returns the violating triples as Elements, in (x, y, w) index order.
     """
     g = group
     theta = theta_table if theta_table is not None else ThetaTable(g)
-    kl = KLTable(g)
+    kl = KLTable(g, rtable=rtable)
     theta.group.check_same(g)
     one = LaurentPoly.one(0)
     violations = []

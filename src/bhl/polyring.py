@@ -535,23 +535,30 @@ def _scale_by_factors(num: LaurentPoly, factors: Counter) -> LaurentPoly:
     return num
 
 
-def _reduce(num: LaurentPoly, den: tuple) -> tuple:
-    """Cancel every denominator factor that divides the numerator exactly,
-    on packed keys: the numerator is packed once, each factor is tried by
-    ``_divide_packed`` and the result is unpacked once. One pass suffices: a
-    factor that does not divide num cannot divide a quotient num / b either,
-    since num is a multiple of that quotient. The degree spans of num bound
-    those of every quotient, whose keys lie between terms of num, so they
-    are taken once for the checks of ``_packed_factor``."""
-    terms = _packed_terms(num)
-    spans = _spans(num)
+def _reduce_packed(terms: dict, den: tuple, arity: int, spans: tuple) -> tuple:
+    """(quotient, kept factors): the packed numerator terms with every
+    factor of den that divides it exactly cancelled, each tried in turn by
+    ``_divide_packed``. One pass suffices: a factor that does not divide the
+    numerator cannot divide a quotient of it either, since the numerator is
+    a multiple of that quotient. spans must bound the numerator's largest
+    |degree| per coordinate; they bound every quotient's too, whose keys lie
+    between terms of the numerator, so they serve every check of
+    ``_packed_factor``."""
     kept = []
     for beta in den:
-        quot = _divide_packed(terms, _packed_factor(beta, num.arity, spans))
+        quot = _divide_packed(terms, _packed_factor(beta, arity, spans))
         if quot is None:
             kept.append(beta)
         else:
             terms = quot
+    return terms, tuple(kept)
+
+
+def _reduce(num: LaurentPoly, den: tuple) -> tuple:
+    """Cancel every denominator factor that divides the numerator exactly,
+    on packed keys: the numerator is packed once, reduced by
+    ``_reduce_packed`` with its own spans and unpacked once."""
+    terms, kept = _reduce_packed(_packed_terms(num), den, num.arity, _spans(num))
     if len(kept) == len(den):  # nothing cancelled: skip the unpack
         return num, den
-    return _unpacked(num.arity, terms), tuple(kept)
+    return _unpacked(num.arity, terms), kept

@@ -53,7 +53,15 @@ from __future__ import annotations
 
 from . import polyring
 from .coxeter import CoxeterGroup, Element
-from .polyring import LaurentPoly, RationalFn, _pack, _times_binomial, _unpack, _unpacked
+from .polyring import (
+    LaurentPoly,
+    RationalFn,
+    _pack,
+    _reduce_packed,
+    _times_binomial,
+    _unpack,
+    _unpacked,
+)
 
 __all__ = ["RPolyTable", "s_set", "s_set3", "s_set_idx"]
 
@@ -160,6 +168,16 @@ class RPolyTable:
 
     def bar_r_idx(self, u: int, v: int) -> RationalFn:
         return self._rational(self.bar_r_packed_idx(u, v))
+
+    def reduced_den_idx(self, u: int, v: int) -> tuple:
+        """The den of ``bar_r_idx(u, v).reduced()``, reduced on the packed
+        entry's own keys by ``polyring._reduce_packed`` with no unpack of
+        the numerator. ``max_digit`` bounds every degree of the entry, so it
+        stands in for the entry's spans in the carry check."""
+        den, num = self.bar_r_packed_idx(u, v)
+        n = self.group.rank
+        den = tuple(sorted(_unpack(b, n + 1)[1:] for b in den))
+        return _reduce_packed(num, den, n, (self.max_digit,) * (n + 1))[1]
 
     def r_idx(self, u: int, v: int) -> RationalFn:
         return self.bar_r_idx(u, v).bar_q()

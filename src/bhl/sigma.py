@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from .coxeter import CoxeterGroup, Element, _bits
 from .demazure import v_min_idx
 from .hecke import ThetaTable
-from .polyring import LaurentPoly, RationalFn, _times_binomial, _unpack
+from .polyring import LaurentPoly, RationalFn, _new, _times_binomial, _unpack
 from .rpoly import RPolyTable, s_set_idx
 
 __all__ = [
@@ -102,12 +102,16 @@ class SigmaEngine:
     # -- sigma ---------------------------------------------------------------
 
     def _xi(self, u: int, y: int, w: int) -> LaurentPoly:
-        """Sum of theta(x, y, w) over x >= u; a q-polynomial."""
-        g = self.group
-        out = LaurentPoly.zero(0)
-        for x in _bits(g.up_masks[u]):
-            out = out + self.theta.theta_idx(x, y, w)
-        return out
+        """Sum of theta(x, y, w) over x >= u; a q-polynomial. The theta
+        terms are added into one dict keyed by q-degree, and one
+        LaurentPoly is built from its nonzero entries at the end."""
+        theta = self.theta.theta_idx
+        acc: dict = {}
+        get = acc.get
+        for x in _bits(self.group.up_masks[u]):
+            for (k,), c in theta(x, y, w).terms.items():
+                acc[k] = get(k, 0) + c
+        return _new(0, {(k,): c for k, c in acc.items() if c})
 
     def sigma_idx(self, u: int, v: int, w: int, xi_cache: dict | None = None) -> RationalFn:
         """sigma(u, v, w) over den U, the union of the dens of the bar r(y, v)

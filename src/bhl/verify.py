@@ -356,7 +356,7 @@ def _suite_poles(g: CoxeterGroup, samples, seed, engine: SigmaEngine) -> SuiteRe
     for v in range(g.order):
         for u in _bits(g.down_masks[v]):
             # bar touches only q, so this is the reduced den of r(u, v)
-            den = Counter(rtable.bar_r_idx(u, v).reduced().den)
+            den = Counter(rtable.reduced_den_idx(u, v))
             allowed = s_set_idx(g, u, v)
             for b, mult in den.items():
                 if mult > 1 or root_coords.get(b) not in allowed:
@@ -438,7 +438,7 @@ def run_suite(
         return _suite_poles(g, samples, seed, engine)
     if name == "kl-conjecture":
         violations = check_theta_power_conjecture(
-            g, theta_table=engine.theta
+            g, theta_table=engine.theta, rtable=engine.rtable
         )
         return SuiteResult(
             name,

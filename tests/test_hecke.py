@@ -1,9 +1,18 @@
+import itertools
 import random
 
 import pytest
 
 from bhl.coxeter import GroupMismatchError
-from bhl.hecke import ThetaTable, _product_coeffs, lambda_w, t_basis, t_mul, theta
+from bhl.hecke import (
+    ThetaTable,
+    _product_coeffs,
+    _theta_from_product,
+    lambda_w,
+    t_basis,
+    t_mul,
+    theta,
+)
 from bhl.polyring import LaurentPoly
 from bhl.sigma import SigmaEngine
 from bhl.verify import run_suite
@@ -65,6 +74,45 @@ def test_theta_table_matches_direct(b2):
     for _ in range(200):
         x, y, w = (g.element(rng.randrange(g.order)) for _ in range(3))
         assert table.theta(x, y, w) == theta(x, y, w)
+
+
+def _theta_single_shot(g, x, y, w):
+    return _theta_from_product(g, _product_coeffs(g, x, y), w)
+
+
+@pytest.mark.parametrize("order", ["index", "shuffled"])
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "G2", "A3"])
+def test_masked_theta_memo_matches_single_shot(cartan_type, order, request):
+    """The memo keyed by (x, y, down(w) & supp) returns the single-shot theta
+    on every (x, y, w), queried in index order or in a seeded shuffle."""
+    g = request.getfixturevalue(cartan_type.lower())
+    triples = list(itertools.product(range(g.order), repeat=3))
+    if order == "shuffled":
+        random.Random(20240811).shuffle(triples)
+    table = ThetaTable(g)
+    for x, y, w in triples:
+        assert table.theta_idx(x, y, w) == _theta_single_shot(g, x, y, w), (x, y, w)
+
+
+@pytest.mark.parametrize("order", ["index", "shuffled"])
+def test_masked_theta_memo_matches_single_shot_sampled_b3(b3, order):
+    rng = random.Random(7)
+    triples = [tuple(rng.randrange(b3.order) for _ in range(3)) for _ in range(5000)]
+    if order == "index":
+        triples.sort()
+    table = ThetaTable(b3)
+    for x, y, w in triples:
+        assert table.theta_idx(x, y, w) == _theta_single_shot(b3, x, y, w), (x, y, w)
+
+
+def test_theta_memo_size_after_classifying_every_w_of_a3(a3):
+    """Every (x, y, w) of A3 is asked, 24^3 = 13 824 triples, but only 2 612
+    distinct (x, y, mask) keys are memoized."""
+    engine = SigmaEngine(a3)
+    engine.prefill_shared_tables()
+    for w in range(a3.order):
+        engine.classify_for_w(w)
+    assert len(engine.theta._theta) == 2612
 
 
 _Q_MINUS_1 = LaurentPoly(0, {(1,): 1, (0,): -1})

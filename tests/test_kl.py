@@ -1,6 +1,9 @@
 from bhl.coxeter import _bits
 from bhl.kl import KLTable, check_theta_power_conjecture
 from bhl.polyring import LaurentPoly
+from bhl.rpoly import RPolyTable
+from bhl.sigma import SigmaEngine
+from bhl.verify import run_suite
 
 from checks import check_kl_defining_identity
 
@@ -79,3 +82,18 @@ def test_q_examples(a2, a3):
 def test_theta_power_conjecture_small(a2, a3, engine_a3):
     assert check_theta_power_conjecture(a2) == []
     assert check_theta_power_conjecture(a3, theta_table=engine_a3.theta) == []
+
+
+def test_kl_conjecture_suite_reuses_the_engine_r_table(a3, monkeypatch):
+    engine = SigmaEngine(a3)
+    built = []
+    original = RPolyTable.__init__
+
+    def counting(self, group):
+        built.append(group)
+        original(self, group)
+
+    monkeypatch.setattr(RPolyTable, "__init__", counting)
+    res = run_suite("kl-conjecture", a3, engine=engine)
+    assert res.ok, res.detail
+    assert built == []

@@ -17,6 +17,7 @@ from checks import (
     check_deodhar_under_q1,
     check_r_descent_independence,
     check_r_numerical_limit,
+    reduced_tuples,
 )
 
 
@@ -87,6 +88,20 @@ def test_pole_containment_suite(a2, b2, engine_a2, engine_b2):
     assert res.ok, res.detail
     res = run_suite("poles", b2, engine=engine_b2)
     assert res.ok, res.detail
+
+
+@pytest.mark.parametrize("cartan", ["A3", "B3", "C3", "G2"])
+def test_reduced_den_matches_reduced_rational(cartan):
+    """The den reduced on the packed entry equals the den of the unpacked
+    entry's reduced() and of the tuple-key oracle, on every pair."""
+    g = build_group(cartan)
+    table = RPolyTable(g)
+    for u in range(g.order):
+        for v in range(g.order):
+            entry = table.bar_r_idx(u, v)
+            got = table.reduced_den_idx(u, v)
+            assert got == entry.reduced().den, (u, v)
+            assert got == reduced_tuples(entry)[1], (u, v)
 
 
 def test_pole_suite_fails_on_non_root_factor(a2, monkeypatch):

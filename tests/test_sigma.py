@@ -319,6 +319,22 @@ def test_unreduced_denominators_stay_in_s_e_v(a3, b2, engine_a3, engine_b2):
             check(eng.sigma_idx(u, v, w).den, v)
 
 
+def _xi_by_chained_add(eng, u, y, w):
+    """xi as a chain of LaurentPoly additions over x >= u, the oracle for
+    the one-dict sum of SigmaEngine._xi."""
+    out = LaurentPoly.zero(0)
+    for x in _bits(eng.group.up_masks[u]):
+        out = out + eng.theta.theta_idx(x, y, w)
+    return out
+
+
+def test_xi_matches_chained_add(a3, g2, engine_a3):
+    for g, eng in ((a3, engine_a3), (g2, SigmaEngine(g2))):
+        for u, y, w in itertools.product(range(g.order), repeat=3):
+            got = eng._xi(u, y, w)
+            assert got.terms == _xi_by_chained_add(eng, u, y, w).terms, (u, y, w)
+
+
 def _sigma_by_rational_sum(eng, u, v, w):
     """sigma as a chain of RationalFn additions, the oracle for the packed
     accumulation of SigmaEngine.sigma_idx."""
