@@ -21,6 +21,24 @@ steps, in the same order, as walking the whole reversed word of y. A step
 keeps every coefficient it does not change, and coefficients are immutable,
 so an entry shares most of its polynomials with the shorter one it extends.
 
+Many entries need no step at all: they are relabelled from one already
+held, through two exact symmetries of the T-basis (an x-major fill walks
+about half of the entries when only the first applies, a quarter on A4):
+- the anti-involution iota(T_w) = T_{w^{-1}} (Kazhdan-Lusztig 1979). It is
+  the Z[q, q^-1]-linear anti-automorphism fixing every T_s: the relations
+  T_s^2 = (q - 1) T_s + q and the braid relations read the same backwards,
+  and a reduced word of w reversed is one of w^{-1}. So
+  iota(T_y T_{x^{-1}}) = T_x T_{y^{-1}}, and the entry of (x, y) is the
+  entry of (y, x) with each t replaced by t^{-1}, coefficients untouched;
+- conjugation c(t) = w0 t w0. It maps every simple reflection to a simple
+  one, so it is an automorphism of the Coxeter system, keeps lengths, and
+  T_t -> T_{c(t)} is an algebra automorphism. So the entry of (x, y) is the
+  entry of (c(x), c(y)) with each t replaced by c(t). When w0 is central
+  (types A1, B, C, G2 and D_n for even n) c is the identity and only iota
+  applies.
+Both are relabellings of the support only: no coefficient is recomputed,
+and a relabelled entry shares its source's immutable coefficients.
+
 theta(x, y, w) sums q^len(t) c_t over the t in supp(T_x T_{y^{-1}}) with
 t <= w, so it reads w only through the bit mask down(w) & supp(x, y): two w
 with the same mask give the same theta, exactly, whatever else lies below
@@ -163,13 +181,41 @@ def _theta_from_product(g: CoxeterGroup, prod: dict, w: int) -> LaurentPoly:
     return LaurentPoly(0, terms)
 
 
+def _longest_conjugation(g: CoxeterGroup) -> list | None:
+    """[w0 t w0 for t], or None when that is the identity. Raises
+    RuntimeError unless it maps every simple reflection to a simple one and
+    keeps every length: what makes it relabel T-products exactly."""
+    w0 = g.longest_idx
+    conj = [g.mul_idx(g.mul_idx(w0, t), w0) for t in range(g.order)]
+    simples = {g.rmult[g.identity_idx][i] for i in range(g.rank)}
+    if {conj[s] for s in simples} != simples or any(
+        g.lengths[conj[t]] != g.lengths[t] for t in range(g.order)
+    ):
+        raise RuntimeError(
+            f"conjugation by w0 is no automorphism of the Coxeter system "
+            f"{g.cartan_type}; this is a bug"
+        )
+    return None if conj == list(range(g.order)) else conj
+
+
+def _relabel(prod: dict, labels: list) -> dict:
+    """The product with each basis index t replaced by labels[t]; the
+    coefficients are shared, not copied."""
+    return {labels[t]: c for t, c in prod.items()}
+
+
 class ThetaTable:
     """Memoized T_x T_{y^{-1}} products and theta values over one group.
 
-    The product for (x, y) with y != e is the product for (x, s_i y),
-    i = words[y][0], times T_{s_i}, so each entry costs one generator step
-    and shares the coefficients that step leaves alone with its shorter
-    neighbour.
+    A product not yet memoized is the relabelled entry of (y, x) under
+    t -> t^{-1} if that is memoized, else the relabelled entry of
+    (w0 x w0, w0 y w0) under t -> w0 t w0 if that is (see the module
+    docstring for why both are exact). Only when neither is held is it
+    walked: the product for (x, y) with y != e is the product for
+    (x, s_i y), i = words[y][0], times T_{s_i}, so each walked entry costs
+    one generator step and shares the coefficients that step leaves alone
+    with its shorter neighbour. In an x-major fill of A4 only 3 843 of the
+    14 400 products are walked, in B3 1 176 of 2 304.
 
     theta(x, y, w) is memoized under (x, y, down_masks[w] & supp), supp the
     bit mask of the product's support, built once per (x, y) on its first
@@ -179,6 +225,8 @@ class ThetaTable:
 
     def __init__(self, group: CoxeterGroup):
         self.group = group
+        self._inv = group.inv_table
+        self._conj = _longest_conjugation(group)  # None when the identity
         self._products: dict = {}
         self._supports: dict = {}  # (x, y) -> support mask of the product
         self._theta: dict = {}  # (x, y, down mask & support) -> theta
@@ -188,6 +236,16 @@ class ThetaTable:
         prod = products.get((x, y))
         if prod is not None:
             return prod
+        src = products.get((y, x))
+        if src is not None:
+            prod = products[(x, y)] = _relabel(src, self._inv)
+            return prod
+        conj = self._conj
+        if conj is not None:
+            src = products.get((conj[x], conj[y]))
+            if src is not None:
+                prod = products[(x, y)] = _relabel(src, conj)
+                return prod
         # walk down to the longest memoized prefix, then build back up; a
         # loop, not recursion, so a cold product(x, w0) stays shallow
         g = self.group

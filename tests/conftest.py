@@ -25,6 +25,11 @@ def a3():
 
 
 @pytest.fixture(scope="session")
+def a4():
+    return build_group("A4")
+
+
+@pytest.fixture(scope="session")
 def b3():
     return build_group("B3")
 

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from bhl.coxeter import GroupMismatchError
+from bhl import hecke
+from bhl.coxeter import GroupMismatchError, build_group
 from bhl.hecke import (
     ThetaTable,
     _product_coeffs,
@@ -142,21 +143,7 @@ def _left_mul_product(g, x, y):
     return coeffs
 
 
-@pytest.mark.parametrize("fill", ["prefilled", "lazy-shuffled"])
-@pytest.mark.parametrize("cartan_type", ["A3", "B3", "G2"])
-def test_theta_table_products_match_independent_routes(cartan_type, fill, request):
-    """Every memoized T_x T_{y^-1} equals the single-shot word walk, t_mul,
-    and the left-multiplication route, whether the table was filled whole or
-    built lazily by queries in a seeded shuffled order."""
-    g = request.getfixturevalue(cartan_type.lower())
-    pairs = [(x, y) for x in range(g.order) for y in range(g.order)]
-    if fill == "prefilled":
-        engine = SigmaEngine(g)
-        engine.prefill_shared_tables()
-        table = engine.theta
-    else:
-        table = ThetaTable(g)
-        random.Random(20240811).shuffle(pairs)
+def _assert_matches_independent_routes(g, table, pairs):
     for x, y in pairs:
         prod = table.product(x, y)
         assert prod == _product_coeffs(g, x, y), (x, y)
@@ -164,6 +151,119 @@ def test_theta_table_products_match_independent_routes(cartan_type, fill, reques
         assert prod == t_mul(t_basis(g.element(x)), t_basis(yinv)).coeffs, (x, y)
         assert prod == _left_mul_product(g, x, y), (x, y)
         assert table.product(x, y) is prod
+
+
+def _count_relabels(monkeypatch, table):
+    """Patch hecke._relabel to count the entries each symmetry relabels."""
+    counts = {"inverse": 0, "w0-conjugate": 0}
+    original = hecke._relabel
+
+    def counting(prod, labels):
+        counts["inverse" if labels is table._inv else "w0-conjugate"] += 1
+        return original(prod, labels)
+
+    monkeypatch.setattr(hecke, "_relabel", counting)
+    return counts
+
+
+@pytest.mark.parametrize("fill", ["prefilled", "lazy-shuffled", "reversed"])
+@pytest.mark.parametrize("cartan_type", ["A3", "B3", "G2"])
+def test_theta_table_products_match_independent_routes(
+    cartan_type, fill, request, monkeypatch
+):
+    """Every memoized T_x T_{y^-1} equals the single-shot word walk, t_mul,
+    and the left-multiplication route, whether the table was filled whole,
+    built lazily by queries in a seeded shuffled order, or in reversed
+    x-major order: each order takes a different mix of entries from the
+    inverse relabel, the w0-conjugate relabel and walks."""
+    g = request.getfixturevalue(cartan_type.lower())
+    pairs = [(x, y) for x in range(g.order) for y in range(g.order)]
+    if fill == "prefilled":
+        engine = SigmaEngine(g)
+        table = engine.theta
+        counts = _count_relabels(monkeypatch, table)
+        engine.prefill_shared_tables()
+    else:
+        table = ThetaTable(g)
+        counts = _count_relabels(monkeypatch, table)
+        if fill == "reversed":
+            pairs.reverse()
+        else:
+            random.Random(20240811).shuffle(pairs)
+    _assert_matches_independent_routes(g, table, pairs)
+    assert counts["inverse"] > 0
+    assert (counts["w0-conjugate"] > 0) == (cartan_type == "A3")
+
+
+def test_theta_table_products_match_independent_routes_sampled_a4(a4):
+    """A4, where w0-conjugation is no identity: a seeded sample of 2 000
+    pairs after a full prefill."""
+    engine = SigmaEngine(a4)
+    engine.prefill_shared_tables()
+    rng = random.Random(20240811)
+    pairs = [(rng.randrange(a4.order), rng.randrange(a4.order)) for _ in range(2000)]
+    _assert_matches_independent_routes(a4, engine.theta, pairs)
+
+
+@pytest.mark.parametrize("mutant", ["inverse-keeps-t", "skips-w0-conjugation"])
+def test_wrong_relabel_fails_the_left_multiplication_route(a3, mutant, monkeypatch):
+    """A copy of the table that keys the inverse relabel by t instead of
+    t^-1, or reads the w0-conjugate entry without relabelling it, builds
+    products the left-multiplication route rejects: the route test can see
+    a wrong relabel."""
+    table = ThetaTable(a3)
+    broken = table._inv if mutant == "inverse-keeps-t" else table._conj
+    original = hecke._relabel
+
+    def mutated(prod, labels):
+        return dict(prod) if labels is broken else original(prod, labels)
+
+    monkeypatch.setattr(hecke, "_relabel", mutated)
+    wrong = [
+        (x, y)
+        for x in range(a3.order)
+        for y in range(a3.order)
+        if table.product(x, y) != _left_mul_product(a3, x, y)
+    ]
+    assert wrong
+
+
+def test_full_fill_calls_product_once_per_pair(a3, monkeypatch):
+    """Relabels read the memo and never call product() again, so a full A3
+    fill makes exactly |W|^2 = 576 calls."""
+    calls = []
+    original = ThetaTable.product
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(ThetaTable, "product", counting)
+    engine = SigmaEngine(a3)
+    engine.prefill_shared_tables()
+    assert len(calls) == a3.order**2 == 576
+    assert len(engine.theta._products) == 576
+
+
+@pytest.mark.parametrize(
+    "cartan_type, is_identity",
+    [("A2", False), ("A3", False), ("A4", False), ("B3", True), ("G2", True), ("D4", True)],
+)
+def test_w0_conjugation_is_none_exactly_when_w0_is_central(cartan_type, is_identity):
+    g = build_group(cartan_type)
+    conj = hecke._longest_conjugation(g)
+    assert (conj is None) == is_identity
+    if conj is not None:
+        w0 = g.longest_idx
+        assert all(g.mul_idx(w0, conj[t]) == g.mul_idx(t, w0) for t in range(g.order))
+
+
+def test_table_refuses_a_conjugation_that_moves_a_simple_reflection(a3, monkeypatch):
+    """Conjugation by s_1 sends s_2 to s_1 s_2 s_1, of length 3: no relabel
+    may be built from it."""
+    monkeypatch.setattr(a3, "longest_idx", a3.rmult[a3.identity_idx][0])
+    with pytest.raises(RuntimeError, match="no automorphism"):
+        ThetaTable(a3)
 
 
 def test_theta_suite(a3, b2):

@@ -214,6 +214,33 @@ def test_packed_fill_matches_rational_recursion_term_for_term(cartan):
         assert (r.num.terms, r.den) == (want[key].num.terms, want[key].den), key
 
 
+def _minus_v_image(g, rf: RationalFn, v: int) -> RationalFn:
+    """rf with every x^gamma, in the numerator and in each den factor
+    1 - x^gamma, replaced by x^(-v gamma)."""
+
+    def image(gamma):
+        return tuple(-c for c in g.root_action(g.element(v), gamma))
+
+    num = {(e[0],) + image(e[1:]): c for e, c in rf.num.terms.items()}
+    return RationalFn(LaurentPoly(g.rank, num), [image(b) for b in rf.den])
+
+
+@pytest.mark.parametrize("cartan", ["A2", "B2", "G2", "A3", "B3"])
+def test_bar_r_of_inverses_is_the_minus_v_image(cartan):
+    """bar r(u^-1, v^-1) equals bar r(u, v) under x^gamma -> x^(-v gamma) as a
+    value on every u <= v: a check of the whole fill by a symmetry its
+    recursion never uses. In types B and G the two are not always the same
+    fraction term for term, so this compares values and is no way to fill
+    the table."""
+    g = build_group(cartan)
+    rt = RPolyTable(g)
+    inv = g.inv_table
+    pairs = [(u, v) for v in range(g.order) for u in range(g.order) if g.leq_idx(u, v)]
+    for u, v in pairs:
+        mirrored = _minus_v_image(g, rt.bar_r_idx(u, v), v)
+        assert rt.bar_r_idx(inv[u], inv[v]) == mirrored, (u, v)
+
+
 @pytest.mark.parametrize("cartan", ["G2", "B3", "C3", "A4"])
 def test_fill_digits_stay_within_the_computed_bound(cartan):
     g = build_group(cartan)
