@@ -76,6 +76,16 @@ class KLTable:
         return self.q_idx(u.index, v.index)
 
 
+def _p_one_mask(kl: KLTable, z: int) -> int:
+    """Bit mask of the w >= z with P(z, w) = 1."""
+    one = LaurentPoly.one(0)
+    mask = 0
+    for w in _bits(kl.group.up_masks[z]):
+        if kl.p_idx(z, w) == one:
+            mask |= 1 << w
+    return mask
+
+
 def check_theta_power_conjecture(
     group: CoxeterGroup,
     theta_table: ThetaTable | None = None,
@@ -86,22 +96,23 @@ def check_theta_power_conjecture(
     P is read through rtable's classical R-polynomials when one is given,
     so a caller holding an R table does not build a second one.
 
+    The w with P(z, w) = 1 are gathered once per z into one bit mask, so
+    each P(z, w) is tested once, not once for every (x, y) with
+    x y^{-1} = z; each (x, y) then walks the bits of the mask of its z.
+
     Returns the violating triples as Elements, in (x, y, w) index order.
     """
     g = group
     theta = theta_table if theta_table is not None else ThetaTable(g)
     kl = KLTable(g, rtable=rtable)
     theta.group.check_same(g)
-    one = LaurentPoly.one(0)
+    p_one = [_p_one_mask(kl, z) for z in range(g.order)]
     violations = []
     for x in range(g.order):
         for y in range(g.order):
-            z = g.mul_idx(x, g.inv_table[y])
-            for w in _bits(g.up_masks[z]):
-                if kl.p_idx(z, w) == one:
-                    val = theta.theta_idx(x, y, w)
-                    if not val.is_q_monomial():
-                        violations.append(
-                            (Element(g, x), Element(g, y), Element(g, w))
-                        )
+            for w in _bits(p_one[g.mul_idx(x, g.inv_table[y])]):
+                if not theta.theta_idx(x, y, w).is_q_monomial():
+                    violations.append(
+                        (Element(g, x), Element(g, y), Element(g, w))
+                    )
     return violations

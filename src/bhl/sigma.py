@@ -9,9 +9,14 @@ sigma is always evaluated through its combinatorial expansion
                      q^(-len(y)) * theta(x, y, w) * bar r(y, v),
 
 with the sum grouped by y: the inner sum over x is a pure q-polynomial xi
-that is shared across all v for a fixed (u, w). No vanishing shortcut is
-taken: the zero of sigma for v not >= v_min is a computed outcome, which is
-what makes the vanishing verification meaningful.
+that is shared across all v for a fixed (u, w). xi sums theta(x, y, w) only
+over the x >= u in ``ThetaTable.reach(y, w)``, the x whose T_x T_{y^-1} has
+a term at some t <= w: for every other x theta is an empty sum, exactly 0,
+so leaving it out changes no term. The mask is read off the products'
+supports and uses no theorem about sigma and no v_min: every nonzero theta
+is still summed, so the zero of sigma for v not >= v_min is still a
+computed outcome, which is what makes the vanishing verification
+meaningful.
 
 The sum is built over one denominator U, the union of the denominators of
 the bar r(y, v) that meet a nonzero xi: U is the least common denominator of
@@ -70,6 +75,18 @@ def _q_polynomial(val: RationalFn) -> LaurentPoly | None:
     return val.num.q_only()
 
 
+class _UnpackMemo(dict):
+    """Packed key -> exponent tuple of n entries, unpacked on first read."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, key: int) -> tuple:
+        val = self[key] = _unpack(key, self.n)
+        return val
+
+
 class SigmaEngine:
     """sigma evaluation over one group, with shared memoized tables."""
 
@@ -78,6 +95,9 @@ class SigmaEngine:
         self.rtable = RPolyTable(group)
         self.theta = ThetaTable(group)
         self._gk_factor: dict = {}
+        # many sigma of one group share monomials: each packed key is
+        # unpacked once per engine
+        self._unpacked = _UnpackMemo(group.rank + 1)
 
     # -- building blocks -----------------------------------------------------
 
@@ -102,13 +122,17 @@ class SigmaEngine:
     # -- sigma ---------------------------------------------------------------
 
     def _xi(self, u: int, y: int, w: int) -> LaurentPoly:
-        """Sum of theta(x, y, w) over x >= u; a q-polynomial. The theta
-        terms are added into one dict keyed by q-degree, and one
-        LaurentPoly is built from its nonzero entries at the end."""
+        """Sum of theta(x, y, w) over x >= u; a q-polynomial. Only the x in
+        ``ThetaTable.reach(y, w)`` are asked: theta is an empty sum for the
+        others. The theta terms are added into one dict keyed by q-degree,
+        and one LaurentPoly is built from its nonzero entries at the end."""
+        mask = self.group.up_masks[u] & self.theta.reach(y, w)
+        if not mask:
+            return _new(0, {})
         theta = self.theta.theta_idx
         acc: dict = {}
         get = acc.get
-        for x in _bits(self.group.up_masks[u]):
+        for x in _bits(mask):
             for (k,), c in theta(x, y, w).terms.items():
                 acc[k] = get(k, 0) + c
         return _new(0, {(k,): c for k, c in acc.items() if c})
@@ -150,10 +174,10 @@ class SigmaEngine:
             get = acc.get
             for key, c in term.items():
                 acc[key] = get(key, 0) + c
-        n = g.rank + 1
-        num = {_unpack(key, n): c for key, c in acc.items() if c}
+        unpacked = self._unpacked
+        num = {unpacked[key]: c for key, c in acc.items() if c}
         return RationalFn(
-            LaurentPoly(g.rank, num), [_unpack(b, n)[1:] for b in union]
+            LaurentPoly(g.rank, num), [unpacked[b][1:] for b in union]
         )
 
     def sigma(self, u: Element, v: Element, w: Element) -> RationalFn:

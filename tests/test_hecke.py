@@ -107,13 +107,29 @@ def test_masked_theta_memo_matches_single_shot_sampled_b3(b3, order):
 
 
 def test_theta_memo_size_after_classifying_every_w_of_a3(a3):
-    """Every (x, y, w) of A3 is asked, 24^3 = 13 824 triples, but only 2 612
-    distinct (x, y, mask) keys are memoized."""
+    """xi asks theta only for the x in reach(y, w), and the memo keeps one
+    entry per distinct (x, y, mask): 2 060 keys for all 24 w of A3, where
+    one per triple would be 24^3 = 13 824."""
     engine = SigmaEngine(a3)
     engine.prefill_shared_tables()
     for w in range(a3.order):
         engine.classify_for_w(w)
-    assert len(engine.theta._theta) == 2612
+    assert len(engine.theta._theta) == 2060
+
+
+@pytest.mark.parametrize("cartan_type", ["A3", "B3", "G2"])
+def test_reach_is_the_x_with_x_y_inverse_below_w(cartan_type, request):
+    """theta(x, y, w) at q = 1 is [x y^-1 <= w], so the x whose product
+    meets [e, w] are exactly those with x y^-1 <= w."""
+    g = request.getfixturevalue(cartan_type.lower())
+    table = ThetaTable(g)
+    for y in range(g.order):
+        for w in range(g.order):
+            want = 0
+            for x in range(g.order):
+                if g.leq_idx(g.mul_idx(x, g.inv_table[y]), w):
+                    want |= 1 << x
+            assert table.reach(y, w) == want, (y, w)
 
 
 _Q_MINUS_1 = LaurentPoly(0, {(1,): 1, (0,): -1})

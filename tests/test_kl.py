@@ -1,4 +1,10 @@
+import random
+
+import pytest
+
+from bhl import kl as kl_module
 from bhl.coxeter import _bits
+from bhl.hecke import ThetaTable
 from bhl.kl import KLTable, check_theta_power_conjecture
 from bhl.polyring import LaurentPoly
 from bhl.rpoly import RPolyTable
@@ -82,6 +88,72 @@ def test_q_examples(a2, a3):
 def test_theta_power_conjecture_small(a2, a3, engine_a3):
     assert check_theta_power_conjecture(a2) == []
     assert check_theta_power_conjecture(a3, theta_table=engine_a3.theta) == []
+
+
+def _scan_per_pair(g, theta):
+    """The power-of-q scan that tests P(x y^-1, w) = 1 again for every
+    (x, y, w): the oracle for the scan over one P = 1 mask per z."""
+    kl = KLTable(g)
+    one = LaurentPoly.one(0)
+    found = []
+    for x in range(g.order):
+        for y in range(g.order):
+            z = g.mul_idx(x, g.inv_table[y])
+            for w in _bits(g.up_masks[z]):
+                if kl.p_idx(z, w) == one:
+                    if not theta.theta_idx(x, y, w).is_q_monomial():
+                        found.append((x, y, w))
+    return found
+
+
+def _planted_table(g):
+    """A ThetaTable whose theta is 1 + q at one seeded (x, y, w) with
+    P(x y^-1, w) = 1, w the largest such; returns (table, triple)."""
+    rng = random.Random(20240811)
+    x, y = rng.randrange(g.order), rng.randrange(g.order)
+    z = g.mul_idx(x, g.inv_table[y])
+    kl = KLTable(g)
+    w = max(w for w in _bits(g.up_masks[z]) if kl.p_idx(z, w) == LaurentPoly.one(0))
+    planted = (x, y, w)
+
+    class Planted(ThetaTable):
+        def theta_idx(self, *triple):
+            if triple == planted:
+                return LaurentPoly(0, {(0,): 1, (1,): 1})
+            return super().theta_idx(*triple)
+
+    return Planted(g), planted
+
+
+def _indices(violations):
+    return [(x.index, y.index, w.index) for x, y, w in violations]
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "G2", "A3"])
+def test_masked_scan_matches_per_pair_scan(cartan_type, request):
+    """Both scans report the same triples, in the same order, and both
+    report the planted non-monomial theta."""
+    g = request.getfixturevalue(cartan_type.lower())
+    table, planted = _planted_table(g)
+    got = _indices(check_theta_power_conjecture(g, theta_table=table))
+    assert got == _scan_per_pair(g, table) == [planted]
+
+
+def test_p_one_mask_that_drops_a_w_fails_the_per_pair_scan(a3, monkeypatch):
+    """A P = 1 mask that loses the planted w hides the planted violation,
+    so the masked scan no longer matches the per-pair oracle."""
+    table, planted = _planted_table(a3)
+    x, y, w = planted
+    z = a3.mul_idx(x, a3.inv_table[y])
+    original = kl_module._p_one_mask
+
+    def dropping(kl, zz):
+        mask = original(kl, zz)
+        return mask & ~(1 << w) if zz == z else mask
+
+    monkeypatch.setattr(kl_module, "_p_one_mask", dropping)
+    got = _indices(check_theta_power_conjecture(a3, theta_table=table))
+    assert got != _scan_per_pair(a3, table)
 
 
 def test_kl_conjecture_suite_reuses_the_engine_r_table(a3, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from bhl import sigma
 from bhl.coxeter import GroupMismatchError, _bits, build_group
 from bhl.demazure import v_min, v_min_idx
+from bhl.hecke import ThetaTable
 from bhl.polyring import LaurentPoly, RationalFn
 from bhl.rpoly import s_set, s_set_idx
 from bhl.sigma import SigmaEngine, classify, verify_main_theorem, verify_vanishing
@@ -320,19 +321,56 @@ def test_unreduced_denominators_stay_in_s_e_v(a3, b2, engine_a3, engine_b2):
 
 
 def _xi_by_chained_add(eng, u, y, w):
-    """xi as a chain of LaurentPoly additions over x >= u, the oracle for
-    the one-dict sum of SigmaEngine._xi."""
+    """xi as a chain of LaurentPoly additions over every x >= u, the oracle
+    for the one-dict sum of SigmaEngine._xi over the x that reach [e, w]."""
     out = LaurentPoly.zero(0)
     for x in _bits(eng.group.up_masks[u]):
         out = out + eng.theta.theta_idx(x, y, w)
     return out
 
 
-def test_xi_matches_chained_add(a3, g2, engine_a3):
-    for g, eng in ((a3, engine_a3), (g2, SigmaEngine(g2))):
-        for u, y, w in itertools.product(range(g.order), repeat=3):
-            got = eng._xi(u, y, w)
-            assert got.terms == _xi_by_chained_add(eng, u, y, w).terms, (u, y, w)
+def _xi_mismatches(eng, triples):
+    """The (u, y, w) whose _xi differs from the chained add, term for term;
+    _xi runs first, so its reach skip is not helped by the oracle's theta."""
+    wrong = []
+    for u, y, w in triples:
+        got = eng._xi(u, y, w)
+        if got.terms != _xi_by_chained_add(eng, u, y, w).terms:
+            wrong.append((u, y, w))
+    return wrong
+
+
+def test_xi_matches_chained_add(a2, b2, g2, a3):
+    for g in (a2, b2, g2, a3):
+        triples = itertools.product(range(g.order), repeat=3)
+        assert _xi_mismatches(SigmaEngine(g), triples) == [], g.cartan_type
+
+
+def test_xi_matches_chained_add_sampled_b3(b3):
+    rng = random.Random(20240811)
+    triples = [tuple(rng.randrange(b3.order) for _ in range(3)) for _ in range(5000)]
+    assert _xi_mismatches(SigmaEngine(b3), triples) == []
+
+
+def test_reach_that_drops_a_nonzero_theta_fails_the_xi_check(a3, monkeypatch):
+    """A reach(y, w) that loses one x with nonzero theta(x, y, w) makes
+    _xi(e, y, w) differ from the chained add: the check sees a reach that
+    skips too much."""
+    eng = SigmaEngine(a3)
+    y, w = 5, a3.longest_idx
+    x = next(
+        x for x in _bits(eng.theta.reach(y, w))
+        if not eng.theta.theta_idx(x, y, w).is_zero()
+    )
+    original = ThetaTable.reach
+
+    def dropping(self, yy, ww):
+        mask = original(self, yy, ww)
+        return mask & ~(1 << x) if (yy, ww) == (y, w) else mask
+
+    monkeypatch.setattr(ThetaTable, "reach", dropping)
+    triples = itertools.product(range(a3.order), repeat=3)
+    assert (a3.identity_idx, y, w) in _xi_mismatches(eng, triples)
 
 
 def _sigma_by_rational_sum(eng, u, v, w):
