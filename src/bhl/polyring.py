@@ -21,6 +21,10 @@ Representation conventions:
   numerator by one factor 1 - x^beta. The bar r table of ``rpoly`` is
   stored on packed keys and sigma accumulates on them, reading that table
   as it is; ``LaurentPoly`` keys are always tuples.
+- ``RationalFn.__eq__`` cross-multiplies and ``__add__`` brings both sides
+  to one den through ``_scale_by_factors``, the tuple-key twin of
+  ``_times_binomial``: each factor 1 - x^beta costs one copy of the terms
+  and one shifted subtraction, not a general product.
 - Exact division by 1 - x^beta (``binomial_divide`` and ``reduced()``)
   also runs on packed keys, in ``_divide_packed``: a term's coset of
   Z*beta is pinned by one digit, the top nonzero digit of beta, read with
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Optional
 
 __all__ = [
@@ -156,7 +161,7 @@ class LaurentPoly:
         t: dict = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 nc = t.get(e, 0) + c1 * c2
                 if nc:
                     t[e] = nc
@@ -528,11 +533,23 @@ class RationalFn:
 
 
 def _scale_by_factors(num: LaurentPoly, factors: Counter) -> LaurentPoly:
+    """num times 1 - x^b for every b of factors, with multiplicity, by
+    shift-and-subtract on the tuple keys: each factor adds to a copy of the
+    terms every term moved by x^b with its sign flipped, as
+    ``_times_binomial`` does on packed keys."""
+    if not factors:
+        return num
+    terms = num.terms
     for b, mult in factors.items():
-        f = binomial(num.arity, b)
+        step = (0,) + b
         for _ in range(mult):
-            num = num * f
-    return num
+            out = terms.copy()
+            get = out.get
+            for e, c in terms.items():
+                e = tuple(map(add, e, step))
+                out[e] = get(e, 0) - c
+            terms = out
+    return _new(num.arity, _normalized(terms))
 
 
 def _reduce_packed(terms: dict, den: tuple, arity: int, spans: tuple) -> tuple:

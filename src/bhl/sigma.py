@@ -22,11 +22,21 @@ The sum is built over one denominator U, the union of the denominators of
 the bar r(y, v) that meet a nonzero xi: U is the least common denominator of
 the terms, since each bar r carries distinct factors 1 - x^beta (the r fill
 raises on a repeated one). The bar r entries are read from the r table as
-stored, on packed int monomials (see ``polyring._pack``). Each term is
-multiplied by the factors of U it lacks and added into a single packed
-numerator, so a monomial product is one int addition and no intermediate
-``RationalFn`` is built. At v = v_min only y = v_min contributes and
-bar r(v_min, v_min) = 1, so sigma0 needs no division.
+stored, on packed int monomials (see ``polyring._pack``). Each bar r(y, v)
+is multiplied by the factors of U it lacks, and then every term of
+q^-len(y) xi times it is added into a single packed numerator, so a
+monomial product is one int addition and no intermediate ``RationalFn`` is
+built. The scaled bar depends on (y, v, U) alone, and the same key recurs
+across the triples of a classification (the 3 w of the classify-a3
+benchmark ask 7 240 parts of 774 keys), so classify keeps it in an engine
+memo keyed by (y, v, U) and scales each key once. Single-shot sigma (the
+verify suites) scales the same way but stores nothing: its triples share
+little, and the memo would only hold memory. U, the den and every
+numerator coefficient are what scaling each term would give; only the
+order of the additions differs. This is not clearing over
+D_v = prod over S(e, v) (a dead end, see ROADMAP): the den stays U, so at
+v = v_min only y = v_min contributes, bar r(v_min, v_min) = 1, and sigma0
+needs no division.
 
 A triple with v >= v_min(u, w) is "of GK type" when
 
@@ -98,6 +108,9 @@ class SigmaEngine:
         # many sigma of one group share monomials: each packed key is
         # unpacked once per engine
         self._unpacked = _UnpackMemo(group.rank + 1)
+        # (y, v, U) -> packed bar r(y, v) times the factors of U it lacks;
+        # filled on the classify path only, read-only once stored
+        self._scaled_bar_r: dict = {}
 
     # -- building blocks -----------------------------------------------------
 
@@ -139,13 +152,22 @@ class SigmaEngine:
 
     def sigma_idx(self, u: int, v: int, w: int, xi_cache: dict | None = None) -> RationalFn:
         """sigma(u, v, w) over den U, the union of the dens of the bar r(y, v)
-        whose xi(u, y, w) is nonzero. Each bar r(y, v) is the r table's
-        packed entry, read as stored; each term q^-len(y) xi bar r(y, v) is
-        brought to U by the factors 1 - x^beta it lacks and added into one
-        numerator on packed keys, where a monomial product is one int
-        addition. This is, term for term, what the chain of
-        ``RationalFn.__add__`` over y builds, as long as no partial sum of
-        that chain is zero (the chain would restart its den there)."""
+        whose xi(u, y, w) is nonzero. Each part q^-len(y) xi bar r(y, v) is
+        added into one numerator on packed keys, where a monomial product is
+        one int addition: bar r(y, v), read from the r table as stored, is
+        first brought to U by the factors 1 - x^beta it lacks, and every
+        term c q^k of xi adds c times that, shifted by q^(k - len(y)). The
+        scaled bar depends on (y, v, U) only, never on u or w, so an entry
+        is never stale. With a ``xi_cache`` (the classify path, whose
+        triples repeat keys) it is kept in the engine memo under that key
+        and read back by later triples; a single-shot call (the verify
+        suites) scales the same way into a dict it drops, so the memo
+        costs them no memory. Entries, like the r table's, are read only;
+        one whose bar lacks no factor is the table's own dict. This is,
+        term for term, what the chain of ``RationalFn.__add__`` over y
+        builds, as long as no partial sum of that chain is zero (the chain
+        would restart its den there): U is the same union, not a fixed
+        D_v, so at v_min nothing needs dividing out."""
         g = self.group
         bar_r = self.rtable.bar_r_packed_idx
         parts = []
@@ -158,27 +180,31 @@ class SigmaEngine:
             else:
                 xi = self._xi(u, y, w)
             if not xi.is_zero():
-                parts.append((xi, g.lengths[y]) + bar_r(y, v))
-        union = frozenset().union(*(part[2] for part in parts))
+                parts.append((y, xi, bar_r(y, v)))
+        union = frozenset().union(*(entry[0] for _, _, entry in parts))
+        scaled = self._scaled_bar_r if xi_cache is not None else {}
+        lengths = g.lengths
         acc: dict = {}
-        for xi, length, den, bar in parts:
-            term: dict = {}
-            get = term.get
+        get = acc.get
+        for y, xi, (den, bar) in parts:
+            bar_u = scaled.get((y, v, union))
+            if bar_u is None:
+                bar_u = bar
+                missing = union - den
+                if missing:
+                    for beta in missing:
+                        bar_u = _times_binomial(bar_u, beta)
+                    bar_u = {k: c for k, c in bar_u.items() if c}
+                scaled[y, v, union] = bar_u
+            shift = -lengths[y]
             for (k,), c in xi.terms.items():
-                k -= length
-                for key, b in bar.items():
+                k += shift
+                for key, b in bar_u.items():
                     key += k
-                    term[key] = get(key, 0) + c * b
-            for beta in union - den:
-                term = _times_binomial(term, beta)
-            get = acc.get
-            for key, c in term.items():
-                acc[key] = get(key, 0) + c
+                    acc[key] = get(key, 0) + c * b
         unpacked = self._unpacked
         num = {unpacked[key]: c for key, c in acc.items() if c}
-        return RationalFn(
-            LaurentPoly(g.rank, num), [unpacked[b][1:] for b in union]
-        )
+        return RationalFn(_new(g.rank, num), [unpacked[b][1:] for b in union])
 
     def sigma(self, u: Element, v: Element, w: Element) -> RationalFn:
         g = self.group
@@ -304,8 +330,10 @@ class SigmaEngine:
         rows = []
         nonzero = 0
         gk = 0
+        w_word = g.word_str(w)
         for u in range(g.order):
             vm = v_min_idx(g, u, w)
+            u_word = g.word_str(u)
             xi_cache: dict = {}
             sigma0 = None
             for v in _bits(g.up_masks[vm]):
@@ -313,18 +341,16 @@ class SigmaEngine:
                 if sig.is_zero():
                     raise RuntimeError(
                         "sigma vanished although v >= v_min; this is a bug "
-                        f"(u={g.word_str(u)}, v={g.word_str(v)}, "
-                        f"w={g.word_str(w)})"
+                        f"(u={u_word}, v={g.word_str(v)}, w={w_word})"
                     )
                 nonzero += 1
                 if v == vm:  # indices are sorted by length: v_min comes first
                     sigma0 = self._sigma0(u, w, sig)
+                    sigma0_str = str(sigma0)
                 flag = self.is_gk_idx(u, v, w, sig, sigma0)
                 if flag:
                     gk += 1
-                rows.append(
-                    (g.word_str(u), g.word_str(v), g.word_str(w), flag, str(sigma0))
-                )
+                rows.append((u_word, g.word_str(v), w_word, flag, sigma0_str))
         return nonzero, gk, rows
 
 

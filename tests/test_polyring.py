@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from bhl.polyring import (
     LaurentPoly,
     RationalFn,
     _pack,
+    _scale_by_factors,
     _unpack,
     binomial,
     binomial_divide,
@@ -157,6 +159,21 @@ def test_bar_is_ring_involution(a, b):
 @given(polys, betas)
 def test_binomial_divide_roundtrip(a, beta):
     assert binomial_divide(a * binomial(2, beta), beta) == a
+
+
+@settings(max_examples=200)
+@given(polys, st.dictionaries(betas, st.integers(1, 2), max_size=3))
+def test_scale_by_factors_matches_repeated_binomial_products(a, factors):
+    """The shift-and-subtract kernel behind RationalFn.__eq__ and __add__
+    equals one product by binomial() per factor and multiplicity, and keeps
+    no zero coefficient."""
+    want = a
+    for beta, mult in factors.items():
+        for _ in range(mult):
+            want = want * binomial(2, beta)
+    got = _scale_by_factors(a, Counter(factors))
+    assert got == want
+    assert all(got.coefficients())
 
 
 def random_rational(rng):

@@ -405,6 +405,93 @@ def test_packed_sigma_matches_rational_sum_term_for_term(
         assert (got.num.terms, got.den) == (want.num.terms, want.den), (u, v, w)
 
 
+def _classify_path_mismatches(eng, pairs, vs):
+    """The (u, v, w) whose sigma on the classify path differs from the
+    RationalFn chain term for term: one xi cache per (u, w), as
+    classify_for_w shares it, and the engine's scaled bar r memo kept
+    across all pairs, so later pairs read entries that earlier ones made."""
+    wrong = []
+    for u, w in pairs:
+        xi_cache: dict = {}
+        for v in vs:
+            got = eng.sigma_idx(u, v, w, xi_cache)
+            want = _sigma_by_rational_sum(eng, u, v, w)
+            if (got.num.terms, got.den) != (want.num.terms, want.den):
+                wrong.append((u, v, w))
+    return wrong
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "G2"])
+def test_classify_path_sigma_matches_rational_sum_every_triple(cartan_type, request):
+    g = request.getfixturevalue(cartan_type.lower())
+    ws = list(range(g.order))
+    random.Random(7).shuffle(ws)
+    pairs = [(u, w) for w in ws for u in range(g.order)]
+    assert _classify_path_mismatches(SigmaEngine(g), pairs, range(g.order)) == []
+
+
+def test_classify_path_sigma_matches_rational_sum_sampled_a3_b3(a3, b3):
+    rng = random.Random(8)
+    for g, n_pairs in ((a3, 12), (b3, 5)):
+        pairs = [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(n_pairs)]
+        eng = SigmaEngine(g)
+        assert _classify_path_mismatches(eng, pairs, range(g.order)) == []
+        assert eng._scaled_bar_r, g.cartan_type
+
+
+def test_corrupted_scaled_bar_fails_the_term_for_term_check(a3):
+    """One memo entry with a flipped coefficient makes the classify-path
+    sigma that reads it differ from the RationalFn chain."""
+    eng = SigmaEngine(a3)
+    e, w0 = a3.identity_idx, a3.longest_idx
+    assert _classify_path_mismatches(eng, [(e, w0)], [w0]) == []
+    bar_r = eng.rtable.bar_r_packed_idx
+    key = next(
+        k for k, val in eng._scaled_bar_r.items() if val is not bar_r(k[0], k[1])[1]
+    )
+    bad = dict(eng._scaled_bar_r[key])  # a new dict: the r table stays intact
+    first = min(bad)
+    bad[first] = -bad[first]
+    eng._scaled_bar_r[key] = bad
+    assert _classify_path_mismatches(eng, [(e, w0)], [w0]) == [(e, w0, w0)]
+
+
+@pytest.mark.parametrize("cartan_type, entries", [("G2", 148), ("A3", 774)])
+def test_scaled_bar_memo_size_after_classifying_every_w(cartan_type, entries, request):
+    """The memo keeps one scaled bar r(y, v) per distinct (y, v, U): 774
+    for all 24 w of A3, which ask 7 240 (y, v) parts for the 3 w of the
+    benchmark alone. Single-shot sigma stores nothing."""
+    g = request.getfixturevalue(cartan_type.lower())
+    engine = SigmaEngine(g)
+    rng = random.Random(9)
+    for _ in range(300):
+        engine.sigma_idx(*(rng.randrange(g.order) for _ in range(3)))
+    assert engine._scaled_bar_r == {}
+    for w in range(g.order):
+        engine.classify_for_w(w)
+    assert len(engine._scaled_bar_r) == entries
+
+
+def test_classify_round_scales_each_bar_once_per_key(a3, monkeypatch):
+    """The 3 w of the classify-a3 benchmark make 1 029 binomial steps inside
+    sigma, one per factor of a memo entry built; scaling every part of
+    every triple took 12 848."""
+    steps = 0
+    original = sigma._times_binomial
+
+    def counting(num, b):
+        nonlocal steps
+        steps += 1
+        return original(num, b)
+
+    engine = SigmaEngine(a3)
+    engine.prefill_shared_tables()
+    monkeypatch.setattr(sigma, "_times_binomial", counting)
+    for word in ("e", "32", "2132"):
+        engine.classify_for_w(a3.parse_word_idx(word))
+    assert steps == 1029
+
+
 def test_group_mismatch_rejected(a2, b2, engine_a2, engine_b2):
     with pytest.raises(GroupMismatchError):
         engine_a2.sigma(a2.identity(), a2.identity(), b2.identity())
