@@ -27,16 +27,16 @@ is multiplied by the factors of U it lacks, and then every term of
 q^-len(y) xi times it is added into a single packed numerator, so a
 monomial product is one int addition and no intermediate ``RationalFn`` is
 built. The scaled bar depends on (y, v, U) alone, and the same key recurs
-across the triples of a classification (the 3 w of the classify-a3
-benchmark ask 7 240 parts of 774 keys), so classify keeps it in an engine
-memo keyed by (y, v, U) and scales each key once. Single-shot sigma (the
-verify suites) scales the same way but stores nothing: its triples share
-little, and the memo would only hold memory. U, the den and every
-numerator coefficient are what scaling each term would give; only the
-order of the additions differs. This is not clearing over
-D_v = prod over S(e, v) (a dead end, see ROADMAP): the den stays U, so at
-v = v_min only y = v_min contributes, bar r(v_min, v_min) = 1, and sigma0
-needs no division.
+across triples (the 3 w of the classify-a3 benchmark ask 7 240 parts of
+774 keys; one verify-b3 round 3 605 parts of 978), so the engine keeps it
+in a memo keyed by (y, v, U) and scales each key once. A bar whose den is
+all of U is read from the r table and not stored; a stored one is a tuple
+of (key, coeff) pairs, each distinct pair one shared object, since the
+entries repeat few pairs. U, the den and every numerator coefficient are
+what scaling each term would give; only the order of the additions
+differs. This is not clearing over D_v = prod over S(e, v) (a dead end,
+see ROADMAP): the den stays U, so at v = v_min only y = v_min contributes,
+bar r(v_min, v_min) = 1, and sigma0 needs no division.
 
 A triple with v >= v_min(u, w) is "of GK type" when
 
@@ -108,9 +108,12 @@ class SigmaEngine:
         # many sigma of one group share monomials: each packed key is
         # unpacked once per engine
         self._unpacked = _UnpackMemo(group.rank + 1)
-        # (y, v, U) -> packed bar r(y, v) times the factors of U it lacks;
-        # filled on the classify path only, read-only once stored
+        # (y, v, U) -> the terms of packed bar r(y, v) times the factors of
+        # U it lacks, for the bars that lack one: a tuple of (key, coeff)
+        # pairs, each pair one shared object (one w of A4 stores 507 416
+        # terms and 14 487 distinct pairs); read-only once stored
         self._scaled_bar_r: dict = {}
+        self._bar_terms: dict = {}  # (key, coeff) -> the one shared pair
 
     # -- building blocks -----------------------------------------------------
 
@@ -158,16 +161,15 @@ class SigmaEngine:
         first brought to U by the factors 1 - x^beta it lacks, and every
         term c q^k of xi adds c times that, shifted by q^(k - len(y)). The
         scaled bar depends on (y, v, U) only, never on u or w, so an entry
-        is never stale. With a ``xi_cache`` (the classify path, whose
-        triples repeat keys) it is kept in the engine memo under that key
-        and read back by later triples; a single-shot call (the verify
-        suites) scales the same way into a dict it drops, so the memo
-        costs them no memory. Entries, like the r table's, are read only;
-        one whose bar lacks no factor is the table's own dict. This is,
-        term for term, what the chain of ``RationalFn.__add__`` over y
-        builds, as long as no partial sum of that chain is zero (the chain
-        would restart its den there): U is the same union, not a fixed
-        D_v, so at v_min nothing needs dividing out."""
+        is never stale: every call keeps it in the engine memo under that
+        key, and later triples read it back. A bar that lacks no factor is
+        the r table's own dict and is not stored. Entries, like the r
+        table's, are read only. ``xi_cache`` (y -> xi) shares xi across
+        the v of one (u, w), as classify does. This is, term for term,
+        what the chain of ``RationalFn.__add__`` over y builds, as long as
+        no partial sum of that chain is zero (the chain would restart its
+        den there): U is the same union, not a fixed D_v, so at v_min
+        nothing needs dividing out."""
         g = self.group
         bar_r = self.rtable.bar_r_packed_idx
         parts = []
@@ -182,24 +184,27 @@ class SigmaEngine:
             if not xi.is_zero():
                 parts.append((y, xi, bar_r(y, v)))
         union = frozenset().union(*(entry[0] for _, _, entry in parts))
-        scaled = self._scaled_bar_r if xi_cache is not None else {}
+        scaled = self._scaled_bar_r
         lengths = g.lengths
         acc: dict = {}
         get = acc.get
         for y, xi, (den, bar) in parts:
-            bar_u = scaled.get((y, v, union))
-            if bar_u is None:
-                bar_u = bar
-                missing = union - den
-                if missing:
-                    for beta in missing:
-                        bar_u = _times_binomial(bar_u, beta)
-                    bar_u = {k: c for k, c in bar_u.items() if c}
-                scaled[y, v, union] = bar_u
+            if len(den) < len(union):  # den, a subset of U, lacks a factor
+                memo_key = y, v, union
+                terms = scaled.get(memo_key)
+                if terms is None:
+                    for beta in union - den:
+                        bar = _times_binomial(bar, beta)
+                    intern = self._bar_terms.setdefault
+                    terms = scaled[memo_key] = tuple(
+                        intern(term, term) for term in bar.items() if term[1]
+                    )
+            else:
+                terms = bar.items()
             shift = -lengths[y]
             for (k,), c in xi.terms.items():
                 k += shift
-                for key, b in bar_u.items():
+                for key, b in terms:
                     key += k
                     acc[key] = get(key, 0) + c * b
         unpacked = self._unpacked

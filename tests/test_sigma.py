@@ -445,31 +445,48 @@ def test_corrupted_scaled_bar_fails_the_term_for_term_check(a3):
     eng = SigmaEngine(a3)
     e, w0 = a3.identity_idx, a3.longest_idx
     assert _classify_path_mismatches(eng, [(e, w0)], [w0]) == []
-    bar_r = eng.rtable.bar_r_packed_idx
-    key = next(
-        k for k, val in eng._scaled_bar_r.items() if val is not bar_r(k[0], k[1])[1]
-    )
-    bad = dict(eng._scaled_bar_r[key])  # a new dict: the r table stays intact
-    first = min(bad)
-    bad[first] = -bad[first]
-    eng._scaled_bar_r[key] = bad
+    key = next(iter(eng._scaled_bar_r))
+    bad = list(eng._scaled_bar_r[key])
+    k, c = bad[0]
+    bad[0] = (k, -c)
+    eng._scaled_bar_r[key] = tuple(bad)
     assert _classify_path_mismatches(eng, [(e, w0)], [w0]) == [(e, w0, w0)]
 
 
-@pytest.mark.parametrize("cartan_type, entries", [("G2", 148), ("A3", 774)])
-def test_scaled_bar_memo_size_after_classifying_every_w(cartan_type, entries, request):
-    """The memo keeps one scaled bar r(y, v) per distinct (y, v, U): 774
-    for all 24 w of A3, which ask 7 240 (y, v) parts for the 3 w of the
-    benchmark alone. Single-shot sigma stores nothing."""
+def test_single_shot_sigma_reads_the_memo_that_classify_filled(a3):
+    """The memo is shared by every sigma of an engine: single-shot sigma
+    after a classification builds no entry, and matches the chain."""
+    eng = SigmaEngine(a3)
+    for w in range(a3.order):
+        eng.classify_for_w(w)
+    entries = dict(eng._scaled_bar_r)
+    rng = random.Random(10)
+    for _ in range(300):
+        u, v, w = (rng.randrange(a3.order) for _ in range(3))
+        got = eng.sigma_idx(u, v, w)
+        want = _sigma_by_rational_sum(eng, u, v, w)
+        assert (got.num.terms, got.den) == (want.num.terms, want.den), (u, v, w)
+    assert eng._scaled_bar_r == entries
+
+
+@pytest.mark.parametrize(
+    "cartan_type, entries, pairs", [("G2", 75, 182), ("A3", 561, 446)]
+)
+def test_scaled_bar_memo_size_after_classifying_every_w(
+    cartan_type, entries, pairs, request
+):
+    """The memo keeps one scaled bar r(y, v) per distinct (y, v, U) whose
+    bar lacks a factor of U: 561 for all 24 w of A3, whose 3 benchmark w
+    alone ask 7 240 (y, v) parts; a bar that lacks none is read from the
+    r table and not stored. Its terms share one object per distinct
+    (key, coeff) pair: 446 for the 5 539 terms of A3."""
     g = request.getfixturevalue(cartan_type.lower())
     engine = SigmaEngine(g)
-    rng = random.Random(9)
-    for _ in range(300):
-        engine.sigma_idx(*(rng.randrange(g.order) for _ in range(3)))
-    assert engine._scaled_bar_r == {}
     for w in range(g.order):
         engine.classify_for_w(w)
-    assert len(engine._scaled_bar_r) == entries
+    memo = engine._scaled_bar_r
+    assert len(memo) == entries
+    assert len({id(t) for terms in memo.values() for t in terms}) == pairs
 
 
 def test_classify_round_scales_each_bar_once_per_key(a3, monkeypatch):
