@@ -18,9 +18,25 @@ Representation conventions:
 - ``_pack`` and ``_unpack`` turn an exponent tuple into one int of signed
   base-2^20 digits (q-degree lowest) and back, so that multiplying
   monomials is one int addition; ``_times_binomial`` multiplies a packed
-  numerator by one factor 1 - x^beta. The bar r table of ``rpoly`` is
-  stored on packed keys and sigma accumulates on them, reading that table
-  as it is; ``LaurentPoly`` keys are always tuples.
+  numerator by one factor 1 - x^beta. ``LaurentPoly`` keys are always
+  tuples.
+- A q-column packs the q-polynomial that multiplies one x-monomial into
+  one int: ``_encode_q`` substitutes q -> 2^K (Kronecker substitution,
+  K = ``_Q_BITS``) after shifting the lowest allowed q-degree to slot 0,
+  and ``_decode_q`` reads the slots back as balanced signed K-bit digits.
+  The substitution is a ring homomorphism Z[q] -> Z, so sums, products
+  with other columns and shifts by whole slots (``col >> K`` is q^-1 when
+  slot 0 is empty) are exact on the ints. Only reading a column back needs
+  a bound: every coefficient c must have |c| < 2^(K - 1), and then a
+  column is 0 exactly when its polynomial is. The callers guarantee it by
+  an L1 bound (the sum of |c|, which bounds every coefficient and every
+  partial sum), carried along and checked against ``_Q_BOUND`` at run
+  time; ``rpoly`` states the bound of the r fill and ``sigma`` that of
+  sigma. The bar r table of ``rpoly`` stores each numerator as a dict from
+  packed x-keys (q-digit 0) to columns, and sigma accumulates on them,
+  reading that table as it is. ``_times_binomial`` and ``_divide_packed``
+  run unchanged on such a dict: they only add, subtract and zero-test
+  coefficients, which columns do exactly.
 - ``RationalFn.__eq__`` cross-multiplies and ``__add__`` brings both sides
   to one den through ``_scale_by_factors``, the tuple-key twin of
   ``_times_binomial``: each factor 1 - x^beta costs one copy of the terms
@@ -93,9 +109,54 @@ def _unpack(key: int, n: int) -> tuple:
     return tuple(out)
 
 
+# The format of q-columns (module docstring). K is a constant: the L1 bounds
+# that rpoly and sigma check at run time stay far below 2^(K - 1) on every
+# group measured (the largest, 44 bits, is the reduction of D4's bar r).
+_Q_BITS = 64  # K, the width of one q-slot of a column
+_Q_BOUND = 1 << (_Q_BITS - 1)  # every slot c must have |c| < 2^(K - 1)
+_Q_MASK = (1 << _Q_BITS) - 1
+
+
+def _encode_q(coeffs: Iterable, low: int) -> int:
+    """The q-polynomial sum c q^d over the (d, c) of coeffs as one column,
+    sum c * 2^(K (d - low)); every d must be >= low and every |c| below
+    2^(K - 1), or ValueError is raised."""
+    col = 0
+    for d, c in coeffs:
+        if d < low or not -_Q_BOUND < c < _Q_BOUND:
+            raise ValueError(
+                f"q^{d} with coefficient {c} does not fit a column from q^{low} "
+                f"with {_Q_BITS}-bit slots"
+            )
+        col += c << (_Q_BITS * (d - low))
+    return col
+
+
+def _decode_q(col: int, low: int) -> list:
+    """The (d, c) with c != 0 of the column col, lowest d first (the inverse
+    of ``_encode_q``). The empty slots below the lowest occupied one are
+    skipped at once, since the lowest set bit of col lies in that slot; the
+    rest are read as balanced digits one slot at a time."""
+    out = []
+    if col:
+        skip = ((col & -col).bit_length() - 1) // _Q_BITS
+        col >>= _Q_BITS * skip
+        low += skip
+    while col:
+        c = col & _Q_MASK
+        if c >= _Q_BOUND:
+            c -= _Q_MASK + 1
+        if c:
+            out.append((low, c))
+            col -= c
+        col >>= _Q_BITS
+        low += 1
+    return out
+
+
 def _times_binomial(num: dict, b: int) -> dict:
     """num * (1 - X^b) on packed keys, X^b the monomial packed as b; may
-    leave zero coefficients."""
+    leave zero coefficients. The coefficients may be ints or q-columns."""
     out = num.copy()
     get = out.get
     for k, c in num.items():

@@ -18,24 +18,50 @@ what sigma reads, by the conjugated recursion
     bar r(u, v) = (1 - q^-1) x^beta/(1 - x^beta) * bar r(u, sv)
                   + q^-1 bar r(su, sv)                              if su > u,
 
-on packed integer exponents (``polyring._pack``): an entry is a frozenset of
-packed (0, beta) den keys and a dict from packed monomial keys to nonzero
-coefficients. x^beta is ``key + pack(beta)``, q^-1 is ``key - 1``, and
-multiplying by 1 - x^b subtracts a copy shifted by b. The two summands are
-brought to the union of their dens, each multiplied by the factors it lacks;
-a step that would repeat a factor raises ``RuntimeError``, so every den has
-distinct factors and the union is a set union. This builds, term for term,
-the numerator and den that ``RationalFn`` arithmetic builds for the same
-recursion; values are unpacked on each read.
+on packed integer exponents (``polyring._pack``) with q-columns
+(``polyring._encode_q``): an entry is a frozenset of packed (0, beta) den
+keys, a dict from packed x-keys (q-digit 0) to nonzero columns, and an L1
+bound. A column holds the q-polynomial of one x-monomial, q^d in slot
+d + len(w0); the degree bound below keeps every d in [-len(w0), 0]. x^beta
+is ``key + pack(beta)``, q^-1 is ``col >> K`` and 1 - q^-1 is
+``col - (col >> K)``; each shift first checks that slot 0 is empty, since
+a q-degree below -len(w0) would leave the column, and raises
+``RuntimeError`` if not. Multiplying by 1 - x^b subtracts a copy shifted by
+b (``_times_binomial``). The two summands are brought to the union of
+their dens, each multiplied by the factors it lacks; a step that would
+repeat a factor raises ``RuntimeError``, so every den has distinct factors
+and the union is a set union. This builds, term for term, the numerator
+and den that ``RationalFn`` arithmetic builds for the same recursion;
+values are decoded on each read, and ``reduced_den_idx`` divides the
+columns as they are stored.
 
 Adding keys multiplies monomials only while every digit stays inside the
 packed bound, so a table refuses (``ValueError``) a group whose fill could
-reach it. Every key the fill forms has q-degree in [-len(w0), 0], since each
-step lowers it by at most one, and x_j-degree in [0, 2 * sum over positive
-roots alpha of alpha_j]: by induction on len(v), the numerator of bar r(u, v)
-has x_j-degree at most the sum of the pivot roots of the recursion below v
-plus the sum of its den factors, and each of these is a set of distinct
-positive roots.
+reach it. Every monomial the fill forms has q-degree in [-len(w0), 0],
+since each step lowers it by at most one, and x_j-degree in
+[0, 2 * sum over positive roots alpha of alpha_j]: by induction on len(v),
+the numerator of bar r(u, v) has x_j-degree at most the sum of the pivot
+roots of the recursion below v plus the sum of its den factors, and each of
+these is a set of distinct positive roots (``_max_packed_digit``). The
+same holds for the x-keys sigma accumulates on: a bar r(y, v) brought to a
+den U by the factors of U it lacks has x_j-degree at most the sum of the
+pivot roots below v plus the sum of U, two sets of distinct positive roots
+again, and the q-degrees of sigma live inside its columns, not its keys.
+
+A column reads back only while every coefficient c has |c| < 2^(K - 1)
+(``polyring._Q_BOUND``). The fill carries an L1 bound B(u, v) >= the sum of
+the |c| of bar r(u, v): B = 1 at u = v, 0 where u is not <= v, and, for a
+step that multiplies the head by the a factors of the tail's den that it
+lacks and the tail by the b factors it lacks,
+
+    B(u, v) = 2 * 2^a * B(u, sv) + 2^b * B(su, sv),
+
+since 1 - q^-1 and each 1 - x^beta at most double the L1 norm and a shift
+keeps it. The step raises ``ValueError`` when B reaches 2^(K - 1), before
+any column is tested for zero. B stays small: its largest value has 9 bits
+on A3, 14 on B3 and C3, 16 on A4 and 19 on D4, against K - 1 = 63. The
+reduction of ``reduced_den_idx`` and the sum of ``sigma`` carry the bound
+on (see there); on D4 the reduction's bound reaches 44 bits.
 
 The recursion always pivots on the smallest-index left descent of v;
 independence of the pivot is a tested property, not an assumption. The
@@ -56,34 +82,36 @@ from .coxeter import CoxeterGroup, Element
 from .polyring import (
     LaurentPoly,
     RationalFn,
+    _decode_q,
+    _new,
     _pack,
     _reduce_packed,
     _times_binomial,
     _unpack,
-    _unpacked,
 )
 
 __all__ = ["RPolyTable", "s_set", "s_set3", "s_set_idx"]
 
 _Q_MINUS_1 = LaurentPoly(0, {(1,): 1, (0,): -1})
 
-# shared packed entries; no entry is mutated once stored
-_ZERO = (frozenset(), {})
-_ONE = (frozenset(), {0: 1})
+# shared entry of every u not <= v; no entry is mutated once stored
+_ZERO = (frozenset(), {}, 0)
 
 
 def _max_packed_digit(group: CoxeterGroup) -> int:
-    """A bound on |d| for every digit d of every key the r fill of group
-    forms: len(w0) for the q-degree, twice the largest coordinate sum of
-    the positive roots for the x-degrees (see the module docstring)."""
+    """A bound on |d| for every digit d of every monomial the r fill of
+    group forms: len(w0) for the q-degree, twice the largest coordinate sum
+    of the positive roots for the x-degrees (see the module docstring). The
+    coefficients have their own bound, the L1 bound B of the fill."""
     x_bound = max((sum(col) for col in zip(*group.positive_roots)), default=0)
     return max(max(group.lengths), 2 * x_bound)
 
 
 class RPolyTable:
-    """Memoized bar r(u, v) on packed keys, and classical R(u, v), over one
-    group. ``max_digit`` bounds every digit the fill forms; construction
-    raises ``ValueError`` when it could reach the packed digit bound."""
+    """Memoized bar r(u, v) on packed x-keys and q-columns, and classical
+    R(u, v), over one group. ``max_digit`` bounds every digit the fill
+    forms; construction raises ``ValueError`` when it could reach the packed
+    digit bound."""
 
     def __init__(self, group: CoxeterGroup):
         self.group = group
@@ -94,6 +122,11 @@ class RPolyTable:
                 f"{self.max_digit}, outside the packed digit range "
                 f"(|d| < {polyring._DIGIT_BOUND})"
             )
+        # columns hold q^d in slot d - low, d in [low, 0]
+        self.low = -max(group.lengths)
+        self._q_bits = polyring._Q_BITS
+        self._l1_limit = polyring._Q_BOUND
+        self._one = (frozenset(), {0: 1 << (self._q_bits * -self.low)}, 1)
         self._bar_r: dict = {}
         self._classical: dict = {}
 
@@ -107,33 +140,59 @@ class RPolyTable:
         assert all(c >= 0 for c in beta)
         return _pack((0,) + beta)
 
+    def _below_low(self, u: int, v: int) -> RuntimeError:
+        g = self.group
+        return RuntimeError(
+            f"r recursion would take a q-degree below {self.low}; this is a "
+            f"bug (u={g.word_str(u)}, v={g.word_str(v)})"
+        )
+
     def _step(self, u: int, v: int, i: int) -> tuple:
         """One step of the conjugated recursion, pivoting on the left
-        descent i of v; returns the packed entry of bar r(u, v)."""
+        descent i of v; returns the entry of bar r(u, v). Every column
+        shifted down one q-slot must have slot 0 empty."""
         g = self.group
         sv = g.lmult[v][i]
         su = g.lmult[u][i]
         beta = self._pivot_root(v, i)
-        den_a, num_a = self.bar_r_packed_idx(u, sv)
-        den_b, num_b = self.bar_r_packed_idx(su, sv)
+        den_a, num_a, l1_a = self.bar_r_packed_idx(u, sv)
+        den_b, num_b, l1_b = self.bar_r_packed_idx(su, sv)
+        bits = self._q_bits
+        mask = (1 << bits) - 1
         x_shift = 0
         if g.lengths[su] > g.lengths[u]:  # the head gains x^beta, the tail q^-1
             x_shift = beta
-            num_b = {k - 1: c for k, c in num_b.items()}
+            tail = {}
+            for k, col in num_b.items():
+                if col & mask:
+                    raise self._below_low(u, v)
+                tail[k] = col >> bits
+            num_b = tail
         if not num_a:
-            return den_b, num_b
+            return den_b, num_b, l1_b
         if beta in den_a:
             raise RuntimeError(
                 "r recursion would repeat a denominator factor; this is a bug "
                 f"(u={g.word_str(u)}, v={g.word_str(v)})"
             )
         den_a = den_a | {beta}
-        # (1 - q^-1) x^shift * num_a
-        head = {k + x_shift: c for k, c in num_a.items()}
-        head = _times_binomial(head, -1)
-        for b in den_b - den_a:
+        head = {}  # (1 - q^-1) x^shift * num_a
+        for k, col in num_a.items():
+            if col & mask:
+                raise self._below_low(u, v)
+            head[k + x_shift] = col - (col >> bits)
+        head_lacks = den_b - den_a
+        tail_lacks = den_a - den_b
+        l1 = (l1_a << (len(head_lacks) + 1)) + (l1_b << len(tail_lacks))
+        if l1 >= self._l1_limit:
+            raise ValueError(
+                f"bar r(u={g.word_str(u)}, v={g.word_str(v)}) of "
+                f"{g.cartan_type} has L1 bound {l1}, past the "
+                f"{self._q_bits}-bit q-slots (|c| < 2^{self._q_bits - 1})"
+            )
+        for b in head_lacks:
             head = _times_binomial(head, b)
-        for b in den_a - den_b:
+        for b in tail_lacks:
             num_b = _times_binomial(num_b, b)
         get = head.get
         for k, c in num_b.items():
@@ -141,17 +200,18 @@ class RPolyTable:
         num = {k: c for k, c in head.items() if c}
         if not num:
             return _ZERO
-        return den_a | den_b, num
+        return den_a | den_b, num, l1
 
     def bar_r_packed_idx(self, u: int, v: int) -> tuple:
         """bar r(u, v) as stored: (frozenset of packed (0, beta) den keys,
-        dict packed key -> coefficient). Shared with the table: read only."""
+        dict packed x-key -> q-column from q^low, L1 bound of the
+        numerator). Shared with the table: read only."""
         key = (u, v)
         val = self._bar_r.get(key)
         if val is None:
             g = self.group
             if u == v:
-                val = _ONE
+                val = self._one
             elif not g.leq_idx(u, v):
                 val = _ZERO
             else:
@@ -161,23 +221,45 @@ class RPolyTable:
         return val
 
     def _rational(self, entry: tuple) -> RationalFn:
-        """A packed entry as the RationalFn it stands for."""
-        den, num = entry
-        n = self.group.rank
-        return RationalFn(_unpacked(n, num), [_unpack(b, n + 1)[1:] for b in den])
+        """An entry as the RationalFn it stands for."""
+        den, cols, _ = entry
+        n = self.group.rank + 1
+        num = {
+            _unpack(k + d, n): c
+            for k, col in cols.items()
+            for d, c in _decode_q(col, self.low)
+        }
+        return RationalFn(_new(n - 1, num), [_unpack(b, n)[1:] for b in den])
 
     def bar_r_idx(self, u: int, v: int) -> RationalFn:
         return self._rational(self.bar_r_packed_idx(u, v))
 
     def reduced_den_idx(self, u: int, v: int) -> tuple:
-        """The den of ``bar_r_idx(u, v).reduced()``, reduced on the packed
-        entry's own keys by ``polyring._reduce_packed`` with no unpack of
-        the numerator. ``max_digit`` bounds every degree of the entry, so it
-        stands in for the entry's spans in the carry check."""
-        den, num = self.bar_r_packed_idx(u, v)
+        """The den of ``bar_r_idx(u, v).reduced()``, reduced on the stored
+        columns by ``polyring._reduce_packed`` with no decode of the
+        numerator. ``max_digit`` bounds every degree of the entry, so it
+        stands in for the entry's spans in the carry check.
+
+        Each division tests coset sums and prefix sums for zero, which is
+        exact while the L1 norm of the numerator it divides is below
+        2^(K - 1). The entry's own is at most its bound B, and an exact
+        quotient has at most M = ``max_digit`` terms per coset, each a
+        prefix sum of the coset it came from, so each one multiplies the L1
+        norm by at most M. After s exact divisions every numerator divided
+        had L1 norm at most B * M^s; if that is not below 2^(K - 1), a zero
+        test may have misread and ``ValueError`` is raised."""
+        den, cols, l1 = self.bar_r_packed_idx(u, v)
         n = self.group.rank
         den = tuple(sorted(_unpack(b, n + 1)[1:] for b in den))
-        return _reduce_packed(num, den, n, (self.max_digit,) * (n + 1))[1]
+        kept = _reduce_packed(cols, den, n, (self.max_digit,) * (n + 1))[1]
+        if l1 * self.max_digit ** (len(den) - len(kept)) >= self._l1_limit:
+            g = self.group
+            raise ValueError(
+                f"cannot reduce bar r(u={g.word_str(u)}, v={g.word_str(v)}) "
+                f"of {g.cartan_type} on {self._q_bits}-bit q-slots: its "
+                "quotients may pass them"
+            )
+        return kept
 
     def r_idx(self, u: int, v: int) -> RationalFn:
         return self.bar_r_idx(u, v).bar_q()

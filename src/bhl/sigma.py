@@ -22,16 +22,25 @@ The sum is built over one denominator U, the union of the denominators of
 the bar r(y, v) that meet a nonzero xi: U is the least common denominator of
 the terms, since each bar r carries distinct factors 1 - x^beta (the r fill
 raises on a repeated one). The bar r entries are read from the r table as
-stored, on packed int monomials (see ``polyring._pack``). Each bar r(y, v)
-is multiplied by the factors of U it lacks, and then every term of
-q^-len(y) xi times it is added into a single packed numerator, so a
-monomial product is one int addition and no intermediate ``RationalFn`` is
-built. The scaled bar depends on (y, v, U) alone, and the same key recurs
-across triples (the 3 w of the classify-a3 benchmark ask 7 240 parts of
-774 keys; one verify-b3 round 3 605 parts of 978), so the engine keeps it
-in a memo keyed by (y, v, U) and scales each key once. A bar whose den is
-all of U is read from the r table and not stored; a stored one is a tuple
-of (key, coeff) pairs, each distinct pair one shared object, since the
+stored: packed x-keys (see ``polyring._pack``) whose values are q-columns,
+the q-polynomial of each x-monomial as one int (see ``polyring._encode_q``).
+Each bar r(y, v) is multiplied by the factors of U it lacks, and then each
+of its columns is multiplied by the column of q^-len(y) xi, one int
+product, and added under its x-key; no intermediate ``RationalFn`` is
+built, and the columns are decoded once, at the end. Since the
+substitution q -> 2^K is a ring homomorphism, that product is exact, and
+the decode reads it back while every coefficient of sigma stays below
+2^(K - 1) in magnitude, which ``sigma_idx`` checks by an L1 bound before
+decoding (at most 24 bits on the classify runs of A3, B3 and A4 measured,
+against K - 1 = 63). The keys need no check: the x-keys of a scaled bar
+stay inside the r table's ``max_digit``, as the ``rpoly`` docstring shows.
+
+The scaled bar depends on (y, v, U) alone, and the same key recurs across
+triples (the 3 w of the classify-a3 benchmark ask 7 240 parts of 774 keys;
+one verify-b3 round 3 605 parts of 978), so the engine keeps it in a memo
+keyed by (y, v, U) and scales each key once. A bar whose den is all of U
+is read from the r table and not stored; a stored one is a tuple of
+(x-key, column) pairs, each distinct pair one shared object, since the
 entries repeat few pairs. U, the den and every numerator coefficient are
 what scaling each term would give; only the order of the additions
 differs. This is not clearing over D_v = prod over S(e, v) (a dead end,
@@ -62,7 +71,15 @@ from dataclasses import dataclass, field
 from .coxeter import CoxeterGroup, Element, _bits
 from .demazure import v_min_idx
 from .hecke import ThetaTable
-from .polyring import LaurentPoly, RationalFn, _new, _times_binomial, _unpack
+from .polyring import (
+    LaurentPoly,
+    RationalFn,
+    _decode_q,
+    _encode_q,
+    _new,
+    _times_binomial,
+    _unpack,
+)
 from .rpoly import RPolyTable, s_set_idx
 
 __all__ = [
@@ -108,12 +125,12 @@ class SigmaEngine:
         # many sigma of one group share monomials: each packed key is
         # unpacked once per engine
         self._unpacked = _UnpackMemo(group.rank + 1)
-        # (y, v, U) -> the terms of packed bar r(y, v) times the factors of
-        # U it lacks, for the bars that lack one: a tuple of (key, coeff)
-        # pairs, each pair one shared object (one w of A4 stores 507 416
-        # terms and 14 487 distinct pairs); read-only once stored
+        # (y, v, U) -> bar r(y, v) times the factors of U it lacks, for the
+        # bars that lack one: a tuple of (x-key, q-column) pairs, each pair
+        # one shared object (one w of A4 stores 161 090 pairs, 8 799 of
+        # them distinct); read-only once stored
         self._scaled_bar_r: dict = {}
-        self._bar_terms: dict = {}  # (key, coeff) -> the one shared pair
+        self._bar_terms: dict = {}  # (x-key, column) -> the one shared pair
 
     # -- building blocks -----------------------------------------------------
 
@@ -137,39 +154,51 @@ class SigmaEngine:
 
     # -- sigma ---------------------------------------------------------------
 
-    def _xi(self, u: int, y: int, w: int) -> LaurentPoly:
-        """Sum of theta(x, y, w) over x >= u; a q-polynomial. Only the x in
+    def _xi(self, u: int, y: int, w: int) -> tuple:
+        """q^-len(y) times xi(u, y, w), the sum of theta(x, y, w) over
+        x >= u, as (q-column from q^low, L1 norm); (0, 0) when it is zero.
+        low = -len(w0) is the r table's: theta has no negative q-degree, so
+        neither has xi, and len(y) <= len(w0). Only the x in
         ``ThetaTable.reach(y, w)`` are asked: theta is an empty sum for the
         others. The theta terms are added into one dict keyed by q-degree,
-        and one LaurentPoly is built from its nonzero entries at the end."""
+        which is encoded at the end."""
         mask = self.group.up_masks[u] & self.theta.reach(y, w)
         if not mask:
-            return _new(0, {})
+            return 0, 0
         theta = self.theta.theta_idx
         acc: dict = {}
         get = acc.get
         for x in _bits(mask):
             for (k,), c in theta(x, y, w).terms.items():
                 acc[k] = get(k, 0) + c
-        return _new(0, {(k,): c for k, c in acc.items() if c})
+        # q^k of xi is q^(k - len(y)) of the column from q^low
+        col = _encode_q(acc.items(), self.rtable.low + self.group.lengths[y])
+        return col, sum(map(abs, acc.values()))
 
     def sigma_idx(self, u: int, v: int, w: int, xi_cache: dict | None = None) -> RationalFn:
         """sigma(u, v, w) over den U, the union of the dens of the bar r(y, v)
         whose xi(u, y, w) is nonzero. Each part q^-len(y) xi bar r(y, v) is
-        added into one numerator on packed keys, where a monomial product is
-        one int addition: bar r(y, v), read from the r table as stored, is
-        first brought to U by the factors 1 - x^beta it lacks, and every
-        term c q^k of xi adds c times that, shifted by q^(k - len(y)). The
-        scaled bar depends on (y, v, U) only, never on u or w, so an entry
-        is never stale: every call keeps it in the engine memo under that
-        key, and later triples read it back. A bar that lacks no factor is
-        the r table's own dict and is not stored. Entries, like the r
-        table's, are read only. ``xi_cache`` (y -> xi) shares xi across
-        the v of one (u, w), as classify does. This is, term for term,
-        what the chain of ``RationalFn.__add__`` over y builds, as long as
-        no partial sum of that chain is zero (the chain would restart its
-        den there): U is the same union, not a fixed D_v, so at v_min
-        nothing needs dividing out."""
+        added into one numerator of q-columns on packed x-keys: bar r(y, v),
+        read from the r table as stored, is first brought to U by the
+        factors 1 - x^beta it lacks, and then each of its columns times the
+        column of q^-len(y) xi, one int product, is added under its x-key.
+        The scaled bar depends on (y, v, U) only, never on u or w, so an
+        entry is never stale: every call keeps it in the engine memo under
+        that key, and later triples read it back. A bar that lacks no
+        factor is the r table's own dict and is not stored. Entries, like
+        the r table's, are read only. ``xi_cache`` (y -> the column of
+        q^-len(y) xi and its L1 norm) shares xi across the v of one (u, w),
+        as classify does.
+
+        The columns are decoded once, at the end. Before any is read, the
+        L1 bound of the sum, over the parts, of L1(xi) times the L1 bound
+        of bar r(y, v) times 2^|U - den| (each factor 1 - x^beta at most
+        doubles it) must stay below 2^(K - 1), or ``RuntimeError`` is
+        raised. This is, term for term, what the chain of
+        ``RationalFn.__add__`` over y builds, as long as no partial sum of
+        that chain is zero (the chain would restart its den there): U is
+        the same union, not a fixed D_v, so at v_min nothing needs dividing
+        out."""
         g = self.group
         bar_r = self.rtable.bar_r_packed_idx
         parts = []
@@ -177,18 +206,24 @@ class SigmaEngine:
             if xi_cache is not None:
                 xi = xi_cache.get(y)
                 if xi is None:
-                    xi = self._xi(u, y, w)
-                    xi_cache[y] = xi
+                    xi = xi_cache[y] = self._xi(u, y, w)
             else:
                 xi = self._xi(u, y, w)
-            if not xi.is_zero():
+            if xi[0]:
                 parts.append((y, xi, bar_r(y, v)))
         union = frozenset().union(*(entry[0] for _, _, entry in parts))
+        l1 = 0
+        for _, (_, l1_xi), (den, _, l1_bar) in parts:
+            l1 += l1_xi * l1_bar << (len(union) - len(den))
+        if l1 >= self.rtable._l1_limit:
+            raise RuntimeError(
+                f"sigma(u={g.word_str(u)}, v={g.word_str(v)}, w={g.word_str(w)}) "
+                f"has L1 bound {l1}, past the q-column slots"
+            )
         scaled = self._scaled_bar_r
-        lengths = g.lengths
         acc: dict = {}
         get = acc.get
-        for y, xi, (den, bar) in parts:
+        for y, (col_xi, _), (den, bar, _) in parts:
             if len(den) < len(union):  # den, a subset of U, lacks a factor
                 memo_key = y, v, union
                 terms = scaled.get(memo_key)
@@ -201,14 +236,15 @@ class SigmaEngine:
                     )
             else:
                 terms = bar.items()
-            shift = -lengths[y]
-            for (k,), c in xi.terms.items():
-                k += shift
-                for key, b in terms:
-                    key += k
-                    acc[key] = get(key, 0) + c * b
+            for key, col in terms:
+                acc[key] = get(key, 0) + col_xi * col
         unpacked = self._unpacked
-        num = {unpacked[key]: c for key, c in acc.items() if c}
+        low = 2 * self.rtable.low
+        num = {
+            unpacked[key + d]: c
+            for key, col in acc.items()
+            for d, c in _decode_q(col, low)
+        }
         return RationalFn(_new(g.rank, num), [unpacked[b][1:] for b in union])
 
     def sigma(self, u: Element, v: Element, w: Element) -> RationalFn:
@@ -273,50 +309,6 @@ class SigmaEngine:
         for el in (u, v, w):
             g.check_same(el.group)
         return self.is_gk_idx(u.index, v.index, w.index)
-
-    # -- mu cross-check path ---------------------------------------------------
-
-    def _mu_idx(self, v: int) -> dict:
-        """y -> q^(-len(y)) * bar r(y, v) over y <= v."""
-        g = self.group
-        return {
-            y: self.rtable.bar_r_idx(y, v).mul_poly(
-                LaurentPoly.q_power(g.rank, -g.lengths[y])
-            )
-            for y in _bits(g.down_masks[v])
-        }
-
-    def mu_element(self, v: Element) -> dict:
-        """The Hecke coefficients of the intertwining image of the identity:
-        maps y^{-1} to q^(-len(y)) * bar r(y, v)."""
-        g = self.group
-        g.check_same(v.group)
-        return {
-            Element(g, g.inv_table[y]): rf
-            for y, rf in self._mu_idx(v.index).items()
-        }
-
-    def sigma_via_mu_idx(self, u: int, v: int, w: int) -> RationalFn:
-        """Oracle route: sum over x >= u of lambda_w(T_x * mu(v)), with the
-        Hecke product carried out before the functional is applied."""
-        g = self.group
-        mu = self._mu_idx(v)
-        total = RationalFn.zero(g.rank)
-        for x in _bits(g.up_masks[u]):
-            cell: dict = {}
-            for y, c in mu.items():
-                for s, poly in self.theta.product(x, y).items():
-                    add = c.mul_poly(poly.embed(g.rank))
-                    prev = cell.get(s)
-                    cell[s] = add if prev is None else prev + add
-            val = RationalFn.zero(g.rank)
-            for s, rf in cell.items():
-                if g.leq_idx(s, w):
-                    val = val + rf.mul_poly(
-                        LaurentPoly.q_power(g.rank, g.lengths[s])
-                    )
-            total = total + val
-        return total
 
     # -- classification ------------------------------------------------------
 

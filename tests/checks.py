@@ -7,15 +7,18 @@ first failure.
 
 Also the tuple-key division by 1 - x^beta, the reference that the packed
 kernel behind ``binomial_divide`` and ``RationalFn.reduced()`` is compared
-against.
+against, and the mu route to sigma: the Hecke product carried out before
+the functional is applied, in ``RationalFn`` arithmetic, independent of the
+packed q-column kernel of ``SigmaEngine.sigma_idx``.
 """
 
 from fractions import Fraction
 
-from bhl.coxeter import CoxeterGroup, _bits
+from bhl.coxeter import CoxeterGroup, Element, _bits
 from bhl.kl import KLTable
 from bhl.polyring import LaurentPoly, RationalFn
 from bhl.rpoly import RPolyTable, s_set_idx
+from bhl.sigma import SigmaEngine
 
 
 def r_idx_with_pivot(rtable: RPolyTable, u: int, v: int, i: int) -> RationalFn:
@@ -180,3 +183,48 @@ def reduced_tuples(f: RationalFn) -> tuple:
         else:
             num = quot
     return num, tuple(kept)
+
+
+def mu_idx(engine: SigmaEngine, v: int) -> dict:
+    """y -> q^(-len(y)) * bar r(y, v) over y <= v."""
+    g = engine.group
+    return {
+        y: engine.rtable.bar_r_idx(y, v).mul_poly(
+            LaurentPoly.q_power(g.rank, -g.lengths[y])
+        )
+        for y in _bits(g.down_masks[v])
+    }
+
+
+def mu_element(engine: SigmaEngine, v: Element) -> dict:
+    """The Hecke coefficients of the intertwining image of the identity:
+    maps y^{-1} to q^(-len(y)) * bar r(y, v)."""
+    g = engine.group
+    g.check_same(v.group)
+    return {
+        Element(g, g.inv_table[y]): rf
+        for y, rf in mu_idx(engine, v.index).items()
+    }
+
+
+def sigma_via_mu_idx(engine: SigmaEngine, u: int, v: int, w: int) -> RationalFn:
+    """Oracle route: sum over x >= u of lambda_w(T_x * mu(v)), with the
+    Hecke product carried out before the functional is applied."""
+    g = engine.group
+    mu = mu_idx(engine, v)
+    total = RationalFn.zero(g.rank)
+    for x in _bits(g.up_masks[u]):
+        cell: dict = {}
+        for y, c in mu.items():
+            for s, poly in engine.theta.product(x, y).items():
+                add = c.mul_poly(poly.embed(g.rank))
+                prev = cell.get(s)
+                cell[s] = add if prev is None else prev + add
+        val = RationalFn.zero(g.rank)
+        for s, rf in cell.items():
+            if g.leq_idx(s, w):
+                val = val + rf.mul_poly(
+                    LaurentPoly.q_power(g.rank, g.lengths[s])
+                )
+        total = total + val
+    return total

@@ -14,10 +14,16 @@ import bhl
 from bhl.coxeter import _bits, build_group
 from bhl.demazure import v_min_idx
 from bhl.polyring import (
+    _Q_BITS,
     LaurentPoly,
     RationalFn,
+    _decode_q,
+    _divide_packed,
+    _encode_q,
     _pack,
+    _packed_factor,
     _scale_by_factors,
+    _spans,
     _unpack,
     binomial,
     binomial_divide,
@@ -319,6 +325,73 @@ def division_cases(
 @given(division_cases())
 def test_packed_division_matches_oracle(f):
     assert_division_matches_oracle(f)
+
+
+# -- q-columns --------------------------------------------------------------------
+
+SLOT_EDGE = 2 ** (_Q_BITS - 1) - 1  # the largest |c| a slot holds
+SLOT_COEFFS = st.one_of(
+    st.sampled_from([SLOT_EDGE, -SLOT_EDGE, 1, -1]),
+    st.integers(-SLOT_EDGE, SLOT_EDGE).filter(bool),
+)
+
+
+@given(st.dictionaries(st.integers(0, 24), SLOT_COEFFS, max_size=25), st.integers(-30, 5))
+def test_q_column_round_trip(slots, low):
+    pairs = sorted((low + s, c) for s, c in slots.items())
+    assert _decode_q(_encode_q(pairs, low), low) == pairs
+
+
+@pytest.mark.parametrize("slot", range(13))
+@pytest.mark.parametrize("c", [SLOT_EDGE, -SLOT_EDGE])
+def test_q_column_round_trip_at_every_slot_and_edge(slot, c):
+    """The extreme coefficient alone in one slot, and between neighbours
+    holding the opposite extreme, reads back unchanged."""
+    low = -12
+    alone = [(low + slot, c)]
+    assert _decode_q(_encode_q(alone, low), low) == alone
+    crowded = [(low + s, c if s == slot else -c) for s in range(13)]
+    assert _decode_q(_encode_q(crowded, low), low) == crowded
+
+
+@pytest.mark.parametrize("c", [SLOT_EDGE + 1, -SLOT_EDGE - 1])
+def test_q_column_refuses_what_its_slots_cannot_hold(c):
+    """A coefficient one bit too wide (2^(K - 1) would read back as
+    -2^(K - 1)), or a degree below the lowest slot, is refused."""
+    with pytest.raises(ValueError, match="does not fit a column"):
+        _encode_q([(0, c)], 0)
+    with pytest.raises(ValueError, match="does not fit a column"):
+        _encode_q([(-1, 1)], 0)
+
+
+def _columns(p: LaurentPoly, low: int) -> dict:
+    """p as packed x-keys (q-digit 0) to q-columns from q^low."""
+    by_x: dict = {}
+    for e, c in p.terms.items():
+        by_x.setdefault(_pack((0,) + e[1:]), []).append((e[0], c))
+    return {k: _encode_q(pairs, low) for k, pairs in by_x.items()}
+
+
+@settings(max_examples=300)
+@given(division_cases())
+def test_column_division_matches_oracle(f):
+    """_divide_packed on q-columns, decoded, is the tuple-key quotient:
+    the division only adds and zero-tests coefficients."""
+    n = f.arity
+    low = min((e[0] for e in f.num.terms), default=0)
+    cols = _columns(f.num, low)
+    for beta in f.den:
+        quot = _divide_packed(cols, _packed_factor(beta, n, _spans(f.num)))
+        want = binomial_divide_tuples(f.num, beta)
+        if want is None:
+            assert quot is None, beta
+        else:
+            got = {
+                _unpack(k + d, n + 1): c
+                for k, col in quot.items()
+                for d, c in _decode_q(col, low)
+            }
+            assert got == want.terms, beta
 
 
 def _representatives_in_bound(p: LaurentPoly, beta: tuple) -> bool:

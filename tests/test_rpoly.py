@@ -8,7 +8,7 @@ import pytest
 import bhl
 from bhl import polyring
 from bhl.coxeter import build_group
-from bhl.polyring import LaurentPoly, RationalFn, _pack, _unpack
+from bhl.polyring import LaurentPoly, RationalFn, _decode_q, _pack, _unpack
 from bhl.rpoly import RPolyTable, s_set, s_set3
 from bhl.sigma import SigmaEngine
 from bhl.verify import run_suite
@@ -243,18 +243,91 @@ def test_bar_r_of_inverses_is_the_minus_v_image(cartan):
 
 @pytest.mark.parametrize("cartan", ["G2", "B3", "C3", "A4"])
 def test_fill_digits_stay_within_the_computed_bound(cartan):
+    """Every den key and x-key unpacks inside max_digit with q-digit 0, and
+    every q-degree decoded from the columns lies in [-len(w0), 0]."""
     g = build_group(cartan)
     rt = RPolyTable(g)
     rt.prefill()
     assert rt.max_digit < polyring._DIGIT_BOUND
+    assert rt.low == -max(g.lengths) >= -rt.max_digit
     n = g.rank + 1
     seen = 0
     for u in range(g.order):
         for v in range(g.order):
-            den, num = rt.bar_r_packed_idx(u, v)
-            for key in (*den, *num):
-                seen = max(seen, max(map(abs, _unpack(key, n))))
+            den, cols, _ = rt.bar_r_packed_idx(u, v)
+            for key in (*den, *cols):
+                digits = _unpack(key, n)
+                assert digits[0] == 0, (u, v)
+                seen = max(seen, max(map(abs, digits)))
+            for col in cols.values():
+                for d, _ in _decode_q(col, rt.low):
+                    assert rt.low <= d <= 0, (u, v)
+                    seen = max(seen, -d)
     assert 0 < seen <= rt.max_digit
+
+
+def _q_slots(monkeypatch, bits):
+    """Columns of bits-bit slots, for tables built from here on."""
+    monkeypatch.setattr(polyring, "_Q_BITS", bits)
+    monkeypatch.setattr(polyring, "_Q_BOUND", 1 << (bits - 1))
+    monkeypatch.setattr(polyring, "_Q_MASK", (1 << bits) - 1)
+
+
+def test_fill_on_narrow_slots_matches_or_refuses(a3, monkeypatch):
+    """The largest L1 bound of the A3 fill has 9 bits. On 10-bit q-slots
+    the fill gives the default table term for term; on 9-bit slots it
+    raises instead of filling columns its bound does not vouch for."""
+    default = RPolyTable(a3)
+    default.prefill()
+    want = dict(default.entries())
+    _q_slots(monkeypatch, 10)
+    narrow = RPolyTable(a3)
+    narrow.prefill()
+    got = dict(narrow.entries())
+    assert got.keys() == want.keys()
+    for key, r in got.items():
+        assert (r.num.terms, r.den) == (want[key].num.terms, want[key].den), key
+    _q_slots(monkeypatch, 9)
+    with pytest.raises(ValueError, match="L1 bound"):
+        RPolyTable(a3).prefill()
+
+
+def test_fill_refuses_a_planted_coefficient_past_its_slots(a2):
+    """bar r(e, s1) is (1 - q^-1) x1 bar r(e, e) / (1 - x1). With
+    bar r(e, e) planted as 2^(K - 2), the step's L1 bound reaches 2^(K - 1)
+    and the step raises."""
+    rt = RPolyTable(a2)
+    e, s1 = a2.identity_idx, a2.simple(1).index
+    c = polyring._Q_BOUND // 2
+    rt._bar_r[e, e] = (frozenset(), {0: c << (polyring._Q_BITS * -rt.low)}, c)
+    with pytest.raises(ValueError, match="L1 bound"):
+        rt.bar_r_idx(e, s1)
+
+
+@pytest.mark.parametrize("planted, target", [(("e", "e"), ("e", "1")), (("1", "21"), ("e", "121"))])
+def test_fill_refuses_a_q_shift_out_of_the_column(a2, planted, target):
+    """An entry with q^low occupied: the step that multiplies it by q^-1,
+    as the head (bar r(e, s1) reads bar r(e, e)) or as the tail
+    (bar r(e, w0) reads bar r(s1, s2 s1)), raises instead of dropping it."""
+    rt = RPolyTable(a2)
+    u, v = (a2.parse_word_idx(word) for word in planted)
+    rt._bar_r[u, v] = (frozenset(), {0: 1}, 1)
+    u, v = (a2.parse_word_idx(word) for word in target)
+    with pytest.raises(RuntimeError, match="q-degree below"):
+        rt.bar_r_idx(u, v)
+
+
+def test_reduction_and_sigma_refuse_bounds_past_narrow_slots(a3, monkeypatch):
+    """On 10-bit q-slots the A3 fill fits, but the L1 bounds of the
+    reduction of bar r(s1, w0) and of sigma(e, w0, w0) pass the slots: each
+    raises instead of reading columns that may not hold its value."""
+    _q_slots(monkeypatch, 10)
+    eng = SigmaEngine(a3)
+    e, s1, w0 = a3.identity_idx, a3.simple(1).index, a3.longest_idx
+    with pytest.raises(ValueError, match="quotients may pass"):
+        eng.rtable.reduced_den_idx(s1, w0)
+    with pytest.raises(RuntimeError, match="L1 bound"):
+        eng.sigma_idx(e, w0, w0)
 
 
 def test_table_refuses_a_group_whose_fill_could_reach_the_digit_bound(a2, monkeypatch):

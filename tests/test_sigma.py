@@ -11,10 +11,12 @@ from bhl import sigma
 from bhl.coxeter import GroupMismatchError, _bits, build_group
 from bhl.demazure import v_min, v_min_idx
 from bhl.hecke import ThetaTable
-from bhl.polyring import LaurentPoly, RationalFn
+from bhl.polyring import LaurentPoly, RationalFn, _decode_q
 from bhl.rpoly import s_set, s_set_idx
 from bhl.sigma import SigmaEngine, classify, verify_main_theorem, verify_vanishing
 from bhl.verify import SUITE_NAMES, run_suite
+
+from checks import mu_element, sigma_via_mu_idx
 
 # the twenty non-product-form triples in rank 2, canonical words,
 # sorted lexicographically
@@ -98,9 +100,9 @@ def test_sigma0_examples(a2, engine_a2):
 def test_mu_element_examples(a2, engine_a2):
     g = a2
     e, s1 = g.identity(), g.simple(1)
-    mu_e = engine_a2.mu_element(e)
+    mu_e = mu_element(engine_a2, e)
     assert set(mu_e) == {e} and mu_e[e] == RationalFn.one(2)
-    mu_s1 = engine_a2.mu_element(s1)
+    mu_s1 = mu_element(engine_a2, s1)
     assert set(mu_s1) == {e, s1}
     assert mu_s1[s1] == RationalFn(LaurentPoly.q_power(2, -1))
     expected = RationalFn(
@@ -115,7 +117,7 @@ def test_mu_route_agrees_with_double_sum(a3, engine_a3):
     for _ in range(50):
         u, v, w = (rng.randrange(g.order) for _ in range(3))
         a = engine_a3.sigma_idx(u, v, w)
-        b = engine_a3.sigma_via_mu_idx(u, v, w)
+        b = sigma_via_mu_idx(engine_a3, u, v, w)
         assert a == b
 
 
@@ -329,13 +331,23 @@ def _xi_by_chained_add(eng, u, y, w):
     return out
 
 
+def _xi_poly(eng, u, y, w):
+    """q^-len(y) xi(u, y, w) decoded from the q-column _xi returns."""
+    col, l1 = eng._xi(u, y, w)
+    terms = {(d,): c for d, c in _decode_q(col, eng.rtable.low)}
+    assert l1 == sum(map(abs, terms.values()))
+    return LaurentPoly(0, terms)
+
+
 def _xi_mismatches(eng, triples):
-    """The (u, y, w) whose _xi differs from the chained add, term for term;
-    _xi runs first, so its reach skip is not helped by the oracle's theta."""
+    """The (u, y, w) whose _xi, decoded, differs from the chained add times
+    q^-len(y), term for term; _xi runs first, so its reach skip is not
+    helped by the oracle's theta."""
     wrong = []
     for u, y, w in triples:
-        got = eng._xi(u, y, w)
-        if got.terms != _xi_by_chained_add(eng, u, y, w).terms:
+        got = _xi_poly(eng, u, y, w)
+        want = _xi_by_chained_add(eng, u, y, w).shift_q(-eng.group.lengths[y])
+        if got.terms != want.terms:
             wrong.append((u, y, w))
     return wrong
 
@@ -379,10 +391,9 @@ def _sigma_by_rational_sum(eng, u, v, w):
     g = eng.group
     acc = RationalFn.zero(g.rank)
     for y in _bits(g.down_masks[v]):
-        xi = eng._xi(u, y, w)
+        xi = _xi_poly(eng, u, y, w)
         if not xi.is_zero():
-            coeff = xi.shift_q(-g.lengths[y]).embed(g.rank)
-            acc = acc + eng.rtable.bar_r_idx(y, v).mul_poly(coeff)
+            acc = acc + eng.rtable.bar_r_idx(y, v).mul_poly(xi.embed(g.rank))
     return acc
 
 
@@ -439,6 +450,27 @@ def test_classify_path_sigma_matches_rational_sum_sampled_a3_b3(a3, b3):
         assert eng._scaled_bar_r, g.cartan_type
 
 
+def test_sigma_keys_stay_within_the_table_digit_bound(a3, b3):
+    """Every x-key sigma accumulates on, read off its numerator and den on
+    the classify path of seeded A3 and B3 pairs, unpacks inside the r
+    table's max_digit: a scaled bar's x_j-degree is at most the pivot roots
+    below v plus U, two sets of distinct positive roots."""
+    rng = random.Random(9)
+    for g, n_pairs in ((a3, 12), (b3, 4)):
+        eng = SigmaEngine(g)
+        bound = eng.rtable.max_digit
+        seen = 0
+        for _ in range(n_pairs):
+            u, w = rng.randrange(g.order), rng.randrange(g.order)
+            xi_cache: dict = {}
+            for v in range(g.order):
+                sig = eng.sigma_idx(u, v, w, xi_cache)
+                for x in (*(e[1:] for e in sig.num.terms), *sig.den):
+                    assert all(0 <= d <= bound for d in x), (u, v, w)
+                    seen = max(seen, *x)
+        assert 0 < seen <= bound, g.cartan_type
+
+
 def test_corrupted_scaled_bar_fails_the_term_for_term_check(a3):
     """One memo entry with a flipped coefficient makes the classify-path
     sigma that reads it differ from the RationalFn chain."""
@@ -470,22 +502,26 @@ def test_single_shot_sigma_reads_the_memo_that_classify_filled(a3):
 
 
 @pytest.mark.parametrize(
-    "cartan_type, entries, pairs", [("G2", 75, 182), ("A3", 561, 446)]
+    "cartan_type, entries, columns, pairs",
+    [("G2", 75, 356, 120), ("A3", 561, 2664, 285)],
+    ids=["G2", "A3"],
 )
 def test_scaled_bar_memo_size_after_classifying_every_w(
-    cartan_type, entries, pairs, request
+    cartan_type, entries, columns, pairs, request
 ):
     """The memo keeps one scaled bar r(y, v) per distinct (y, v, U) whose
     bar lacks a factor of U: 561 for all 24 w of A3, whose 3 benchmark w
     alone ask 7 240 (y, v) parts; a bar that lacks none is read from the
-    r table and not stored. Its terms share one object per distinct
-    (key, coeff) pair: 446 for the 5 539 terms of A3."""
+    r table and not stored. An entry holds one (x-key, q-column) pair per
+    x-monomial, and its pairs share one object per distinct pair: 285 for
+    the 2 664 columns of A3."""
     g = request.getfixturevalue(cartan_type.lower())
     engine = SigmaEngine(g)
     for w in range(g.order):
         engine.classify_for_w(w)
     memo = engine._scaled_bar_r
     assert len(memo) == entries
+    assert sum(map(len, memo.values())) == columns
     assert len({id(t) for terms in memo.values() for t in terms}) == pairs
 
 
