@@ -23,7 +23,7 @@ from .demazure import (
     up_right,
     v_min,
 )
-from .hecke import HeckeElem, ThetaTable, lambda_w, t_basis, t_mul, theta
+from .hecke import ThetaTable
 from .kl import KLTable, check_theta_power_conjecture
 from .polyring import LaurentPoly, RationalFn, binomial, binomial_divide
 from .rpoly import RPolyTable, s_set, s_set3
@@ -51,12 +51,7 @@ __all__ = [
     "down_right",
     "mixed_meet",
     "v_min",
-    "HeckeElem",
     "ThetaTable",
-    "t_basis",
-    "t_mul",
-    "lambda_w",
-    "theta",
     "KLTable",
     "check_theta_power_conjecture",
     "LaurentPoly",

@@ -44,7 +44,7 @@ from .coxeter import (
     build_group,
 )
 from .demazure import mixed_meet, v_min
-from .hecke import theta
+from .hecke import ThetaTable
 from .rpoly import RPolyTable
 from .sigma import SigmaEngine, classify
 from .verify import SUITE_NAMES, run_suite
@@ -97,7 +97,7 @@ def _cmd_theta(args) -> int:
     x = g.from_word(args.x)
     y = g.from_word(args.y)
     w = g.from_word(args.w)
-    print(theta(x, y, w))
+    print(ThetaTable(g).theta(x, y, w))
     return 0
 
 

@@ -1,6 +1,6 @@
 """
-The Iwahori-Hecke algebra over Z[q, q^-1] in its T-basis, the linear
-functionals lambda_w, and the pairing polynomial theta(x, y, w).
+T-basis products of the Iwahori-Hecke algebra over Z[q, q^-1] and the
+pairing polynomial theta(x, y, w) = lambda_w(T_x T_{y^{-1}}).
 
 T-basis relations, for s a simple reflection:
 
@@ -9,17 +9,17 @@ T-basis relations, for s a simple reflection:
 
 Products of basis elements are computed by right-multiplying one generator
 at a time along a reduced word of the right factor; no inverse basis is
-needed. lambda_w sends T_y to q^len(y) when y <= w in Bruhat order and to 0
-otherwise, and theta(x, y, w) = lambda_w(T_x T_{y^{-1}}) is a polynomial in
-q that vanishes exactly when x y^{-1} is not <= w.
+needed. lambda_w sends T_t to q^len(t) when t <= w in Bruhat order and to 0
+otherwise, so theta(x, y, w) is a polynomial in q that vanishes exactly when
+x y^{-1} is not <= w.
 
-ThetaTable memoizes the basis products and the theta values; the tables are
-meant to be filled before any parallel enumeration and then shared read-only.
-Canonical words satisfy words[y] = (i,) + words[s_i y], so the table builds
-T_x T_{y^{-1}} from its entry for s_i y with one generator step: the same
-steps, in the same order, as walking the whole reversed word of y. A step
-keeps every coefficient it does not change, and coefficients are immutable,
-so an entry shares most of its polynomials with the shorter one it extends.
+ThetaTable memoizes the basis products; the table is meant to be filled
+before any parallel enumeration and then shared read-only. Canonical words
+satisfy words[y] = (i,) + words[s_i y], so the table builds T_x T_{y^{-1}}
+from its entry for s_i y with one generator step: the same steps, in the
+same order, as walking the whole reversed word of y. A step keeps every
+coefficient it does not change, and coefficients are immutable, so an entry
+shares most of its polynomials with the shorter one it extends.
 
 Many entries need no step at all: they are relabelled from one already
 held, through two exact symmetries of the T-basis (an x-major fill walks
@@ -40,46 +40,40 @@ Both are relabellings of the support only: no coefficient is recomputed,
 and a relabelled entry shares its source's immutable coefficients.
 
 theta(x, y, w) sums q^len(t) c_t over the t in supp(T_x T_{y^{-1}}) with
-t <= w, so it reads w only through the bit mask down(w) & supp(x, y): two w
-with the same mask give the same theta, exactly, whatever else lies below
-them. The theta memo is keyed by (x, y, that mask), so it holds one entry
-per distinct mask of each (x, y), not one per (x, y, w).
+t <= w. The table lifts each term q^len(t) c_t to one q-column from q^0
+(see ``polyring``), one int per t, so theta is the int sum of the lifted
+terms at the bits of down(w), and a sum of theta over many x (the xi of
+``sigma``) is one int sum as well; neither builds a polynomial. The lifted
+terms are kept one column per y, built on the first query that needs it:
+for every x, the support mask of T_x T_{y^{-1}}, the tuple of its lifted
+terms, aligned with the keys of ``product(x, y)``, and their total, which is
+theta for every w above the whole support. Each distinct int and each
+distinct tuple is stored once (67 lifted terms in 266 tuples on B3, 105 in
+607 on A4, for 2 304 and 14 400 products). No theta is memoized: one costs
+a pass over the terms of one product. Three reads share that pass
+(``_sum_at``): ``theta_sum`` adds theta over many x at one w (xi),
+``thetas`` gives theta of one (x, y) at many w (the power-of-q scan), and
+w that cover the same part of the support share one pass within a call;
+``theta_idx`` lifts its one product and builds no column, so a lone query
+never walks the |W| products of a column.
 
-The support masks are kept as one column per y, the mask of
-supp(T_x T_{y^{-1}}) for every x. reach(y, w), memoized per (y, w), is the
-mask of the x whose support meets down(w); theta(x, y, w) is an empty sum,
-exactly 0, for every x outside it, so a sum of theta over x need only ask
-the x in it. With xi summed over reach, classifying all 24 w of A3
-memoizes 2 060 theta (2 612 when every x was asked, 13 824 with one key
-per triple), and one round of the benchmark's verify-b3 workload 12 546
-(14 787).
+A sum of theta(x, y, w) over any set of x has L1 norm at most |W| times the
+largest L1 norm of a product T_x T_{y^{-1}} (675 on B3, 2 921 on A4, 5 765
+on D4). Every lift checks that bound against 2^(K - 1), so every such sum
+decodes exactly, and "theta is a power of q" is an int test
+(``polyring._is_q_power``).
+
+reach(y, w), memoized per (y, w), is the mask of the x whose support meets
+down(w); theta(x, y, w) is an empty sum, exactly 0, for every x outside it,
+so a sum of theta over x need only ask the x in it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .coxeter import CoxeterGroup, Element, _bits
+from .polyring import _Q_BITS, _Q_BOUND, LaurentPoly, _decode_q, _new
 
-from .coxeter import CoxeterGroup, Element
-from .polyring import LaurentPoly, _new
-
-__all__ = ["HeckeElem", "t_basis", "t_mul", "lambda_w", "theta", "ThetaTable"]
-
-
-@dataclass(frozen=True)
-class HeckeElem:
-    """A sparse Hecke algebra element: element index -> q-Laurent coefficient."""
-
-    group: CoxeterGroup
-    coeffs: dict
-
-    def coeff(self, w: Element) -> LaurentPoly:
-        self.group.check_same(w.group)
-        return self.coeffs.get(w.index, LaurentPoly.zero(0))
-
-
-def t_basis(w: Element) -> HeckeElem:
-    """The basis element T_w."""
-    return HeckeElem(w.group, {w.index: LaurentPoly.one(0)})
+__all__ = ["ThetaTable"]
 
 
 def _add_into(terms: dict, other: dict, sign: int) -> None:
@@ -126,68 +120,6 @@ def _rmul_gen(g: CoxeterGroup, coeffs: dict, i: int) -> dict:
     return out
 
 
-def _rmul_word(g: CoxeterGroup, coeffs: dict, letters) -> dict:
-    for i in letters:
-        coeffs = _rmul_gen(g, coeffs, i)
-    return coeffs
-
-
-def t_mul(a: HeckeElem, b: HeckeElem) -> HeckeElem:
-    """Exact product in the T-basis."""
-    a.group.check_same(b.group)
-    g = a.group
-    total: dict = {}
-    for t, c in b.coeffs.items():
-        part = _rmul_word(g, a.coeffs, g.words[t])
-        for s, v in part.items():
-            add = v * c
-            cur = total.get(s)
-            cur = add if cur is None else cur + add
-            if cur.is_zero():
-                total.pop(s, None)
-            else:
-                total[s] = cur
-    return HeckeElem(g, total)
-
-
-def lambda_w(w: Element, a: HeckeElem) -> LaurentPoly:
-    """Apply the functional sending T_y to q^len(y) for y <= w, else 0."""
-    w.group.check_same(a.group)
-    return _theta_from_product(w.group, a.coeffs, w.index)
-
-
-def theta(x: Element, y: Element, w: Element) -> LaurentPoly:
-    """lambda_w(T_x T_{y^{-1}}), a polynomial in q."""
-    g = x.group
-    g.check_same(y.group)
-    g.check_same(w.group)
-    prod = _product_coeffs(g, x.index, y.index)
-    return _theta_from_product(g, prod, w.index)
-
-
-def _product_coeffs(g: CoxeterGroup, x: int, y: int) -> dict:
-    """Coefficients of T_x T_{y^{-1}}; the reversed word of y is reduced
-    for y^{-1}."""
-    start = {x: LaurentPoly.one(0)}
-    return _rmul_word(g, start, reversed(g.words[y]))
-
-
-def _theta_from_product(g: CoxeterGroup, prod: dict, w: int) -> LaurentPoly:
-    mask = g.down_masks[w]
-    terms: dict = {}
-    for t, c in prod.items():
-        if mask >> t & 1:
-            shift = g.lengths[t]
-            for e, v in c.terms.items():
-                k = (e[0] + shift,)
-                nv = terms.get(k, 0) + v
-                if nv:
-                    terms[k] = nv
-                else:
-                    del terms[k]
-    return LaurentPoly(0, terms)
-
-
 def _longest_conjugation(g: CoxeterGroup) -> list | None:
     """[w0 t w0 for t], or None when that is the identity. Raises
     RuntimeError unless it maps every simple reflection to a simple one and
@@ -205,6 +137,16 @@ def _longest_conjugation(g: CoxeterGroup) -> list | None:
     return None if conj == list(range(g.order)) else conj
 
 
+def _sum_at(prod: dict, terms: tuple, part: int) -> int:
+    """The sum of the lifted terms of a product at the t in the bit mask
+    part; terms are aligned with the keys of prod."""
+    col = 0
+    for t, term in zip(prod, terms):
+        if part >> t & 1:
+            col += term
+    return col
+
+
 def _relabel(prod: dict, labels: list) -> dict:
     """The product with each basis index t replaced by labels[t]; the
     coefficients are shared, not copied."""
@@ -212,7 +154,7 @@ def _relabel(prod: dict, labels: list) -> dict:
 
 
 class ThetaTable:
-    """Memoized T_x T_{y^{-1}} products and theta values over one group.
+    """Memoized T_x T_{y^{-1}} products and the lifted terms theta sums.
 
     A product not yet memoized is the relabelled entry of (y, x) under
     t -> t^{-1} if that is memoized, else the relabelled entry of
@@ -224,23 +166,28 @@ class ThetaTable:
     with its shorter neighbour. In an x-major fill of A4 only 3 843 of the
     14 400 products are walked, in B3 1 176 of 2 304.
 
-    theta(x, y, w) is memoized under (x, y, down_masks[w] & supp), supp the
-    bit mask of the product's support. The supports are built one column
-    per y, for every x at once, on the first theta or reach query of that
-    y. theta reads exactly the product's terms at the bits of that mask, so
-    the key loses nothing, and the memo is bounded by the number of
-    distinct masks per (x, y) rather than by |W|^3. reach(y, w) is the mask
-    of the x whose supp meets down_masks[w], memoized per (y, w): at most
-    |W|^2 ints. theta is 0 for every x outside it."""
+    The column of y, built on the first ``theta_sum``, ``thetas`` or
+    ``reach`` query of that y, holds for every x what ``_lift`` gives: the support mask of
+    T_x T_{y^{-1}}, the product, its lifted terms q^len(t) c_t as q-columns
+    from q^0 in the order of the product's keys, and their total.
+    reach(y, w) is the mask of the x whose support meets down_masks[w],
+    memoized per (y, w): at most |W|^2 ints. theta is 0 for every x
+    outside it."""
 
     def __init__(self, group: CoxeterGroup):
         self.group = group
         self._inv = group.inv_table
         self._conj = _longest_conjugation(group)  # None when the identity
         self._products: dict = {}
-        self._supports: dict = {}  # y -> [support mask of (x, y) for every x]
+        # y -> (support masks, products, lifted terms, totals), lists over x
+        self._columns: dict = {}
+        # the shift that lifts a term at t by q^len(t), K len(t) bits
+        self._lifts = [_Q_BITS * n for n in group.lengths]
+        # each distinct lifted term or total, and each distinct tuple of
+        # lifted terms, stored once (A4: 14 400 tuples, 607 distinct)
+        self._lifted_ints: dict = {}
+        self._lifted_tuples: dict = {}
         self._reach: dict = {}  # (y, w) -> mask of the x whose support meets down(w)
-        self._theta: dict = {}  # (x, y, down mask & support) -> theta
 
     def product(self, x: int, y: int) -> dict:
         products = self._products
@@ -276,18 +223,46 @@ class ThetaTable:
             products[(x, y)] = prod
         return prod
 
-    def _support_column(self, y: int) -> list:
-        """[support mask of T_x T_{y^{-1}} for every x], built once per y."""
-        col = self._supports.get(y)
-        if col is None:
-            col = []
-            for x in range(self.group.order):
-                supp = 0
-                for t in self.product(x, y):
-                    supp |= 1 << t
-                col.append(supp)
-            self._supports[y] = col
-        return col
+    def _lift(self, x: int, y: int) -> tuple:
+        """(support mask, product, lifted terms, total) of T_x T_{y^{-1}}.
+        A lifted term is q^len(t) c_t as a q-column from q^0, each q^d c of
+        c_t adding c << lifts[t] + K d; the terms are in the order of the
+        product's keys, and the total is their sum, theta(x, y, w) for
+        every w above the whole support. Raises RuntimeError unless |W|
+        times the product's L1 norm is below 2^(K - 1), the bound that makes
+        every sum of theta over x decode exactly."""
+        g = self.group
+        lifts = self._lifts
+        intern = self._lifted_ints.setdefault
+        prod = self.product(x, y)
+        supp = l1 = total = 0
+        terms = []
+        for t, poly in prod.items():
+            supp |= 1 << t
+            lift = lifts[t]
+            term = 0
+            for (d,), c in poly.terms.items():
+                term += c << lift + _Q_BITS * d
+                l1 += abs(c)
+            terms.append(intern(term, term))
+            total += term
+        if g.order * l1 >= _Q_BOUND:
+            raise RuntimeError(
+                f"T_x T_y^-1 at x={g.word_str(x)}, y={g.word_str(y)} has L1 "
+                f"norm {l1}: {g.order} of them overflow the q-column slots"
+            )
+        terms = tuple(terms)
+        terms = self._lifted_tuples.setdefault(terms, terms)
+        return supp, prod, terms, intern(total, total)
+
+    def _column(self, y: int) -> tuple:
+        """(support masks, products, lifted terms, totals) of y, each a list
+        indexed by x, from ``_lift``; built once per y."""
+        column = self._columns.get(y)
+        if column is None:
+            lifts = [self._lift(x, y) for x in range(self.group.order)]
+            column = self._columns[y] = tuple(map(list, zip(*lifts)))
+        return column
 
     def reach(self, y: int, w: int) -> int:
         """Bit mask of the x whose T_x T_{y^{-1}} has a term at some t <= w;
@@ -297,19 +272,53 @@ class ThetaTable:
         if mask is None:
             down = self.group.down_masks[w]
             mask = 0
-            for x, supp in enumerate(self._support_column(y)):
+            for x, supp in enumerate(self._column(y)[0]):
                 if supp & down:
                     mask |= 1 << x
             self._reach[key] = mask
         return mask
 
+    def theta_sum(self, xs: int, y: int, w: int) -> int:
+        """The sum of theta(x, y, w) over the x in the bit mask xs, as one
+        q-column from q^0: the lifted terms at the t <= w of the column of
+        y, added as ints; the total of an x whose support lies below w."""
+        supports, prods, lifted, totals = self._columns.get(y) or self._column(y)
+        down = self.group.down_masks[w]
+        col = 0
+        while xs:  # the bits x of xs, lowest first, as _bits yields them
+            low = xs & -xs
+            xs ^= low
+            x = low.bit_length() - 1
+            supp = supports[x]
+            part = supp & down
+            col += totals[x] if part == supp else _sum_at(prods[x], lifted[x], part)
+        return col
+
+    def thetas(self, x: int, y: int, ws: int) -> list:
+        """[(w, theta(x, y, w) as a q-column from q^0) for each w in the bit
+        mask ws, lowest w first]. theta reads w only through the part of the
+        support of T_x T_{y^{-1}} below it, so the w of one call that cover
+        the same part share one sum; nothing is kept after the call."""
+        supports, prods, lifted, totals = self._columns.get(y) or self._column(y)
+        supp, prod, terms = supports[x], prods[x], lifted[x]
+        down_masks = self.group.down_masks
+        sums = {supp: totals[x]}
+        out = []
+        for w in _bits(ws):
+            part = supp & down_masks[w]
+            col = sums.get(part)
+            if col is None:
+                col = sums[part] = _sum_at(prod, terms, part)
+            out.append((w, col))
+        return out
+
     def theta_idx(self, x: int, y: int, w: int) -> LaurentPoly:
-        key = (x, y, self.group.down_masks[w] & self._support_column(y)[x])
-        val = self._theta.get(key)
-        if val is None:
-            val = _theta_from_product(self.group, self.product(x, y), w)
-            self._theta[key] = val
-        return val
+        """theta(x, y, w), decoded from the sum of the lifted terms of
+        T_x T_{y^{-1}} at the t <= w. Lifts that one product, not the column
+        of y."""
+        supp, prod, terms, _ = self._lift(x, y)
+        col = _sum_at(prod, terms, supp & self.group.down_masks[w])
+        return _new(0, {(d,): c for d, c in _decode_q(col, 0)})
 
     def theta(self, x: Element, y: Element, w: Element) -> LaurentPoly:
         g = self.group

@@ -12,12 +12,19 @@ together with the degree bound deg P(u, v) <= (len(v) - len(u) - 1)/2 for
 u < v. Solving by downward induction on u for fixed v: the sum over z > u is
 known, and the degree bound splits the identity so that P(u, v) is minus the
 low-degree part of that sum. R is the classical R-polynomial from rpoly.
+R and P have no negative q-degree, so only the products of terms whose
+degrees add up to at most that cut are formed, into one dict per (u, v).
+
+The scan reads each theta as the int that ``ThetaTable.thetas`` adds up
+from lifted q-columns, and tests "theta = q^k" on that int
+(``polyring._is_q_power``): exact, since the theta table bounds every
+coefficient below 2^(K - 1). No theta is built as a polynomial.
 """
 
 from __future__ import annotations
 
 from .coxeter import CoxeterGroup, Element, _bits
-from .polyring import LaurentPoly
+from .polyring import LaurentPoly, _is_q_power
 from .rpoly import RPolyTable
 from .hecke import ThetaTable
 
@@ -44,16 +51,20 @@ class KLTable:
         elif not g.leq_idx(u, v):
             val = LaurentPoly.zero(0)
         else:
-            gap = g.lengths[v] - g.lengths[u]
-            acc = LaurentPoly.zero(0)
+            cut = (g.lengths[v] - g.lengths[u] - 1) // 2
+            acc: dict = {}
+            get = acc.get
             for z in _bits(g.interval_mask(u, v)):
                 if z == u:
                     continue
-                acc = acc + self.rtable.classical_idx(u, z) * self.p_idx(z, v)
-            cut = (gap - 1) // 2
-            val = LaurentPoly(
-                0, {e: -c for e, c in acc.terms.items() if e[0] <= cut}
-            )
+                p_terms = self.p_idx(z, v).terms
+                for (a,), r in self.rtable.classical_idx(u, z).terms.items():
+                    if a > cut:
+                        continue
+                    for (b,), c in p_terms.items():
+                        if a + b <= cut:
+                            acc[a + b] = get(a + b, 0) + r * c
+            val = LaurentPoly(0, {(d,): -c for d, c in acc.items()})
         self._p[key] = val
         return val
 
@@ -98,7 +109,8 @@ def check_theta_power_conjecture(
 
     The w with P(z, w) = 1 are gathered once per z into one bit mask, so
     each P(z, w) is tested once, not once for every (x, y) with
-    x y^{-1} = z; each (x, y) then walks the bits of the mask of its z.
+    x y^{-1} = z; each (x, y) then asks the int theta at every w of the
+    mask of its z in one ``ThetaTable.thetas`` call and tests each.
 
     Returns the violating triples as Elements, in (x, y, w) index order.
     """
@@ -110,8 +122,8 @@ def check_theta_power_conjecture(
     violations = []
     for x in range(g.order):
         for y in range(g.order):
-            for w in _bits(p_one[g.mul_idx(x, g.inv_table[y])]):
-                if not theta.theta_idx(x, y, w).is_q_monomial():
+            for w, col in theta.thetas(x, y, p_one[g.mul_idx(x, g.inv_table[y])]):
+                if not _is_q_power(col):
                     violations.append(
                         (Element(g, x), Element(g, y), Element(g, w))
                     )

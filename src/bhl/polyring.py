@@ -31,12 +31,14 @@ Representation conventions:
   column is 0 exactly when its polynomial is. The callers guarantee it by
   an L1 bound (the sum of |c|, which bounds every coefficient and every
   partial sum), carried along and checked against ``_Q_BOUND`` at run
-  time; ``rpoly`` states the bound of the r fill and ``sigma`` that of
-  sigma. The bar r table of ``rpoly`` stores each numerator as a dict from
-  packed x-keys (q-digit 0) to columns, and sigma accumulates on them,
-  reading that table as it is. ``_times_binomial`` and ``_divide_packed``
-  run unchanged on such a dict: they only add, subtract and zero-test
-  coefficients, which columns do exactly.
+  time; ``rpoly`` states the bound of the r fill, ``sigma`` that of
+  sigma and ``hecke`` that of theta. Under such a bound "the column is a
+  single q^k" is an int test, ``_is_q_power``. The bar r table of
+  ``rpoly`` stores each numerator as a dict from packed x-keys (q-digit 0)
+  to columns, and sigma accumulates on them, reading that table as it is.
+  ``_times_binomial`` and ``_divide_packed`` run unchanged on such a dict:
+  they only add, subtract and zero-test coefficients, which columns do
+  exactly.
 - ``RationalFn.__eq__`` cross-multiplies and ``__add__`` brings both sides
   to one den through ``_scale_by_factors``, the tuple-key twin of
   ``_times_binomial``: each factor 1 - x^beta costs one copy of the terms
@@ -152,6 +154,13 @@ def _decode_q(col: int, low: int) -> list:
         col >>= _Q_BITS
         low += 1
     return out
+
+
+def _is_q_power(col: int) -> bool:
+    """True when the column col holds a single q^k with coefficient 1: col
+    is a power of 2 whose exponent is a whole number of slots. Exact while
+    every coefficient is below 2^(K - 1) in magnitude."""
+    return col > 0 and not col & (col - 1) and (col.bit_length() - 1) % _Q_BITS == 0
 
 
 def _times_binomial(num: dict, b: int) -> dict:

@@ -12,11 +12,14 @@ with the sum grouped by y: the inner sum over x is a pure q-polynomial xi
 that is shared across all v for a fixed (u, w). xi sums theta(x, y, w) only
 over the x >= u in ``ThetaTable.reach(y, w)``, the x whose T_x T_{y^-1} has
 a term at some t <= w: for every other x theta is an empty sum, exactly 0,
-so leaving it out changes no term. The mask is read off the products'
-supports and uses no theorem about sigma and no v_min: every nonzero theta
-is still summed, so the zero of sigma for v not >= v_min is still a
-computed outcome, which is what makes the vanishing verification
-meaningful.
+so leaving it out changes no term, and a y whose mask is empty is skipped
+before xi is asked. The mask is read off the products' supports and uses no
+theorem about sigma and no v_min: every nonzero theta is still summed, so
+the zero of sigma for v not >= v_min is still a computed outcome, which is
+what makes the vanishing verification meaningful. xi itself is one int:
+``ThetaTable.theta_sum`` adds the lifted terms q^len(t) c_t of the products
+as q-columns, and one shift turns the sum into the column that sigma reads,
+so no theta is built as a polynomial.
 
 The sum is built over one denominator U, the union of the denominators of
 the bar r(y, v) that meet a nonzero xi: U is the least common denominator of
@@ -74,8 +77,8 @@ from .hecke import ThetaTable
 from .polyring import (
     LaurentPoly,
     RationalFn,
+    _Q_BITS,
     _decode_q,
-    _encode_q,
     _new,
     _times_binomial,
     _unpack,
@@ -160,20 +163,17 @@ class SigmaEngine:
         low = -len(w0) is the r table's: theta has no negative q-degree, so
         neither has xi, and len(y) <= len(w0). Only the x in
         ``ThetaTable.reach(y, w)`` are asked: theta is an empty sum for the
-        others. The theta terms are added into one dict keyed by q-degree,
-        which is encoded at the end."""
+        others. ``ThetaTable.theta_sum`` adds their lifted terms as ints, a
+        column from q^0, and one shift by K (len(w0) - len(y)) slots makes
+        it the column that sigma reads. The L1 norm is read off the slots,
+        which the bound checked by every lift of the theta table keeps
+        exact."""
         mask = self.group.up_masks[u] & self.theta.reach(y, w)
         if not mask:
             return 0, 0
-        theta = self.theta.theta_idx
-        acc: dict = {}
-        get = acc.get
-        for x in _bits(mask):
-            for (k,), c in theta(x, y, w).terms.items():
-                acc[k] = get(k, 0) + c
-        # q^k of xi is q^(k - len(y)) of the column from q^low
-        col = _encode_q(acc.items(), self.rtable.low + self.group.lengths[y])
-        return col, sum(map(abs, acc.values()))
+        xi = self.theta.theta_sum(mask, y, w)
+        l1 = sum(abs(c) for _, c in _decode_q(xi, 0))
+        return xi << _Q_BITS * (-self.rtable.low - self.group.lengths[y]), l1
 
     def sigma_idx(self, u: int, v: int, w: int, xi_cache: dict | None = None) -> RationalFn:
         """sigma(u, v, w) over den U, the union of the dens of the bar r(y, v)
@@ -188,7 +188,8 @@ class SigmaEngine:
         factor is the r table's own dict and is not stored. Entries, like
         the r table's, are read only. ``xi_cache`` (y -> the column of
         q^-len(y) xi and its L1 norm) shares xi across the v of one (u, w),
-        as classify does.
+        as classify does; without it, a y whose reach mask has no x >= u is
+        skipped, as its xi is an empty sum.
 
         The columns are decoded once, at the end. Before any is read, the
         L1 bound of the sum, over the parts, of L1(xi) times the L1 bound
@@ -201,14 +202,17 @@ class SigmaEngine:
         out."""
         g = self.group
         bar_r = self.rtable.bar_r_packed_idx
+        up, reach = g.up_masks[u], self.theta.reach
         parts = []
         for y in _bits(g.down_masks[v]):
             if xi_cache is not None:
                 xi = xi_cache.get(y)
                 if xi is None:
                     xi = xi_cache[y] = self._xi(u, y, w)
-            else:
+            elif up & reach(y, w):
                 xi = self._xi(u, y, w)
+            else:  # no x >= u reaches [e, w]: xi is an empty sum
+                continue
             if xi[0]:
                 parts.append((y, xi, bar_r(y, v)))
         union = frozenset().union(*(entry[0] for _, _, entry in parts))
@@ -314,7 +318,8 @@ class SigmaEngine:
 
     def prefill_shared_tables(self) -> None:
         """Fill the tables every worker reads: all bar r values and all
-        T-basis products. Per-w theta values are computed inside workers."""
+        T-basis products. The lifted theta columns, and every theta and xi
+        sum, are built inside workers."""
         self.rtable.prefill()
         g = self.group
         for x in range(g.order):

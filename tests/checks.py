@@ -10,11 +10,18 @@ kernel behind ``binomial_divide`` and ``RationalFn.reduced()`` is compared
 against, and the mu route to sigma: the Hecke product carried out before
 the functional is applied, in ``RationalFn`` arithmetic, independent of the
 packed q-column kernel of ``SigmaEngine.sigma_idx``.
+
+And the Hecke oracles: T-basis elements and their products walked word by
+word with no memo (``t_mul``), the functional lambda_w summed on
+``LaurentPoly`` dicts (``theta_from_product``), and theta(x, y, w) built
+from those two, the reference for the int sums of ``ThetaTable``.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from bhl.coxeter import CoxeterGroup, Element, _bits
+from bhl.hecke import _rmul_gen
 from bhl.kl import KLTable
 from bhl.polyring import LaurentPoly, RationalFn
 from bhl.rpoly import RPolyTable, s_set_idx
@@ -228,3 +235,83 @@ def sigma_via_mu_idx(engine: SigmaEngine, u: int, v: int, w: int) -> RationalFn:
                 )
         total = total + val
     return total
+
+
+@dataclass(frozen=True)
+class HeckeElem:
+    """A sparse Hecke algebra element: element index -> q-Laurent coefficient."""
+
+    group: CoxeterGroup
+    coeffs: dict
+
+    def coeff(self, w: Element) -> LaurentPoly:
+        self.group.check_same(w.group)
+        return self.coeffs.get(w.index, LaurentPoly.zero(0))
+
+
+def t_basis(w: Element) -> HeckeElem:
+    """The basis element T_w."""
+    return HeckeElem(w.group, {w.index: LaurentPoly.one(0)})
+
+
+def _rmul_word(g: CoxeterGroup, coeffs: dict, letters) -> dict:
+    for i in letters:
+        coeffs = _rmul_gen(g, coeffs, i)
+    return coeffs
+
+
+def t_mul(a: HeckeElem, b: HeckeElem) -> HeckeElem:
+    """Exact product in the T-basis."""
+    a.group.check_same(b.group)
+    g = a.group
+    total: dict = {}
+    for t, c in b.coeffs.items():
+        part = _rmul_word(g, a.coeffs, g.words[t])
+        for s, v in part.items():
+            add = v * c
+            cur = total.get(s)
+            cur = add if cur is None else cur + add
+            if cur.is_zero():
+                total.pop(s, None)
+            else:
+                total[s] = cur
+    return HeckeElem(g, total)
+
+
+def product_coeffs(g: CoxeterGroup, x: int, y: int) -> dict:
+    """Coefficients of T_x T_{y^{-1}}, walked along the whole reversed word
+    of y, which is reduced for y^{-1}."""
+    start = {x: LaurentPoly.one(0)}
+    return _rmul_word(g, start, reversed(g.words[y]))
+
+
+def theta_from_product(g: CoxeterGroup, prod: dict, w: int) -> LaurentPoly:
+    """lambda_w of the T-basis coefficients prod: q^len(t) c_t summed over
+    the t <= w, on LaurentPoly dicts."""
+    mask = g.down_masks[w]
+    terms: dict = {}
+    for t, c in prod.items():
+        if mask >> t & 1:
+            shift = g.lengths[t]
+            for e, v in c.terms.items():
+                k = (e[0] + shift,)
+                nv = terms.get(k, 0) + v
+                if nv:
+                    terms[k] = nv
+                else:
+                    del terms[k]
+    return LaurentPoly(0, terms)
+
+
+def lambda_w(w: Element, a: HeckeElem) -> LaurentPoly:
+    """Apply the functional sending T_y to q^len(y) for y <= w, else 0."""
+    w.group.check_same(a.group)
+    return theta_from_product(w.group, a.coeffs, w.index)
+
+
+def theta(x: Element, y: Element, w: Element) -> LaurentPoly:
+    """lambda_w(T_x T_{y^{-1}}), a polynomial in q."""
+    g = x.group
+    g.check_same(y.group)
+    g.check_same(w.group)
+    return theta_from_product(g, product_coeffs(g, x.index, y.index), w.index)

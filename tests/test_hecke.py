@@ -5,18 +5,19 @@ import pytest
 
 from bhl import hecke
 from bhl.coxeter import GroupMismatchError, build_group
-from bhl.hecke import (
-    ThetaTable,
-    _product_coeffs,
-    _theta_from_product,
+from bhl.hecke import ThetaTable
+from bhl.polyring import LaurentPoly, _decode_q
+from bhl.sigma import SigmaEngine
+from bhl.verify import run_suite
+
+from checks import (
     lambda_w,
+    product_coeffs,
     t_basis,
     t_mul,
     theta,
+    theta_from_product,
 )
-from bhl.polyring import LaurentPoly
-from bhl.sigma import SigmaEngine
-from bhl.verify import run_suite
 
 
 def qpoly(terms):
@@ -78,21 +79,39 @@ def test_theta_table_matches_direct(b2):
 
 
 def _theta_single_shot(g, x, y, w):
-    return _theta_from_product(g, _product_coeffs(g, x, y), w)
+    return theta_from_product(g, product_coeffs(g, x, y), w)
+
+
+def _decoded(col):
+    return LaurentPoly(0, {(d,): c for d, c in _decode_q(col, 0)})
+
+
+def _assert_int_theta(table, x, y, w):
+    """theta(x, y, w) from a lone lift (theta_idx) and from the column of y
+    (theta_sum over the one x, thetas at the one w), decoded, equals the
+    single-shot oracle."""
+    want = _theta_single_shot(table.group, x, y, w)
+    assert table.theta_idx(x, y, w) == want, (x, y, w)
+    assert _decoded(table.theta_sum(1 << x, y, w)) == want, (x, y, w)
+    assert [(w2, _decoded(col)) for w2, col in table.thetas(x, y, 1 << w)] == [
+        (w, want)
+    ], (x, y, w)
 
 
 @pytest.mark.parametrize("order", ["index", "shuffled"])
 @pytest.mark.parametrize("cartan_type", ["A2", "B2", "G2", "A3"])
 def test_masked_theta_memo_matches_single_shot(cartan_type, order, request):
-    """The memo keyed by (x, y, down(w) & supp) returns the single-shot theta
-    on every (x, y, w), queried in index order or in a seeded shuffle."""
+    """theta, the int sum of the lifted terms at the t <= w, decoded, is
+    the single-shot theta on every (x, y, w), from a lone lift and from the
+    column of y, queried in index order or in a seeded shuffle, which
+    builds the columns in another order."""
     g = request.getfixturevalue(cartan_type.lower())
     triples = list(itertools.product(range(g.order), repeat=3))
     if order == "shuffled":
         random.Random(20240811).shuffle(triples)
     table = ThetaTable(g)
     for x, y, w in triples:
-        assert table.theta_idx(x, y, w) == _theta_single_shot(g, x, y, w), (x, y, w)
+        _assert_int_theta(table, x, y, w)
 
 
 @pytest.mark.parametrize("order", ["index", "shuffled"])
@@ -103,18 +122,96 @@ def test_masked_theta_memo_matches_single_shot_sampled_b3(b3, order):
         triples.sort()
     table = ThetaTable(b3)
     for x, y, w in triples:
-        assert table.theta_idx(x, y, w) == _theta_single_shot(b3, x, y, w), (x, y, w)
+        _assert_int_theta(table, x, y, w)
 
 
-def test_theta_memo_size_after_classifying_every_w_of_a3(a3):
-    """xi asks theta only for the x in reach(y, w), and the memo keeps one
-    entry per distinct (x, y, mask): 2 060 keys for all 24 w of A3, where
-    one per triple would be 24^3 = 13 824."""
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "G2", "A3", "B3"])
+def test_thetas_over_many_w_match_single_shot(cartan_type):
+    """thetas(x, y, ws), whose w share one sum per part of the support they
+    cover, gives the single-shot theta at every w of ws: every (x, y) with
+    all w, or on B3 a seeded sample of (x, y) with random masks."""
+    g = build_group(cartan_type)
+    table = ThetaTable(g)
+    everything = (1 << g.order) - 1
+    if g.order <= 24:
+        cases = [(x, y, everything) for x in range(g.order) for y in range(g.order)]
+    else:
+        rng = random.Random(20240811)
+        cases = [
+            (rng.randrange(g.order), rng.randrange(g.order), rng.getrandbits(g.order))
+            for _ in range(300)
+        ]
+    for x, y, ws in cases:
+        got = [(w, _decoded(col)) for w, col in table.thetas(x, y, ws)]
+        want = [
+            (w, _theta_single_shot(g, x, y, w)) for w in range(g.order) if ws >> w & 1
+        ]
+        assert got == want, (x, y)
+
+
+@pytest.mark.parametrize("cartan_type", ["A4", "D4"])
+def test_int_theta_matches_single_shot_sampled_rank_4(cartan_type):
+    """A4, where w0-conjugation relabels, and D4, with the largest products
+    of the three: a seeded sample of 2 000 triples each."""
+    g = build_group(cartan_type)
+    rng = random.Random(20240811)
+    table = ThetaTable(g)
+    for _ in range(2000):
+        _assert_int_theta(table, *(rng.randrange(g.order) for _ in range(3)))
+
+
+def test_lift_by_one_less_fails_the_single_shot_check(a3):
+    """A copy whose lift raises each term by len(t) - 1 instead of len(t)
+    (t = e, whose q^-1 has no slot, keeps its lift) builds theta values the
+    single-shot oracle rejects."""
+    table = ThetaTable(a3)
+    table._lifts = [hecke._Q_BITS * max(n - 1, 0) for n in a3.lengths]
+    wrong = [
+        (x, y, w)
+        for x, y, w in itertools.product(range(a3.order), repeat=3)
+        if table.theta_idx(x, y, w) != _theta_single_shot(a3, x, y, w)
+    ]
+    assert wrong
+
+
+def test_column_refuses_a_product_past_the_slot_bound(a3):
+    """A product with a planted coefficient of 2^63 cannot have |W| copies
+    summed inside a 64-bit slot: lifting it raises, for a lone theta and for
+    the column of its y, which is not built."""
+    table = ThetaTable(a3)
+    x, y = 1, 2
+    prod = table.product(x, y)
+    t = min(prod)
+    table._products[(x, y)] = {**prod, t: LaurentPoly(0, {(0,): 2**63})}
+    with pytest.raises(RuntimeError, match="overflow the q-column slots"):
+        table.theta_idx(x, y, a3.longest_idx)
+    with pytest.raises(RuntimeError, match="overflow the q-column slots"):
+        table.reach(y, a3.longest_idx)
+    assert y not in table._columns
+
+
+def test_lifted_store_after_classifying_every_w_of_a3(a3):
+    """Classifying all 24 w of A3 builds one column per y. The lifted terms
+    of its 576 products take 30 distinct values, and with the totals of the
+    products 36 ints are stored; the 576 tuples of lifted terms are 52
+    distinct ones. Each is stored once and shared by every entry that
+    holds it; no theta is memoized."""
     engine = SigmaEngine(a3)
     engine.prefill_shared_tables()
     for w in range(a3.order):
         engine.classify_for_w(w)
-    assert len(engine.theta._theta) == 2060
+    table = engine.theta
+    assert sorted(table._columns) == list(range(a3.order))
+    columns = table._columns.values()
+    tuples = [tup for _, _, lifted, _ in columns for tup in lifted]
+    terms = [term for tup in tuples for term in tup]
+    totals = [total for _, _, _, col_totals in columns for total in col_totals]
+    assert len(tuples) == 576
+    assert len(set(terms)) == 30
+    assert len(table._lifted_ints) == len(set(terms + totals)) == 36
+    assert len({id(i) for i in terms + totals}) == 36
+    assert len(table._lifted_tuples) == len({id(tup) for tup in tuples}) == 52
+    assert not hasattr(table, "_theta")
 
 
 @pytest.mark.parametrize("cartan_type", ["A3", "B3", "G2"])
@@ -162,7 +259,7 @@ def _left_mul_product(g, x, y):
 def _assert_matches_independent_routes(g, table, pairs):
     for x, y in pairs:
         prod = table.product(x, y)
-        assert prod == _product_coeffs(g, x, y), (x, y)
+        assert prod == product_coeffs(g, x, y), (x, y)
         yinv = g.element(g.inv_table[y])
         assert prod == t_mul(t_basis(g.element(x)), t_basis(yinv)).coeffs, (x, y)
         assert prod == _left_mul_product(g, x, y), (x, y)
@@ -306,3 +403,5 @@ def test_group_mismatch_rejected(a2, b2):
         t_mul(t_basis(a2.identity()), t_basis(b2.identity()))
     with pytest.raises(GroupMismatchError):
         theta(a2.identity(), a2.identity(), b2.identity())
+    with pytest.raises(GroupMismatchError):
+        ThetaTable(a2).theta(a2.identity(), a2.identity(), b2.identity())

@@ -6,7 +6,7 @@ from bhl import kl as kl_module
 from bhl.coxeter import _bits
 from bhl.hecke import ThetaTable
 from bhl.kl import KLTable, check_theta_power_conjecture
-from bhl.polyring import LaurentPoly
+from bhl.polyring import LaurentPoly, _decode_q, _encode_q
 from bhl.rpoly import RPolyTable
 from bhl.sigma import SigmaEngine
 from bhl.verify import run_suite
@@ -59,6 +59,16 @@ def test_defining_identity(a3):
     assert check_kl_defining_identity(a3) == 213
 
 
+def test_defining_identity_b3(b3):
+    """The identity, summed on LaurentPoly by the check, holds for the P
+    that p_idx builds from its truncated products on a group with two root
+    lengths."""
+    kl = KLTable(b3)
+    assert check_kl_defining_identity(b3, kl) == sum(
+        bin(b3.down_masks[v]).count("1") for v in range(b3.order)
+    )
+
+
 def test_degree_bound_and_nonnegativity(a3, b3):
     for g in (a3, b3):
         kl = KLTable(g)
@@ -90,9 +100,16 @@ def test_theta_power_conjecture_small(a2, a3, engine_a3):
     assert check_theta_power_conjecture(a3, theta_table=engine_a3.theta) == []
 
 
+def _theta_decoded(theta, x, y, w):
+    """theta(x, y, w) from the int sums the scan reads, decoded."""
+    ((_, col),) = theta.thetas(x, y, 1 << w)
+    return LaurentPoly(0, {(d,): c for d, c in _decode_q(col, 0)})
+
+
 def _scan_per_pair(g, theta):
     """The power-of-q scan that tests P(x y^-1, w) = 1 again for every
-    (x, y, w): the oracle for the scan over one P = 1 mask per z."""
+    (x, y, w), and "a power of q" on the decoded polynomial: the oracle for
+    the scan over one P = 1 mask per z and its int test."""
     kl = KLTable(g)
     one = LaurentPoly.one(0)
     found = []
@@ -101,14 +118,15 @@ def _scan_per_pair(g, theta):
             z = g.mul_idx(x, g.inv_table[y])
             for w in _bits(g.up_masks[z]):
                 if kl.p_idx(z, w) == one:
-                    if not theta.theta_idx(x, y, w).is_q_monomial():
+                    if not _theta_decoded(theta, x, y, w).is_q_monomial():
                         found.append((x, y, w))
     return found
 
 
 def _planted_table(g):
-    """A ThetaTable whose theta is 1 + q at one seeded (x, y, w) with
-    P(x y^-1, w) = 1, w the largest such; returns (table, triple)."""
+    """A ThetaTable whose int theta is 1 + q at one seeded (x, y, w) with
+    P(x y^-1, w) = 1, w the largest such; returns (table, triple). The plant
+    sits on the int sum that the scan reads."""
     rng = random.Random(20240811)
     x, y = rng.randrange(g.order), rng.randrange(g.order)
     z = g.mul_idx(x, g.inv_table[y])
@@ -117,10 +135,12 @@ def _planted_table(g):
     planted = (x, y, w)
 
     class Planted(ThetaTable):
-        def theta_idx(self, *triple):
-            if triple == planted:
-                return LaurentPoly(0, {(0,): 1, (1,): 1})
-            return super().theta_idx(*triple)
+        def thetas(self, xx, yy, ws):
+            one_plus_q = _encode_q([(0, 1), (1, 1)], 0)
+            return [
+                (ww, one_plus_q if (xx, yy, ww) == planted else col)
+                for ww, col in super().thetas(xx, yy, ws)
+            ]
 
     return Planted(g), planted
 

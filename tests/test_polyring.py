@@ -20,6 +20,7 @@ from bhl.polyring import (
     _decode_q,
     _divide_packed,
     _encode_q,
+    _is_q_power,
     _pack,
     _packed_factor,
     _scale_by_factors,
@@ -362,6 +363,29 @@ def test_q_column_refuses_what_its_slots_cannot_hold(c):
         _encode_q([(0, c)], 0)
     with pytest.raises(ValueError, match="does not fit a column"):
         _encode_q([(-1, 1)], 0)
+
+
+@pytest.mark.parametrize("low", [0, -5])
+@pytest.mark.parametrize("k", [0, 1, 7])
+def test_q_power_test_on_columns_agrees_with_is_q_monomial(k, low):
+    """The int test of "a single q^k with coefficient 1" says what
+    LaurentPoly.is_q_monomial says, on 0, q^k, 2q^k, -q^k, q^k + q^j and
+    2^62 q^k, for columns from q^0 and from a lower degree."""
+    polys = [
+        {},
+        {k: 1},
+        {k: 2},
+        {k: -1},
+        {k: 1, k + 3: 1},
+        {k: 2**62},
+    ]
+    for terms in polys:
+        poly = LaurentPoly(0, {(d,): c for d, c in terms.items()})
+        col = _encode_q(sorted(terms.items()), low)
+        assert _is_q_power(col) == poly.is_q_monomial(), terms
+    assert [_is_q_power(_encode_q(sorted(t.items()), low)) for t in polys] == [
+        False, True, False, False, False, False,
+    ]
 
 
 def _columns(p: LaurentPoly, low: int) -> dict:

@@ -16,7 +16,7 @@ from bhl.rpoly import s_set, s_set_idx
 from bhl.sigma import SigmaEngine, classify, verify_main_theorem, verify_vanishing
 from bhl.verify import SUITE_NAMES, run_suite
 
-from checks import mu_element, sigma_via_mu_idx
+from checks import mu_element, sigma_via_mu_idx, theta_from_product
 
 # the twenty non-product-form triples in rank 2, canonical words,
 # sorted lexicographically
@@ -323,11 +323,13 @@ def test_unreduced_denominators_stay_in_s_e_v(a3, b2, engine_a3, engine_b2):
 
 
 def _xi_by_chained_add(eng, u, y, w):
-    """xi as a chain of LaurentPoly additions over every x >= u, the oracle
-    for the one-dict sum of SigmaEngine._xi over the x that reach [e, w]."""
+    """xi as a chain of LaurentPoly additions over every x >= u, each theta
+    summed on dicts from the product's coefficients: the oracle for the int
+    sum of SigmaEngine._xi over the x that reach [e, w]."""
+    g = eng.group
     out = LaurentPoly.zero(0)
-    for x in _bits(eng.group.up_masks[u]):
-        out = out + eng.theta.theta_idx(x, y, w)
+    for x in _bits(g.up_masks[u]):
+        out = out + theta_from_product(g, eng.theta.product(x, y), w)
     return out
 
 
@@ -383,6 +385,30 @@ def test_reach_that_drops_a_nonzero_theta_fails_the_xi_check(a3, monkeypatch):
     monkeypatch.setattr(ThetaTable, "reach", dropping)
     triples = itertools.product(range(a3.order), repeat=3)
     assert (a3.identity_idx, y, w) in _xi_mismatches(eng, triples)
+
+
+def test_single_shot_sigma_asks_xi_only_where_some_x_reaches(a3, monkeypatch):
+    """Without an xi cache, sigma asks xi(u, y, w) for exactly the y <= v
+    whose reach(y, w) has an x >= u: on an A3 main-theorem pass, every such
+    y at v = v_min and no other."""
+    eng = SigmaEngine(a3)
+    asked = []
+    original = SigmaEngine._xi
+
+    def counting(self, u, y, w):
+        asked.append((u, y, w))
+        return original(self, u, y, w)
+
+    monkeypatch.setattr(SigmaEngine, "_xi", counting)
+    assert verify_main_theorem(a3, engine=eng)
+    want = [
+        (u, y, w)
+        for w in range(a3.order)
+        for u in range(a3.order)
+        for y in _bits(a3.down_masks[v_min_idx(a3, u, w)])
+        if a3.up_masks[u] & eng.theta.reach(y, w)
+    ]
+    assert asked == want
 
 
 def _sigma_by_rational_sum(eng, u, v, w):
