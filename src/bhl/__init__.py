@@ -26,7 +26,7 @@ from .demazure import (
 from .hecke import ThetaTable
 from .kl import KLTable, check_theta_power_conjecture
 from .polyring import LaurentPoly, RationalFn, binomial, binomial_divide
-from .rpoly import RPolyTable, s_set, s_set3
+from .rpoly import RPolyTable, s_set
 from .sigma import (
     ClassificationReport,
     SigmaEngine,
@@ -60,7 +60,6 @@ __all__ = [
     "binomial_divide",
     "RPolyTable",
     "s_set",
-    "s_set3",
     "ClassificationReport",
     "SigmaEngine",
     "classify",

@@ -56,6 +56,12 @@ class WordError(ValueError):
     """An element word failed to parse."""
 
 
+def _is_ascii_number(text: str) -> bool:
+    """True when text is one or more of the ASCII digits 0-9; str.isdigit
+    alone also takes digits such as '²' or '٣'."""
+    return text.isascii() and text.isdigit()
+
+
 @dataclass(frozen=True)
 class CartanType:
     """A finite Weyl group family label: A, B, C, D or G, plus a rank."""
@@ -66,7 +72,7 @@ class CartanType:
     @classmethod
     def parse(cls, text: str) -> "CartanType":
         text = text.strip()
-        if len(text) < 2 or not text[1:].isdigit():
+        if len(text) < 2 or not _is_ascii_number(text[1:]):
             raise UnsupportedTypeError(f"cannot parse Cartan type {text!r}")
         t = cls(text[0].upper(), int(text[1:]))
         t.validate()
@@ -382,14 +388,12 @@ class CoxeterGroup:
         if text == "e":
             return 0
         if "," in text:
-            try:
-                letters = [int(p) for p in text.split(",")]
-            except ValueError:
-                raise WordError(f"malformed element word {text!r}") from None
-        elif text.isdigit():
-            letters = [int(ch) for ch in text]
+            parts = [p.strip() for p in text.split(",")]
         else:
+            parts = list(text)
+        if not parts or not all(map(_is_ascii_number, parts)):
             raise WordError(f"malformed element word {text!r}")
+        letters = [int(p) for p in parts]
         w = 0
         for i in letters:
             if not 1 <= i <= self.rank:

@@ -44,24 +44,21 @@ t <= w. The table lifts each term q^len(t) c_t to one q-column from q^0
 (see ``polyring``), one int per t, so theta is the int sum of the lifted
 terms at the bits of down(w), and a sum of theta over many x (the xi of
 ``sigma``) is one int sum as well; neither builds a polynomial. The lifted
-terms are kept one column per y, built on the first query that needs it:
-for every x, the support mask of T_x T_{y^{-1}}, the tuple of its lifted
+terms are kept one column per y, built on the first query of that y: for
+every x, the support mask of T_x T_{y^{-1}}, the tuple of its lifted
 terms, aligned with the keys of ``product(x, y)``, and their total, which is
 theta for every w above the whole support. Each distinct int and each
-distinct tuple is stored once (67 lifted terms in 266 tuples on B3, 105 in
-607 on A4, for 2 304 and 14 400 products). No theta is memoized: one costs
-a pass over the terms of one product. Three reads share that pass
-(``_sum_at``): ``theta_sum`` adds theta over many x at one w (xi),
-``thetas`` gives theta of one (x, y) at many w (the power-of-q scan), and
-w that cover the same part of the support share one pass within a call;
-``theta_idx`` lifts its one product and builds no column, so a lone query
-never walks the |W| products of a column.
+distinct tuple is stored once. No theta is memoized: one costs a pass over
+the terms of one product. Every read goes through the column and shares
+that pass (``_sum_at``): ``theta_sum`` adds theta over many x at one w
+(xi), ``thetas`` gives theta of one (x, y) at many w (the power-of-q scan),
+and w that cover the same part of the support share one pass within a
+call; ``theta_idx`` is ``thetas`` at one w, decoded.
 
 A sum of theta(x, y, w) over any set of x has L1 norm at most |W| times the
-largest L1 norm of a product T_x T_{y^{-1}} (675 on B3, 2 921 on A4, 5 765
-on D4). Every lift checks that bound against 2^(K - 1), so every such sum
-decodes exactly, and "theta is a power of q" is an int test
-(``polyring._is_q_power``).
+largest L1 norm of a product T_x T_{y^{-1}}. Every lift checks that bound
+against 2^(K - 1), so every such sum decodes exactly, and "theta is a power
+of q" is an int test (``polyring._is_q_power``).
 
 reach(y, w), memoized per (y, w), is the mask of the x whose support meets
 down(w); theta(x, y, w) is an empty sum, exactly 0, for every x outside it,
@@ -166,10 +163,10 @@ class ThetaTable:
     with its shorter neighbour. In an x-major fill of A4 only 3 843 of the
     14 400 products are walked, in B3 1 176 of 2 304.
 
-    The column of y, built on the first ``theta_sum``, ``thetas`` or
-    ``reach`` query of that y, holds for every x what ``_lift`` gives: the support mask of
-    T_x T_{y^{-1}}, the product, its lifted terms q^len(t) c_t as q-columns
-    from q^0 in the order of the product's keys, and their total.
+    The column of y, built on the first query of that y, holds for every
+    x what ``_lift`` gives: the support mask of T_x T_{y^{-1}}, the
+    product, its lifted terms q^len(t) c_t as q-columns from q^0 in the
+    order of the product's keys, and their total.
     reach(y, w) is the mask of the x whose support meets down_masks[w],
     memoized per (y, w): at most |W|^2 ints. theta is 0 for every x
     outside it."""
@@ -184,7 +181,7 @@ class ThetaTable:
         # the shift that lifts a term at t by q^len(t), K len(t) bits
         self._lifts = [_Q_BITS * n for n in group.lengths]
         # each distinct lifted term or total, and each distinct tuple of
-        # lifted terms, stored once (A4: 14 400 tuples, 607 distinct)
+        # lifted terms, stored once
         self._lifted_ints: dict = {}
         self._lifted_tuples: dict = {}
         self._reach: dict = {}  # (y, w) -> mask of the x whose support meets down(w)
@@ -313,11 +310,8 @@ class ThetaTable:
         return out
 
     def theta_idx(self, x: int, y: int, w: int) -> LaurentPoly:
-        """theta(x, y, w), decoded from the sum of the lifted terms of
-        T_x T_{y^{-1}} at the t <= w. Lifts that one product, not the column
-        of y."""
-        supp, prod, terms, _ = self._lift(x, y)
-        col = _sum_at(prod, terms, supp & self.group.down_masks[w])
+        """theta(x, y, w), decoded from ``thetas`` at the one w."""
+        ((_, col),) = self.thetas(x, y, 1 << w)
         return _new(0, {(d,): c for d, c in _decode_q(col, 0)})
 
     def theta(self, x: Element, y: Element, w: Element) -> LaurentPoly:

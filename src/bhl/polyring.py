@@ -14,7 +14,7 @@ Representation conventions:
   vectors, each standing for one factor ``1 - x^beta``. In applications beta
   ranges over positive roots written in simple-root coordinates, so beta is a
   nonzero vector of nonnegative ints. Only ``reduced()`` cancels factors
-  that divide the numerator; printing and evaluation go through it.
+  that divide the numerator; printing goes through it.
 - ``_pack`` and ``_unpack`` turn an exponent tuple into one int of signed
   base-2^20 digits (q-degree lowest) and back, so that multiplying
   monomials is one int addition; ``_times_binomial`` multiplies a packed
@@ -43,12 +43,14 @@ Representation conventions:
   to one den through ``_scale_by_factors``, the tuple-key twin of
   ``_times_binomial``: each factor 1 - x^beta costs one copy of the terms
   and one shifted subtraction, not a general product.
-- Exact division by 1 - x^beta (``binomial_divide`` and ``reduced()``)
-  also runs on packed keys, in ``_divide_packed``: a term's coset of
-  Z*beta is pinned by one digit, the top nonzero digit of beta, read with
-  a shift and a mask. Division therefore needs every degree of the
-  numerator and of beta inside (-2^19, 2^19); one outside raises
-  ``ValueError`` naming its exponent. It also needs each coset
+- Exact division by 1 - x^beta runs on packed keys, in
+  ``_divide_packed``, and has one route: ``reduced()`` and
+  ``binomial_divide`` (one factor) both go through ``_reduce``, and the
+  r table's ``reduced_den_idx`` through ``_reduce_packed`` on its columns.
+  A term's coset of Z*beta is pinned by one digit, the top nonzero digit
+  of beta, read with a shift and a mask. Division therefore needs every
+  degree of the numerator and of beta inside (-2^19, 2^19); one outside
+  raises ``ValueError`` naming its exponent. It also needs each coset
   representative inside that bound: with j the last coordinate of beta's
   support and m_i the largest |x_i-degree| of the numerator, every i < j
   must have m_i + ceil(m_j / beta_j) * beta_i < 2^19, or ``ValueError`` is
@@ -312,18 +314,6 @@ class LaurentPoly:
             total += v
         return total
 
-    def subs_q(self, q) -> "LaurentPoly":
-        """Substitute a numeric value for q, leaving the x-variables."""
-        t: dict = {}
-        for e, c in self.terms.items():
-            k = (0,) + e[1:]
-            nc = t.get(k, 0) + c * q ** e[0]
-            if nc:
-                t[k] = nc
-            else:
-                t.pop(k, None)
-        return LaurentPoly(self.arity, t)
-
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -471,27 +461,16 @@ def _divide_packed(num: dict, b: int) -> Optional[dict]:
     return quot
 
 
-def _packed_terms(p: LaurentPoly) -> dict:
-    return {_pack(e): c for e, c in p.terms.items()}
-
-
-def _unpacked(arity: int, terms: dict) -> LaurentPoly:
-    return _new(arity, {_unpack(k, arity + 1): c for k, c in terms.items()})
-
-
 def binomial_divide(p: LaurentPoly, beta: tuple) -> Optional[LaurentPoly]:
     """
     Exact quotient p / (1 - x^beta), or None when the division leaves a
-    remainder. beta must be a nonzero vector of nonnegative x-degrees, and
-    every degree of p and beta must lie in (-2^19, 2^19); so must the coset
-    representatives, as ``_packed_factor`` states, or ValueError is raised.
-
-    p is packed, divided by ``_divide_packed`` (cosets of Z*beta, each
-    pinned by one digit of the key) and unpacked.
+    remainder: ``_reduce`` with the one factor beta. beta must be a nonzero
+    vector of nonnegative x-degrees, and every degree of p and beta must lie
+    in (-2^19, 2^19); so must the coset representatives, as
+    ``_packed_factor`` states, or ValueError is raised.
     """
-    terms = _packed_terms(p)
-    quot = _divide_packed(terms, _packed_factor(beta, p.arity, _spans(p)))
-    return None if quot is None else _unpacked(p.arity, quot)
+    num, kept = _reduce(p, (tuple(beta),))
+    return None if kept else num
 
 
 class RationalFn:
@@ -580,16 +559,6 @@ class RationalFn:
         """The same value with every factor that divides ``num`` cancelled."""
         return RationalFn(self.num, self.den, reduce=True)
 
-    def evaluate(self, q, xs: tuple = ()) -> Fraction:
-        r = self.reduced()
-        val = r.num.evaluate(q, xs)
-        for b in r.den:
-            d = Fraction(1)
-            for xi, deg in zip(xs, b):
-                d *= Fraction(xi) ** deg
-            val /= 1 - d
-        return val
-
     def __str__(self) -> str:
         r = self.reduced()
         num_s = str(r.num)
@@ -645,7 +614,9 @@ def _reduce(num: LaurentPoly, den: tuple) -> tuple:
     """Cancel every denominator factor that divides the numerator exactly,
     on packed keys: the numerator is packed once, reduced by
     ``_reduce_packed`` with its own spans and unpacked once."""
-    terms, kept = _reduce_packed(_packed_terms(num), den, num.arity, _spans(num))
+    packed = {_pack(e): c for e, c in num.terms.items()}
+    terms, kept = _reduce_packed(packed, den, num.arity, _spans(num))
     if len(kept) == len(den):  # nothing cancelled: skip the unpack
         return num, den
-    return _unpacked(num.arity, terms), kept
+    n = num.arity + 1
+    return _new(num.arity, {_unpack(k, n): c for k, c in terms.items()}), kept

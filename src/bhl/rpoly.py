@@ -1,6 +1,6 @@
 """
 Deformed R-polynomials, their q -> q^-1 conjugates, the classical
-Kazhdan-Lusztig R-polynomials, and the root sets S(u, v) and S(u, v, w).
+Kazhdan-Lusztig R-polynomials, and the root sets S(u, v).
 
 The deformed value r(u, v) is a rational function of the torus coordinates
 with q-polynomial numerator. It is defined by r(u, u) = 1, r(u, v) = 0
@@ -58,19 +58,30 @@ lacks and the tail by the b factors it lacks,
 
 since 1 - q^-1 and each 1 - x^beta at most double the L1 norm and a shift
 keeps it. The step raises ``ValueError`` when B reaches 2^(K - 1), before
-any column is tested for zero. B stays small: its largest value has 9 bits
-on A3, 14 on B3 and C3, 16 on A4 and 19 on D4, against K - 1 = 63. The
-reduction of ``reduced_den_idx`` and the sum of ``sigma`` carry the bound
-on (see there); on D4 the reduction's bound reaches 44 bits.
+any column is tested for zero. The reduction of ``reduced_den_idx`` and the
+sum of ``sigma`` carry the bound on (see there).
 
 The recursion always pivots on the smallest-index left descent of v;
-independence of the pivot is a tested property, not an assumption. The
-classical R-polynomial is the coefficientwise limit of the same recursion as
-every x^alpha grows without bound (the first case keeps only r(su, sv), the
-second replaces the rational prefactor by q - 1), giving the usual
+independence of the pivot is a tested property, not an assumption.
+
+The classical R-polynomial is read off the same table. As every x^alpha
+grows without bound, the prefactor (1 - q)/(1 - x^beta) of the first case
+tends to 0 and (1 - q) x^beta/(1 - x^beta) of the second to q - 1, so r
+tends coefficientwise to the R of the classical recursion
 
     R(u, v) = R(su, sv)                      if su < u,
     R(u, v) = (q - 1) R(u, sv) + q R(su, sv) if su > u.
+
+Write bar r(u, v) = N / prod over beta in den of (1 - x^beta) and D for
+the sum of den. The den equals (-1)^|den| x^D times the product of the
+1 - x^-beta, each of which tends to 1, so N x^-D tends to
+(-1)^|den| bar R(u, v). Take x_j = t^c_j with every c_j > 0, so that every
+x^alpha grows as t does; N x^-D is a sum of a_m t^(c.m). For generic c the
+c.m of distinct m differ, so a limit exists only if c.m <= 0 for every m
+with a_m != 0; an m with some m_j > 0 fails that once c_j is large enough.
+So every exponent of N x^-D is <= 0, and the limit is its constant term:
+R(u, v) is (-1)^|den| times the column of N at the x-key D, with q
+replaced by q^-1.
 
 All tables are per-group memos, filled single-threaded and read-only after.
 """
@@ -90,9 +101,7 @@ from .polyring import (
     _unpack,
 )
 
-__all__ = ["RPolyTable", "s_set", "s_set3", "s_set_idx"]
-
-_Q_MINUS_1 = LaurentPoly(0, {(1,): 1, (0,): -1})
+__all__ = ["RPolyTable", "s_set", "s_set_idx"]
 
 # shared entry of every u not <= v; no entry is mutated once stored
 _ZERO = (frozenset(), {}, 0)
@@ -284,27 +293,17 @@ class RPolyTable:
     # -- classical -----------------------------------------------------------
 
     def classical_idx(self, u: int, v: int) -> LaurentPoly:
+        """R(u, v): (-1)^|den| times the column of bar r(u, v) at the x-key
+        sum of den, with q replaced by q^-1 (see the module docstring)."""
         key = (u, v)
         val = self._classical.get(key)
-        if val is not None:
-            return val
-        g = self.group
-        if u == v:
-            val = LaurentPoly.one(0)
-        elif not g.leq_idx(u, v):
-            val = LaurentPoly.zero(0)
-        else:
-            mask = g.left_desc_masks[v]
-            i = (mask & -mask).bit_length() - 1
-            sv = g.lmult[v][i]
-            su = g.lmult[u][i]
-            if g.lengths[su] < g.lengths[u]:
-                val = self.classical_idx(su, sv)
-            else:
-                val = _Q_MINUS_1 * self.classical_idx(u, sv) + self.classical_idx(
-                    su, sv
-                ).shift_q(1)
-        self._classical[key] = val
+        if val is None:
+            den, cols, _ = self.bar_r_packed_idx(u, v)
+            sign = -1 if len(den) & 1 else 1
+            col = cols.get(sum(den), 0)
+            val = self._classical[key] = _new(
+                0, {(-d,): sign * c for d, c in _decode_q(col, self.low)}
+            )
         return val
 
     def classical_R(self, u: Element, v: Element) -> LaurentPoly:
@@ -330,13 +329,3 @@ def s_set(u: Element, v: Element) -> frozenset:
     g = u.group
     g.check_same(v.group)
     return s_set_idx(g, u.index, v.index)
-
-
-def s_set3(u: Element, v: Element, w: Element) -> frozenset:
-    """S(u, v, w) = S(U_{w^{-1}} down-arrow u, v)."""
-    from .demazure import v_min_idx
-
-    g = u.group
-    g.check_same(v.group)
-    g.check_same(w.group)
-    return s_set_idx(g, v_min_idx(g, u.index, w.index), v.index)

@@ -34,28 +34,30 @@ built, and the columns are decoded once, at the end. Since the
 substitution q -> 2^K is a ring homomorphism, that product is exact, and
 the decode reads it back while every coefficient of sigma stays below
 2^(K - 1) in magnitude, which ``sigma_idx`` checks by an L1 bound before
-decoding (at most 24 bits on the classify runs of A3, B3 and A4 measured,
-against K - 1 = 63). The keys need no check: the x-keys of a scaled bar
+decoding. The keys need no check: the x-keys of a scaled bar
 stay inside the r table's ``max_digit``, as the ``rpoly`` docstring shows.
 
 The scaled bar depends on (y, v, U) alone, and the same key recurs across
-triples (the 3 w of the classify-a3 benchmark ask 7 240 parts of 774 keys;
-one verify-b3 round 3 605 parts of 978), so the engine keeps it in a memo
-keyed by (y, v, U) and scales each key once. A bar whose den is all of U
-is read from the r table and not stored; a stored one is a tuple of
-(x-key, column) pairs, each distinct pair one shared object, since the
-entries repeat few pairs. U, the den and every numerator coefficient are
-what scaling each term would give; only the order of the additions
-differs. This is not clearing over D_v = prod over S(e, v) (a dead end,
-see ROADMAP): the den stays U, so at v = v_min only y = v_min contributes,
-bar r(v_min, v_min) = 1, and sigma0 needs no division.
+triples, so the engine keeps it in a memo keyed by (y, v, U) and scales
+each key once. A bar whose den is all of U is read from the r table and
+not stored; a stored one is a tuple of (x-key, column) pairs, each
+distinct pair one shared object, since the entries repeat few pairs. U,
+the den and every numerator coefficient are what scaling each term would
+give; only the order of the additions differs.
+
+sigma0(u, w) is sigma at v = v_min read as it is built, with no
+cancelling: only y = v_min contributes there and bar r(v_min, v_min) = 1,
+so U is empty and the numerator has no x. That is asserted, not assumed:
+a sigma at v_min with a den factor or an x raises in ``classify`` and
+fails the main-theorem check.
 
 A triple with v >= v_min(u, w) is "of GK type" when
 
     sigma(u, v, w) = sigma0(u, w) * prod over alpha in S(u, v, w) of
                      (1 - q^-1 x^alpha) / (1 - x^alpha),
 
-tested by exact cross-multiplied equality. Classification enumerates all
+where S(u, v, w) = S(v_min(u, w), v); the test is exact cross-multiplied
+equality. Classification enumerates all
 |W|^3 triples, counts those with v >= v_min (asserting their sigma is indeed
 nonzero), counts the GK ones, and reports the exceptions in canonical word
 form. The enumeration parallelizes over w against read-only shared tables;
@@ -98,8 +100,9 @@ _VANISHING_EXHAUSTIVE_ORDER = 10
 
 
 def _q_polynomial(val: RationalFn) -> LaurentPoly | None:
-    """The q-polynomial equal to val, or None if torus dependence remains."""
-    val = val.reduced()
+    """The numerator of val as a q-polynomial, or None when val has a den
+    factor or an x. Nothing is cancelled: sigma at v_min has an empty den,
+    since only y = v_min contributes there (module docstring)."""
     if val.den or not val.num.is_q_only():
         return None
     return val.num.q_only()
@@ -169,8 +172,6 @@ class SigmaEngine:
         which the bound checked by every lift of the theta table keeps
         exact."""
         mask = self.group.up_masks[u] & self.theta.reach(y, w)
-        if not mask:
-            return 0, 0
         xi = self.theta.theta_sum(mask, y, w)
         l1 = sum(abs(c) for _, c in _decode_q(xi, 0))
         return xi << _Q_BITS * (-self.rtable.low - self.group.lengths[y]), l1
@@ -188,8 +189,9 @@ class SigmaEngine:
         factor is the r table's own dict and is not stored. Entries, like
         the r table's, are read only. ``xi_cache`` (y -> the column of
         q^-len(y) xi and its L1 norm) shares xi across the v of one (u, w),
-        as classify does; without it, a y whose reach mask has no x >= u is
-        skipped, as its xi is an empty sum.
+        as classify does; without it, a dict local to the call serves. A y
+        with no x >= u in its reach mask gets xi = 0 without asking
+        ``_xi``, as its xi is an empty sum.
 
         The columns are decoded once, at the end. Before any is read, the
         L1 bound of the sum, over the parts, of L1(xi) times the L1 bound
@@ -203,16 +205,14 @@ class SigmaEngine:
         g = self.group
         bar_r = self.rtable.bar_r_packed_idx
         up, reach = g.up_masks[u], self.theta.reach
+        if xi_cache is None:
+            xi_cache = {}
         parts = []
         for y in _bits(g.down_masks[v]):
-            if xi_cache is not None:
-                xi = xi_cache.get(y)
-                if xi is None:
-                    xi = xi_cache[y] = self._xi(u, y, w)
-            elif up & reach(y, w):
-                xi = self._xi(u, y, w)
-            else:  # no x >= u reaches [e, w]: xi is an empty sum
-                continue
+            xi = xi_cache.get(y)
+            if xi is None:  # 0 when no x >= u reaches [e, w]: an empty sum
+                xi = self._xi(u, y, w) if up & reach(y, w) else (0, 0)
+                xi_cache[y] = xi
             if xi[0]:
                 parts.append((y, xi, bar_r(y, v)))
         union = frozenset().union(*(entry[0] for _, _, entry in parts))

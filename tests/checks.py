@@ -3,7 +3,9 @@ Whole-group checks that only the test suite runs: recursion pivot
 independence of r, the defining identity of the Kazhdan-Lusztig table, the
 root count under a trivial inverse KL polynomial, and the classical limit of
 r. Each returns how many cases it compared and raises AssertionError at the
-first failure.
+first failure. Beside them, the classical R by its own recursion (the
+oracle for R read off the bar r table), exact evaluation of a
+``RationalFn``, and the adjoint-involution check of a classify report.
 
 Also the tuple-key division by 1 - x^beta, the reference that the packed
 kernel behind ``binomial_divide`` and ``RationalFn.reduced()`` is compared
@@ -132,7 +134,7 @@ def check_r_numerical_limit(
         ]
     checked = 0
     for u, v in pairs:
-        approx = rtable.r_idx(u, v).evaluate(q, xs)
+        approx = evaluate(rtable.r_idx(u, v), q, xs)
         exact = rtable.classical_idx(u, v).evaluate(q)
         if exact == 0:
             if approx != 0:
@@ -143,6 +145,66 @@ def check_r_numerical_limit(
             )
         checked += 1
     return checked
+
+
+def classical_r_by_recursion(g: CoxeterGroup) -> dict:
+    """(u, v) -> the classical R(u, v) over every pair u <= v, by its own
+    recursion on LaurentPoly, pivoting on the smallest-index left descent
+    of v: R(u, v) = R(su, sv) if su < u, (q - 1) R(u, sv) + q R(su, sv)
+    if su > u. The oracle for ``RPolyTable.classical_idx``, which reads R
+    off the bar r table instead."""
+    q_minus_1 = LaurentPoly(0, {(1,): 1, (0,): -1})
+    zero = LaurentPoly.zero(0)
+    table: dict = {}
+    for v in range(g.order):  # indices are sorted by length
+        mask = g.left_desc_masks[v]
+        for u in _bits(g.down_masks[v]):
+            if u == v:
+                table[u, v] = LaurentPoly.one(0)
+                continue
+            i = (mask & -mask).bit_length() - 1
+            sv, su = g.lmult[v][i], g.lmult[u][i]
+            if g.lengths[su] < g.lengths[u]:
+                table[u, v] = table.get((su, sv), zero)
+            else:
+                table[u, v] = q_minus_1 * table.get((u, sv), zero) + table.get(
+                    (su, sv), zero
+                ).shift_q(1)
+    return table
+
+
+def evaluate(f: RationalFn, q, xs: tuple = ()) -> Fraction:
+    """f at q and the torus point xs, exactly; q and xs may be Fractions or
+    ints. The reduced form is evaluated, so a den factor that cancels may
+    vanish at xs."""
+    r = f.reduced()
+    val = r.num.evaluate(q, xs)
+    for b in r.den:
+        d = Fraction(1)
+        for xi, deg in zip(xs, b):
+            d *= Fraction(xi) ** deg
+        val /= 1 - d
+    return val
+
+
+def adjoint_mismatches(g: CoxeterGroup, rows) -> list:
+    """The (u, v, w, is_gk) of the report rows, words as printed, whose
+    image under the adjoint involution tau(u, v, w) = (w0 w, v^-1, w0 u) is
+    not a row with the same is_gk. tau is an involution, so an empty list
+    means it maps the nonzero triples onto themselves and keeps every
+    flag. A wrong flag on a triple that tau fixes, or on both triples of
+    one pair, passes."""
+    w0, parse = g.longest_idx, g.parse_word_idx
+    keyed = [
+        ((parse(u), parse(v), parse(w)), (u, v, w, flag))
+        for u, v, w, flag, *_ in rows
+    ]
+    flags = {key: row[3] for key, row in keyed}
+    return [
+        row
+        for (u, v, w), row in keyed
+        if flags.get((g.mul_idx(w0, w), g.inv_table[v], g.mul_idx(w0, u))) != row[3]
+    ]
 
 
 def binomial_divide_tuples(p: LaurentPoly, beta: tuple) -> LaurentPoly | None:

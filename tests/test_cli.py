@@ -239,6 +239,10 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2 and "unsupported" in err
     code, _, err = invoke(capsys, "sigma", "--type", "A2", "-u", "x", "-v", "1", "-w", "e")
     assert code == 2 and "malformed" in err
+    code, out, err = invoke(capsys, "meet", "--type", "A2", "-u", "²", "-w", "1")
+    assert (code, out) == (2, "") and err == "error: malformed element word '²'\n"
+    code, out, err = invoke(capsys, "group", "--type", "A٣")
+    assert (code, out) == (2, "") and err == "error: cannot parse Cartan type 'A٣'\n"
     code, _, err = invoke(capsys, "classify")
     assert code == 2
     code, _, err = invoke(capsys, "verify", "--type", "A2", "--suite", "nope")

@@ -30,6 +30,18 @@ def test_type_parsing_and_validation():
             CartanType.parse(bad)
 
 
+def test_non_ascii_digits_are_refused(a3):
+    """str.isdigit() takes '²' and '٣'; a type or word takes ASCII digits
+    only, so each raises the library's own error, not int()'s ValueError,
+    and 'A٣' is not read as A3."""
+    for bad in ("A²", "A٣", "B²"):
+        with pytest.raises(UnsupportedTypeError, match="cannot parse"):
+            build_group(bad)
+    for bad in ("²", "٣", "1²", "1,٣", "1,²"):
+        with pytest.raises(WordError, match="malformed"):
+            a3.from_word(bad)
+
+
 def test_order_cap():
     with pytest.raises(OrderCapError):
         build_group("A3", max_order=10)

@@ -87,9 +87,9 @@ def _decoded(col):
 
 
 def _assert_int_theta(table, x, y, w):
-    """theta(x, y, w) from a lone lift (theta_idx) and from the column of y
-    (theta_sum over the one x, thetas at the one w), decoded, equals the
-    single-shot oracle."""
+    """theta(x, y, w) from theta_idx and from the column of y (theta_sum
+    over the one x, thetas at the one w), decoded, equals the single-shot
+    oracle."""
     want = _theta_single_shot(table.group, x, y, w)
     assert table.theta_idx(x, y, w) == want, (x, y, w)
     assert _decoded(table.theta_sum(1 << x, y, w)) == want, (x, y, w)
@@ -102,9 +102,9 @@ def _assert_int_theta(table, x, y, w):
 @pytest.mark.parametrize("cartan_type", ["A2", "B2", "G2", "A3"])
 def test_masked_theta_memo_matches_single_shot(cartan_type, order, request):
     """theta, the int sum of the lifted terms at the t <= w, decoded, is
-    the single-shot theta on every (x, y, w), from a lone lift and from the
-    column of y, queried in index order or in a seeded shuffle, which
-    builds the columns in another order."""
+    the single-shot theta on every (x, y, w), from the column of y, queried
+    in index order or in a seeded shuffle, which builds the columns in
+    another order."""
     g = request.getfixturevalue(cartan_type.lower())
     triples = list(itertools.product(range(g.order), repeat=3))
     if order == "shuffled":
@@ -176,8 +176,8 @@ def test_lift_by_one_less_fails_the_single_shot_check(a3):
 
 def test_column_refuses_a_product_past_the_slot_bound(a3):
     """A product with a planted coefficient of 2^63 cannot have |W| copies
-    summed inside a 64-bit slot: lifting it raises, for a lone theta and for
-    the column of its y, which is not built."""
+    summed inside a 64-bit slot: lifting it raises, for theta_idx and for
+    reach, and the column of its y is not built."""
     table = ThetaTable(a3)
     x, y = 1, 2
     prod = table.product(x, y)

@@ -2,14 +2,16 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import bhl
 from bhl import polyring
 from bhl.coxeter import build_group
+from bhl.demazure import v_min_idx
 from bhl.polyring import LaurentPoly, RationalFn, _decode_q, _pack, _unpack
-from bhl.rpoly import RPolyTable, s_set, s_set3
+from bhl.rpoly import RPolyTable, s_set, s_set_idx
 from bhl.sigma import SigmaEngine
 from bhl.verify import run_suite
 
@@ -17,6 +19,8 @@ from checks import (
     check_deodhar_under_q1,
     check_r_descent_independence,
     check_r_numerical_limit,
+    classical_r_by_recursion,
+    evaluate,
     reduced_tuples,
 )
 
@@ -79,6 +83,20 @@ def test_classical_degree_is_length_gap(a3):
                 )
 
 
+@pytest.mark.parametrize("cartan", ["A2", "B2", "C2", "G2", "A3", "B3", "C3", "A4"])
+def test_classical_read_off_bar_r_matches_recursion(cartan):
+    """R(u, v) read off the bar r table, (-1)^|den| times the column at the
+    x-key sum of den with q -> q^-1, equals the classical recursion on
+    LaurentPoly on every pair u <= v, and is 0 on every other pair."""
+    g = build_group(cartan)
+    rt = RPolyTable(g)
+    want = classical_r_by_recursion(g)
+    for u in range(g.order):
+        for v in range(g.order):
+            got = rt.classical_idx(u, v)
+            assert got == want.get((u, v), LaurentPoly.zero(0)), (u, v)
+
+
 def test_descent_choice_independence(a3):
     assert check_r_descent_independence(a3) > 0
 
@@ -136,12 +154,15 @@ def test_numerical_limit_a3_sampled(a3):
 
 
 def test_bar_matches_at_q_one(a3):
+    """r and bar r agree at q = 1, at two torus points off every pole."""
     g = a3
     rt = RPolyTable(g)
+    points = [(2, 3, 5), (Fraction(-1, 3), 7, Fraction(5, 2))]
     for v in range(g.order):
         for u in range(g.order):
             f = rt.r_idx(u, v)
-            assert f.num.subs_q(1) == f.num.bar_q().subs_q(1)
+            for xs in points:
+                assert evaluate(f, 1, xs) == evaluate(f.bar_q(), 1, xs), (u, v)
 
 
 def test_s_set_examples(a2):
@@ -154,16 +175,20 @@ def test_s_set_examples(a2):
 
 
 def test_s_set3_examples(a2):
+    """S(u, v, w) = S(v_min(u, w), v): S(u, v) at w = e, empty at
+    v = v_min, and {alpha_2} at (e, s2, s2)."""
     g = a2
-    e, s2 = g.identity(), g.simple(2)
-    for u in g.elements():
-        for v in g.elements():
-            assert s_set3(u, v, e) == s_set(u, v)
-    from bhl.demazure import v_min
+    e, s2 = g.identity_idx, g.simple(2).index
 
-    for u in g.elements():
-        for w in g.elements():
-            assert s_set3(u, v_min(u, w), w) == frozenset()
+    def s_set3(u, v, w):
+        return s_set_idx(g, v_min_idx(g, u, w), v)
+
+    for u in range(g.order):
+        for v in range(g.order):
+            assert s_set3(u, v, e) == s_set_idx(g, u, v)
+    for u in range(g.order):
+        for w in range(g.order):
+            assert s_set3(u, v_min_idx(g, u, w), w) == frozenset()
     assert s_set3(e, s2, s2) == frozenset({g.positive_root_index((0, 1))})
 
 

@@ -11,7 +11,7 @@ from bhl import sigma
 from bhl.coxeter import GroupMismatchError, _bits, build_group
 from bhl.demazure import v_min, v_min_idx
 from bhl.hecke import ThetaTable
-from bhl.polyring import LaurentPoly, RationalFn, _decode_q
+from bhl.polyring import LaurentPoly, RationalFn, _decode_q, binomial
 from bhl.rpoly import s_set, s_set_idx
 from bhl.sigma import SigmaEngine, classify, verify_main_theorem, verify_vanishing
 from bhl.verify import SUITE_NAMES, run_suite
@@ -569,6 +569,28 @@ def test_classify_round_scales_each_bar_once_per_key(a3, monkeypatch):
     for word in ("e", "32", "2132"):
         engine.classify_for_w(a3.parse_word_idx(word))
     assert steps == 1029
+
+
+def test_unreduced_factor_at_v_min_is_not_cancelled(a2, monkeypatch):
+    """sigma0 is read off sigma at v_min as built, with no cancelling: a
+    sigma at v_min carrying (1 - x^beta)/(1 - x^beta) makes classify_for_w
+    raise and verify_main_theorem return False."""
+    eng = SigmaEngine(a2)
+    original = eng.sigma_idx
+    beta = a2.positive_roots[0]
+
+    def padded(u, v, w, xi_cache=None):
+        sig = original(u, v, w, xi_cache)
+        if v != v_min_idx(a2, u, w):
+            return sig
+        return RationalFn(sig.num * binomial(a2.rank, beta), sig.den + (beta,))
+
+    monkeypatch.setattr(eng, "sigma_idx", padded)
+    with pytest.raises(RuntimeError, match="kept torus dependence"):
+        eng.classify_for_w(a2.identity_idx)
+    assert not verify_main_theorem(a2, engine=eng)
+    monkeypatch.setattr(eng, "sigma_idx", original)
+    assert verify_main_theorem(a2, engine=eng)
 
 
 def test_group_mismatch_rejected(a2, b2, engine_a2, engine_b2):
