@@ -21,16 +21,19 @@ cannot be written (a full disk or device), 2 usage error; where the
 platform has SIGPIPE, a closed stdout ends the process by that signal,
 with nothing on stderr.
 
-``--jobs`` and ``--samples`` must be at least 1; at most min(N, |W|, cpu
-count) worker processes are started.
+``--jobs`` and ``--samples`` must be at least 1, written in the ASCII
+digits 0-9 only; at most min(N, |W|, cpu count) worker processes are
+started. ``classify --out`` removes a report it created when the run fails
+before the report is written whole, and never a path that existed before.
 
-Environment: BHL_MAX_ORDER, a positive integer, overrides the group order
-cap.
+Environment: BHL_MAX_ORDER, a positive integer in ASCII digits, overrides
+the group order cap.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import signal
@@ -41,6 +44,7 @@ from .coxeter import (
     OrderCapError,
     UnsupportedTypeError,
     WordError,
+    _is_ascii_number,
     build_group,
 )
 from .demazure import mixed_meet, v_min
@@ -53,10 +57,7 @@ def _build(args) -> CoxeterGroup:
     cap = os.environ.get("BHL_MAX_ORDER")
     if not cap:
         return build_group(args.type)
-    try:
-        max_order = int(cap)
-    except ValueError:
-        max_order = 0
+    max_order = int(cap) if _is_ascii_number(cap.strip()) else 0
     if max_order < 1:
         raise ValueError(f"BHL_MAX_ORDER must be a positive integer, got {cap!r}")
     return build_group(args.type, max_order=max_order)
@@ -135,23 +136,33 @@ def _cmd_sigma(args) -> int:
 
 def _cmd_classify(args) -> int:
     g = _build(args)
+    created = False
     if args.out:
         # fail on an unwritable path now, not after the whole run; append
         # mode leaves an existing report as it is until the new one is ready
+        created = not os.path.lexists(args.out)
         try:
             open(args.out, "a", encoding="utf-8").close()
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
-    report = classify(g, jobs=args.jobs)
-    text = report.to_csv_text() if args.format == "csv" else report.to_json_text()
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:  # name the file the write error came from
-            raise OSError(exc.errno, exc.strerror, args.out) from None
-    else:
-        sys.stdout.write(text)
+    try:
+        report = classify(g, jobs=args.jobs)
+        text = report.to_csv_text() if args.format == "csv" else report.to_json_text()
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:  # name the file the write error came from
+                raise OSError(exc.errno, exc.strerror, args.out) from None
+        else:
+            sys.stdout.write(text)
+    except BaseException:
+        # a report this run created but did not finish goes; a path that
+        # existed before is never removed (it may be a device)
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(args.out)
+        raise
     return 0
 
 
@@ -170,10 +181,7 @@ def _cmd_verify(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
+    n = int(text) if _is_ascii_number(text.strip()) else 0
     if n < 1:
         raise argparse.ArgumentTypeError(
             f"must be an integer of at least 1, got {text!r}"

@@ -153,7 +153,9 @@ def _bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Element:
-    """A handle into a CoxeterGroup; all structure lives in the group."""
+    """A handle into a CoxeterGroup; all structure lives in the group.
+    Equality and hash are the dataclass's, over (group, index): the group
+    compares by identity, as CoxeterGroup defines no __eq__."""
 
     group: "CoxeterGroup"
     index: int
@@ -170,16 +172,6 @@ class Element:
 
     def word(self) -> str:
         return self.group.word_str(self.index)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Element)
-            and self.group is other.group
-            and self.index == other.index
-        )
-
-    def __hash__(self):
-        return hash((id(self.group), self.index))
 
     def __repr__(self) -> str:
         return f"<{self.group.cartan_type} {self.word()}>"
@@ -434,15 +426,6 @@ class CoxeterGroup:
 
     def from_word(self, text: str) -> Element:
         return Element(self, self.parse_word_idx(text))
-
-    def mul(self, u: Element, v: Element) -> Element:
-        return Element(self, self.mul_idx(self._idx(u), self._idx(v)))
-
-    def inv(self, u: Element) -> Element:
-        return Element(self, self.inv_table[self._idx(u)])
-
-    def length(self, u: Element) -> int:
-        return self.lengths[self._idx(u)]
 
     def bruhat_leq(self, u: Element, w: Element) -> bool:
         return self.leq_idx(self._idx(u), self._idx(w))

@@ -2,8 +2,8 @@
 The 0-Hecke (Demazure) monoid acting on a finite Weyl group.
 
 The monoid basis U_w multiplies by U_s U_w = U_{sw} if sw > w, else U_w.
-Four derived actions on W are provided, each obtained by folding a reduced
-word through a one-step operation:
+Four derived actions on W are provided, each obtained by folding the
+canonical reduced word of w through a one-step operation:
 
 - up_left(w, x)    = U_w up-arrow x      (left monoid action, raising)
 - down_left(w, x)  = U_w down-arrow x    (left monoid action, lowering)
@@ -11,8 +11,11 @@ word through a one-step operation:
 - down_right(x, w) = x down-arrow U_w    (right monoid action, lowering)
 
 For a left action the last letter of w acts first; for a right action the
-first letter acts first. The result is independent of the chosen reduced
-word because the one-step maps satisfy the braid and idempotent relations.
+first letter acts first. One kernel, ``_fold``, runs all four, and
+``fold_word_idx`` runs it on any given word. The result is independent of
+the chosen reduced word because the one-step maps satisfy the braid and
+idempotent relations; the ``demazure`` suite checks that on random reduced
+words through ``fold_word_idx``, so it covers the kernel of every fold.
 
 The Demazure product is u o v = U_u up-arrow v, and the mixed meet of u and
 w (the unique Bruhat-greatest element m with m <=_R u and m <= w) is
@@ -37,36 +40,33 @@ __all__ = [
 
 # -- index-level folds (hot paths used by the enumeration engines) ----------
 
-def up_left_idx(g: CoxeterGroup, w: int, x: int) -> int:
-    for i in reversed(g.words[w]):
-        sx = g.lmult[x][i]
-        if g.lengths[sx] > g.lengths[x]:
-            x = sx
+def _fold(g: CoxeterGroup, letters, x: int, left: bool, raising: bool) -> int:
+    """Fold the 0-based letters through the one-step action on x: right to
+    left for a left action, left to right for a right one; a step moves x
+    when it raises (or, if not raising, lowers) the length."""
+    mult = g.lmult if left else g.rmult
+    lengths = g.lengths
+    for i in reversed(letters) if left else letters:
+        y = mult[x][i]
+        if (lengths[y] > lengths[x]) == raising:
+            x = y
     return x
+
+
+def up_left_idx(g: CoxeterGroup, w: int, x: int) -> int:
+    return _fold(g, g.words[w], x, True, True)
 
 
 def down_left_idx(g: CoxeterGroup, w: int, x: int) -> int:
-    for i in reversed(g.words[w]):
-        sx = g.lmult[x][i]
-        if g.lengths[sx] < g.lengths[x]:
-            x = sx
-    return x
+    return _fold(g, g.words[w], x, True, False)
 
 
 def up_right_idx(g: CoxeterGroup, x: int, w: int) -> int:
-    for i in g.words[w]:
-        xs = g.rmult[x][i]
-        if g.lengths[xs] > g.lengths[x]:
-            x = xs
-    return x
+    return _fold(g, g.words[w], x, False, True)
 
 
 def down_right_idx(g: CoxeterGroup, x: int, w: int) -> int:
-    for i in g.words[w]:
-        xs = g.rmult[x][i]
-        if g.lengths[xs] < g.lengths[x]:
-            x = xs
-    return x
+    return _fold(g, g.words[w], x, False, False)
 
 
 def circ_idx(g: CoxeterGroup, u: int, v: int) -> int:
@@ -85,20 +85,10 @@ def fold_word_idx(g: CoxeterGroup, letters, x: int, step: str) -> int:
     """Fold an explicit word (1-based letters) through a one-step action.
 
     ``step`` is one of "up_left", "down_left", "up_right", "down_right";
-    left actions fold the word right-to-left, right actions left-to-right.
+    the word goes through the kernel of the four named folds.
     """
-    if step in ("up_left", "down_left"):
-        seq = reversed(letters)
-    else:
-        seq = iter(letters)
-    raising = step.startswith("up")
-    left = step.endswith("left")
-    for letter in seq:
-        i = letter - 1
-        y = g.lmult[x][i] if left else g.rmult[x][i]
-        if (g.lengths[y] > g.lengths[x]) == raising:
-            x = y
-    return x
+    letters = [i - 1 for i in letters]
+    return _fold(g, letters, x, step.endswith("left"), step.startswith("up"))
 
 
 # -- Element-level API -------------------------------------------------------

@@ -36,6 +36,9 @@ Representation conventions:
   single q^k" is an int test, ``_is_q_power``. The bar r table of
   ``rpoly`` stores each numerator as a dict from packed x-keys (q-digit 0)
   to columns, and sigma accumulates on them, reading that table as it is.
+  Both decode such a dict to a ``RationalFn`` by ``_decode_columns``, which
+  unpacks keys through an ``_UnpackMemo`` that the r table owns and sigma
+  shares, so a key that recurs is unpacked once per table.
   ``_times_binomial`` and ``_divide_packed`` run unchanged on such a dict:
   they only add, subtract and zero-test coefficients, which columns do
   exactly.
@@ -552,9 +555,6 @@ class RationalFn:
         right = _scale_by_factors(other.num, ca - shared)
         return left == right
 
-    def __hash__(self):
-        raise TypeError("RationalFn is unhashable; compare with ==")
-
     def reduced(self) -> "RationalFn":
         """The same value with every factor that divides ``num`` cancelled."""
         return RationalFn(self.num, self.den, reduce=True)
@@ -620,3 +620,30 @@ def _reduce(num: LaurentPoly, den: tuple) -> tuple:
         return num, den
     n = num.arity + 1
     return _new(num.arity, {_unpack(k, n): c for k, c in terms.items()}), kept
+
+
+class _UnpackMemo(dict):
+    """Packed key -> exponent tuple of n entries, unpacked on first read."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, key: int) -> tuple:
+        val = self[key] = _unpack(key, self.n)
+        return val
+
+
+def _decode_columns(
+    cols: dict, den: Iterable[int], low: int, unpacked: _UnpackMemo
+) -> RationalFn:
+    """The RationalFn of a numerator stored as packed x-keys (q-digit 0)
+    with q-columns from q^low, over the packed (0, beta) keys of den; every
+    key is unpacked through the memo unpacked, so keys that recur across
+    calls are unpacked once."""
+    num = {
+        unpacked[key + d]: c
+        for key, col in cols.items()
+        for d, c in _decode_q(col, low)
+    }
+    return RationalFn(_new(unpacked.n - 1, num), [unpacked[b][1:] for b in den])

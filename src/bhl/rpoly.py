@@ -31,9 +31,10 @@ b (``_times_binomial``). The two summands are brought to the union of
 their dens, each multiplied by the factors it lacks; a step that would
 repeat a factor raises ``RuntimeError``, so every den has distinct factors
 and the union is a set union. This builds, term for term, the numerator
-and den that ``RationalFn`` arithmetic builds for the same recursion;
-values are decoded on each read, and ``reduced_den_idx`` divides the
-columns as they are stored.
+and den that ``RationalFn`` arithmetic builds for the same recursion.
+Values are decoded on each read by ``polyring._decode_columns`` through the
+table's unpack memo, which sigma's decode shares, and ``reduced_den_idx``
+divides the columns as they are stored, unpacking only its den.
 
 Adding keys multiplies monomials only while every digit stays inside the
 packed bound, so a table refuses (``ValueError``) a group whose fill could
@@ -93,12 +94,13 @@ from .coxeter import CoxeterGroup, Element
 from .polyring import (
     LaurentPoly,
     RationalFn,
+    _decode_columns,
     _decode_q,
     _new,
     _pack,
     _reduce_packed,
     _times_binomial,
-    _unpack,
+    _UnpackMemo,
 )
 
 __all__ = ["RPolyTable", "s_set", "s_set_idx"]
@@ -138,6 +140,9 @@ class RPolyTable:
         self._one = (frozenset(), {0: 1 << (self._q_bits * -self.low)}, 1)
         self._bar_r: dict = {}
         self._classical: dict = {}
+        # packed key -> exponent tuple, for every decode of this table and
+        # of the sigma read off it
+        self._unpacked = _UnpackMemo(group.rank + 1)
 
     # -- deformed ------------------------------------------------------------
 
@@ -232,13 +237,7 @@ class RPolyTable:
     def _rational(self, entry: tuple) -> RationalFn:
         """An entry as the RationalFn it stands for."""
         den, cols, _ = entry
-        n = self.group.rank + 1
-        num = {
-            _unpack(k + d, n): c
-            for k, col in cols.items()
-            for d, c in _decode_q(col, self.low)
-        }
-        return RationalFn(_new(n - 1, num), [_unpack(b, n)[1:] for b in den])
+        return _decode_columns(cols, den, self.low, self._unpacked)
 
     def bar_r_idx(self, u: int, v: int) -> RationalFn:
         return self._rational(self.bar_r_packed_idx(u, v))
@@ -259,7 +258,7 @@ class RPolyTable:
         test may have misread and ``ValueError`` is raised."""
         den, cols, l1 = self.bar_r_packed_idx(u, v)
         n = self.group.rank
-        den = tuple(sorted(_unpack(b, n + 1)[1:] for b in den))
+        den = tuple(sorted(self._unpacked[b][1:] for b in den))
         kept = _reduce_packed(cols, den, n, (self.max_digit,) * (n + 1))[1]
         if l1 * self.max_digit ** (len(den) - len(kept)) >= self._l1_limit:
             g = self.group

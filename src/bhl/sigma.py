@@ -30,12 +30,15 @@ the q-polynomial of each x-monomial as one int (see ``polyring._encode_q``).
 Each bar r(y, v) is multiplied by the factors of U it lacks, and then each
 of its columns is multiplied by the column of q^-len(y) xi, one int
 product, and added under its x-key; no intermediate ``RationalFn`` is
-built, and the columns are decoded once, at the end. Since the
-substitution q -> 2^K is a ring homomorphism, that product is exact, and
-the decode reads it back while every coefficient of sigma stays below
-2^(K - 1) in magnitude, which ``sigma_idx`` checks by an L1 bound before
-decoding. The keys need no check: the x-keys of a scaled bar
-stay inside the r table's ``max_digit``, as the ``rpoly`` docstring shows.
+built, and the columns are decoded once, at the end, by the decoder of
+the r table (``polyring._decode_columns``, through the table's unpack
+memo). A product of two columns from q^low starts at q^(2 low), low the
+r table's. Since the substitution q -> 2^K is a ring homomorphism, that
+product is exact, and the decode reads it back while every coefficient of
+sigma stays below 2^(K - 1) in magnitude, which ``sigma_idx`` checks by an
+L1 bound before decoding. The keys need no check: the x-keys of a scaled
+bar stay inside the r table's ``max_digit``, as the ``rpoly`` docstring
+shows.
 
 The scaled bar depends on (y, v, U) alone, and the same key recurs across
 triples, so the engine keeps it in a memo keyed by (y, v, U) and scales
@@ -80,10 +83,9 @@ from .polyring import (
     LaurentPoly,
     RationalFn,
     _Q_BITS,
+    _decode_columns,
     _decode_q,
-    _new,
     _times_binomial,
-    _unpack,
 )
 from .rpoly import RPolyTable, s_set_idx
 
@@ -108,18 +110,6 @@ def _q_polynomial(val: RationalFn) -> LaurentPoly | None:
     return val.num.q_only()
 
 
-class _UnpackMemo(dict):
-    """Packed key -> exponent tuple of n entries, unpacked on first read."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, key: int) -> tuple:
-        val = self[key] = _unpack(key, self.n)
-        return val
-
-
 class SigmaEngine:
     """sigma evaluation over one group, with shared memoized tables."""
 
@@ -128,9 +118,6 @@ class SigmaEngine:
         self.rtable = RPolyTable(group)
         self.theta = ThetaTable(group)
         self._gk_factor: dict = {}
-        # many sigma of one group share monomials: each packed key is
-        # unpacked once per engine
-        self._unpacked = _UnpackMemo(group.rank + 1)
         # (y, v, U) -> bar r(y, v) times the factors of U it lacks, for the
         # bars that lack one: a tuple of (x-key, q-column) pairs, each pair
         # one shared object (one w of A4 stores 161 090 pairs, 8 799 of
@@ -193,11 +180,11 @@ class SigmaEngine:
         with no x >= u in its reach mask gets xi = 0 without asking
         ``_xi``, as its xi is an empty sum.
 
-        The columns are decoded once, at the end. Before any is read, the
-        L1 bound of the sum, over the parts, of L1(xi) times the L1 bound
-        of bar r(y, v) times 2^|U - den| (each factor 1 - x^beta at most
-        doubles it) must stay below 2^(K - 1), or ``RuntimeError`` is
-        raised. This is, term for term, what the chain of
+        The columns are decoded once, at the end, from q^(2 low). Before
+        any is read, the L1 bound of the sum, over the parts, of L1(xi)
+        times the L1 bound of bar r(y, v) times 2^|U - den| (each factor
+        1 - x^beta at most doubles it) must stay below 2^(K - 1), or
+        ``RuntimeError`` is raised. This is, term for term, what the chain of
         ``RationalFn.__add__`` over y builds, as long as no partial sum of
         that chain is zero (the chain would restart its den there): U is
         the same union, not a fixed D_v, so at v_min nothing needs dividing
@@ -242,14 +229,7 @@ class SigmaEngine:
                 terms = bar.items()
             for key, col in terms:
                 acc[key] = get(key, 0) + col_xi * col
-        unpacked = self._unpacked
-        low = 2 * self.rtable.low
-        num = {
-            unpacked[key + d]: c
-            for key, col in acc.items()
-            for d, c in _decode_q(col, low)
-        }
-        return RationalFn(_new(g.rank, num), [unpacked[b][1:] for b in union])
+        return _decode_columns(acc, union, 2 * self.rtable.low, self.rtable._unpacked)
 
     def sigma(self, u: Element, v: Element, w: Element) -> RationalFn:
         g = self.group

@@ -248,11 +248,11 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     code, _, err = invoke(capsys, "verify", "--type", "A2", "--suite", "nope")
     assert code == 2
     for cmd in (["classify"], ["verify", "--suite", "theta"]):
-        for jobs in ("0", "-3", "x"):
+        for jobs in ("0", "-3", "x", "1_0", "+2", "٣"):
             code, out, err = invoke(capsys, *cmd, "--type", "A2", "--jobs", jobs)
             assert code == 2 and out == "" and "at least 1" in err
     for suite in ("vanishing", "mixed-meet", "all"):
-        for samples in ("0", "-3", "x"):
+        for samples in ("0", "-3", "x", "1_0", "+2", "٣"):
             code, out, err = invoke(
                 capsys, "verify", "--type", "B3", "--suite", suite, "--samples", samples
             )
@@ -272,7 +272,7 @@ def test_order_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("BHL_MAX_ORDER", "abc")
     code, out, err = invoke(capsys, "group", "--type", "A2")
     assert code == 2 and out == "" and "BHL_MAX_ORDER" in err
-    for cap in ("0", "-5"):
+    for cap in ("0", "-5", "٣", "1_0", "+2"):
         monkeypatch.setenv("BHL_MAX_ORDER", cap)
         code, out, err = invoke(capsys, "group", "--type", "A2")
         assert (code, out) == (2, "")
@@ -295,3 +295,21 @@ def test_engine_invariant_failure_exits_one(capsys, monkeypatch, jobs):
     w = build_group("A2").word_str(3)
     assert (code, out) == (1, "")
     assert err == f"error: invariant broken (u=1, v=1, w={w})\n"
+
+
+def test_failed_classify_leaves_no_report_it_created(capsys, monkeypatch, tmp_path):
+    """A run that fails after the writability check removes the report file
+    it created, and leaves a file that was there before untouched."""
+
+    def failing(self, w):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setattr(SigmaEngine, "classify_for_w", failing)
+    new = tmp_path / "new.json"
+    code, out, err = invoke(capsys, "classify", "--type", "A2", "--out", str(new))
+    assert (code, out, err) == (1, "", "error: invariant broken\n")
+    assert not new.exists()
+    old = tmp_path / "old.json"
+    old.write_text("previous report\n")
+    code, _, _ = invoke(capsys, "classify", "--type", "A2", "--out", str(old))
+    assert code == 1 and old.read_text() == "previous report\n"

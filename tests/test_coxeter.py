@@ -272,8 +272,23 @@ def test_b_and_c_labels_agree_on_order_data(b2, c2):
     assert b2.positive_roots != c2.positive_roots  # coordinates do differ
 
 
+def test_element_equality_and_hash(a2):
+    """Elements compare by (group identity, index), as the frozen dataclass
+    generates it: never equal to a bare index or to an element of another
+    build of the same type, and usable as dict keys."""
+    for i in range(a2.order):
+        assert a2.element(i) == a2.element(i)
+        assert hash(a2.element(i)) == hash(a2.element(i))
+        assert a2.element(i) != i
+    assert a2.element(1) != a2.element(2)
+    assert build_group("A2").identity() != build_group("A2").identity()
+    by_element = {w: w.index for w in a2.elements()}
+    assert len(by_element) == a2.order
+    assert all(by_element[a2.element(i)] == i for i in range(a2.order))
+
+
 def test_group_mismatch_rejected(a2, b2):
     with pytest.raises(GroupMismatchError):
-        a2.mul(a2.identity(), b2.identity())
+        a2.identity() * b2.identity()
     with pytest.raises(GroupMismatchError):
         a2.bruhat_leq(a2.identity(), b2.identity())

@@ -113,6 +113,11 @@ def test_rational_eq_ignores_representation():
     assert a == b
 
 
+def test_rational_fn_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(RationalFn.one(1))
+
+
 def test_string_rendering():
     assert str(LaurentPoly.zero(2)) == "0"
     assert str(lp(0, {(0,): 1, (1,): 2, (2,): 1})) == "1 + 2*q + q^2"
