@@ -38,6 +38,7 @@ import json
 import os
 import signal
 import sys
+from decimal import Decimal
 
 from .coxeter import (
     CoxeterGroup,
@@ -57,7 +58,8 @@ def _build(args) -> CoxeterGroup:
     cap = os.environ.get("BHL_MAX_ORDER")
     if not cap:
         return build_group(args.type)
-    max_order = int(cap) if _is_ascii_number(cap.strip()) else 0
+    # Decimal, unlike int(), reads a digit string of any length
+    max_order = int(Decimal(cap)) if _is_ascii_number(cap.strip()) else 0
     if max_order < 1:
         raise ValueError(f"BHL_MAX_ORDER must be a positive integer, got {cap!r}")
     return build_group(args.type, max_order=max_order)
@@ -181,7 +183,7 @@ def _cmd_verify(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    n = int(text) if _is_ascii_number(text.strip()) else 0
+    n = int(Decimal(text)) if _is_ascii_number(text.strip()) else 0
     if n < 1:
         raise argparse.ArgumentTypeError(
             f"must be an integer of at least 1, got {text!r}"

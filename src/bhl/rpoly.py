@@ -44,10 +44,13 @@ since each step lowers it by at most one, and x_j-degree in
 the numerator of bar r(u, v) has x_j-degree at most the sum of the pivot
 roots of the recursion below v plus the sum of its den factors, and each of
 these is a set of distinct positive roots (``_max_packed_digit``). The
-same holds for the x-keys sigma accumulates on: a bar r(y, v) brought to a
-den U by the factors of U it lacks has x_j-degree at most the sum of the
-pivot roots below v plus the sum of U, two sets of distinct positive roots
-again, and the q-degrees of sigma live inside its columns, not its keys.
+same holds for the x-keys sigma accumulates on. At every step of its
+merge, a group is a sum of bars r(y, v) times xi, each multiplied by the
+factors of the group's den D it lacks, D a subset of U; a key of a sum is
+a key of one of its summands, and each summand has x_j-degree at most the
+sum of the pivot roots below v plus the sum of D <= the sum of U, two sets
+of distinct positive roots again. The q-degrees of sigma live inside its
+columns, not its keys.
 
 A column reads back only while every coefficient c has |c| < 2^(K - 1)
 (``polyring._Q_BOUND``). The fill carries an L1 bound B(u, v) >= the sum of

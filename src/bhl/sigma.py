@@ -27,26 +27,25 @@ the terms, since each bar r carries distinct factors 1 - x^beta (the r fill
 raises on a repeated one). The bar r entries are read from the r table as
 stored: packed x-keys (see ``polyring._pack``) whose values are q-columns,
 the q-polynomial of each x-monomial as one int (see ``polyring._encode_q``).
-Each bar r(y, v) is multiplied by the factors of U it lacks, and then each
-of its columns is multiplied by the column of q^-len(y) xi, one int
-product, and added under its x-key; no intermediate ``RationalFn`` is
-built, and the columns are decoded once, at the end, by the decoder of
-the r table (``polyring._decode_columns``, through the table's unpack
-memo). A product of two columns from q^low starts at q^(2 low), low the
-r table's. Since the substitution q -> 2^K is a ring homomorphism, that
-product is exact, and the decode reads it back while every coefficient of
-sigma stays below 2^(K - 1) in magnitude, which ``sigma_idx`` checks by an
-L1 bound before decoding. The keys need no check: the x-keys of a scaled
-bar stay inside the r table's ``max_digit``, as the ``rpoly`` docstring
-shows.
-
-The scaled bar depends on (y, v, U) alone, and the same key recurs across
-triples, so the engine keeps it in a memo keyed by (y, v, U) and scales
-each key once. A bar whose den is all of U is read from the r table and
-not stored; a stored one is a tuple of (x-key, column) pairs, each
-distinct pair one shared object, since the entries repeat few pairs. U,
-the den and every numerator coefficient are what scaling each term would
-give; only the order of the additions differs.
+The parts are grouped by their den: each column of bar r(y, v) times the
+column of q^-len(y) xi, one int product, is added under its x-key into its
+group's sum. For each beta in U in turn, every group whose den lacks beta
+is then multiplied by 1 - x^beta (``polyring._times_binomial``), and groups
+whose dens become equal are added into one, so that one group is left, over
+U. Multiplying before scaling is the cheaper order: each factor lengthens
+a bar, so a classify-a3 round multiplies 13 674 stored terms where the bars
+scaled to U would have 44 601, and a factor is applied once per group, not
+once per part. The columns are decoded once, at the end, by the r table's
+decoder (``polyring._decode_columns``, through the table's unpack memo). A
+product of two columns from q^low starts at q^(2 low), low the r table's.
+Since the substitution q -> 2^K is a ring homomorphism, that product is
+exact, and the decode reads it back while every coefficient of sigma stays
+below 2^(K - 1) in magnitude, which ``sigma_idx`` checks by an L1 bound
+before decoding. The keys need no check: the x-keys of every group stay
+inside the r table's ``max_digit``, as the ``rpoly`` docstring shows. U,
+the den and every numerator coefficient are what scaling each part to U
+would give; only the order of the additions differs, and nothing is kept
+between calls.
 
 sigma0(u, w) is sigma at v = v_min read as it is built, with no
 cancelling: only y = v_min contributes there and bar r(v_min, v_min) = 1,
@@ -118,12 +117,6 @@ class SigmaEngine:
         self.rtable = RPolyTable(group)
         self.theta = ThetaTable(group)
         self._gk_factor: dict = {}
-        # (y, v, U) -> bar r(y, v) times the factors of U it lacks, for the
-        # bars that lack one: a tuple of (x-key, q-column) pairs, each pair
-        # one shared object (one w of A4 stores 161 090 pairs, 8 799 of
-        # them distinct); read-only once stored
-        self._scaled_bar_r: dict = {}
-        self._bar_terms: dict = {}  # (x-key, column) -> the one shared pair
 
     # -- building blocks -----------------------------------------------------
 
@@ -166,19 +159,17 @@ class SigmaEngine:
     def sigma_idx(self, u: int, v: int, w: int, xi_cache: dict | None = None) -> RationalFn:
         """sigma(u, v, w) over den U, the union of the dens of the bar r(y, v)
         whose xi(u, y, w) is nonzero. Each part q^-len(y) xi bar r(y, v) is
-        added into one numerator of q-columns on packed x-keys: bar r(y, v),
-        read from the r table as stored, is first brought to U by the
-        factors 1 - x^beta it lacks, and then each of its columns times the
-        column of q^-len(y) xi, one int product, is added under its x-key.
-        The scaled bar depends on (y, v, U) only, never on u or w, so an
-        entry is never stale: every call keeps it in the engine memo under
-        that key, and later triples read it back. A bar that lacks no
-        factor is the r table's own dict and is not stored. Entries, like
-        the r table's, are read only. ``xi_cache`` (y -> the column of
-        q^-len(y) xi and its L1 norm) shares xi across the v of one (u, w),
-        as classify does; without it, a dict local to the call serves. A y
-        with no x >= u in its reach mask gets xi = 0 without asking
-        ``_xi``, as its xi is an empty sum.
+        added into the sum of the parts with its den, one int product per
+        column of bar r(y, v) as the r table stores it (its dicts are read
+        only). Then, for each beta in U, each group whose den lacks beta is
+        multiplied by 1 - x^beta, and groups whose dens meet are added,
+        until one group is left, over U: multiplying first costs one
+        product per stored term, and a factor is applied once per group,
+        not once per part. ``xi_cache`` (y -> the column of q^-len(y) xi
+        and its L1 norm) shares xi across the v of one (u, w), as classify
+        does; without it, a dict local to the call serves. A y with no
+        x >= u in its reach mask gets xi = 0 without asking ``_xi``, as
+        its xi is an empty sum.
 
         The columns are decoded once, at the end, from q^(2 low). Before
         any is read, the L1 bound of the sum, over the parts, of L1(xi)
@@ -201,34 +192,30 @@ class SigmaEngine:
                 xi = self._xi(u, y, w) if up & reach(y, w) else (0, 0)
                 xi_cache[y] = xi
             if xi[0]:
-                parts.append((y, xi, bar_r(y, v)))
-        union = frozenset().union(*(entry[0] for _, _, entry in parts))
-        l1 = 0
-        for _, (_, l1_xi), (den, _, l1_bar) in parts:
-            l1 += l1_xi * l1_bar << (len(union) - len(den))
+                parts.append((xi, bar_r(y, v)))
+        union = frozenset().union(*(entry[0] for _, entry in parts))
+        l1 = sum(l1_xi * l1_bar << len(union) - len(den)
+                 for (_, l1_xi), (den, _, l1_bar) in parts)
         if l1 >= self.rtable._l1_limit:
             raise RuntimeError(
                 f"sigma(u={g.word_str(u)}, v={g.word_str(v)}, w={g.word_str(w)}) "
                 f"has L1 bound {l1}, past the q-column slots"
             )
-        scaled = self._scaled_bar_r
-        acc: dict = {}
-        get = acc.get
-        for y, (col_xi, _), (den, bar, _) in parts:
-            if len(den) < len(union):  # den, a subset of U, lacks a factor
-                memo_key = y, v, union
-                terms = scaled.get(memo_key)
-                if terms is None:
-                    for beta in union - den:
-                        bar = _times_binomial(bar, beta)
-                    intern = self._bar_terms.setdefault
-                    terms = scaled[memo_key] = tuple(
-                        intern(term, term) for term in bar.items() if term[1]
-                    )
-            else:
-                terms = bar.items()
-            for key, col in terms:
+        groups: dict = {}  # den -> the sum of its parts, x-key -> column
+        for (col_xi, _), (den, bar, _) in parts:
+            acc = groups.setdefault(den, {})
+            get = acc.get
+            for key, col in bar.items():
                 acc[key] = get(key, 0) + col_xi * col
+        for beta in union:
+            for den in [den for den in groups if beta not in den]:
+                acc = _times_binomial(groups.pop(den), beta)
+                into = groups.setdefault(den | {beta}, acc)
+                if into is not acc:  # a group with that den is there: merge
+                    get = into.get
+                    for key, col in acc.items():
+                        into[key] = get(key, 0) + col
+        acc = groups.get(union, {})  # {} when sigma has no part
         return _decode_columns(acc, union, 2 * self.rtable.low, self.rtable._unpacked)
 
     def sigma(self, u: Element, v: Element, w: Element) -> RationalFn:

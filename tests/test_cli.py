@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bhl
-from bhl.cli import run
+from bhl.cli import _parser, _positive_int, run
 from bhl.coxeter import build_group
 from bhl.sigma import SigmaEngine
 from bhl.verify import run_suite
@@ -277,6 +277,21 @@ def test_order_cap_env(capsys, monkeypatch):
         code, out, err = invoke(capsys, "group", "--type", "A2")
         assert (code, out) == (2, "")
         assert err == f"error: BHL_MAX_ORDER must be a positive integer, got '{cap}'\n"
+
+
+def test_values_longer_than_the_int_string_limit_are_accepted(capsys, monkeypatch):
+    """A 5 000-digit cap or count, past int()'s default 4 300-digit limit,
+    is the positive integer it writes; no run is started with it here."""
+    nines = "9" * 5000
+    monkeypatch.setenv("BHL_MAX_ORDER", nines)
+    code, out, err = invoke(capsys, "group", "--type", "A2")
+    assert (code, err) == (0, "") and "order: 6" in out
+    assert _positive_int(nines) == 10**5000 - 1
+    assert _positive_int(" 0" + nines[1:]) == 10**4999 - 1
+    args = _parser().parse_args(
+        ["verify", "--type", "A2", "--suite", "all", "--jobs", nines, "--samples", nines]
+    )
+    assert args.jobs == args.samples == 10**5000 - 1
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -445,8 +445,7 @@ def test_packed_sigma_matches_rational_sum_term_for_term(
 def _classify_path_mismatches(eng, pairs, vs):
     """The (u, v, w) whose sigma on the classify path differs from the
     RationalFn chain term for term: one xi cache per (u, w), as
-    classify_for_w shares it, and the engine's scaled bar r memo kept
-    across all pairs, so later pairs read entries that earlier ones made."""
+    classify_for_w shares it."""
     wrong = []
     for u, w in pairs:
         xi_cache: dict = {}
@@ -473,14 +472,14 @@ def test_classify_path_sigma_matches_rational_sum_sampled_a3_b3(a3, b3):
         pairs = [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(n_pairs)]
         eng = SigmaEngine(g)
         assert _classify_path_mismatches(eng, pairs, range(g.order)) == []
-        assert eng._scaled_bar_r, g.cartan_type
 
 
 def test_sigma_keys_stay_within_the_table_digit_bound(a3, b3):
     """Every x-key sigma accumulates on, read off its numerator and den on
     the classify path of seeded A3 and B3 pairs, unpacks inside the r
-    table's max_digit: a scaled bar's x_j-degree is at most the pivot roots
-    below v plus U, two sets of distinct positive roots."""
+    table's max_digit: every key of a den group, at every step of the
+    merge, has x_j-degree at most the pivot roots below v plus U, two sets
+    of distinct positive roots."""
     rng = random.Random(9)
     for g, n_pairs in ((a3, 12), (b3, 4)):
         eng = SigmaEngine(g)
@@ -497,64 +496,51 @@ def test_sigma_keys_stay_within_the_table_digit_bound(a3, b3):
         assert 0 < seen <= bound, g.cartan_type
 
 
-def test_corrupted_scaled_bar_fails_the_term_for_term_check(a3):
-    """One memo entry with a flipped coefficient makes the classify-path
-    sigma that reads it differ from the RationalFn chain."""
+def test_skipped_merge_factor_fails_the_term_for_term_check(a3, monkeypatch):
+    """A merge step that leaves out its factor 1 - x^beta once makes the
+    classify-path sigma it feeds differ from the RationalFn chain, and only
+    that sigma."""
     eng = SigmaEngine(a3)
-    e, w0 = a3.identity_idx, a3.longest_idx
-    assert _classify_path_mismatches(eng, [(e, w0)], [w0]) == []
-    key = next(iter(eng._scaled_bar_r))
-    bad = list(eng._scaled_bar_r[key])
-    k, c = bad[0]
-    bad[0] = (k, -c)
-    eng._scaled_bar_r[key] = tuple(bad)
-    assert _classify_path_mismatches(eng, [(e, w0)], [w0]) == [(e, w0, w0)]
+    current, step_triples = [], []  # the triple of each binomial step
+    original_sigma, original_step = eng.sigma_idx, sigma._times_binomial
+
+    def tracking(u, v, w, xi_cache=None):
+        current[:] = [(u, v, w)]
+        return original_sigma(u, v, w, xi_cache)
+
+    def skipping(num, b):
+        step_triples.append(current[0])
+        return dict(num) if len(step_triples) == 101 else original_step(num, b)
+
+    monkeypatch.setattr(eng, "sigma_idx", tracking)
+    monkeypatch.setattr(sigma, "_times_binomial", skipping)
+    pairs = [(a3.identity_idx, a3.longest_idx), (1, a3.parse_word_idx("2132"))]
+    wrong = _classify_path_mismatches(eng, pairs, range(a3.order))
+    assert len(step_triples) > 100
+    assert wrong == [step_triples[100]]
 
 
-def test_single_shot_sigma_reads_the_memo_that_classify_filled(a3):
-    """The memo is shared by every sigma of an engine: single-shot sigma
-    after a classification builds no entry, and matches the chain."""
+def test_single_shot_sigma_after_classify_keeps_no_state(a3):
+    """sigma keeps nothing between calls: after every w of A3 is
+    classified, single-shot sigma still matches the chain, and the engine
+    holds the same attributes it was built with."""
     eng = SigmaEngine(a3)
+    names = set(vars(eng))
     for w in range(a3.order):
         eng.classify_for_w(w)
-    entries = dict(eng._scaled_bar_r)
     rng = random.Random(10)
     for _ in range(300):
         u, v, w = (rng.randrange(a3.order) for _ in range(3))
         got = eng.sigma_idx(u, v, w)
         want = _sigma_by_rational_sum(eng, u, v, w)
         assert (got.num.terms, got.den) == (want.num.terms, want.den), (u, v, w)
-    assert eng._scaled_bar_r == entries
+    assert set(vars(eng)) == names
 
 
-@pytest.mark.parametrize(
-    "cartan_type, entries, columns, pairs",
-    [("G2", 75, 356, 120), ("A3", 561, 2664, 285)],
-    ids=["G2", "A3"],
-)
-def test_scaled_bar_memo_size_after_classifying_every_w(
-    cartan_type, entries, columns, pairs, request
-):
-    """The memo keeps one scaled bar r(y, v) per distinct (y, v, U) whose
-    bar lacks a factor of U: 561 for all 24 w of A3, whose 3 benchmark w
-    alone ask 7 240 (y, v) parts; a bar that lacks none is read from the
-    r table and not stored. An entry holds one (x-key, q-column) pair per
-    x-monomial, and its pairs share one object per distinct pair: 285 for
-    the 2 664 columns of A3."""
-    g = request.getfixturevalue(cartan_type.lower())
-    engine = SigmaEngine(g)
-    for w in range(g.order):
-        engine.classify_for_w(w)
-    memo = engine._scaled_bar_r
-    assert len(memo) == entries
-    assert sum(map(len, memo.values())) == columns
-    assert len({id(t) for terms in memo.values() for t in terms}) == pairs
-
-
-def test_classify_round_scales_each_bar_once_per_key(a3, monkeypatch):
-    """The 3 w of the classify-a3 benchmark make 1 029 binomial steps inside
-    sigma, one per factor of a memo entry built; scaling every part of
-    every triple took 12 848."""
+def test_classify_round_binomial_steps(a3, monkeypatch):
+    """The 3 w of the classify-a3 benchmark make 6 779 binomial steps
+    inside sigma: each den group is multiplied once per factor of U it
+    lacks, after the parts that share its den are added."""
     steps = 0
     original = sigma._times_binomial
 
@@ -568,7 +554,7 @@ def test_classify_round_scales_each_bar_once_per_key(a3, monkeypatch):
     monkeypatch.setattr(sigma, "_times_binomial", counting)
     for word in ("e", "32", "2132"):
         engine.classify_for_w(a3.parse_word_idx(word))
-    assert steps == 1029
+    assert steps == 6779
 
 
 def test_unreduced_factor_at_v_min_is_not_cancelled(a2, monkeypatch):
