@@ -56,6 +56,12 @@ class WordError(ValueError):
     """An element word failed to parse."""
 
 
+# Ranks of more digits are refused before int() reads them (a long enough
+# digit string makes it raise): from rank 1 000 on, the group's order has
+# over 2 500 digits, far past any group that can be enumerated.
+_MAX_RANK_DIGITS = 3
+
+
 def _is_ascii_number(text: str) -> bool:
     """True when text is one or more of the ASCII digits 0-9; str.isdigit
     alone also takes digits such as '²' or '٣'."""
@@ -74,6 +80,8 @@ class CartanType:
         text = text.strip()
         if len(text) < 2 or not _is_ascii_number(text[1:]):
             raise UnsupportedTypeError(f"cannot parse Cartan type {text!r}")
+        if len(text[1:].lstrip("0")) > _MAX_RANK_DIGITS:
+            raise UnsupportedTypeError(f"unsupported Cartan type {text}")
         t = cls(text[0].upper(), int(text[1:]))
         t.validate()
         return t
@@ -385,12 +393,14 @@ class CoxeterGroup:
             parts = list(text)
         if not parts or not all(map(_is_ascii_number, parts)):
             raise WordError(f"malformed element word {text!r}")
-        letters = [int(p) for p in parts]
         w = 0
-        for i in letters:
-            if not 1 <= i <= self.rank:
+        for p in parts:
+            # a letter longer than the rank is refused before int() reads it
+            digits = p.lstrip("0") or "0"
+            i = int(digits) if len(digits) <= len(str(self.rank)) else None
+            if i is None or not 1 <= i <= self.rank:
                 raise WordError(
-                    f"letter {i} out of range 1..{self.rank} in word {text!r}"
+                    f"letter {digits} out of range 1..{self.rank} in word {text!r}"
                 )
             w = self.rmult[w][i - 1]
         return w

@@ -13,13 +13,16 @@ needed. lambda_w sends T_t to q^len(t) when t <= w in Bruhat order and to 0
 otherwise, so theta(x, y, w) is a polynomial in q that vanishes exactly when
 x y^{-1} is not <= w.
 
-ThetaTable memoizes the basis products; the table is meant to be filled
-before any parallel enumeration and then shared read-only. Canonical words
-satisfy words[y] = (i,) + words[s_i y], so the table builds T_x T_{y^{-1}}
-from its entry for s_i y with one generator step: the same steps, in the
-same order, as walking the whole reversed word of y. A step keeps every
-coefficient it does not change, and coefficients are immutable, so an entry
-shares most of its polynomials with the shorter one it extends.
+ThetaTable stores each product T_x T_{y^{-1}} = sum of c_t T_t lifted: as
+the dict t -> L_t = q^len(t) c_t, each L_t one q-column from q^0 (see
+``polyring``). A generator step is int work. On an up step (ts > t),
+T_t T_s = T_{ts} and q^len(ts) c_t = q L_t, so L_t << K goes to ts. On a
+down step, T_t T_s = (q - 1) T_t + q T_{ts}: t gets (L_t << K) - L_t plus
+any term moved up into it, and ts gets q^len(ts) q c_t = L_t itself.
+The table is filled before any parallel enumeration and then shared
+read-only. Canonical words satisfy words[y] = (i,) + words[s_i y], so the
+table builds T_x T_{y^{-1}} from its entry for s_i y with one step: the
+steps, in order, of walking the whole reversed word of y.
 
 Many entries need no step at all: they are relabelled from one already
 held, through two exact symmetries of the T-basis (an x-major fill walks
@@ -36,29 +39,32 @@ about half of the entries when only the first applies, a quarter on A4):
   entry of (c(x), c(y)) with each t replaced by c(t). When w0 is central
   (types A1, B, C, G2 and D_n for even n) c is the identity and only iota
   applies.
-Both are relabellings of the support only: no coefficient is recomputed,
-and a relabelled entry shares its source's immutable coefficients.
+Both are relabellings of the support only, and both keep lengths,
+len(t^{-1}) = len(c(t)) = len(t): a lifted entry is relabelled with its
+ints unchanged.
 
-theta(x, y, w) sums q^len(t) c_t over the t in supp(T_x T_{y^{-1}}) with
-t <= w. The table lifts each term q^len(t) c_t to one q-column from q^0
-(see ``polyring``), one int per t, so theta is the int sum of the lifted
-terms at the bits of down(w), and a sum of theta over many x (the xi of
-``sigma``) is one int sum as well; neither builds a polynomial. The lifted
-terms are kept one column per y, built on the first query of that y: for
-every x, the support mask of T_x T_{y^{-1}}, the tuple of its lifted
-terms, aligned with the keys of ``product(x, y)``, and their total, which is
-theta for every w above the whole support. Each distinct int and each
-distinct tuple is stored once. No theta is memoized: one costs a pass over
-the terms of one product. Every read goes through the column and shares
-that pass (``_sum_at``): ``theta_sum`` adds theta over many x at one w
-(xi), ``thetas`` gives theta of one (x, y) at many w (the power-of-q scan),
-and w that cover the same part of the support share one pass within a
-call; ``theta_idx`` is ``thetas`` at one w, decoded.
+``product(x, y)`` is a read-only view of the stored entry, a mapping
+t -> c_t whose values are decoded (``polyring._decode_q`` from q^-len(t))
+only when read. The walk, the relabels and the columns never read it.
 
-A sum of theta(x, y, w) over any set of x has L1 norm at most |W| times the
-largest L1 norm of a product T_x T_{y^{-1}}. Every lift checks that bound
-against 2^(K - 1), so every such sum decodes exactly, and "theta is a power
-of q" is an int test (``polyring._is_q_power``).
+theta(x, y, w) sums L_t over the t in supp(T_x T_{y^{-1}}) with t <= w: the
+int sum of the stored entry at the bits of down(w); a sum of theta over
+many x (the xi of ``sigma``) is one int sum too. The column of y, built on
+the first query of that y, holds for every x the support mask of
+T_x T_{y^{-1}}, the stored entry and the sum of its values, which is theta
+for every w above the whole support. No theta is memoized. Every read goes
+through the column (``_sum_at``): ``theta_sum`` adds theta over many x at
+one w (xi), ``thetas`` gives theta of one (x, y) at many w (the power-of-q
+scan), the w of one call that cover the same part of the support sharing
+one pass; ``theta_idx`` is ``thetas`` at one w, decoded.
+
+A down step at most triples the L1 norm of a product ((q - 1) c_t and q c_t
+from c_t), and an up step or a relabel keeps it, so T_x T_{y^{-1}} has L1
+norm at most 3^len(y), and a sum of theta over any set of x at most
+|W| 3^len(y). The table stores no entry of a y with |W| 3^len(y) >=
+2^(K - 1): asking for one raises RuntimeError, before the column of y is
+built. So every stored coefficient and every such sum decodes exactly, and
+"theta is a power of q" is an int test (``polyring._is_q_power``).
 
 reach(y, w), memoized per (y, w), is the mask of the x whose support meets
 down(w); theta(x, y, w) is an empty sum, exactly 0, for every x outside it,
@@ -67,53 +73,34 @@ so a sum of theta over x need only ask the x in it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from .coxeter import CoxeterGroup, Element, _bits
 from .polyring import _Q_BITS, _Q_BOUND, LaurentPoly, _decode_q, _new
 
 __all__ = ["ThetaTable"]
 
 
-def _add_into(terms: dict, other: dict, sign: int) -> None:
-    """terms += sign * other, in place, dropping zeros."""
-    for e, v in other.items():
-        nv = terms.get(e, 0) + sign * v
-        if nv:
-            terms[e] = nv
-        else:
-            del terms[e]
-
-
-def _rmul_gen(g: CoxeterGroup, coeffs: dict, i: int) -> dict:
-    """Multiply a coefficient dict by T_{s_i} on the right.
-
-    Only the upper element t of a coset {t s_i, t} can receive two terms:
-    c(t s_i) moved up and (q - 1)*c(t). A coefficient that is moved up
-    alone is kept as the same object."""
+def _rmul_gen(g: CoxeterGroup, lifted: dict, i: int) -> dict:
+    """A lifted product (t -> q^len(t) c_t as a q-column from q^0) times
+    T_{s_i} on the right, lifted: the up and down steps of the module
+    docstring. A term moved down keeps its int."""
     out: dict = {}
     rmult, lengths = g.rmult, g.lengths
-    for t, c in coeffs.items():
+    for t, col in lifted.items():
         ts = rmult[t][i]
-        if lengths[ts] > lengths[t]:
-            prev = out.get(ts)
-            if prev is None:
-                out[ts] = c
-            else:  # prev is (q - 1)*c(ts), built below by this call
-                _add_into(prev.terms, c.terms, 1)
-                if not prev.terms:
-                    del out[ts]
-            continue
-        # q*c, and (q - 1)*c as q*c - c
-        qc = {(e[0] + 1,) + e[1:]: v for e, v in c.terms.items()}
-        terms = dict(qc)
-        _add_into(terms, c.terms, -1)
+        if lengths[ts] > lengths[t]:  # T_t T_s = T_ts
+            t, col = ts, col << _Q_BITS
+        else:  # T_t T_s = (q - 1) T_t + q T_ts
+            out[ts] = col
+            col = (col << _Q_BITS) - col
         prev = out.get(t)
-        if prev is not None:  # c(t s_i) moved up, a shared object
-            _add_into(terms, prev.terms, 1)
-        if terms:
-            out[t] = _new(c.arity, terms)
-        elif prev is not None:
-            del out[t]
-        out[ts] = _new(c.arity, qc)
+        if prev is not None:  # the other term of the coset's upper t
+            col += prev
+            if not col:
+                del out[t]
+                continue
+        out[t] = col
     return out
 
 
@@ -134,11 +121,11 @@ def _longest_conjugation(g: CoxeterGroup) -> list | None:
     return None if conj == list(range(g.order)) else conj
 
 
-def _sum_at(prod: dict, terms: tuple, part: int) -> int:
+def _sum_at(prod: dict, part: int) -> int:
     """The sum of the lifted terms of a product at the t in the bit mask
-    part; terms are aligned with the keys of prod."""
+    part."""
     col = 0
-    for t, term in zip(prod, terms):
+    for t, term in prod.items():
         if part >> t & 1:
             col += term
     return col
@@ -146,51 +133,74 @@ def _sum_at(prod: dict, terms: tuple, part: int) -> int:
 
 def _relabel(prod: dict, labels: list) -> dict:
     """The product with each basis index t replaced by labels[t]; the
-    coefficients are shared, not copied."""
+    lifted terms are shared, not copied."""
     return {labels[t]: c for t, c in prod.items()}
 
 
+class _Product(Mapping):
+    """T_x T_{y^{-1}} as t -> c_t, a read-only view of a lifted entry:
+    each c_t is decoded from q^-len(t) when it is read."""
+
+    __slots__ = ("_lifted", "_lengths")
+
+    def __init__(self, lifted: dict, lengths: list):
+        self._lifted = lifted
+        self._lengths = lengths
+
+    def __getitem__(self, t: int) -> LaurentPoly:
+        col = self._lifted[t]
+        return _new(0, {(d,): c for d, c in _decode_q(col, -self._lengths[t])})
+
+    def __iter__(self):
+        return iter(self._lifted)
+
+    def __len__(self) -> int:
+        return len(self._lifted)
+
+
 class ThetaTable:
-    """Memoized T_x T_{y^{-1}} products and the lifted terms theta sums.
+    """Memoized lifted T_x T_{y^{-1}} products (module docstring) and the
+    theta sums read off them.
 
-    A product not yet memoized is the relabelled entry of (y, x) under
-    t -> t^{-1} if that is memoized, else the relabelled entry of
-    (w0 x w0, w0 y w0) under t -> w0 t w0 if that is (see the module
-    docstring for why both are exact). Only when neither is held is it
-    walked: the product for (x, y) with y != e is the product for
-    (x, s_i y), i = words[y][0], times T_{s_i}, so each walked entry costs
-    one generator step and shares the coefficients that step leaves alone
-    with its shorter neighbour. In an x-major fill of A4 only 3 843 of the
-    14 400 products are walked, in B3 1 176 of 2 304.
-
-    The column of y, built on the first query of that y, holds for every
-    x what ``_lift`` gives: the support mask of T_x T_{y^{-1}}, the
-    product, its lifted terms q^len(t) c_t as q-columns from q^0 in the
-    order of the product's keys, and their total.
-    reach(y, w) is the mask of the x whose support meets down_masks[w],
-    memoized per (y, w): at most |W|^2 ints. theta is 0 for every x
-    outside it."""
+    An entry not yet memoized is the relabelled entry of (y, x) under
+    t -> t^{-1} if that is held, else that of (w0 x w0, w0 y w0) under
+    t -> w0 t w0 if that is. Else it is walked: the entry for (x, s_i y),
+    i = words[y][0], times T_{s_i}. An x-major fill walks 3 843 of the
+    14 400 entries of A4 and 1 176 of the 2 304 of B3. An entry of a y with
+    |W| 3^len(y) >= 2^(K - 1) raises RuntimeError, so its column is not
+    built. reach(y, w) is memoized per (y, w): at most |W|^2 ints."""
 
     def __init__(self, group: CoxeterGroup):
         self.group = group
         self._inv = group.inv_table
         self._conj = _longest_conjugation(group)  # None when the identity
-        self._products: dict = {}
-        # y -> (support masks, products, lifted terms, totals), lists over x
+        # the largest len(y) with |W| 3^len(y) < 2^(K - 1)
+        self._max_len = -1
+        while group.order * 3 ** (self._max_len + 1) < _Q_BOUND:
+            self._max_len += 1
+        self._products: dict = {}  # (x, y) -> t -> q^len(t) c_t, a q-column
+        # y -> (support masks, entries, totals), lists over x
         self._columns: dict = {}
-        # the shift that lifts a term at t by q^len(t), K len(t) bits
-        self._lifts = [_Q_BITS * n for n in group.lengths]
-        # each distinct lifted term or total, and each distinct tuple of
-        # lifted terms, stored once
-        self._lifted_ints: dict = {}
-        self._lifted_tuples: dict = {}
         self._reach: dict = {}  # (y, w) -> mask of the x whose support meets down(w)
 
-    def product(self, x: int, y: int) -> dict:
+    def product(self, x: int, y: int) -> Mapping:
+        """T_x T_{y^{-1}} as a read-only mapping t -> c_t, each coefficient
+        decoded from the stored entry when it is read."""
+        return _Product(self._lifted(x, y), self.group.lengths)
+
+    def _lifted(self, x: int, y: int) -> dict:
+        """The stored entry of T_x T_{y^{-1}}, t -> q^len(t) c_t as a
+        q-column from q^0; memoized, read only."""
         products = self._products
         prod = products.get((x, y))
         if prod is not None:
             return prod
+        g = self.group
+        if g.lengths[y] > self._max_len:
+            raise RuntimeError(
+                f"T_x T_y^-1 at y={g.word_str(y)} may have L1 norm "
+                f"3^{g.lengths[y]}: {g.order} of them overflow the q-column slots"
+            )
         src = products.get((y, x))
         if src is not None:
             prod = products[(x, y)] = _relabel(src, self._inv)
@@ -202,63 +212,36 @@ class ThetaTable:
                 prod = products[(x, y)] = _relabel(src, conj)
                 return prod
         # walk down to the longest memoized prefix, then build back up; a
-        # loop, not recursion, so a cold product(x, w0) stays shallow
-        g = self.group
+        # loop, not recursion, so a cold entry of (x, w0) stays shallow
         words, lmult = g.words, g.lmult
         pending = []
         while prod is None:
             if y == g.identity_idx:
-                prod = {x: LaurentPoly.one(0)}
-                products[(x, y)] = prod
+                prod = products[(x, y)] = {x: 1 << _Q_BITS * g.lengths[x]}
                 break
             i = words[y][0]
             pending.append((y, i))
             y = lmult[y][i]
             prod = products.get((x, y))
         for y, i in reversed(pending):
-            prod = _rmul_gen(g, prod, i)
-            products[(x, y)] = prod
+            prod = products[(x, y)] = _rmul_gen(g, prod, i)
         return prod
 
-    def _lift(self, x: int, y: int) -> tuple:
-        """(support mask, product, lifted terms, total) of T_x T_{y^{-1}}.
-        A lifted term is q^len(t) c_t as a q-column from q^0, each q^d c of
-        c_t adding c << lifts[t] + K d; the terms are in the order of the
-        product's keys, and the total is their sum, theta(x, y, w) for
-        every w above the whole support. Raises RuntimeError unless |W|
-        times the product's L1 norm is below 2^(K - 1), the bound that makes
-        every sum of theta over x decode exactly."""
-        g = self.group
-        lifts = self._lifts
-        intern = self._lifted_ints.setdefault
-        prod = self.product(x, y)
-        supp = l1 = total = 0
-        terms = []
-        for t, poly in prod.items():
-            supp |= 1 << t
-            lift = lifts[t]
-            term = 0
-            for (d,), c in poly.terms.items():
-                term += c << lift + _Q_BITS * d
-                l1 += abs(c)
-            terms.append(intern(term, term))
-            total += term
-        if g.order * l1 >= _Q_BOUND:
-            raise RuntimeError(
-                f"T_x T_y^-1 at x={g.word_str(x)}, y={g.word_str(y)} has L1 "
-                f"norm {l1}: {g.order} of them overflow the q-column slots"
-            )
-        terms = tuple(terms)
-        terms = self._lifted_tuples.setdefault(terms, terms)
-        return supp, prod, terms, intern(total, total)
-
     def _column(self, y: int) -> tuple:
-        """(support masks, products, lifted terms, totals) of y, each a list
-        indexed by x, from ``_lift``; built once per y."""
+        """(support masks, entries, totals) of y, each a list indexed by x:
+        the support of T_x T_{y^{-1}} as a bit mask, its stored entry and
+        the sum of the entry's lifted terms; built once per y."""
         column = self._columns.get(y)
         if column is None:
-            lifts = [self._lift(x, y) for x in range(self.group.order)]
-            column = self._columns[y] = tuple(map(list, zip(*lifts)))
+            prods = [self._lifted(x, y) for x in range(self.group.order)]
+            supports = []
+            for prod in prods:
+                supp = 0
+                for t in prod:
+                    supp |= 1 << t
+                supports.append(supp)
+            totals = [sum(prod.values()) for prod in prods]
+            column = self._columns[y] = (supports, prods, totals)
         return column
 
     def reach(self, y: int, w: int) -> int:
@@ -279,7 +262,7 @@ class ThetaTable:
         """The sum of theta(x, y, w) over the x in the bit mask xs, as one
         q-column from q^0: the lifted terms at the t <= w of the column of
         y, added as ints; the total of an x whose support lies below w."""
-        supports, prods, lifted, totals = self._columns.get(y) or self._column(y)
+        supports, prods, totals = self._columns.get(y) or self._column(y)
         down = self.group.down_masks[w]
         col = 0
         while xs:  # the bits x of xs, lowest first, as _bits yields them
@@ -288,7 +271,7 @@ class ThetaTable:
             x = low.bit_length() - 1
             supp = supports[x]
             part = supp & down
-            col += totals[x] if part == supp else _sum_at(prods[x], lifted[x], part)
+            col += totals[x] if part == supp else _sum_at(prods[x], part)
         return col
 
     def thetas(self, x: int, y: int, ws: int) -> list:
@@ -296,8 +279,8 @@ class ThetaTable:
         mask ws, lowest w first]. theta reads w only through the part of the
         support of T_x T_{y^{-1}} below it, so the w of one call that cover
         the same part share one sum; nothing is kept after the call."""
-        supports, prods, lifted, totals = self._columns.get(y) or self._column(y)
-        supp, prod, terms = supports[x], prods[x], lifted[x]
+        supports, prods, totals = self._columns.get(y) or self._column(y)
+        supp, prod = supports[x], prods[x]
         down_masks = self.group.down_masks
         sums = {supp: totals[x]}
         out = []
@@ -305,7 +288,7 @@ class ThetaTable:
             part = supp & down_masks[w]
             col = sums.get(part)
             if col is None:
-                col = sums[part] = _sum_at(prod, terms, part)
+                col = sums[part] = _sum_at(prod, part)
             out.append((w, col))
         return out
 

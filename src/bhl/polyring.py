@@ -37,8 +37,10 @@ Representation conventions:
   ``rpoly`` stores each numerator as a dict from packed x-keys (q-digit 0)
   to columns, and sigma accumulates on them, reading that table as it is.
   Both decode such a dict to a ``RationalFn`` by ``_decode_columns``, which
-  unpacks keys through an ``_UnpackMemo`` that the r table owns and sigma
-  shares, so a key that recurs is unpacked once per table.
+  unpacks keys through the ``_UnpackMemo`` it is given: sigma's engine
+  keeps one for its lifetime, so a key that recurs across sigma values is
+  unpacked once, and a one-shot read of the r table passes a fresh one
+  that is dropped with the value.
   ``_times_binomial`` and ``_divide_packed`` run unchanged on such a dict:
   they only add, subtract and zero-test coefficients, which columns do
   exactly.

@@ -32,9 +32,10 @@ their dens, each multiplied by the factors it lacks; a step that would
 repeat a factor raises ``RuntimeError``, so every den has distinct factors
 and the union is a set union. This builds, term for term, the numerator
 and den that ``RationalFn`` arithmetic builds for the same recursion.
-Values are decoded on each read by ``polyring._decode_columns`` through the
-table's unpack memo, which sigma's decode shares, and ``reduced_den_idx``
-divides the columns as they are stored, unpacking only its den.
+Values are decoded on each read by ``polyring._decode_columns`` through an
+unpack memo of that read alone: the table keeps no unpacked key, as most of
+its reads decode an entry once. ``reduced_den_idx`` divides the columns as
+they are stored, unpacking only its den.
 
 Adding keys multiplies monomials only while every digit stays inside the
 packed bound, so a table refuses (``ValueError``) a group whose fill could
@@ -103,6 +104,7 @@ from .polyring import (
     _pack,
     _reduce_packed,
     _times_binomial,
+    _unpack,
     _UnpackMemo,
 )
 
@@ -143,9 +145,6 @@ class RPolyTable:
         self._one = (frozenset(), {0: 1 << (self._q_bits * -self.low)}, 1)
         self._bar_r: dict = {}
         self._classical: dict = {}
-        # packed key -> exponent tuple, for every decode of this table and
-        # of the sigma read off it
-        self._unpacked = _UnpackMemo(group.rank + 1)
 
     # -- deformed ------------------------------------------------------------
 
@@ -238,9 +237,10 @@ class RPolyTable:
         return val
 
     def _rational(self, entry: tuple) -> RationalFn:
-        """An entry as the RationalFn it stands for."""
+        """An entry as the RationalFn it stands for, its keys unpacked
+        through a memo dropped with the call."""
         den, cols, _ = entry
-        return _decode_columns(cols, den, self.low, self._unpacked)
+        return _decode_columns(cols, den, self.low, _UnpackMemo(self.group.rank + 1))
 
     def bar_r_idx(self, u: int, v: int) -> RationalFn:
         return self._rational(self.bar_r_packed_idx(u, v))
@@ -261,7 +261,7 @@ class RPolyTable:
         test may have misread and ``ValueError`` is raised."""
         den, cols, l1 = self.bar_r_packed_idx(u, v)
         n = self.group.rank
-        den = tuple(sorted(self._unpacked[b][1:] for b in den))
+        den = tuple(sorted(_unpack(b, n + 1)[1:] for b in den))
         kept = _reduce_packed(cols, den, n, (self.max_digit,) * (n + 1))[1]
         if l1 * self.max_digit ** (len(den) - len(kept)) >= self._l1_limit:
             g = self.group

@@ -36,7 +36,8 @@ U. Multiplying before scaling is the cheaper order: each factor lengthens
 a bar, so a classify-a3 round multiplies 13 674 stored terms where the bars
 scaled to U would have 44 601, and a factor is applied once per group, not
 once per part. The columns are decoded once, at the end, by the r table's
-decoder (``polyring._decode_columns``, through the table's unpack memo). A
+decoder (``polyring._decode_columns``), through the engine's unpack memo,
+so an x-key that recurs across the sigma of one engine is unpacked once. A
 product of two columns from q^low starts at q^(2 low), low the r table's.
 Since the substitution q -> 2^K is a ring homomorphism, that product is
 exact, and the decode reads it back while every coefficient of sigma stays
@@ -85,6 +86,7 @@ from .polyring import (
     _decode_columns,
     _decode_q,
     _times_binomial,
+    _UnpackMemo,
 )
 from .rpoly import RPolyTable, s_set_idx
 
@@ -117,6 +119,8 @@ class SigmaEngine:
         self.rtable = RPolyTable(group)
         self.theta = ThetaTable(group)
         self._gk_factor: dict = {}
+        # packed key -> exponent tuple, for every sigma decode of the engine
+        self._unpacked = _UnpackMemo(group.rank + 1)
 
     # -- building blocks -----------------------------------------------------
 
@@ -149,7 +153,7 @@ class SigmaEngine:
         others. ``ThetaTable.theta_sum`` adds their lifted terms as ints, a
         column from q^0, and one shift by K (len(w0) - len(y)) slots makes
         it the column that sigma reads. The L1 norm is read off the slots,
-        which the bound checked by every lift of the theta table keeps
+        which the theta table's bound |W| 3^len(y) < 2^(K - 1) keeps
         exact."""
         mask = self.group.up_masks[u] & self.theta.reach(y, w)
         xi = self.theta.theta_sum(mask, y, w)
@@ -216,7 +220,7 @@ class SigmaEngine:
                     for key, col in acc.items():
                         into[key] = get(key, 0) + col
         acc = groups.get(union, {})  # {} when sigma has no part
-        return _decode_columns(acc, union, 2 * self.rtable.low, self.rtable._unpacked)
+        return _decode_columns(acc, union, 2 * self.rtable.low, self._unpacked)
 
     def sigma(self, u: Element, v: Element, w: Element) -> RationalFn:
         g = self.group

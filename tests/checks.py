@@ -14,16 +14,18 @@ the functional is applied, in ``RationalFn`` arithmetic, independent of the
 packed q-column kernel of ``SigmaEngine.sigma_idx``.
 
 And the Hecke oracles: T-basis elements and their products walked word by
-word with no memo (``t_mul``), the functional lambda_w summed on
-``LaurentPoly`` dicts (``theta_from_product``), and theta(x, y, w) built
-from those two, the reference for the int sums of ``ThetaTable``.
+word with no memo (``t_mul``), one generator step at a time on
+``LaurentPoly`` values by a step of their own (``_rmul_gen``), which
+shares no code with the lifted int step of ``ThetaTable``; the functional
+lambda_w summed on ``LaurentPoly`` dicts (``theta_from_product``); and
+theta(x, y, w) built from those two, the reference for the int sums of
+``ThetaTable``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from bhl.coxeter import CoxeterGroup, Element, _bits
-from bhl.hecke import _rmul_gen
 from bhl.kl import KLTable
 from bhl.polyring import LaurentPoly, RationalFn
 from bhl.rpoly import RPolyTable, s_set_idx
@@ -316,6 +318,33 @@ def t_basis(w: Element) -> HeckeElem:
     return HeckeElem(w.group, {w.index: LaurentPoly.one(0)})
 
 
+Q = LaurentPoly(0, {(1,): 1})
+Q_MINUS_1 = LaurentPoly(0, {(1,): 1, (0,): -1})
+
+
+def add_term(coeffs: dict, t: int, add: LaurentPoly) -> None:
+    """coeffs[t] += add, in place, dropping a zero sum."""
+    cur = coeffs[t] + add if t in coeffs else add
+    if cur.is_zero():
+        coeffs.pop(t, None)
+    else:
+        coeffs[t] = cur
+
+
+def _rmul_gen(g: CoxeterGroup, coeffs: dict, i: int) -> dict:
+    """coeffs times T_{s_i} on the right, on LaurentPoly values:
+    T_t T_s = T_{ts} if ts > t, else (q - 1) T_t + q T_{ts}."""
+    out: dict = {}
+    for t, c in coeffs.items():
+        ts = g.rmult[t][i]
+        if g.lengths[ts] > g.lengths[t]:
+            add_term(out, ts, c)
+        else:
+            add_term(out, t, c * Q_MINUS_1)
+            add_term(out, ts, c * Q)
+    return out
+
+
 def _rmul_word(g: CoxeterGroup, coeffs: dict, letters) -> dict:
     for i in letters:
         coeffs = _rmul_gen(g, coeffs, i)
@@ -330,13 +359,7 @@ def t_mul(a: HeckeElem, b: HeckeElem) -> HeckeElem:
     for t, c in b.coeffs.items():
         part = _rmul_word(g, a.coeffs, g.words[t])
         for s, v in part.items():
-            add = v * c
-            cur = total.get(s)
-            cur = add if cur is None else cur + add
-            if cur.is_zero():
-                total.pop(s, None)
-            else:
-                total[s] = cur
+            add_term(total, s, v * c)
     return HeckeElem(g, total)
 
 

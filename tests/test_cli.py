@@ -294,6 +294,25 @@ def test_values_longer_than_the_int_string_limit_are_accepted(capsys, monkeypatc
     assert args.jobs == args.samples == 10**5000 - 1
 
 
+def test_ranks_and_letters_longer_than_the_int_string_limit_are_refused(capsys):
+    """A 5 000-digit rank or word letter is refused by its length, with the
+    message a short out-of-range value gets, not int()'s digit limit; a
+    four-digit rank is refused as well, and leading zeros do not count."""
+    nines = "9" * 5000
+    code, out, err = invoke(capsys, "group", "--type", "A" + nines)
+    assert (code, out, err) == (2, "", f"error: unsupported Cartan type A{nines}\n")
+    code, out, err = invoke(capsys, "group", "--type", "A2000")
+    assert (code, out, err) == (2, "", "error: unsupported Cartan type A2000\n")
+    code, out, _ = invoke(capsys, "group", "--type", "A0002")
+    assert code == 0 and "order: 6" in out
+    word = "1," + nines
+    code, out, err = invoke(capsys, "meet", "--type", "A2", "-u", word, "-w", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: letter {nines} out of range 1..2 in word '{word}'\n"
+    code, out, _ = invoke(capsys, "meet", "--type", "A2", "-u", "1,0002", "-w", "1")
+    assert (code, out) == (0, "1\n")
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_engine_invariant_failure_exits_one(capsys, monkeypatch, jobs):
     """A RuntimeError raised for one w, in a forked worker too, ends the run

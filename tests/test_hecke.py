@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections.abc import Mapping
 
 import pytest
 
@@ -11,6 +12,9 @@ from bhl.sigma import SigmaEngine
 from bhl.verify import run_suite
 
 from checks import (
+    Q,
+    Q_MINUS_1,
+    add_term,
     lambda_w,
     product_coeffs,
     t_basis,
@@ -161,11 +165,14 @@ def test_int_theta_matches_single_shot_sampled_rank_4(cartan_type):
 
 
 def test_lift_by_one_less_fails_the_single_shot_check(a3):
-    """A copy whose lift raises each term by len(t) - 1 instead of len(t)
-    (t = e, whose q^-1 has no slot, keeps its lift) builds theta values the
-    single-shot oracle rejects."""
+    """A table whose walks start from T_x lifted by len(x) - 1 instead of
+    len(x) (x = e, whose q^-1 has no slot, keeps its lift) builds theta
+    values the single-shot oracle rejects: the walk carries the lift of its
+    start entry into every product."""
     table = ThetaTable(a3)
-    table._lifts = [hecke._Q_BITS * max(n - 1, 0) for n in a3.lengths]
+    for x, n in enumerate(a3.lengths):
+        lift = hecke._Q_BITS * max(n - 1, 0)
+        table._products[(x, a3.identity_idx)] = {x: 1 << lift}
     wrong = [
         (x, y, w)
         for x, y, w in itertools.product(range(a3.order), repeat=3)
@@ -174,44 +181,55 @@ def test_lift_by_one_less_fails_the_single_shot_check(a3):
     assert wrong
 
 
-def test_column_refuses_a_product_past_the_slot_bound(a3):
-    """A product with a planted coefficient of 2^63 cannot have |W| copies
-    summed inside a 64-bit slot: lifting it raises, for theta_idx and for
-    reach, and the column of its y is not built."""
+def test_column_refuses_a_product_past_the_slot_bound(a3, monkeypatch):
+    """With the slot bound lowered to 24 * 3^3, the products of a y of
+    length 3 may pass it when 24 of them are summed: asking for one raises,
+    through product, theta_idx and reach, and the column of that y is not
+    built; a y of length 2 is still served."""
+    monkeypatch.setattr(hecke, "_Q_BOUND", a3.order * 3**3)
     table = ThetaTable(a3)
-    x, y = 1, 2
-    prod = table.product(x, y)
-    t = min(prod)
-    table._products[(x, y)] = {**prod, t: LaurentPoly(0, {(0,): 2**63})}
-    with pytest.raises(RuntimeError, match="overflow the q-column slots"):
-        table.theta_idx(x, y, a3.longest_idx)
-    with pytest.raises(RuntimeError, match="overflow the q-column slots"):
-        table.reach(y, a3.longest_idx)
+    y = a3.from_word("123").index
+    for ask in (
+        lambda: table.product(1, y),
+        lambda: table.theta_idx(1, y, a3.longest_idx),
+        lambda: table.reach(y, a3.longest_idx),
+    ):
+        with pytest.raises(RuntimeError, match="overflow the q-column slots"):
+            ask()
     assert y not in table._columns
+    assert not any(key[1] == y for key in table._products)
+    short = a3.from_word("12").index
+    assert table.reach(short, a3.longest_idx) == (1 << a3.order) - 1
+    assert table.product(1, short) == product_coeffs(a3, 1, short)
 
 
 def test_lifted_store_after_classifying_every_w_of_a3(a3):
-    """Classifying all 24 w of A3 builds one column per y. The lifted terms
-    of its 576 products take 30 distinct values, and with the totals of the
-    products 36 ints are stored; the 576 tuples of lifted terms are 52
-    distinct ones. Each is stored once and shared by every entry that
-    holds it; no theta is memoized."""
+    """Classifying all 24 w of A3 builds one column per y. Its entries are
+    the stored lifted products themselves, t -> q^len(t) c_t as q-columns
+    from q^0, which decode to the single-shot word walk; its support masks
+    and totals are read off them. No theta is memoized and no other copy
+    of a product is kept."""
     engine = SigmaEngine(a3)
     engine.prefill_shared_tables()
     for w in range(a3.order):
         engine.classify_for_w(w)
     table = engine.theta
     assert sorted(table._columns) == list(range(a3.order))
-    columns = table._columns.values()
-    tuples = [tup for _, _, lifted, _ in columns for tup in lifted]
-    terms = [term for tup in tuples for term in tup]
-    totals = [total for _, _, _, col_totals in columns for total in col_totals]
-    assert len(tuples) == 576
-    assert len(set(terms)) == 30
-    assert len(table._lifted_ints) == len(set(terms + totals)) == 36
-    assert len({id(i) for i in terms + totals}) == 36
-    assert len(table._lifted_tuples) == len({id(tup) for tup in tuples}) == 52
-    assert not hasattr(table, "_theta")
+    assert len(table._products) == 576
+    for y, (supports, prods, totals) in table._columns.items():
+        for x in range(a3.order):
+            prod = prods[x]
+            assert prod is table._products[(x, y)]
+            assert supports[x] == sum(1 << t for t in prod)
+            assert totals[x] == sum(prod.values())
+            decoded = {
+                t: LaurentPoly(0, {(d,): c for d, c in _decode_q(col, -a3.lengths[t])})
+                for t, col in prod.items()
+            }
+            assert decoded == product_coeffs(a3, x, y), (x, y)
+    assert set(vars(table)) == {
+        "group", "_inv", "_conj", "_max_len", "_products", "_columns", "_reach"
+    }
 
 
 @pytest.mark.parametrize("cartan_type", ["A3", "B3", "G2"])
@@ -229,10 +247,6 @@ def test_reach_is_the_x_with_x_y_inverse_below_w(cartan_type, request):
             assert table.reach(y, w) == want, (y, w)
 
 
-_Q_MINUS_1 = LaurentPoly(0, {(1,): 1, (0,): -1})
-_Q = LaurentPoly(0, {(1,): 1})
-
-
 def _left_mul_product(g, x, y):
     """T_x T_{y^-1} by the left relation T_s T_z = T_{sz} if sz > z, else
     (q - 1) T_z + q T_{sz}: T_{y^-1} multiplied on the left by the letters
@@ -243,27 +257,35 @@ def _left_mul_product(g, x, y):
         for z, c in coeffs.items():
             sz = g.lmult[z][i]
             if g.lengths[sz] > g.lengths[z]:
-                parts = [(sz, c)]
+                add_term(out, sz, c)
             else:
-                parts = [(z, c * _Q_MINUS_1), (sz, c * _Q)]
-            for t, add in parts:
-                s = out[t] + add if t in out else add
-                if s.is_zero():
-                    out.pop(t, None)
-                else:
-                    out[t] = s
+                add_term(out, z, c * Q_MINUS_1)
+                add_term(out, sz, c * Q)
         coeffs = out
     return coeffs
 
 
+def _independent_routes(g):
+    """T_x T_{y^-1} by the single-shot word walk, by t_mul and by left
+    multiplication; none shares a step with the table."""
+    return {
+        "word walk": lambda x, y: product_coeffs(g, x, y),
+        "t_mul": lambda x, y: t_mul(
+            t_basis(g.element(x)), t_basis(g.element(g.inv_table[y]))
+        ).coeffs,
+        "left multiplication": lambda x, y: _left_mul_product(g, x, y),
+    }
+
+
 def _assert_matches_independent_routes(g, table, pairs):
+    """The decoded view of every pair equals the three routes; a second
+    query reads the same stored entry, not a rebuilt one."""
+    routes = _independent_routes(g).items()
     for x, y in pairs:
         prod = table.product(x, y)
-        assert prod == product_coeffs(g, x, y), (x, y)
-        yinv = g.element(g.inv_table[y])
-        assert prod == t_mul(t_basis(g.element(x)), t_basis(yinv)).coeffs, (x, y)
-        assert prod == _left_mul_product(g, x, y), (x, y)
-        assert table.product(x, y) is prod
+        for name, route in routes:
+            assert prod == route(x, y), (name, x, y)
+        assert table.product(x, y)._lifted is table._products[(x, y)]
 
 
 def _count_relabels(monkeypatch, table):
@@ -318,6 +340,38 @@ def test_theta_table_products_match_independent_routes_sampled_a4(a4):
     _assert_matches_independent_routes(a4, engine.theta, pairs)
 
 
+def test_step_that_drops_minus_l_fails_every_independent_route(a3, monkeypatch):
+    """A lifted generator step whose down step gives t L << K instead of
+    (L << K) - L builds products that each of the three routes rejects on
+    its own: the route test can see a wrong step, since no route runs the
+    table's."""
+    original = hecke._rmul_gen
+
+    def dropping(g, lifted, i):
+        out = original(g, lifted, i)
+        for t, col in lifted.items():
+            if g.lengths[g.rmult[t][i]] < g.lengths[t]:
+                out[t] = out.get(t, 0) + col
+        return {t: col for t, col in out.items() if col}
+
+    monkeypatch.setattr(hecke, "_rmul_gen", dropping)
+    table = ThetaTable(a3)
+    pairs = [(x, y) for x in range(a3.order) for y in range(a3.order)]
+    for name, route in _independent_routes(a3).items():
+        assert any(table.product(x, y) != route(x, y) for x, y in pairs), name
+
+
+def test_product_is_a_read_only_view(a3):
+    """product() decodes the stored entry on each read and cannot be
+    written through."""
+    table = ThetaTable(a3)
+    prod = table.product(5, 7)
+    assert isinstance(prod, Mapping)
+    assert list(prod) == list(table._products[(5, 7)])
+    with pytest.raises(TypeError):
+        prod[min(prod)] = LaurentPoly.one(0)
+
+
 @pytest.mark.parametrize("mutant", ["inverse-keeps-t", "skips-w0-conjugation"])
 def test_wrong_relabel_fails_the_left_multiplication_route(a3, mutant, monkeypatch):
     """A copy of the table that keys the inverse relabel by t instead of
@@ -343,7 +397,8 @@ def test_wrong_relabel_fails_the_left_multiplication_route(a3, mutant, monkeypat
 
 def test_full_fill_calls_product_once_per_pair(a3, monkeypatch):
     """Relabels read the memo and never call product() again, so a full A3
-    fill makes exactly |W|^2 = 576 calls."""
+    fill makes exactly |W|^2 = 576 calls; building every column, as
+    classifying a w does, reads the stored entries and makes none."""
     calls = []
     original = ThetaTable.product
 
@@ -356,6 +411,9 @@ def test_full_fill_calls_product_once_per_pair(a3, monkeypatch):
     engine.prefill_shared_tables()
     assert len(calls) == a3.order**2 == 576
     assert len(engine.theta._products) == 576
+    engine.classify_for_w(a3.longest_idx)
+    assert sorted(engine.theta._columns) == list(range(a3.order))
+    assert len(calls) == 576
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from bhl import sigma
 from bhl.coxeter import GroupMismatchError, _bits, build_group
 from bhl.demazure import v_min, v_min_idx
 from bhl.hecke import ThetaTable
-from bhl.polyring import LaurentPoly, RationalFn, _decode_q, binomial
+from bhl.polyring import LaurentPoly, RationalFn, _decode_q, _UnpackMemo, binomial
 from bhl.rpoly import s_set, s_set_idx
 from bhl.sigma import SigmaEngine, classify, verify_main_theorem, verify_vanishing
 from bhl.verify import SUITE_NAMES, run_suite
@@ -535,6 +535,27 @@ def test_single_shot_sigma_after_classify_keeps_no_state(a3):
         want = _sigma_by_rational_sum(eng, u, v, w)
         assert (got.num.terms, got.den) == (want.num.terms, want.den), (u, v, w)
     assert set(vars(eng)) == names
+
+
+def test_bar_r_reads_keep_no_unpack_memo(a3):
+    """Decoding every bar r of A3 through bar_r_idx leaves no unpacked key
+    on the r table; only sigma's decode keeps an unpack memo, on its
+    engine, and sigma read after those decodes still matches the chain."""
+    eng = SigmaEngine(a3)
+    names = set(vars(eng.rtable))
+    for u in range(a3.order):
+        for v in range(a3.order):
+            eng.rtable.bar_r_idx(u, v)
+    assert set(vars(eng.rtable)) == names
+    assert not any(isinstance(val, _UnpackMemo) for val in vars(eng.rtable).values())
+    assert not eng._unpacked
+    rng = random.Random(12)
+    for _ in range(200):
+        u, v, w = (rng.randrange(a3.order) for _ in range(3))
+        got = eng.sigma_idx(u, v, w)
+        want = _sigma_by_rational_sum(eng, u, v, w)
+        assert (got.num.terms, got.den) == (want.num.terms, want.den), (u, v, w)
+    assert eng._unpacked
 
 
 def test_classify_round_binomial_steps(a3, monkeypatch):
