@@ -62,6 +62,17 @@ class WordError(ValueError):
 _MAX_RANK_DIGITS = 3
 
 
+# An order or cap of more digits is named by its digit count in messages
+_MAX_SHOWN_DIGITS = 30
+
+
+def _number_str(n: int) -> str:
+    """n in decimal, or "of N digits" when it has more than
+    ``_MAX_SHOWN_DIGITS``, so that an error line stays short."""
+    text = str(n)
+    return text if len(text) <= _MAX_SHOWN_DIGITS else f"of {len(text)} digits"
+
+
 def _is_ascii_number(text: str) -> bool:
     """True when text is one or more of the ASCII digits 0-9; str.isdigit
     alone also takes digits such as '²' or '٣'."""
@@ -194,7 +205,8 @@ class CoxeterGroup:
         expected = cartan_type.order()
         if expected > cap:
             raise OrderCapError(
-                f"group {cartan_type} has order {expected}, above the cap {cap}"
+                f"group {cartan_type} has order {_number_str(expected)}, "
+                f"above the cap {_number_str(cap)}"
             )
         self.cartan_type = cartan_type
         self.rank = cartan_type.rank
@@ -450,18 +462,6 @@ class CoxeterGroup:
     def poincare(self, u: Element, w: Element) -> LaurentPoly:
         """Sum of q^len(x) over the Bruhat interval [u, w]."""
         return self.poincare_idx(self._idx(u), self._idx(w))
-
-    def root_action(self, w: Element, root) -> tuple:
-        """Image of a root under w, in simple-root coordinates.
-
-        The root may be given as a positive-root index or a coordinate tuple.
-        """
-        vec = self.positive_roots[root] if isinstance(root, int) else tuple(root)
-        cols = self.cols[self._idx(w)]
-        return tuple(
-            sum(vec[j] * cols[j][k] for j in range(self.rank))
-            for k in range(self.rank)
-        )
 
     def positive_root_index(self, vec: Sequence[int]) -> int:
         a = self._pos_index.get(tuple(vec))

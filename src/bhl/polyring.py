@@ -36,18 +36,37 @@ Representation conventions:
   single q^k" is an int test, ``_is_q_power``. The bar r table of
   ``rpoly`` stores each numerator as a dict from packed x-keys (q-digit 0)
   to columns, and sigma accumulates on them, reading that table as it is.
-  Both decode such a dict to a ``RationalFn`` by ``_decode_columns``, which
-  unpacks keys through the ``_UnpackMemo`` it is given: sigma's engine
-  keeps one for its lifetime, so a key that recurs across sigma values is
-  unpacked once, and a one-shot read of the r table passes a fresh one
-  that is dropped with the value.
   ``_times_binomial`` and ``_divide_packed`` run unchanged on such a dict:
   they only add, subtract and zero-test coefficients, which columns do
   exactly.
-- ``RationalFn.__eq__`` cross-multiplies and ``__add__`` brings both sides
-  to one den through ``_scale_by_factors``, the tuple-key twin of
-  ``_times_binomial``: each factor 1 - x^beta costs one copy of the terms
-  and one shifted subtraction, not a general product.
+- ``_decode_columns`` is the one constructor of a *column-backed*
+  ``RationalFn``: it keeps the packed form (``_Packed``: x-keys ->
+  columns from q^low, the set of packed (0, beta) den keys, an unpack
+  memo, an L1 bound below 2^(K - 1) and ``span``, a bound on every
+  |x-digit| of the keys and den keys) and decodes ``num`` and ``den`` on
+  their first read, caching them. The keys are unpacked through the
+  ``_UnpackMemo`` it is given: sigma's engine keeps one for its lifetime,
+  so a key that recurs across sigma values is unpacked once, and a
+  one-shot read of the r table passes a fresh one that is dropped with the
+  value. ``is_zero`` and ``arity`` read the packed form; ``mul_poly`` by a
+  q-only polynomial multiplies each column by the column of that
+  polynomial while the product of the L1 bounds stays below 2^(K - 1).
+- ``RationalFn.__eq__`` cross-multiplies. When both sides are
+  column-backed it does so on the columns (``_columns_equal``): each side
+  is multiplied by the den factors it lacks, one ``_times_binomial`` step
+  each, the side with the higher low is shifted up by whole slots, and the
+  nonzero columns are compared. This needs
+  L1(a) 2^|den_b - den_a| + L1(b) 2^|den_a - den_b| < 2^(K - 1), which
+  bounds every coefficient of the difference of the two sides, so the
+  difference is 0 exactly when its columns are; and it needs
+  span_a + |den_b - den_a| span_b < 2^19 and its mirror, so that every
+  key of either side keeps its digits inside the packed bound and stands
+  for one monomial. Both are checked on every call. Otherwise, and
+  whenever a side is not column-backed, both sides are decoded and
+  cross-multiplied on tuple keys by ``_scale_by_factors``, the tuple-key
+  twin of ``_times_binomial``, which is exact at any size; ``__add__``
+  brings both sides to one den the same way. Each factor 1 - x^beta costs
+  one copy of the terms and one shifted subtraction, not a general product.
 - Exact division by 1 - x^beta runs on packed keys, in
   ``_divide_packed``, and has one route: ``reduced()`` and
   ``binomial_divide`` (one factor) both go through ``_reduce``, and the
@@ -68,7 +87,9 @@ and denominator factors by their degree vectors, e.g.::
     >>> str(r)
     '(1 - q^-1*x1) / (1 - x1)'
 
-All values are immutable after construction and safe to share across threads.
+All values are immutable after construction and safe to share across
+threads: a column-backed value's first decode writes only the cache of the
+value it decodes, and two threads that race on it write equal values.
 """
 
 from __future__ import annotations
@@ -297,13 +318,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no degree")
         return max(e[0] for e in self.terms)
 
-    def is_q_monomial(self) -> bool:
-        """True when the value is exactly q^k for some k."""
-        if len(self.terms) != 1:
-            return False
-        ((e, c),) = self.terms.items()
-        return c == 1 and not any(e[1:])
-
     def coefficients(self) -> Iterable[int]:
         return self.terms.values()
 
@@ -484,10 +498,12 @@ class RationalFn:
 
     ``den`` is a sorted tuple of x-degree vectors with multiplicity. Equality
     is decided by cross-multiplying numerators against the other side's
-    denominator factors, never by comparing shapes.
+    denominator factors, never by comparing shapes. A value built by
+    ``_decode_columns`` is column-backed: it keeps its packed form and
+    decodes ``num`` and ``den`` on their first read (module docstring).
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "_den", "_packed")
 
     def __init__(self, num: LaurentPoly, den: Iterable[tuple] = (), reduce: bool = False):
         den = tuple(sorted(tuple(b) for b in den))
@@ -498,8 +514,9 @@ class RationalFn:
             den = ()
         elif reduce and den:
             num, den = _reduce(num, den)
-        self.num = num
-        self.den = den
+        self._num = num
+        self._den = den
+        self._packed = None
 
     @classmethod
     def zero(cls, arity: int) -> "RationalFn":
@@ -510,11 +527,40 @@ class RationalFn:
         return cls(LaurentPoly.one(arity))
 
     @property
+    def num(self) -> LaurentPoly:
+        if self._num is None:
+            self._decode()
+        return self._num
+
+    @property
+    def den(self) -> tuple:
+        if self._num is None:
+            self._decode()
+        return self._den
+
+    def _decode(self) -> None:
+        """Decode the packed form once; every key is unpacked through the
+        form's memo, so keys that recur across values are unpacked once."""
+        p = self._packed
+        unpacked = p.unpacked
+        num = {
+            unpacked[key + d]: c
+            for key, col in p.cols.items()
+            for d, c in _decode_q(col, p.low)
+        }
+        self._den = tuple(sorted(unpacked[b][1:] for b in p.den)) if num else ()
+        self._num = _new(unpacked.n - 1, num)
+
+    @property
     def arity(self) -> int:
-        return self.num.arity
+        if self._num is None:
+            return self._packed.unpacked.n - 1
+        return self._num.arity
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        if self._num is None:
+            return not any(self._packed.cols.values())
+        return self._num.is_zero()
 
     def _check(self, other: "RationalFn") -> None:
         if self.arity != other.arity:
@@ -539,8 +585,24 @@ class RationalFn:
         return RationalFn(self.num * other.num, self.den + other.den)
 
     def mul_poly(self, p: LaurentPoly) -> "RationalFn":
+        """self times p; a column-backed self times a q-only p stays
+        column-backed, each column times the column of p, while the
+        product of the L1 bounds stays below 2^(K - 1)."""
+        if p.arity != self.arity:
+            raise ValueError(f"arity mismatch: {self.arity} vs {p.arity}")
         if p.is_zero():
             return RationalFn.zero(self.arity)
+        packed = self._packed
+        if packed is not None and p.is_q_only():
+            # at least L1(p) even for a zero self, so p's column fits too
+            l1 = max(packed.l1, 1) * sum(map(abs, p.terms.values()))
+            if l1 < _Q_BOUND:
+                low = p.q_min_degree()
+                col_p = _encode_q(((e[0], c) for e, c in p.terms.items()), low)
+                return _decode_columns(
+                    {key: col * col_p for key, col in packed.cols.items()},
+                    packed.den, packed.low + low, packed.unpacked, l1, packed.span,
+                )
         return RationalFn(self.num * p, self.den)
 
     def bar_q(self) -> "RationalFn":
@@ -551,6 +613,10 @@ class RationalFn:
         if not isinstance(other, RationalFn):
             return NotImplemented
         self._check(other)
+        if self._packed is not None and other._packed is not None:
+            same = _columns_equal(self._packed, other._packed)
+            if same is not None:
+                return same
         ca, cb = Counter(self.den), Counter(other.den)
         shared = ca & cb
         left = _scale_by_factors(self.num, cb - shared)
@@ -636,16 +702,64 @@ class _UnpackMemo(dict):
         return val
 
 
+class _Packed:
+    """The packed form of a column-backed RationalFn: packed x-keys
+    (q-digit 0) -> q-columns from q^low, the frozenset of packed (0, beta)
+    den keys, the unpack memo, an L1 bound of the numerator below
+    2^(K - 1), and span, a bound on |d| for every x-digit of every key and
+    den key."""
+
+    __slots__ = ("cols", "den", "low", "unpacked", "l1", "span")
+
+    def __init__(self, cols, den, low, unpacked, l1, span):
+        self.cols = cols
+        self.den = den
+        self.low = low
+        self.unpacked = unpacked
+        self.l1 = l1
+        self.span = span
+
+
 def _decode_columns(
-    cols: dict, den: Iterable[int], low: int, unpacked: _UnpackMemo
+    cols: dict, den: Iterable[int], low: int, unpacked: _UnpackMemo, l1: int, span: int
 ) -> RationalFn:
-    """The RationalFn of a numerator stored as packed x-keys (q-digit 0)
-    with q-columns from q^low, over the packed (0, beta) keys of den; every
-    key is unpacked through the memo unpacked, so keys that recur across
-    calls are unpacked once."""
-    num = {
-        unpacked[key + d]: c
-        for key, col in cols.items()
-        for d, c in _decode_q(col, low)
-    }
-    return RationalFn(_new(unpacked.n - 1, num), [unpacked[b][1:] for b in den])
+    """The column-backed RationalFn of a numerator stored as packed x-keys
+    (q-digit 0) with q-columns from q^low, over the distinct packed
+    (0, beta) keys of den. l1 must bound the L1 norm of the numerator below
+    2^(K - 1), and span every |x-digit| of its keys and of den. The dicts
+    are kept as given and never written to; keys are unpacked through the
+    memo unpacked when ``num`` or ``den`` is first read."""
+    if l1 >= _Q_BOUND:
+        raise ValueError(f"L1 bound {l1} is past the {_Q_BITS}-bit q-slots")
+    out = RationalFn.__new__(RationalFn)
+    out._num = out._den = None
+    out._packed = _Packed(cols, frozenset(den), low, unpacked, l1, span)
+    return out
+
+
+def _nonzero_shifted(cols: dict, shift: int) -> dict:
+    """The nonzero columns of cols, each moved up by shift bits."""
+    return {key: col << shift for key, col in cols.items() if col}
+
+
+def _columns_equal(a: _Packed, b: _Packed) -> Optional[bool]:
+    """Whether two column-backed values are equal, by cross-multiplying on
+    the columns, or None when the bounds of the column path do not hold
+    (module docstring): each side is multiplied by the den factors it
+    lacks, one ``_times_binomial`` step each, the lower low is taken by
+    shifting the other side up by whole slots, and the nonzero columns are
+    compared."""
+    a_lacks = b.den - a.den
+    b_lacks = a.den - b.den
+    if (a.l1 << len(a_lacks)) + (b.l1 << len(b_lacks)) >= _Q_BOUND:
+        return None
+    if max(a.span + len(a_lacks) * b.span, b.span + len(b_lacks) * a.span) >= _DIGIT_BOUND:
+        return None
+    left, right = a.cols, b.cols
+    for beta in a_lacks:
+        left = _times_binomial(left, beta)
+    for beta in b_lacks:
+        right = _times_binomial(right, beta)
+    return _nonzero_shifted(left, _Q_BITS * max(a.low - b.low, 0)) == _nonzero_shifted(
+        right, _Q_BITS * max(b.low - a.low, 0)
+    )

@@ -32,10 +32,12 @@ their dens, each multiplied by the factors it lacks; a step that would
 repeat a factor raises ``RuntimeError``, so every den has distinct factors
 and the union is a set union. This builds, term for term, the numerator
 and den that ``RationalFn`` arithmetic builds for the same recursion.
-Values are decoded on each read by ``polyring._decode_columns`` through an
-unpack memo of that read alone: the table keeps no unpacked key, as most of
-its reads decode an entry once. ``reduced_den_idx`` divides the columns as
-they are stored, unpacking only its den.
+Each read returns a column-backed value (``polyring._decode_columns``)
+over the stored dicts, with the entry's L1 bound and ``max_digit`` as its
+span; it decodes, when read, through an unpack memo of that value alone:
+the table keeps no unpacked key, as most of its reads decode an entry
+once. ``reduced_den_idx`` divides the columns as they are stored,
+unpacking only its den.
 
 Adding keys multiplies monomials only while every digit stays inside the
 packed bound, so a table refuses (``ValueError``) a group whose fill could
@@ -237,10 +239,12 @@ class RPolyTable:
         return val
 
     def _rational(self, entry: tuple) -> RationalFn:
-        """An entry as the RationalFn it stands for, its keys unpacked
-        through a memo dropped with the call."""
-        den, cols, _ = entry
-        return _decode_columns(cols, den, self.low, _UnpackMemo(self.group.rank + 1))
+        """An entry as the column-backed RationalFn it stands for, its keys
+        unpacked, when first read, through a memo dropped with the value."""
+        den, cols, l1 = entry
+        return _decode_columns(
+            cols, den, self.low, _UnpackMemo(self.group.rank + 1), l1, self.max_digit
+        )
 
     def bar_r_idx(self, u: int, v: int) -> RationalFn:
         return self._rational(self.bar_r_packed_idx(u, v))

@@ -35,24 +35,27 @@ whose dens become equal are added into one, so that one group is left, over
 U. Multiplying before scaling is the cheaper order: each factor lengthens
 a bar, so a classify-a3 round multiplies 13 674 stored terms where the bars
 scaled to U would have 44 601, and a factor is applied once per group, not
-once per part. The columns are decoded once, at the end, by the r table's
-decoder (``polyring._decode_columns``), through the engine's unpack memo,
+once per part. The result is a column-backed ``RationalFn``
+(``polyring._decode_columns``): it keeps the columns, and decodes them
+only when its ``num`` or ``den`` is read, through the engine's unpack memo,
 so an x-key that recurs across the sigma of one engine is unpacked once. A
 product of two columns from q^low starts at q^(2 low), low the r table's.
 Since the substitution q -> 2^K is a ring homomorphism, that product is
-exact, and the decode reads it back while every coefficient of sigma stays
-below 2^(K - 1) in magnitude, which ``sigma_idx`` checks by an L1 bound
-before decoding. The keys need no check: the x-keys of every group stay
-inside the r table's ``max_digit``, as the ``rpoly`` docstring shows. U,
-the den and every numerator coefficient are what scaling each part to U
-would give; only the order of the additions differs, and nothing is kept
-between calls.
+exact, and a decode reads it back while every coefficient of sigma stays
+below 2^(K - 1) in magnitude, which ``sigma_idx`` checks by an L1 bound,
+and passes on with the value. The keys need no check: the x-keys of every
+group stay inside the r table's ``max_digit``, as the ``rpoly`` docstring
+shows. U, the den and every numerator coefficient are what scaling each
+part to U would give; only the order of the additions differs, and
+nothing is kept between calls.
 
 sigma0(u, w) is sigma at v = v_min read as it is built, with no
 cancelling: only y = v_min contributes there and bar r(v_min, v_min) = 1,
 so U is empty and the numerator has no x. That is asserted, not assumed:
 a sigma at v_min with a den factor or an x raises in ``classify`` and
-fails the main-theorem check.
+fails the main-theorem check. It is read off the columns: the value is
+torus-free when no column but that of the x-key 0 is nonzero and, if that
+one is, the den is empty; sigma0 is that one column, decoded.
 
 A triple with v >= v_min(u, w) is "of GK type" when
 
@@ -60,7 +63,29 @@ A triple with v >= v_min(u, w) is "of GK type" when
                      (1 - q^-1 x^alpha) / (1 - x^alpha),
 
 where S(u, v, w) = S(v_min(u, w), v); the test is exact cross-multiplied
-equality. Classification enumerates all
+equality, ``sig == rhs`` in ``is_gk_idx``, and it runs on q-columns.
+``gk_factor`` builds prod over S of (1 - q^-1 x^alpha) on columns from
+q^-|S|, each factor one copy with keys moved by alpha and columns shifted
+down one slot, over the den keys of S, with L1 bound 2^|S|; ``mul_poly``
+multiplies each of its columns by the column of sigma0, and the L1 bound
+by L1(sigma0). ``RationalFn.__eq__`` then multiplies sigma by the factors
+of S - U and the right-hand side by those of U - S and compares columns,
+as the ``polyring`` docstring states, with no decode.
+
+The x-keys of both cross-multiplied sides stay inside the r table's
+``max_digit``, extending the argument of the ``rpoly`` docstring. Every
+key of sigma has x_j-degree in [0, P_j + U_j], P the sum of the pivot
+roots below v and U_j the sum of the j-th coordinates of U; multiplying by
+1 - x^beta for the beta of S - U moves keys by those beta only, so the
+left side stays in [0, P_j + (U union S)_j]. The right-hand side has
+x_j-degree in [0, S_j] before, and in [0, (S union U)_j] after, its
+factors. S and U are sets of distinct positive roots, so each bound is at
+most twice the largest coordinate sum of the positive roots, which is at
+most ``max_digit``, and the table refuses a group whose ``max_digit``
+reaches the digit bound. The comparison also checks a looser bound on
+every call, built from the ``span`` of each value (``max_digit`` here),
+and decodes to the tuple route if it fails; the test suite checks the
+tight one on sampled A3 and B3 pairs. Classification enumerates all
 |W|^3 triples, counts those with v >= v_min (asserting their sigma is indeed
 nonzero), counts the GK ones, and reports the exceptions in canonical word
 form. The enumeration parallelizes over w against read-only shared tables;
@@ -71,7 +96,6 @@ the worker count.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import random
 from dataclasses import dataclass, field
@@ -83,8 +107,11 @@ from .polyring import (
     LaurentPoly,
     RationalFn,
     _Q_BITS,
+    _Q_MASK,
     _decode_columns,
     _decode_q,
+    _new,
+    _pack,
     _times_binomial,
     _UnpackMemo,
 )
@@ -105,10 +132,19 @@ _VANISHING_EXHAUSTIVE_ORDER = 10
 def _q_polynomial(val: RationalFn) -> LaurentPoly | None:
     """The numerator of val as a q-polynomial, or None when val has a den
     factor or an x. Nothing is cancelled: sigma at v_min has an empty den,
-    since only y = v_min contributes there (module docstring)."""
-    if val.den or not val.num.is_q_only():
+    since only y = v_min contributes there (module docstring). A
+    column-backed val is read off its columns: it is torus-free when no
+    column but that of the x-key 0 is nonzero, and that column is nonzero
+    only over an empty den; only that column is decoded."""
+    packed = val._packed
+    if packed is None:
+        if val.den or not val.num.is_q_only():
+            return None
+        return val.num.q_only()
+    col = packed.cols.get(0, 0)
+    if (col and packed.den) or any(c for key, c in packed.cols.items() if key):
         return None
-    return val.num.q_only()
+    return _new(0, {(d,): c for d, c in _decode_q(col, packed.low)})
 
 
 class SigmaEngine:
@@ -119,26 +155,39 @@ class SigmaEngine:
         self.rtable = RPolyTable(group)
         self.theta = ThetaTable(group)
         self._gk_factor: dict = {}
+        # the packed (0, beta) key of each positive root, by root index
+        self._root_keys = [_pack((0,) + beta) for beta in group.positive_roots]
         # packed key -> exponent tuple, for every sigma decode of the engine
         self._unpacked = _UnpackMemo(group.rank + 1)
 
     # -- building blocks -----------------------------------------------------
 
     def gk_factor(self, roots: frozenset) -> RationalFn:
-        """prod over alpha in roots of (1 - q^-1 x^alpha)/(1 - x^alpha)."""
+        """prod over alpha in roots of (1 - q^-1 x^alpha)/(1 - x^alpha),
+        column-backed: the columns start at q^-|roots|, and each factor
+        subtracts a copy of the numerator with its keys moved by alpha and
+        its columns shifted down one slot, which must find slot 0 empty.
+        Each factor at most doubles the L1 norm, so 2^|roots| bounds it."""
         val = self._gk_factor.get(roots)
         if val is None:
-            g = self.group
-            num = LaurentPoly.one(g.rank)
-            den = []
-            for a in sorted(roots):
-                beta = g.positive_roots[a]
-                num = num * LaurentPoly(g.rank, {
-                    (0,) * (g.rank + 1): 1,
-                    (-1,) + tuple(beta): -1,
-                })
-                den.append(beta)
-            val = RationalFn(num, den)
+            num = {0: 1 << _Q_BITS * len(roots)}
+            den = [self._root_keys[a] for a in roots]
+            for b in den:
+                out = num.copy()
+                get = out.get
+                for key, col in num.items():
+                    if col & _Q_MASK:
+                        raise RuntimeError(
+                            "GK factor would take a q-degree below its columns; "
+                            "this is a bug"
+                        )
+                    key += b
+                    out[key] = get(key, 0) - (col >> _Q_BITS)
+                num = out
+            val = _decode_columns(
+                num, den, -len(roots), self._unpacked, 1 << len(roots),
+                self.rtable.max_digit,
+            )
             self._gk_factor[roots] = val
         return val
 
@@ -175,11 +224,11 @@ class SigmaEngine:
         x >= u in its reach mask gets xi = 0 without asking ``_xi``, as
         its xi is an empty sum.
 
-        The columns are decoded once, at the end, from q^(2 low). Before
-        any is read, the L1 bound of the sum, over the parts, of L1(xi)
+        The value is column-backed, its columns from q^(2 low), decoded
+        only when read. The L1 bound of the sum, over the parts, of L1(xi)
         times the L1 bound of bar r(y, v) times 2^|U - den| (each factor
         1 - x^beta at most doubles it) must stay below 2^(K - 1), or
-        ``RuntimeError`` is raised. This is, term for term, what the chain of
+        ``RuntimeError`` is raised; the value carries it. This is, term for term, what the chain of
         ``RationalFn.__add__`` over y builds, as long as no partial sum of
         that chain is zero (the chain would restart its den there): U is
         the same union, not a fixed D_v, so at v_min nothing needs dividing
@@ -220,7 +269,9 @@ class SigmaEngine:
                     for key, col in acc.items():
                         into[key] = get(key, 0) + col
         acc = groups.get(union, {})  # {} when sigma has no part
-        return _decode_columns(acc, union, 2 * self.rtable.low, self._unpacked)
+        return _decode_columns(
+            acc, union, 2 * self.rtable.low, self._unpacked, l1, self.rtable.max_digit
+        )
 
     def sigma(self, u: Element, v: Element, w: Element) -> RationalFn:
         g = self.group
@@ -395,7 +446,13 @@ def _map_over_w(engine: SigmaEngine, fn, jobs: int) -> list:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     order = engine.group.order
     workers = min(jobs, order, os.cpu_count() or 1)
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    if workers > 1:
+        # imported only here: it is a third of the package's import time
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers < 2:
         return [fn(engine, w) for w in range(order)]
     engine.prefill_shared_tables()
     ctx = multiprocessing.get_context("fork")

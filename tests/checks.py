@@ -5,7 +5,9 @@ root count under a trivial inverse KL polynomial, and the classical limit of
 r. Each returns how many cases it compared and raises AssertionError at the
 first failure. Beside them, the classical R by its own recursion (the
 oracle for R read off the bar r table), exact evaluation of a
-``RationalFn``, and the adjoint-involution check of a classify report.
+``RationalFn``, the adjoint-involution check of a classify report, and
+two predicates only tests ask: "exactly q^k" on a ``LaurentPoly`` and the
+image of a root under an element.
 
 Also the tuple-key division by 1 - x^beta, the reference that the packed
 kernel behind ``binomial_divide`` and ``RationalFn.reduced()`` is compared
@@ -187,6 +189,22 @@ def evaluate(f: RationalFn, q, xs: tuple = ()) -> Fraction:
             d *= Fraction(xi) ** deg
         val /= 1 - d
     return val
+
+
+def is_q_monomial(p: LaurentPoly) -> bool:
+    """True when p is exactly q^k for some k."""
+    if len(p.terms) != 1:
+        return False
+    ((e, c),) = p.terms.items()
+    return c == 1 and not any(e[1:])
+
+
+def root_action(g: CoxeterGroup, w: Element, root) -> tuple:
+    """Image of a root under w, in simple-root coordinates; the root may be
+    given as a positive-root index or a coordinate tuple."""
+    vec = g.positive_roots[root] if isinstance(root, int) else tuple(root)
+    cols = g.cols[g._idx(w)]
+    return tuple(sum(vec[j] * cols[j][k] for j in range(g.rank)) for k in range(g.rank))
 
 
 def adjoint_mismatches(g: CoxeterGroup, rows) -> list:

@@ -279,6 +279,22 @@ def test_order_cap_env(capsys, monkeypatch):
         assert err == f"error: BHL_MAX_ORDER must be a positive integer, got '{cap}'\n"
 
 
+def test_order_cap_names_a_long_order_by_its_digit_count(capsys, monkeypatch):
+    """An order, or a cap, of more than 30 digits is named by its digit
+    count, so the error line stays short; the exit code stays 2."""
+    monkeypatch.delenv("BHL_MAX_ORDER", raising=False)
+    code, out, err = invoke(capsys, "group", "--type", "A999")
+    assert (code, out) == (2, "")
+    assert err == "error: group A999 has order of 2568 digits, above the cap 50000\n"
+    monkeypatch.setenv("BHL_MAX_ORDER", "1" + "0" * 40)
+    code, out, err = invoke(capsys, "group", "--type", "A100")
+    assert (code, out) == (2, "")
+    assert err == "error: group A100 has order of 160 digits, above the cap of 41 digits\n"
+    monkeypatch.setenv("BHL_MAX_ORDER", "10")
+    code, out, err = invoke(capsys, "group", "--type", "A3")
+    assert (code, out, err) == (2, "", "error: group A3 has order 24, above the cap 10\n")
+
+
 def test_values_longer_than_the_int_string_limit_are_accepted(capsys, monkeypatch):
     """A 5 000-digit cap or count, past int()'s default 4 300-digit limit,
     is the positive integer it writes; no run is started with it here."""

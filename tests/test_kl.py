@@ -11,7 +11,7 @@ from bhl.rpoly import RPolyTable
 from bhl.sigma import SigmaEngine
 from bhl.verify import run_suite
 
-from checks import check_kl_defining_identity
+from checks import check_kl_defining_identity, is_q_monomial
 
 
 def test_p_base_cases(a3):
@@ -118,7 +118,7 @@ def _scan_per_pair(g, theta):
             z = g.mul_idx(x, g.inv_table[y])
             for w in _bits(g.up_masks[z]):
                 if kl.p_idx(z, w) == one:
-                    if not _theta_decoded(theta, x, y, w).is_q_monomial():
+                    if not is_q_monomial(_theta_decoded(theta, x, y, w)):
                         found.append((x, y, w))
     return found
 

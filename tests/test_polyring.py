@@ -13,10 +13,14 @@ from hypothesis import strategies as st
 import bhl
 from bhl.coxeter import _bits, build_group
 from bhl.demazure import v_min_idx
+from bhl import polyring
 from bhl.polyring import (
     _Q_BITS,
+    _Q_BOUND,
     LaurentPoly,
     RationalFn,
+    _columns_equal,
+    _decode_columns,
     _decode_q,
     _divide_packed,
     _encode_q,
@@ -25,12 +29,14 @@ from bhl.polyring import (
     _packed_factor,
     _scale_by_factors,
     _spans,
+    _times_binomial,
     _unpack,
+    _UnpackMemo,
     binomial,
     binomial_divide,
 )
 from bhl.rpoly import RPolyTable
-from checks import binomial_divide_tuples, evaluate, reduced_tuples
+from checks import binomial_divide_tuples, evaluate, is_q_monomial, reduced_tuples
 
 
 def lp(arity, terms):
@@ -374,7 +380,7 @@ def test_q_column_refuses_what_its_slots_cannot_hold(c):
 @pytest.mark.parametrize("k", [0, 1, 7])
 def test_q_power_test_on_columns_agrees_with_is_q_monomial(k, low):
     """The int test of "a single q^k with coefficient 1" says what
-    LaurentPoly.is_q_monomial says, on 0, q^k, 2q^k, -q^k, q^k + q^j and
+    ``checks.is_q_monomial`` says, on 0, q^k, 2q^k, -q^k, q^k + q^j and
     2^62 q^k, for columns from q^0 and from a lower degree."""
     polys = [
         {},
@@ -387,7 +393,7 @@ def test_q_power_test_on_columns_agrees_with_is_q_monomial(k, low):
     for terms in polys:
         poly = LaurentPoly(0, {(d,): c for d, c in terms.items()})
         col = _encode_q(sorted(terms.items()), low)
-        assert _is_q_power(col) == poly.is_q_monomial(), terms
+        assert _is_q_power(col) == is_q_monomial(poly), terms
     assert [_is_q_power(_encode_q(sorted(t.items()), low)) for t in polys] == [
         False, True, False, False, False, False,
     ]
@@ -551,3 +557,57 @@ def test_sigma_division_matches_oracle_on_b3(b3, engine_b3):
             continue
         assert_division_matches_oracle(engine_b3.sigma_idx(u, v, w))
         compared += 1
+
+
+def test_columns_past_the_l1_limit_compare_on_the_eager_path(monkeypatch):
+    """Two column-backed values whose cross-multiplied L1 bounds reach
+    2^(K - 1) are compared by the tuple cross-multiplication, and still
+    correctly; inside the bound the columns decide. a is
+    2^60 (1 + q x1) / (1 - x1), b is a with 1 - x2 on both sides and c is
+    a with one coefficient negated."""
+    memo = _UnpackMemo(3)
+    x1, x2 = _pack((0, 1, 0)), _pack((0, 0, 1))
+    big = 1 << 60
+    cols = {0: big, x1: big << _Q_BITS}
+    a = _decode_columns(cols, {x1}, 0, memo, 2 * big, 2)
+    b = _decode_columns(_times_binomial(cols, x2), {x1, x2}, 0, memo, 4 * big, 2)
+    c = _decode_columns({0: big, x1: -big << _Q_BITS}, {x1}, 0, memo, 2 * big, 2)
+    assert (2 * big << 1) + 4 * big >= _Q_BOUND
+    assert _columns_equal(a._packed, b._packed) is None
+    assert _columns_equal(b._packed, c._packed) is None
+    assert _columns_equal(a._packed, c._packed) is False
+    eager = []
+    original = polyring._scale_by_factors
+
+    def counting(num, factors):
+        eager.append(factors)
+        return original(num, factors)
+
+    monkeypatch.setattr(polyring, "_scale_by_factors", counting)
+    assert a == b and b == a
+    assert not b == c and not c == b
+    assert len(eager) == 8
+    for x, y in ((a, b), (b, c), (a, c)):
+        assert (x == y) == (RationalFn(x.num, x.den) == RationalFn(y.num, y.den))
+
+
+def test_column_backed_form_refuses_an_l1_bound_past_the_slots():
+    with pytest.raises(ValueError, match="q-slots"):
+        _decode_columns({0: 1}, (), 0, _UnpackMemo(1), _Q_BOUND, 0)
+
+
+def test_column_mul_poly_past_the_l1_limit_decodes(monkeypatch):
+    """mul_poly by a q-only polynomial stays on the columns while the
+    product of the L1 bounds fits, and otherwise multiplies the decoded
+    numerator; both give the eager product."""
+    memo = _UnpackMemo(2)
+    x1 = _pack((0, 1))
+    val = _decode_columns({0: 3, x1: -(1 << _Q_BITS)}, {x1}, -1, memo, 4, 1)
+    for scale in (5, 1 << 62):
+        p = LaurentPoly(1, {(2, 0): scale, (4, 0): -1})
+        got = val.mul_poly(p)
+        want = RationalFn(val.num * p, val.den)
+        assert (got._packed is not None) == (scale == 5)
+        assert (got.num, got.den) == (want.num, want.den)
+    with pytest.raises(ValueError, match="arity"):
+        val.mul_poly(LaurentPoly(2, {(0, 0, 0): 1}))

@@ -22,6 +22,7 @@ from checks import (
     classical_r_by_recursion,
     evaluate,
     reduced_tuples,
+    root_action,
 )
 
 
@@ -244,7 +245,7 @@ def _minus_v_image(g, rf: RationalFn, v: int) -> RationalFn:
     1 - x^gamma, replaced by x^(-v gamma)."""
 
     def image(gamma):
-        return tuple(-c for c in g.root_action(g.element(v), gamma))
+        return tuple(-c for c in root_action(g, g.element(v), gamma))
 
     num = {(e[0],) + image(e[1:]): c for e, c in rf.num.terms.items()}
     return RationalFn(LaurentPoly(g.rank, num), [image(b) for b in rf.den])

@@ -3,15 +3,29 @@ import itertools
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from bhl import sigma
+import bhl
+from bhl import polyring, sigma
 from bhl.coxeter import GroupMismatchError, _bits, build_group
 from bhl.demazure import v_min, v_min_idx
 from bhl.hecke import ThetaTable
-from bhl.polyring import LaurentPoly, RationalFn, _decode_q, _UnpackMemo, binomial
+from bhl.polyring import (
+    LaurentPoly,
+    RationalFn,
+    _columns_equal,
+    _decode_columns,
+    _decode_q,
+    _times_binomial,
+    _unpack,
+    _UnpackMemo,
+    binomial,
+)
 from bhl.rpoly import s_set, s_set_idx
 from bhl.sigma import SigmaEngine, classify, verify_main_theorem, verify_vanishing
 from bhl.verify import SUITE_NAMES, run_suite
@@ -613,3 +627,221 @@ def test_group_mismatch_rejected(a2, b2, engine_a2, engine_b2):
     for name in SUITE_NAMES:
         with pytest.raises(GroupMismatchError):
             run_suite(name, a2, engine=engine_b2)
+
+
+# sha256 prefixes over the decoded (sorted num.terms, den) of bar_r_idx at
+# every pair and of sigma_idx at 300 triples drawn with seed 21, recorded
+# when ``_decode_columns`` still decoded at once: reading a column-backed
+# value must give the same terms
+DECODED_DIGESTS = {
+    "B2": ("bc32b5abbc79a83b", "18c56245001f0138"),
+    "G2": ("cce20b02759a2f19", "9dd72030a9f73146"),
+    "A3": ("e2472b54142cfa73", "abd5eefb5aef8447"),
+    "B3": ("e5df60be3bb71155", "b5884320bb87bf48"),
+}
+
+
+def _terms_digest(values) -> str:
+    h = hashlib.sha256()
+    for val in values:
+        h.update(repr((sorted(val.num.terms.items()), val.den)).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("cartan_type", sorted(DECODED_DIGESTS))
+def test_column_backed_values_decode_to_the_recorded_terms(cartan_type):
+    g = build_group(cartan_type)
+    eng = SigmaEngine(g)
+    bar = [eng.rtable.bar_r_idx(u, v) for u in range(g.order) for v in range(g.order)]
+    rng = random.Random(21)
+    triples = [tuple(rng.randrange(g.order) for _ in range(3)) for _ in range(300)]
+    sig = [eng.sigma_idx(u, v, w) for u, v, w in triples]
+    assert all(val._packed is not None for val in bar + sig)
+    assert (_terms_digest(bar), _terms_digest(sig)) == DECODED_DIGESTS[cartan_type]
+
+
+def _gk_comparisons(eng, pairs) -> list:
+    """(column ==, eager ==) of sigma against its GK right-hand side, on
+    every nonzero triple of the (u, w) in pairs; the column comparison must
+    be decided on the columns, the eager one compares decoded copies."""
+    g = eng.group
+    out = []
+    for u, w in pairs:
+        vm = v_min_idx(g, u, w)
+        sigma0 = eng.sigma0_idx(u, w).embed(g.rank)
+        xi_cache: dict = {}
+        for v in _bits(g.up_masks[vm]):
+            sig = eng.sigma_idx(u, v, w, xi_cache)
+            rhs = eng.gk_factor(s_set_idx(g, vm, v)).mul_poly(sigma0)
+            assert _columns_equal(sig._packed, rhs._packed) is not None, (u, v, w)
+            eager = RationalFn(sig.num, sig.den) == RationalFn(rhs.num, rhs.den)
+            out.append((sig == rhs, eager))
+    return out
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "C2", "G2"])
+def test_column_gk_equality_matches_eager_every_nonzero_triple(cartan_type):
+    g = build_group(cartan_type)
+    pairs = [(u, w) for u in range(g.order) for w in range(g.order)]
+    got = _gk_comparisons(SigmaEngine(g), pairs)
+    assert [col for col, _ in got] == [eager for _, eager in got]
+    assert {col for col, _ in got} == {True, False}
+
+
+def test_column_gk_equality_matches_eager_sampled_a3_b3(a3, b3):
+    rng = random.Random(22)
+    for g, n_pairs in ((a3, 10), (b3, 4)):
+        pairs = [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(n_pairs)]
+        got = _gk_comparisons(SigmaEngine(g), pairs)
+        assert [col for col, _ in got] == [eager for _, eager in got], g.cartan_type
+        assert {col for col, _ in got} == {True, False}, g.cartan_type
+
+
+def test_gk_cross_multiplied_keys_stay_within_the_table_digit_bound(a3, b3):
+    """Both sides of the column GK test, sigma times the factors of S it
+    lacks and the right-hand side times those of U, have every x-digit in
+    [0, max_digit], as the sigma docstring argues, on seeded A3 and B3
+    pairs."""
+    rng = random.Random(23)
+    for g, n_pairs in ((a3, 8), (b3, 3)):
+        eng = SigmaEngine(g)
+        bound, n = eng.rtable.max_digit, g.rank + 1
+        seen = 0
+        for _ in range(n_pairs):
+            u, w = rng.randrange(g.order), rng.randrange(g.order)
+            vm = v_min_idx(g, u, w)
+            sigma0 = eng.sigma0_idx(u, w).embed(g.rank)
+            for v in _bits(g.up_masks[vm]):
+                a = eng.sigma_idx(u, v, w)._packed
+                b = eng.gk_factor(s_set_idx(g, vm, v)).mul_poly(sigma0)._packed
+                for side, lacks in ((a, b.den - a.den), (b, a.den - b.den)):
+                    cols = side.cols
+                    for beta in lacks:
+                        cols = _times_binomial(cols, beta)
+                    for key in cols:
+                        digits = _unpack(key, n)
+                        assert digits[0] == 0 and all(0 <= d <= bound for d in digits)
+                        seen = max(seen, *digits)
+        assert 0 < seen <= bound, g.cartan_type
+
+
+@pytest.mark.parametrize("fault", ["drop-factor", "flip-column"])
+def test_gk_factor_with_one_fault_changes_a_flag(a2, monkeypatch, fault):
+    """A copy of gk_factor whose numerator leaves out its largest root's
+    factor 1 - q^-1 x^alpha (den kept whole), or that negates the column of
+    its first root's x-key, changes the flag of some triple."""
+    want = classify(a2).rows
+    original = SigmaEngine.gk_factor
+
+    def faulty(self, roots):
+        if not roots:
+            return original(self, roots)
+        packed = original(self, roots)._packed
+        if fault == "drop-factor":
+            short = original(self, roots - {max(roots)})._packed
+            cols, low = short.cols, short.low
+        else:
+            key = self._root_keys[min(roots)]
+            cols, low = {**packed.cols, key: -packed.cols[key]}, packed.low
+        return _decode_columns(
+            cols, packed.den, low, packed.unpacked, packed.l1, packed.span
+        )
+
+    monkeypatch.setattr(SigmaEngine, "gk_factor", faulty)
+    got = classify(a2).rows
+    assert [row[:3] for row in got] == [row[:3] for row in want]
+    assert any(g_row[3] != w_row[3] for g_row, w_row in zip(got, want))
+
+
+def test_mixed_eager_and_column_equality(a2, engine_a2):
+    """A column-backed sigma equals its eager copy in both orders, and not a
+    copy with one coefficient negated, as the benchmark's perturbed sigma
+    is built; the GK right-hand side compares the same way."""
+    g = a2
+    checked = 0
+    for u in range(g.order):
+        for w in range(g.order):
+            vm = v_min_idx(g, u, w)
+            sigma0 = engine_a2.sigma0_idx(u, w).embed(g.rank)
+            for v in _bits(g.up_masks[vm]):
+                sig = engine_a2.sigma_idx(u, v, w)
+                rhs = engine_a2.gk_factor(s_set_idx(g, vm, v)).mul_poly(sigma0)
+                copy = RationalFn(sig.num, sig.den)
+                terms = dict(sig.num.terms)
+                first = min(terms)
+                terms[first] = -terms[first]
+                flipped = RationalFn(LaurentPoly(g.rank, terms), sig.den)
+                assert sig == copy and copy == sig
+                assert not sig == flipped and not flipped == sig
+                assert (rhs == copy) == (copy == rhs) == (sig == rhs)
+                checked += 1
+    assert checked == 167
+
+
+def test_classify_and_main_theorem_decode_no_value(a2, b2, g2, monkeypatch):
+    """classify and the main-theorem check run on columns alone: with the
+    decode and the tuple cross-multiplication refused, the reports keep
+    their counts and sigma0, read off the column of the x-key 0 at v_min,
+    keeps its golden digest."""
+    want = {g: classify(g) for g in (a2, b2, g2)}
+
+    def refuse(*args):
+        raise AssertionError("a column-backed value was decoded")
+
+    monkeypatch.setattr(RationalFn, "_decode", refuse)
+    monkeypatch.setattr(polyring, "_scale_by_factors", refuse)
+    for g, rep in want.items():
+        got = classify(g)
+        assert got.rows == rep.rows, g.cartan_type
+        assert verify_main_theorem(g), g.cartan_type
+    assert _digest(classify(a2).to_csv_text()) == GOLDEN_REPORTS["A2"][0]
+
+
+@pytest.mark.parametrize("extra", ["den", "x"])
+def test_column_sigma_at_v_min_with_a_den_or_an_x_is_refused(a2, monkeypatch, extra):
+    """A column-backed sigma at v_min times (1 - x^beta)/(1 - x^beta), or
+    times x^beta, makes classify_for_w raise and verify_main_theorem return
+    False, as an eager one does."""
+    eng = SigmaEngine(a2)
+    original = eng.sigma_idx
+    b = eng._root_keys[0]
+
+    def padded(u, v, w, xi_cache=None):
+        sig = original(u, v, w, xi_cache)
+        if v != v_min_idx(a2, u, w):
+            return sig
+        p = sig._packed
+        if extra == "den":
+            cols, den = _times_binomial(p.cols, b), p.den | {b}
+        else:
+            cols, den = {key + b: col for key, col in p.cols.items()}, p.den
+        return _decode_columns(cols, den, p.low, p.unpacked, 2 * p.l1, p.span)
+
+    monkeypatch.setattr(eng, "sigma_idx", padded)
+    with pytest.raises(RuntimeError, match="kept torus dependence"):
+        eng.classify_for_w(a2.identity_idx)
+    assert not verify_main_theorem(a2, engine=eng)
+
+
+def test_import_leaves_multiprocessing_out_and_two_jobs_still_fork():
+    """A fresh ``import bhl, bhl.verify`` does not import multiprocessing;
+    classify with jobs=2 still forks its workers wherever two CPUs allow
+    two of them."""
+    code = (
+        "import os, sys\n"
+        "import bhl, bhl.verify\n"
+        "print('multiprocessing' in sys.modules)\n"
+        "forks = []\n"
+        "os.register_at_fork(before=lambda: forks.append(1))\n"
+        "rep = bhl.classify(bhl.build_group('A2'), jobs=2)\n"
+        "print(rep.nonzero_count, rep.gk_count, (os.cpu_count() or 1) > 1, bool(forks))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bhl.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported, counts = proc.stdout.splitlines()
+    assert imported == "False"
+    nonzero, gk, two_cpus, forked = counts.split()
+    assert (nonzero, gk) == ("167", "147") and forked == two_cpus
