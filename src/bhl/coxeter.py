@@ -7,7 +7,10 @@ coordinates. Elements are indexed 0..|W|-1 in breadth-first discovery order
 from the identity, so indices are sorted by length. All group structure
 (lengths, descents, generator multiplication, inverses, canonical reduced
 words, the Bruhat order as a bit-matrix) is precomputed at build time and
-immutable afterwards.
+immutable afterwards. Two read-only memos are built on first use instead,
+so that a group build does not pay for them: the canonical word strings
+(``word_str``) and, per v, the reflections r_alpha with v r_alpha < v
+(``reflections_below``). Threads that race to fill one store equal values.
 
 Bruhat rows are built by the lifting recursion: if s is a left descent of w
 then {u : u <= w} = {u : u <= sw} union s*{u : u <= sw}.
@@ -216,6 +219,8 @@ class CoxeterGroup:
         self._build_words_and_inverses()
         self._build_bruhat()
         self._build_reflections()
+        self._word_strs: list | None = None
+        self._below: dict = {}
 
     # -- construction ------------------------------------------------------
 
@@ -387,13 +392,28 @@ class CoxeterGroup:
             terms[k] = terms.get(k, 0) + 1
         return LaurentPoly(0, terms)
 
+    def reflections_below(self, v: int) -> tuple:
+        """The (alpha, v r_alpha) with v r_alpha < v, alpha the index of a
+        positive root and r_alpha its reflection; memoized per v."""
+        below = self._below.get(v)
+        if below is None:
+            lengths, lv = self.lengths, self.lengths[v]
+            products = (
+                (a, self.mul_idx(v, refl)) for a, refl in enumerate(self.reflection_of_root)
+            )
+            below = self._below[v] = tuple((a, vr) for a, vr in products if lengths[vr] < lv)
+        return below
+
     def word_str(self, w: int) -> str:
-        if w == 0:
-            return "e"
-        letters = [i + 1 for i in self.words[w]]
-        if self.rank <= 9:
-            return "".join(str(i) for i in letters)
-        return ",".join(str(i) for i in letters)
+        """The canonical word of w; all of them are spelled on the first
+        call."""
+        strs = self._word_strs
+        if strs is None:
+            sep = "" if self.rank <= 9 else ","
+            strs = self._word_strs = ["e"] + [
+                sep.join(str(i + 1) for i in self.words[x]) for x in range(1, self.order)
+            ]
+        return strs[w]
 
     def parse_word_idx(self, text: str) -> int:
         text = text.strip()

@@ -39,18 +39,35 @@ Representation conventions:
   ``_times_binomial`` and ``_divide_packed`` run unchanged on such a dict:
   they only add, subtract and zero-test coefficients, which columns do
   exactly.
-- ``_decode_columns`` is the one constructor of a *column-backed*
-  ``RationalFn``: it keeps the packed form (``_Packed``: x-keys ->
-  columns from q^low, the set of packed (0, beta) den keys, an unpack
-  memo, an L1 bound below 2^(K - 1) and ``span``, a bound on every
-  |x-digit| of the keys and den keys) and decodes ``num`` and ``den`` on
+- ``_decode_columns`` constructs a *column-backed* ``RationalFn``: it
+  keeps the packed form (``_Packed``: x-keys -> columns from q^low, the
+  set of packed (0, beta) den keys, an unpack memo, an L1 bound below
+  2^(K - 1), ``span``, a bound on every |x-digit| of the keys and den
+  keys, and optionally a point value) and decodes ``num`` and ``den`` on
   their first read, caching them. The keys are unpacked through the
   ``_UnpackMemo`` it is given: sigma's engine keeps one for its lifetime,
   so a key that recurs across sigma values is unpacked once, and a
   one-shot read of the r table passes a fresh one that is dropped with the
   value. ``is_zero`` and ``arity`` read the packed form; ``mul_poly`` by a
   q-only polynomial multiplies each column by the column of that
-  polynomial while the product of the L1 bounds stays below 2^(K - 1).
+  polynomial (``_times_q_column``) while the product of the L1 bounds
+  stays below 2^(K - 1).
+- ``_deferred_columns`` constructs a *deferred* column-backed value: its
+  den keys, low, L1 bound, span and point value are there at once, and its
+  columns are built by a function it keeps, on the first read of
+  ``_Packed.cols``. Reads that build them: ``num`` and ``den``, ``is_zero``
+  unless the value is nonzero at its point, ``==`` unless both sides carry
+  different values at one point, the build of a product made from it by
+  ``_times_q_column``, the tuple route of ``mul_poly``, and sigma's
+  ``_q_polynomial``. ``arity`` and a settled ``==`` or ``is_zero`` build
+  nothing. ``mul_poly`` on the columns returns a deferred value with no
+  point value, since it is not given the value of its factor there.
+- A point value is (a point, the value there mod p); ``sigma`` owns the
+  point and states why a value there is a ring homomorphism's image.
+  Values at one point, compared by identity, that differ prove two values
+  different (``__eq__`` returns False), and a nonzero one proves a value
+  nonzero; equal ones prove nothing, and the comparison goes on as
+  below.
 - ``RationalFn.__eq__`` cross-multiplies. When both sides are
   column-backed it does so on the columns (``_columns_equal``): each side
   is multiplied by the den factors it lacks, one ``_times_binomial`` step
@@ -88,8 +105,9 @@ and denominator factors by their degree vectors, e.g.::
     '(1 - q^-1*x1) / (1 - x1)'
 
 All values are immutable after construction and safe to share across
-threads: a column-backed value's first decode writes only the cache of the
-value it decodes, and two threads that race on it write equal values.
+threads: a column-backed value's first decode, or a deferred value's first
+build, writes only the cache of the value it decodes or builds, and two
+threads that race on it write equal values.
 """
 
 from __future__ import annotations
@@ -498,9 +516,11 @@ class RationalFn:
 
     ``den`` is a sorted tuple of x-degree vectors with multiplicity. Equality
     is decided by cross-multiplying numerators against the other side's
-    denominator factors, never by comparing shapes. A value built by
-    ``_decode_columns`` is column-backed: it keeps its packed form and
-    decodes ``num`` and ``den`` on their first read (module docstring).
+    denominator factors, never by comparing shapes, unless both sides
+    carry different values at one point. A value built by
+    ``_decode_columns`` or ``_deferred_columns`` is column-backed: it keeps
+    its packed form and decodes ``num`` and ``den`` on their first read
+    (module docstring).
     """
 
     __slots__ = ("_num", "_den", "_packed")
@@ -559,7 +579,10 @@ class RationalFn:
 
     def is_zero(self) -> bool:
         if self._num is None:
-            return not any(self._packed.cols.values())
+            packed = self._packed
+            if packed.point is not None and packed.point[1]:
+                return False  # nonzero at a point, so nonzero
+            return not any(packed.cols.values())
         return self._num.is_zero()
 
     def _check(self, other: "RationalFn") -> None:
@@ -592,18 +615,28 @@ class RationalFn:
             raise ValueError(f"arity mismatch: {self.arity} vs {p.arity}")
         if p.is_zero():
             return RationalFn.zero(self.arity)
-        packed = self._packed
-        if packed is not None and p.is_q_only():
-            # at least L1(p) even for a zero self, so p's column fits too
-            l1 = max(packed.l1, 1) * sum(map(abs, p.terms.values()))
-            if l1 < _Q_BOUND:
-                low = p.q_min_degree()
-                col_p = _encode_q(((e[0], c) for e, c in p.terms.items()), low)
-                return _decode_columns(
-                    {key: col * col_p for key, col in packed.cols.items()},
-                    packed.den, packed.low + low, packed.unpacked, l1, packed.span,
-                )
+        if self._packed is not None and p.is_q_only():
+            out = self._times_q_column(*_q_column(p))
+            if out is not None:
+                return out
         return RationalFn(self.num * p, self.den)
+
+    def _times_q_column(
+        self, col: int, low: int, l1: int, point: Optional[tuple] = None
+    ) -> Optional["RationalFn"]:
+        """self, column-backed, times the q-polynomial whose column from
+        q^low is col and whose L1 norm is l1, as a deferred value whose
+        columns are each column of self times col, and which carries
+        point; None when the product of the L1 bounds reaches 2^(K - 1)."""
+        packed = self._packed
+        # at least l1 even for a zero self, so col fits too
+        l1 *= max(packed.l1, 1)
+        if l1 >= _Q_BOUND:
+            return None
+        return _deferred_columns(
+            lambda: {key: c * col for key, c in packed.cols.items()},
+            packed.den, packed.low + low, packed.unpacked, l1, packed.span, point,
+        )
 
     def bar_q(self) -> "RationalFn":
         """Replace q by q^-1 in the numerator; the factors carry no q."""
@@ -613,8 +646,12 @@ class RationalFn:
         if not isinstance(other, RationalFn):
             return NotImplemented
         self._check(other)
-        if self._packed is not None and other._packed is not None:
-            same = _columns_equal(self._packed, other._packed)
+        a, b = self._packed, other._packed
+        if a is not None and b is not None:
+            pa, pb = a.point, b.point
+            if pa is not None and pb is not None and pa[0] is pb[0] and pa[1] != pb[1]:
+                return False  # different values at one point
+            same = _columns_equal(a, b)
             if same is not None:
                 return same
         ca, cb = Counter(self.den), Counter(other.den)
@@ -637,6 +674,14 @@ class RationalFn:
 
     def __repr__(self) -> str:
         return f"RationalFn({self})"
+
+
+def _q_column(p: LaurentPoly) -> tuple:
+    """(column, low, L1 norm) of a q-only p: its column from q^low, low its
+    lowest q-degree (0 for p = 0)."""
+    terms = [(e[0], c) for e, c in p.terms.items()]
+    low = min((d for d, _ in terms), default=0)
+    return _encode_q(terms, low), low, sum(abs(c) for _, c in terms)
 
 
 def _scale_by_factors(num: LaurentPoly, factors: Counter) -> LaurentPoly:
@@ -706,34 +751,61 @@ class _Packed:
     """The packed form of a column-backed RationalFn: packed x-keys
     (q-digit 0) -> q-columns from q^low, the frozenset of packed (0, beta)
     den keys, the unpack memo, an L1 bound of the numerator below
-    2^(K - 1), and span, a bound on |d| for every x-digit of every key and
-    den key."""
+    2^(K - 1), span, a bound on |d| for every x-digit of every key and den
+    key, and point, None or (a point, the value there). The columns are
+    what the zero-argument ``build`` returns on the first read of ``cols``;
+    every other field is there from the start."""
 
-    __slots__ = ("cols", "den", "low", "unpacked", "l1", "span")
+    __slots__ = ("_cols", "_build", "den", "low", "unpacked", "l1", "span", "point")
 
-    def __init__(self, cols, den, low, unpacked, l1, span):
-        self.cols = cols
+    def __init__(self, build, den, low, unpacked, l1, span, point):
+        self._cols = None
+        self._build = build
         self.den = den
         self.low = low
         self.unpacked = unpacked
         self.l1 = l1
         self.span = span
+        self.point = point
+
+    @property
+    def cols(self) -> dict:
+        cols = self._cols
+        if cols is None:  # two threads may both build: equal dicts
+            cols = self._cols = self._build()
+        return cols
 
 
 def _decode_columns(
-    cols: dict, den: Iterable[int], low: int, unpacked: _UnpackMemo, l1: int, span: int
+    cols: dict,
+    den: Iterable[int],
+    low: int,
+    unpacked: _UnpackMemo,
+    l1: int,
+    span: int,
+    point: Optional[tuple] = None,
 ) -> RationalFn:
     """The column-backed RationalFn of a numerator stored as packed x-keys
     (q-digit 0) with q-columns from q^low, over the distinct packed
     (0, beta) keys of den. l1 must bound the L1 norm of the numerator below
-    2^(K - 1), and span every |x-digit| of its keys and of den. The dicts
-    are kept as given and never written to; keys are unpacked through the
-    memo unpacked when ``num`` or ``den`` is first read."""
+    2^(K - 1), and span every |x-digit| of its keys and of den; point, when
+    given, is (a point, the value of this function there). The dicts are
+    kept as given and never written to; keys are unpacked through the memo
+    unpacked when ``num`` or ``den`` is first read."""
+    return _deferred_columns(lambda: cols, den, low, unpacked, l1, span, point)
+
+
+def _deferred_columns(
+    build, den: Iterable[int], low: int, unpacked: _UnpackMemo, l1: int, span: int,
+    point: Optional[tuple],
+) -> RationalFn:
+    """A deferred column-backed RationalFn: as ``_decode_columns``, with
+    the columns that the zero-argument build returns on their first read."""
     if l1 >= _Q_BOUND:
         raise ValueError(f"L1 bound {l1} is past the {_Q_BITS}-bit q-slots")
     out = RationalFn.__new__(RationalFn)
     out._num = out._den = None
-    out._packed = _Packed(cols, frozenset(den), low, unpacked, l1, span)
+    out._packed = _Packed(build, frozenset(den), low, unpacked, l1, span, point)
     return out
 
 

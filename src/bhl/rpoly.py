@@ -320,14 +320,10 @@ class RPolyTable:
 
 
 def s_set_idx(g: CoxeterGroup, u: int, v: int) -> frozenset:
-    """Indices of positive roots alpha with u <= v r_alpha < v."""
-    lv = g.lengths[v]
-    out = []
-    for a, refl in enumerate(g.reflection_of_root):
-        vr = g.mul_idx(v, refl)
-        if g.lengths[vr] < lv and g.leq_idx(u, vr):
-            out.append(a)
-    return frozenset(out)
+    """Indices of positive roots alpha with u <= v r_alpha < v, read off
+    the reflections below v (``CoxeterGroup.reflections_below``)."""
+    down = g.down_masks
+    return frozenset(a for a, vr in g.reflections_below(v) if down[vr] >> u & 1)
 
 
 def s_set(u: Element, v: Element) -> frozenset:

@@ -91,6 +91,41 @@ nonzero), counts the GK ones, and reports the exceptions in canonical word
 form. The enumeration parallelizes over w against read-only shared tables;
 the report is sorted canonically afterwards, so its bytes do not depend on
 the worker count.
+
+classify settles most non-GK triples at one point. On its first
+``classify_for_w`` the engine draws (q0, x0) in (Z/p)^(r + 1),
+p = 2^61 - 1, from the package seed, drawn again until q0, every x0_i and
+every 1 - x0^beta, beta a positive root, are units mod p (``_Point``).
+Every den factor of bar r, sigma and the GK factor is such a binomial, so
+evaluation at the point is a ring homomorphism from the Laurent
+polynomials with those binomials inverted to Z/p, and it sends a sum or
+product to the sum or product of the values. Hence sigma = rhs forces
+equal values: different values prove sigma != rhs, and a nonzero value of
+sigma proves sigma != 0. Equal values prove nothing. For a point drawn at
+random, a fixed nonzero cross-multiplied difference of degree d vanishes
+there with probability at most d/p (Schwartz 1980; Zippel 1979), so
+equality is then only likely, and the triple takes the exact column
+comparison above. So a flag is true only where that comparison says so,
+and false either by it or by a proof; sigma0 is read off the built
+columns at v_min. No flag, sigma0 or report byte depends on the point.
+
+For each (u, w), ``classify_for_w`` computes an ``_XiRow`` once: the xi
+of every y, each one's value at q0 read off the decode that gives its L1
+norm, and the mask of the y with xi != 0. Given the row, ``sigma_idx``
+builds the parts, their den union and the L1 bound as above, and raises
+as above, and returns a deferred value (``polyring._deferred_columns``)
+that carries sigma(pt), the sum of xi(q0) bar r(y, v)(pt) over the parts;
+its columns are accumulated on their first read. The GK right-hand side
+is deferred too: each column of the GK factor times the column of sigma0,
+encoded once per (u, w), and it carries sigma0(q0) G_S(pt). ``==`` then
+returns False at once when the two values differ, and ``is_zero`` is
+False when sigma(pt) != 0, with no columns built; sigma at v_min, whose
+columns give sigma0, and every triple equal at the point are built and
+compared exactly. On A3 that builds the columns of 6 281 of the 9 697
+nonzero sigma, one per GK triple. bar r(y, v)(pt) is read off the stored
+columns once per entry, through tables of q0 and x0 powers and a memo of
+x-key values. A single-shot ``sigma_idx``, ``is_gk_idx`` and every verify
+suite draw no point and keep the eager route.
 """
 
 from __future__ import annotations
@@ -98,6 +133,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from math import prod
 from dataclasses import dataclass, field
 
 from .coxeter import CoxeterGroup, Element, _bits
@@ -110,9 +146,12 @@ from .polyring import (
     _Q_MASK,
     _decode_columns,
     _decode_q,
+    _deferred_columns,
     _new,
     _pack,
+    _q_column,
     _times_binomial,
+    _unpack,
     _UnpackMemo,
 )
 from .rpoly import RPolyTable, s_set_idx
@@ -127,6 +166,124 @@ __all__ = [
 
 # verify_vanishing scans every triple of a group up to this order
 _VANISHING_EXHAUSTIVE_ORDER = 10
+
+# classify's point: residues mod this prime, drawn from the package seed
+_P = (1 << 61) - 1
+_POINT_SEED = 20240811
+
+
+def _draw_point(rng: random.Random, n: int) -> list:
+    """n residues mod p, uniform: one draw of (q0, x0_1, ..., x0_r)."""
+    return [rng.randrange(_P) for _ in range(n)]
+
+
+class _Point:
+    """One point (q0, x0) of (Z/p)^(r + 1), p = 2^61 - 1, and the values
+    there of what classify reads (module docstring). It is drawn from the
+    package seed, and drawn again, deterministically, until q0, every x0_i
+    and every 1 - x0^beta, beta a positive root, are units mod p: every den
+    factor of bar r, sigma and the GK factor is such a binomial, so that
+    evaluation is a ring homomorphism on all of them. Values are read
+    lazily, and ``pow`` runs once per q-degree and once per x-key and
+    coordinate, not per term: q0^d, x0^e and each bar r(y, v) are memos."""
+
+    def __init__(self, engine: "SigmaEngine"):
+        g = engine.group
+        rng = random.Random(_POINT_SEED)
+        while True:
+            q0, *xs = _draw_point(rng, g.rank + 1)
+            units = [(1 - _monomial(xs, beta)) % _P for beta in g.positive_roots]
+            if q0 and all(xs) and all(units):
+                break
+        self.q0, self.xs = q0, tuple(xs)
+        self._rtable = engine.rtable
+        self._n = g.rank + 1
+        inverse = [pow(b, -1, _P) for b in units]
+        # packed (0, beta) den key -> 1 / (1 - x0^beta)
+        self._inverse = dict(zip(engine._root_keys, inverse))
+        q_inv = pow(q0, -1, _P)
+        # root index -> (1 - q0^-1 x0^beta) / (1 - x0^beta)
+        self._gk_root = [(1 - q_inv * (1 - b)) * inv % _P for b, inv in zip(units, inverse)]
+        self._q_powers: dict = {}  # d -> q0^d
+        self._x_values: dict = {}  # packed x-key of e -> x0^e
+        self._bar: dict = {}  # (y, v) -> bar r(y, v)(pt)
+
+    def q_value(self, terms, shift: int = 0) -> int:
+        """The sum of c q0^(d + shift) over the (d, c) of terms, mod p."""
+        powers = self._q_powers
+        total = 0
+        for d, c in terms:
+            d += shift
+            q = powers.get(d)
+            if q is None:
+                q = powers[d] = pow(self.q0, d, _P)
+            total += c * q
+        return total % _P
+
+    def bar(self, y: int, v: int) -> int:
+        """bar r(y, v) at the point, read off its stored columns once."""
+        key = (y, v)
+        val = self._bar.get(key)
+        if val is None:
+            den, cols, _ = self._rtable.bar_r_packed_idx(y, v)
+            low, x_values = self._rtable.low, self._x_values
+            val = 0
+            for x_key, col in cols.items():
+                x = x_values.get(x_key)
+                if x is None:
+                    x = x_values[x_key] = _monomial(self.xs, _unpack(x_key, self._n)[1:])
+                val += x * self.q_value(_decode_q(col, low))
+            val %= _P
+            for b in den:
+                val = val * self._inverse[b] % _P
+            self._bar[key] = val
+        return val
+
+    def gk(self, roots: frozenset) -> int:
+        """The GK factor of roots at the point."""
+        val = 1
+        for a in roots:
+            val = val * self._gk_root[a] % _P
+        return val
+
+
+def _monomial(xs, exponents) -> int:
+    """The monomial with these exponents at the point xs, mod p."""
+    return prod(pow(x, d, _P) for x, d in zip(xs, exponents)) % _P
+
+
+class _XiRow:
+    """What classify computes once per (u, w): the column and L1 norm of
+    q^-len(y) xi(u, y, w) for each y with xi != 0, its value at the point,
+    and the mask of those y."""
+
+    __slots__ = ("point", "xis", "values", "mask")
+
+    def __init__(self, point: _Point, xis: dict, values: dict, mask: int):
+        self.point = point
+        self.xis = xis
+        self.values = values
+        self.mask = mask
+
+
+def _accumulate(parts: list, union: frozenset) -> dict:
+    """The numerator of sigma over union from its parts (see
+    ``SigmaEngine.sigma_idx``): x-key -> column."""
+    groups: dict = {}  # den -> the sum of its parts, x-key -> column
+    for (col_xi, _), (den, bar, _) in parts:
+        acc = groups.setdefault(den, {})
+        get = acc.get
+        for key, col in bar.items():
+            acc[key] = get(key, 0) + col_xi * col
+    for beta in union:
+        for den in [den for den in groups if beta not in den]:
+            acc = _times_binomial(groups.pop(den), beta)
+            into = groups.setdefault(den | {beta}, acc)
+            if into is not acc:  # a group with that den is there: merge
+                get = into.get
+                for key, col in acc.items():
+                    into[key] = get(key, 0) + col
+    return groups.get(union, {})  # {} when sigma has no part
 
 
 def _q_polynomial(val: RationalFn) -> LaurentPoly | None:
@@ -159,6 +316,8 @@ class SigmaEngine:
         self._root_keys = [_pack((0,) + beta) for beta in group.positive_roots]
         # packed key -> exponent tuple, for every sigma decode of the engine
         self._unpacked = _UnpackMemo(group.rank + 1)
+        # classify's point, drawn on its first classify_for_w
+        self._point: _Point | None = None
 
     # -- building blocks -----------------------------------------------------
 
@@ -167,9 +326,12 @@ class SigmaEngine:
         column-backed: the columns start at q^-|roots|, and each factor
         subtracts a copy of the numerator with its keys moved by alpha and
         its columns shifted down one slot, which must find slot 0 empty.
-        Each factor at most doubles the L1 norm, so 2^|roots| bounds it."""
+        Each factor at most doubles the L1 norm, so 2^|roots| bounds it.
+        Once classify has drawn the engine's point, the value carries its
+        value there."""
         val = self._gk_factor.get(roots)
-        if val is None:
+        point = self._point
+        if val is None or point is not None and val._packed.point is None:
             num = {0: 1 << _Q_BITS * len(roots)}
             den = [self._root_keys[a] for a in roots]
             for b in den:
@@ -186,16 +348,17 @@ class SigmaEngine:
                 num = out
             val = _decode_columns(
                 num, den, -len(roots), self._unpacked, 1 << len(roots),
-                self.rtable.max_digit,
+                self.rtable.max_digit, point and (point, point.gk(roots)),
             )
             self._gk_factor[roots] = val
         return val
 
     # -- sigma ---------------------------------------------------------------
 
-    def _xi(self, u: int, y: int, w: int) -> tuple:
+    def _xi(self, u: int, y: int, w: int, point: _Point | None = None) -> tuple:
         """q^-len(y) times xi(u, y, w), the sum of theta(x, y, w) over
-        x >= u, as (q-column from q^low, L1 norm); (0, 0) when it is zero.
+        x >= u, as (q-column from q^low, L1 norm), and with point also its
+        value there, read off the same decode; (0, 0) when it is zero.
         low = -len(w0) is the r table's: theta has no negative q-degree, so
         neither has xi, and len(y) <= len(w0). Only the x in
         ``ThetaTable.reach(y, w)`` are asked: theta is an empty sum for the
@@ -206,10 +369,32 @@ class SigmaEngine:
         exact."""
         mask = self.group.up_masks[u] & self.theta.reach(y, w)
         xi = self.theta.theta_sum(mask, y, w)
-        l1 = sum(abs(c) for _, c in _decode_q(xi, 0))
-        return xi << _Q_BITS * (-self.rtable.low - self.group.lengths[y]), l1
+        terms = _decode_q(xi, 0)
+        l1 = sum(abs(c) for _, c in terms)
+        length = self.group.lengths[y]
+        col = xi << _Q_BITS * (-self.rtable.low - length)
+        if point is None:
+            return col, l1
+        return col, l1, point.q_value(terms, -length)
 
-    def sigma_idx(self, u: int, v: int, w: int, xi_cache: dict | None = None) -> RationalFn:
+    def _xi_row(self, u: int, w: int, point: _Point) -> _XiRow:
+        """The xi of every y for one (u, w), their values at point and the
+        mask of the y with xi != 0; a y whose reach mask has no x >= u is
+        skipped without asking ``_xi``, as its xi is an empty sum."""
+        up, reach = self.group.up_masks[u], self.theta.reach
+        xis, values, mask = {}, {}, 0
+        for y in range(self.group.order):
+            if up & reach(y, w):
+                col, l1, value = self._xi(u, y, w, point)
+                if col:
+                    xis[y] = col, l1
+                    values[y] = value
+                    mask |= 1 << y
+        return _XiRow(point, xis, values, mask)
+
+    def sigma_idx(
+        self, u: int, v: int, w: int, xi_cache: dict | _XiRow | None = None
+    ) -> RationalFn:
         """sigma(u, v, w) over den U, the union of the dens of the bar r(y, v)
         whose xi(u, y, w) is nonzero. Each part q^-len(y) xi bar r(y, v) is
         added into the sum of the parts with its den, one int product per
@@ -218,34 +403,44 @@ class SigmaEngine:
         multiplied by 1 - x^beta, and groups whose dens meet are added,
         until one group is left, over U: multiplying first costs one
         product per stored term, and a factor is applied once per group,
-        not once per part. ``xi_cache`` (y -> the column of q^-len(y) xi
-        and its L1 norm) shares xi across the v of one (u, w), as classify
-        does; without it, a dict local to the call serves. A y with no
-        x >= u in its reach mask gets xi = 0 without asking ``_xi``, as
-        its xi is an empty sum.
+        not once per part (``_accumulate``). ``xi_cache`` (y -> the column
+        of q^-len(y) xi and its L1 norm) shares xi across the v of one
+        (u, w); without it, a dict local to the call serves. A y with no
+        x >= u in its reach mask gets xi = 0 without asking ``_xi``, as its
+        xi is an empty sum. classify passes its ``_XiRow`` instead: its
+        mask names the y with xi != 0.
 
         The value is column-backed, its columns from q^(2 low), decoded
         only when read. The L1 bound of the sum, over the parts, of L1(xi)
         times the L1 bound of bar r(y, v) times 2^|U - den| (each factor
         1 - x^beta at most doubles it) must stay below 2^(K - 1), or
-        ``RuntimeError`` is raised; the value carries it. This is, term for term, what the chain of
-        ``RationalFn.__add__`` over y builds, as long as no partial sum of
-        that chain is zero (the chain would restart its den there): U is
-        the same union, not a fixed D_v, so at v_min nothing needs dividing
-        out."""
+        ``RuntimeError`` is raised, with a row too; the value carries it.
+        This is, term for term, what the chain of ``RationalFn.__add__``
+        over y builds, as long as no partial sum of that chain is zero (the
+        chain would restart its den there): U is the same union, not a
+        fixed D_v, so at v_min nothing needs dividing out. Given a row, the
+        value is deferred: it carries sigma at the row's point, the sum of
+        xi(q0) bar r(y, v)(pt) over the parts, and ``_accumulate`` runs on
+        the first read of its columns."""
         g = self.group
         bar_r = self.rtable.bar_r_packed_idx
-        up, reach = g.up_masks[u], self.theta.reach
-        if xi_cache is None:
-            xi_cache = {}
-        parts = []
-        for y in _bits(g.down_masks[v]):
-            xi = xi_cache.get(y)
-            if xi is None:  # 0 when no x >= u reaches [e, w]: an empty sum
-                xi = self._xi(u, y, w) if up & reach(y, w) else (0, 0)
-                xi_cache[y] = xi
-            if xi[0]:
-                parts.append((xi, bar_r(y, v)))
+        row = xi_cache if isinstance(xi_cache, _XiRow) else None
+        if row is not None:
+            ys = list(_bits(g.down_masks[v] & row.mask))
+            xis = row.xis
+            parts = [(xis[y], bar_r(y, v)) for y in ys]
+        else:
+            up, reach = g.up_masks[u], self.theta.reach
+            if xi_cache is None:
+                xi_cache = {}
+            parts = []
+            for y in _bits(g.down_masks[v]):
+                xi = xi_cache.get(y)
+                if xi is None:  # 0 when no x >= u reaches [e, w]: an empty sum
+                    xi = self._xi(u, y, w) if up & reach(y, w) else (0, 0)
+                    xi_cache[y] = xi
+                if xi[0]:
+                    parts.append((xi, bar_r(y, v)))
         union = frozenset().union(*(entry[0] for _, entry in parts))
         l1 = sum(l1_xi * l1_bar << len(union) - len(den)
                  for (_, l1_xi), (den, _, l1_bar) in parts)
@@ -254,23 +449,17 @@ class SigmaEngine:
                 f"sigma(u={g.word_str(u)}, v={g.word_str(v)}, w={g.word_str(w)}) "
                 f"has L1 bound {l1}, past the q-column slots"
             )
-        groups: dict = {}  # den -> the sum of its parts, x-key -> column
-        for (col_xi, _), (den, bar, _) in parts:
-            acc = groups.setdefault(den, {})
-            get = acc.get
-            for key, col in bar.items():
-                acc[key] = get(key, 0) + col_xi * col
-        for beta in union:
-            for den in [den for den in groups if beta not in den]:
-                acc = _times_binomial(groups.pop(den), beta)
-                into = groups.setdefault(den | {beta}, acc)
-                if into is not acc:  # a group with that den is there: merge
-                    get = into.get
-                    for key, col in acc.items():
-                        into[key] = get(key, 0) + col
-        acc = groups.get(union, {})  # {} when sigma has no part
-        return _decode_columns(
-            acc, union, 2 * self.rtable.low, self._unpacked, l1, self.rtable.max_digit
+        low, span = 2 * self.rtable.low, self.rtable.max_digit
+        if row is None:
+            return _decode_columns(
+                _accumulate(parts, union), union, low, self._unpacked, l1, span
+            )
+        point, values = row.point, row.values
+        at = point.bar
+        value = sum(values[y] * at(y, v) for y in ys) % _P
+        return _deferred_columns(
+            lambda: _accumulate(parts, union), union, low, self._unpacked, l1, span,
+            (point, value),
         )
 
     def sigma(self, u: Element, v: Element, w: Element) -> RationalFn:
@@ -325,10 +514,24 @@ class SigmaEngine:
             sig = self.sigma_idx(u, v, w)
         if sigma0 is None:
             sigma0 = self.sigma0_idx(u, w)
-        rhs = self.gk_factor(s_set_idx(g, vm, v)).mul_poly(
-            sigma0.embed(g.rank)
-        )
-        return sig == rhs
+        return sig == self._gk_rhs(s_set_idx(g, vm, v), sigma0, _q_column(sigma0))
+
+    def _gk_rhs(self, roots: frozenset, sigma0: LaurentPoly, column: tuple,
+                value: int | None = None) -> RationalFn:
+        """The GK right-hand side gk_factor(roots) times sigma0, deferred:
+        each column of the factor times column, sigma0's (column, low, L1
+        norm) from ``polyring._q_column``. With value, sigma0 at q0, and a
+        factor that carries the engine's point, it carries value times the
+        factor's value. Past the L1 bound of the column path it is
+        ``mul_poly``'s tuple product."""
+        gk = self.gk_factor(roots)
+        point = gk._packed.point
+        if point is not None and value is not None:
+            point = (point[0], point[1] * value % _P)
+        else:
+            point = None
+        out = gk._times_q_column(*column, point)
+        return gk.mul_poly(sigma0.embed(self.group.rank)) if out is None else out
 
     def is_gk(self, u: Element, v: Element, w: Element) -> bool:
         g = self.group
@@ -349,8 +552,14 @@ class SigmaEngine:
                 self.theta.product(x, y)
 
     def classify_for_w(self, w: int) -> tuple:
-        """All triples with this w: (nonzero, gk, rows)."""
+        """All triples with this w: (nonzero, gk, rows). Each (u, w) computes
+        its ``_XiRow`` once, and sigma0's column and value at the point once;
+        sigma and the GK right-hand side are deferred values that carry
+        their values at the engine's point (module docstring)."""
         g = self.group
+        if self._point is None:
+            self._point = _Point(self)
+        point = self._point
         rows = []
         nonzero = 0
         gk = 0
@@ -358,10 +567,9 @@ class SigmaEngine:
         for u in range(g.order):
             vm = v_min_idx(g, u, w)
             u_word = g.word_str(u)
-            xi_cache: dict = {}
-            sigma0 = None
+            row = self._xi_row(u, w, point)
             for v in _bits(g.up_masks[vm]):
-                sig = self.sigma_idx(u, v, w, xi_cache)
+                sig = self.sigma_idx(u, v, w, row)
                 if sig.is_zero():
                     raise RuntimeError(
                         "sigma vanished although v >= v_min; this is a bug "
@@ -371,7 +579,9 @@ class SigmaEngine:
                 if v == vm:  # indices are sorted by length: v_min comes first
                     sigma0 = self._sigma0(u, w, sig)
                     sigma0_str = str(sigma0)
-                flag = self.is_gk_idx(u, v, w, sig, sigma0)
+                    column = _q_column(sigma0)
+                    value = point.q_value((e[0], c) for e, c in sigma0.terms.items())
+                flag = sig == self._gk_rhs(s_set_idx(g, vm, v), sigma0, column, value)
                 if flag:
                     gk += 1
                 rows.append((u_word, g.word_str(v), w_word, flag, sigma0_str))

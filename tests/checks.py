@@ -5,7 +5,8 @@ root count under a trivial inverse KL polynomial, and the classical limit of
 r. Each returns how many cases it compared and raises AssertionError at the
 first failure. Beside them, the classical R by its own recursion (the
 oracle for R read off the bar r table), exact evaluation of a
-``RationalFn``, the adjoint-involution check of a classify report, and
+``RationalFn``, the adjoint-involution check of a classify report, S(u, v)
+by a scan of every positive root (the oracle for ``rpoly.s_set_idx``), and
 two predicates only tests ask: "exactly q^k" on a ``LaurentPoly`` and the
 image of a root under an element.
 
@@ -189,6 +190,19 @@ def evaluate(f: RationalFn, q, xs: tuple = ()) -> Fraction:
             d *= Fraction(xi) ** deg
         val /= 1 - d
     return val
+
+
+def s_set_by_scan(g: CoxeterGroup, u: int, v: int) -> frozenset:
+    """S(u, v), the indices of the positive roots alpha with
+    u <= v r_alpha < v, by one product and one length lookup per positive
+    root: the oracle for ``rpoly.s_set_idx``."""
+    lv = g.lengths[v]
+    out = []
+    for a, refl in enumerate(g.reflection_of_root):
+        vr = g.mul_idx(v, refl)
+        if g.lengths[vr] < lv and g.leq_idx(u, vr):
+            out.append(a)
+    return frozenset(out)
 
 
 def is_q_monomial(p: LaurentPoly) -> bool:

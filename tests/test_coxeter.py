@@ -267,6 +267,19 @@ def test_word_parse_and_format(a3):
             g.from_word(bad)
 
 
+def test_word_strings_are_spelled_once_on_first_use():
+    """A build spells no word; the first word_str spells every canonical
+    word, and the cached strings are the words of ``words``."""
+    for cartan_type in ("A3", "B3"):
+        g = build_group(cartan_type)
+        assert g._word_strs is None
+        assert g.word_str(0) == "e"
+        assert g._word_strs is not None
+        for w in range(1, g.order):
+            assert g.word_str(w) == "".join(str(i + 1) for i in g.words[w])
+            assert g.parse_word_idx(g.word_str(w)) == w
+
+
 def test_b_and_c_labels_agree_on_order_data(b2, c2):
     assert b2.order == c2.order
     assert sorted(b2.lengths) == sorted(c2.lengths)

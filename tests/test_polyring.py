@@ -22,6 +22,7 @@ from bhl.polyring import (
     _columns_equal,
     _decode_columns,
     _decode_q,
+    _deferred_columns,
     _divide_packed,
     _encode_q,
     _is_q_power,
@@ -611,3 +612,37 @@ def test_column_mul_poly_past_the_l1_limit_decodes(monkeypatch):
         assert (got.num, got.den) == (want.num, want.den)
     with pytest.raises(ValueError, match="arity"):
         val.mul_poly(LaurentPoly(2, {(0, 0, 0): 1}))
+
+
+def test_deferred_values_build_on_read_and_mul_poly_keeps_its_tuple_route():
+    """A deferred value builds its columns on the first read that needs
+    them, once: not for its arity, den, L1 bound or a point value that
+    settles is_zero or ==. mul_poly past the L1 limit still multiplies the
+    decoded numerator, and inside it stays deferred and drops the point."""
+    memo = _UnpackMemo(2)
+    x1 = _pack((0, 1))
+    builds = []
+
+    def build():
+        builds.append(1)
+        return {0: 3, x1: -(1 << _Q_BITS)}
+
+    point = object()
+    val = _deferred_columns(build, {x1}, -1, memo, 4, 1, (point, 5))
+    other = _deferred_columns(build, {x1}, -1, memo, 4, 1, (point, 6))
+    assert val.arity == 1 and not val.is_zero() and not val == other
+    assert builds == []
+    twin = _deferred_columns(build, {x1}, -1, memo, 4, 1, (point, 5))
+    assert val == twin and len(builds) == 2
+    assert val == _decode_columns(build(), {x1}, -1, memo, 4, 1)
+    assert len(builds) == 3
+    for scale in (5, 1 << 62):
+        p = LaurentPoly(1, {(2, 0): scale, (4, 0): -1})
+        got = val.mul_poly(p)
+        want = RationalFn(val.num * p, val.den)
+        if scale == 5:
+            assert got._packed._cols is None and got._packed.point is None
+        else:
+            assert got._packed is None
+        assert (got.num, got.den) == (want.num, want.den)
+    assert len(builds) == 3

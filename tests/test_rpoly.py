@@ -23,6 +23,7 @@ from checks import (
     evaluate,
     reduced_tuples,
     root_action,
+    s_set_by_scan,
 )
 
 
@@ -173,6 +174,17 @@ def test_s_set_examples(a2):
     for u in g.elements():
         assert s_set(u, u) == frozenset()
     assert s_set(e, w0) == frozenset(range(3))
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "G2", "A3", "B3"])
+def test_s_set_read_off_reflections_below_matches_scan(cartan_type, request):
+    """S(u, v) read off the reflections below v equals the scan over every
+    positive root, on every pair; a group build fills no memo of them."""
+    g = build_group(cartan_type)
+    assert g._below == {} and g._word_strs is None
+    pairs = [(u, v) for u in range(g.order) for v in range(g.order)]
+    assert all(s_set_idx(g, u, v) == s_set_by_scan(g, u, v) for u, v in pairs)
+    assert len(g._below) == g.order
 
 
 def test_s_set3_examples(a2):

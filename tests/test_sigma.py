@@ -574,8 +574,11 @@ def test_bar_r_reads_keep_no_unpack_memo(a3):
 
 def test_classify_round_binomial_steps(a3, monkeypatch):
     """The 3 w of the classify-a3 benchmark make 6 779 binomial steps
-    inside sigma: each den group is multiplied once per factor of U it
-    lacks, after the parts that share its den are added."""
+    inside sigma when the columns of every sigma are built: each den group
+    is multiplied once per factor of U it lacks, after the parts that share
+    its den are added. classify itself builds only the sigma that equal
+    their GK right-hand side at the point, 603 of the 1 049, in 2 483
+    steps."""
     steps = 0
     original = sigma._times_binomial
 
@@ -584,12 +587,26 @@ def test_classify_round_binomial_steps(a3, monkeypatch):
         steps += 1
         return original(num, b)
 
-    engine = SigmaEngine(a3)
-    engine.prefill_shared_tables()
+    def steps_of_round():
+        nonlocal steps
+        steps = 0
+        engine = SigmaEngine(a3)
+        engine.prefill_shared_tables()
+        for word in ("e", "32", "2132"):
+            engine.classify_for_w(a3.parse_word_idx(word))
+        return steps
+
     monkeypatch.setattr(sigma, "_times_binomial", counting)
-    for word in ("e", "32", "2132"):
-        engine.classify_for_w(a3.parse_word_idx(word))
-    assert steps == 6779
+    assert steps_of_round() == 2483
+    original_sigma = SigmaEngine.sigma_idx
+
+    def built(self, u, v, w, xi_cache=None):
+        val = original_sigma(self, u, v, w, xi_cache)
+        val._packed.cols  # build the columns now
+        return val
+
+    monkeypatch.setattr(SigmaEngine, "sigma_idx", built)
+    assert steps_of_round() == 6779
 
 
 def test_unreduced_factor_at_v_min_is_not_cancelled(a2, monkeypatch):
@@ -845,3 +862,175 @@ def test_import_leaves_multiprocessing_out_and_two_jobs_still_fork():
     assert imported == "False"
     nonzero, gk, two_cpus, forked = counts.split()
     assert (nonzero, gk) == ("167", "147") and forked == two_cpus
+
+
+# -- the point route of classify ----------------------------------------------
+
+
+def _exact_path_rows(eng, w) -> tuple:
+    """classify_for_w's (nonzero, gk, rows) by the eager exact path: sigma
+    with a plain xi cache, built at once, and ``is_gk_idx``."""
+    g = eng.group
+    rows = []
+    w_word = g.word_str(w)
+    for u in range(g.order):
+        vm = v_min_idx(g, u, w)
+        xi_cache: dict = {}
+        for v in _bits(g.up_masks[vm]):
+            sig = eng.sigma_idx(u, v, w, xi_cache)
+            assert sig._packed.point is None and not sig.is_zero()
+            if v == vm:
+                sigma0 = eng._sigma0(u, w, sig)
+            flag = eng.is_gk_idx(u, v, w, sig, sigma0)
+            rows.append((g.word_str(u), g.word_str(v), w_word, flag, str(sigma0)))
+    return len(rows), sum(row[3] for row in rows), rows
+
+
+def _point_route_mismatches(g, ws) -> list:
+    """The w whose classify_for_w differs from the eager exact path; two
+    engines, so that neither route reads the other's state."""
+    exact, pointed = SigmaEngine(g), SigmaEngine(g)
+    return [w for w in ws if pointed.classify_for_w(w) != _exact_path_rows(exact, w)]
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "C2", "G2", "A3"])
+def test_point_route_matches_the_exact_path_every_triple(cartan_type):
+    g = build_group(cartan_type)
+    assert _point_route_mismatches(g, range(g.order)) == []
+
+
+def test_point_route_matches_the_exact_path_on_seeded_b3_w(b3):
+    ws = random.Random(24).sample(range(b3.order), 2)
+    assert _point_route_mismatches(b3, ws) == []
+
+
+def test_classify_builds_exact_sigma_only_where_the_point_agrees(a3, monkeypatch):
+    """Exhaustive A3 builds the columns of 6 281 sigma, one per GK triple:
+    no triple is equal to its GK right-hand side at the point but not GK."""
+    built = 0
+    original = sigma._accumulate
+
+    def counting(parts, union):
+        nonlocal built
+        built += 1
+        return original(parts, union)
+
+    monkeypatch.setattr(sigma, "_accumulate", counting)
+    report = classify(a3)
+    assert (report.nonzero_count, report.gk_count, built) == (9697, 6281, 6281)
+
+
+def test_one_wrong_bar_r_point_value_changes_a_flag(a2, monkeypatch):
+    """A copy whose point reads bar r(e, w0) wrong flags some GK triple
+    non-GK: the point route is checked against the exact path."""
+    original = sigma._Point.bar
+    target = (a2.identity_idx, a2.longest_idx)
+
+    def wrong(self, y, v):
+        val = original(self, y, v)
+        return (val + 1) % sigma._P if (y, v) == target else val
+
+    monkeypatch.setattr(sigma._Point, "bar", wrong)
+    assert _point_route_mismatches(a2, range(a2.order)) != []
+
+
+@pytest.mark.parametrize("bad", ["q0", "binomial"])
+def test_a_bad_first_draw_is_drawn_again(a2, monkeypatch, bad):
+    """A first draw with q0 = 0, or with x0 = (1, ..., 1), where every
+    1 - x0^beta is 0, is drawn again from the same generator, so the point
+    is the second draw of the package seed; the flags stay exact."""
+    original = sigma._draw_point
+    draws = []
+
+    def first_bad(rng, n):
+        vals = original(rng, n)
+        draws.append(vals)
+        if len(draws) == 1:
+            return [0] + vals[1:] if bad == "q0" else vals[:1] + [1] * (n - 1)
+        return vals
+
+    rng = random.Random(sigma._POINT_SEED)
+    want = [original(rng, a2.rank + 1) for _ in range(2)][1]
+    monkeypatch.setattr(sigma, "_draw_point", first_bad)
+    eng = SigmaEngine(a2)
+    rows = [eng.classify_for_w(w) for w in range(a2.order)]
+    assert len(draws) == 2
+    assert [eng._point.q0, *eng._point.xs] == want
+    exact = SigmaEngine(a2)
+    assert rows == [_exact_path_rows(exact, w) for w in range(a2.order)]
+
+
+def test_sigma_past_the_l1_limit_raises_although_the_point_settles_it(a2, monkeypatch):
+    """A non-GK triple whose sigma has an L1 bound past the limit raises on
+    the classify path, though its value at the point differs from its GK
+    right-hand side's and would settle it without its columns."""
+    g = a2
+    u, v, w = (g.parse_word_idx(word) for word in A2_EXCEPTIONS[0])
+    eng = SigmaEngine(g)
+    eng.classify_for_w(w)
+    row = eng._xi_row(u, w, eng._point)
+    sig = eng.sigma_idx(u, v, w, row)
+    vm = v_min_idx(g, u, w)
+    sigma0 = eng.sigma0_idx(u, w)
+    value = eng._point.q_value((e[0], c) for e, c in sigma0.terms.items())
+    rhs = eng._gk_rhs(s_set_idx(g, vm, v), sigma0, polyring._q_column(sigma0), value)
+    assert sig._packed.point[1] != rhs._packed.point[1]
+    assert not sig == rhs and sig._packed._cols is None
+    original = SigmaEngine.sigma_idx
+    limit = eng.rtable._l1_limit
+
+    def lowered(self, *args):
+        self.rtable._l1_limit = 1 if args[:3] == (u, v, w) else limit
+        return original(self, *args)
+
+    monkeypatch.setattr(SigmaEngine, "sigma_idx", lowered)
+    with pytest.raises(RuntimeError, match="u=1, v=1, w=12\\) has L1 bound"):
+        eng.classify_for_w(w)
+
+
+def test_eager_sigma_against_a_deferred_rhs_compares_exactly(a2, b2, monkeypatch):
+    """classify with every sigma replaced by an eager copy, as the
+    benchmark's perturbed sigma is built, compares it with a deferred GK
+    right-hand side that carries a point value, exactly: the rows are
+    unchanged, and a copy with one coefficient negated changes them."""
+    want = {g: classify(g).rows for g in (a2, b2)}
+    original, original_rhs = SigmaEngine.sigma_idx, SigmaEngine._gk_rhs
+    flip = []
+    pointed = []
+
+    def eager(self, u, v, w, xi_cache=None):
+        val = original(self, u, v, w, xi_cache)
+        terms = dict(val.num.terms)
+        if (u, v, w) in flip:
+            first = min(terms)
+            terms[first] = -terms[first]
+        return RationalFn(LaurentPoly(self.group.rank, terms), val.den)
+
+    def recording(self, *args):
+        rhs = original_rhs(self, *args)
+        pointed.append(rhs._packed.point is not None)
+        return rhs
+
+    monkeypatch.setattr(SigmaEngine, "sigma_idx", eager)
+    monkeypatch.setattr(SigmaEngine, "_gk_rhs", recording)
+    for g, rows in want.items():
+        assert classify(g).rows == rows, g.cartan_type
+    assert pointed and all(pointed)
+    flip.append((a2.identity_idx, a2.parse_word_idx("1"), a2.identity_idx))
+    got = classify(a2).rows
+    assert [row for row in got if row not in want[a2]] == [("e", "1", "e", False, "1")]
+
+
+def test_verify_never_draws_a_point(b2, monkeypatch):
+    """Every verify suite on B2 passes with the point refused: verify's
+    sigma and GK tests stay on the eager exact path."""
+
+    def refuse(engine):
+        raise AssertionError("verify drew classify's point")
+
+    monkeypatch.setattr(sigma, "_Point", refuse)
+    eng = SigmaEngine(b2)
+    for name in SUITE_NAMES:
+        assert run_suite(name, b2, engine=eng).ok, name
+    with pytest.raises(AssertionError, match="drew"):
+        eng.classify_for_w(0)
