@@ -783,16 +783,14 @@ def _decode_columns(
     unpacked: _UnpackMemo,
     l1: int,
     span: int,
-    point: Optional[tuple] = None,
 ) -> RationalFn:
     """The column-backed RationalFn of a numerator stored as packed x-keys
     (q-digit 0) with q-columns from q^low, over the distinct packed
     (0, beta) keys of den. l1 must bound the L1 norm of the numerator below
-    2^(K - 1), and span every |x-digit| of its keys and of den; point, when
-    given, is (a point, the value of this function there). The dicts are
-    kept as given and never written to; keys are unpacked through the memo
-    unpacked when ``num`` or ``den`` is first read."""
-    return _deferred_columns(lambda: cols, den, low, unpacked, l1, span, point)
+    2^(K - 1), and span every |x-digit| of its keys and of den. The dicts
+    are kept as given and never written to; keys are unpacked through the
+    memo unpacked when ``num`` or ``den`` is first read."""
+    return _deferred_columns(lambda: cols, den, low, unpacked, l1, span, None)
 
 
 def _deferred_columns(

@@ -326,12 +326,9 @@ class SigmaEngine:
         column-backed: the columns start at q^-|roots|, and each factor
         subtracts a copy of the numerator with its keys moved by alpha and
         its columns shifted down one slot, which must find slot 0 empty.
-        Each factor at most doubles the L1 norm, so 2^|roots| bounds it.
-        Once classify has drawn the engine's point, the value carries its
-        value there."""
+        Each factor at most doubles the L1 norm, so 2^|roots| bounds it."""
         val = self._gk_factor.get(roots)
-        point = self._point
-        if val is None or point is not None and val._packed.point is None:
+        if val is None:
             num = {0: 1 << _Q_BITS * len(roots)}
             den = [self._root_keys[a] for a in roots]
             for b in den:
@@ -348,7 +345,7 @@ class SigmaEngine:
                 num = out
             val = _decode_columns(
                 num, den, -len(roots), self._unpacked, 1 << len(roots),
-                self.rtable.max_digit, point and (point, point.gk(roots)),
+                self.rtable.max_digit,
             )
             self._gk_factor[roots] = val
         return val
@@ -392,9 +389,7 @@ class SigmaEngine:
                     mask |= 1 << y
         return _XiRow(point, xis, values, mask)
 
-    def sigma_idx(
-        self, u: int, v: int, w: int, xi_cache: dict | _XiRow | None = None
-    ) -> RationalFn:
+    def sigma_idx(self, u: int, v: int, w: int, row: _XiRow | None = None) -> RationalFn:
         """sigma(u, v, w) over den U, the union of the dens of the bar r(y, v)
         whose xi(u, y, w) is nonzero. Each part q^-len(y) xi bar r(y, v) is
         added into the sum of the parts with its den, one int product per
@@ -403,12 +398,10 @@ class SigmaEngine:
         multiplied by 1 - x^beta, and groups whose dens meet are added,
         until one group is left, over U: multiplying first costs one
         product per stored term, and a factor is applied once per group,
-        not once per part (``_accumulate``). ``xi_cache`` (y -> the column
-        of q^-len(y) xi and its L1 norm) shares xi across the v of one
-        (u, w); without it, a dict local to the call serves. A y with no
-        x >= u in its reach mask gets xi = 0 without asking ``_xi``, as its
-        xi is an empty sum. classify passes its ``_XiRow`` instead: its
-        mask names the y with xi != 0.
+        not once per part (``_accumulate``). A y with no x >= u in its
+        reach mask gets xi = 0 without asking ``_xi``, as its xi is an
+        empty sum. classify passes its ``_XiRow``, which holds the xi of
+        every y of one (u, w) and whose mask names the y with xi != 0.
 
         The value is column-backed, its columns from q^(2 low), decoded
         only when read. The L1 bound of the sum, over the parts, of L1(xi)
@@ -424,23 +417,18 @@ class SigmaEngine:
         the first read of its columns."""
         g = self.group
         bar_r = self.rtable.bar_r_packed_idx
-        row = xi_cache if isinstance(xi_cache, _XiRow) else None
         if row is not None:
             ys = list(_bits(g.down_masks[v] & row.mask))
             xis = row.xis
             parts = [(xis[y], bar_r(y, v)) for y in ys]
         else:
             up, reach = g.up_masks[u], self.theta.reach
-            if xi_cache is None:
-                xi_cache = {}
             parts = []
             for y in _bits(g.down_masks[v]):
-                xi = xi_cache.get(y)
-                if xi is None:  # 0 when no x >= u reaches [e, w]: an empty sum
-                    xi = self._xi(u, y, w) if up & reach(y, w) else (0, 0)
-                    xi_cache[y] = xi
-                if xi[0]:
-                    parts.append((xi, bar_r(y, v)))
+                if up & reach(y, w):  # else no x >= u reaches [e, w]: an empty sum
+                    xi = self._xi(u, y, w)
+                    if xi[0]:
+                        parts.append((xi, bar_r(y, v)))
         union = frozenset().union(*(entry[0] for _, entry in parts))
         l1 = sum(l1_xi * l1_bar << len(union) - len(den)
                  for (_, l1_xi), (den, _, l1_bar) in parts)
@@ -520,16 +508,14 @@ class SigmaEngine:
                 value: int | None = None) -> RationalFn:
         """The GK right-hand side gk_factor(roots) times sigma0, deferred:
         each column of the factor times column, sigma0's (column, low, L1
-        norm) from ``polyring._q_column``. With value, sigma0 at q0, and a
-        factor that carries the engine's point, it carries value times the
-        factor's value. Past the L1 bound of the column path it is
-        ``mul_poly``'s tuple product."""
+        norm) from ``polyring._q_column``. With value, sigma0 at q0, it
+        carries value times the factor's value at the engine's point. Past
+        the L1 bound of the column path it is ``mul_poly``'s tuple
+        product."""
         gk = self.gk_factor(roots)
-        point = gk._packed.point
-        if point is not None and value is not None:
-            point = (point[0], point[1] * value % _P)
-        else:
-            point = None
+        point = None
+        if value is not None:
+            point = (self._point, self._point.gk(roots) * value % _P)
         out = gk._times_q_column(*column, point)
         return gk.mul_poly(sigma0.embed(self.group.rank)) if out is None else out
 

@@ -129,7 +129,7 @@ def test_pole_suite_fails_on_non_root_factor(a2, monkeypatch):
     suite reports FAIL instead of raising."""
     eng = SigmaEngine(a2)
     bad = RationalFn(LaurentPoly.one(2), ((2, 0),))  # 2*alpha_1 is no root
-    monkeypatch.setattr(eng, "sigma_idx", lambda u, v, w, xi_cache=None: bad)
+    monkeypatch.setattr(eng, "sigma_idx", lambda u, v, w, row=None: bad)
     res = run_suite("poles", a2, engine=eng)
     assert not res.ok and "sigma denominator escapes" in res.detail
 

@@ -402,7 +402,7 @@ def test_reach_that_drops_a_nonzero_theta_fails_the_xi_check(a3, monkeypatch):
 
 
 def test_single_shot_sigma_asks_xi_only_where_some_x_reaches(a3, monkeypatch):
-    """Without an xi cache, sigma asks xi(u, y, w) for exactly the y <= v
+    """Without a row, sigma asks xi(u, y, w) for exactly the y <= v
     whose reach(y, w) has an x >= u: on an A3 main-theorem pass, every such
     y at v = v_min and no other."""
     eng = SigmaEngine(a3)
@@ -458,13 +458,14 @@ def test_packed_sigma_matches_rational_sum_term_for_term(
 
 def _classify_path_mismatches(eng, pairs, vs):
     """The (u, v, w) whose sigma on the classify path differs from the
-    RationalFn chain term for term: one xi cache per (u, w), as
-    classify_for_w shares it."""
+    RationalFn chain term for term: one ``_XiRow`` per (u, w), as
+    classify_for_w builds it, and the deferred columns read."""
+    point = sigma._Point(eng)
     wrong = []
     for u, w in pairs:
-        xi_cache: dict = {}
+        row = eng._xi_row(u, w, point)
         for v in vs:
-            got = eng.sigma_idx(u, v, w, xi_cache)
+            got = eng.sigma_idx(u, v, w, row)
             want = _sigma_by_rational_sum(eng, u, v, w)
             if (got.num.terms, got.den) != (want.num.terms, want.den):
                 wrong.append((u, v, w))
@@ -497,13 +498,14 @@ def test_sigma_keys_stay_within_the_table_digit_bound(a3, b3):
     rng = random.Random(9)
     for g, n_pairs in ((a3, 12), (b3, 4)):
         eng = SigmaEngine(g)
+        point = sigma._Point(eng)
         bound = eng.rtable.max_digit
         seen = 0
         for _ in range(n_pairs):
             u, w = rng.randrange(g.order), rng.randrange(g.order)
-            xi_cache: dict = {}
+            row = eng._xi_row(u, w, point)
             for v in range(g.order):
-                sig = eng.sigma_idx(u, v, w, xi_cache)
+                sig = eng.sigma_idx(u, v, w, row)
                 for x in (*(e[1:] for e in sig.num.terms), *sig.den):
                     assert all(0 <= d <= bound for d in x), (u, v, w)
                     seen = max(seen, *x)
@@ -518,9 +520,9 @@ def test_skipped_merge_factor_fails_the_term_for_term_check(a3, monkeypatch):
     current, step_triples = [], []  # the triple of each binomial step
     original_sigma, original_step = eng.sigma_idx, sigma._times_binomial
 
-    def tracking(u, v, w, xi_cache=None):
+    def tracking(u, v, w, row=None):
         current[:] = [(u, v, w)]
-        return original_sigma(u, v, w, xi_cache)
+        return original_sigma(u, v, w, row)
 
     def skipping(num, b):
         step_triples.append(current[0])
@@ -600,8 +602,8 @@ def test_classify_round_binomial_steps(a3, monkeypatch):
     assert steps_of_round() == 2483
     original_sigma = SigmaEngine.sigma_idx
 
-    def built(self, u, v, w, xi_cache=None):
-        val = original_sigma(self, u, v, w, xi_cache)
+    def built(self, u, v, w, row=None):
+        val = original_sigma(self, u, v, w, row)
         val._packed.cols  # build the columns now
         return val
 
@@ -617,8 +619,8 @@ def test_unreduced_factor_at_v_min_is_not_cancelled(a2, monkeypatch):
     original = eng.sigma_idx
     beta = a2.positive_roots[0]
 
-    def padded(u, v, w, xi_cache=None):
-        sig = original(u, v, w, xi_cache)
+    def padded(u, v, w, row=None):
+        sig = original(u, v, w, row)
         if v != v_min_idx(a2, u, w):
             return sig
         return RationalFn(sig.num * binomial(a2.rank, beta), sig.den + (beta,))
@@ -682,13 +684,14 @@ def _gk_comparisons(eng, pairs) -> list:
     every nonzero triple of the (u, w) in pairs; the column comparison must
     be decided on the columns, the eager one compares decoded copies."""
     g = eng.group
+    point = sigma._Point(eng)
     out = []
     for u, w in pairs:
         vm = v_min_idx(g, u, w)
         sigma0 = eng.sigma0_idx(u, w).embed(g.rank)
-        xi_cache: dict = {}
+        row = eng._xi_row(u, w, point)
         for v in _bits(g.up_masks[vm]):
-            sig = eng.sigma_idx(u, v, w, xi_cache)
+            sig = eng.sigma_idx(u, v, w, row)
             rhs = eng.gk_factor(s_set_idx(g, vm, v)).mul_poly(sigma0)
             assert _columns_equal(sig._packed, rhs._packed) is not None, (u, v, w)
             eager = RationalFn(sig.num, sig.den) == RationalFn(rhs.num, rhs.den)
@@ -823,8 +826,8 @@ def test_column_sigma_at_v_min_with_a_den_or_an_x_is_refused(a2, monkeypatch, ex
     original = eng.sigma_idx
     b = eng._root_keys[0]
 
-    def padded(u, v, w, xi_cache=None):
-        sig = original(u, v, w, xi_cache)
+    def padded(u, v, w, row=None):
+        sig = original(u, v, w, row)
         if v != v_min_idx(a2, u, w):
             return sig
         p = sig._packed
@@ -869,15 +872,14 @@ def test_import_leaves_multiprocessing_out_and_two_jobs_still_fork():
 
 def _exact_path_rows(eng, w) -> tuple:
     """classify_for_w's (nonzero, gk, rows) by the eager exact path: sigma
-    with a plain xi cache, built at once, and ``is_gk_idx``."""
+    with no row, built at once, and ``is_gk_idx``."""
     g = eng.group
     rows = []
     w_word = g.word_str(w)
     for u in range(g.order):
         vm = v_min_idx(g, u, w)
-        xi_cache: dict = {}
         for v in _bits(g.up_masks[vm]):
-            sig = eng.sigma_idx(u, v, w, xi_cache)
+            sig = eng.sigma_idx(u, v, w)
             assert sig._packed.point is None and not sig.is_zero()
             if v == vm:
                 sigma0 = eng._sigma0(u, w, sig)
@@ -998,8 +1000,8 @@ def test_eager_sigma_against_a_deferred_rhs_compares_exactly(a2, b2, monkeypatch
     flip = []
     pointed = []
 
-    def eager(self, u, v, w, xi_cache=None):
-        val = original(self, u, v, w, xi_cache)
+    def eager(self, u, v, w, row=None):
+        val = original(self, u, v, w, row)
         terms = dict(val.num.terms)
         if (u, v, w) in flip:
             first = min(terms)
