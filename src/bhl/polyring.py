@@ -39,29 +39,27 @@ Representation conventions:
   ``_times_binomial`` and ``_divide_packed`` run unchanged on such a dict:
   they only add, subtract and zero-test coefficients, which columns do
   exactly.
-- ``_decode_columns`` constructs a *column-backed* ``RationalFn``: it
+- ``_deferred_columns`` constructs a *column-backed* ``RationalFn``: it
   keeps the packed form (``_Packed``: x-keys -> columns from q^low, the
   set of packed (0, beta) den keys, an unpack memo, an L1 bound below
   2^(K - 1), ``span``, a bound on every |x-digit| of the keys and den
   keys, and optionally a point value) and decodes ``num`` and ``den`` on
-  their first read, caching them. The keys are unpacked through the
-  ``_UnpackMemo`` it is given: sigma's engine keeps one for its lifetime,
-  so a key that recurs across sigma values is unpacked once, and a
-  one-shot read of the r table passes a fresh one that is dropped with the
-  value. ``is_zero`` and ``arity`` read the packed form; ``mul_poly`` by a
-  q-only polynomial multiplies each column by the column of that
-  polynomial (``_times_q_column``) while the product of the L1 bounds
-  stays below 2^(K - 1).
-- ``_deferred_columns`` constructs a *deferred* column-backed value: its
-  den keys, low, L1 bound, span and point value are there at once, and its
-  columns are built by a function it keeps, on the first read of
-  ``_Packed.cols``. Reads that build them: ``num`` and ``den``, ``is_zero``
-  unless the value is nonzero at its point, ``==`` unless both sides carry
-  different values at one point, the build of a product made from it by
-  ``_times_q_column``, the tuple route of ``mul_poly``, and sigma's
-  ``_q_polynomial``. ``arity`` and a settled ``==`` or ``is_zero`` build
-  nothing. ``mul_poly`` on the columns returns a deferred value with no
-  point value, since it is not given the value of its factor there.
+  their first read, caching them. Its columns are built by a zero-argument
+  function it keeps, on the first read of ``_Packed.cols``; a caller that
+  has them already passes ``lambda: cols``. The keys are unpacked through
+  the ``_UnpackMemo`` it is given: sigma's engine keeps one for its
+  lifetime, so a key that recurs across sigma values is unpacked once,
+  and a one-shot read of the r table passes a fresh one that is dropped
+  with the value. The den keys, low, L1 bound, span and point value are
+  there at once. Reads that build the columns: ``num`` and ``den``,
+  ``is_zero`` unless the value is nonzero at its point, ``==`` unless both
+  sides carry different values at one point, the build of a product made
+  from it by ``_times_q_column``, and sigma's ``_q_polynomial``. ``arity``
+  and a settled ``==`` or ``is_zero`` build nothing. ``_times_q_column``
+  multiplies a column-backed value by a q-polynomial given as its column:
+  each column times that one, into a deferred value that carries the
+  point value it is given, while the product of the L1 bounds stays below
+  2^(K - 1); past it, it returns None.
 - A point value is (a point, the value there mod p); ``sigma`` owns the
   point and states why a value there is a ring homomorphism's image.
   Values at one point, compared by identity, that differ prove two values
@@ -113,7 +111,6 @@ threads that race on it write equal values.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from operator import add
 from typing import Iterable, Optional
 
@@ -339,18 +336,6 @@ class LaurentPoly:
     def coefficients(self) -> Iterable[int]:
         return self.terms.values()
 
-    def evaluate(self, q, xs: tuple = ()) -> Fraction:
-        """Exact evaluation; q and xs may be Fractions or ints."""
-        if len(xs) != self.arity:
-            raise ValueError("wrong number of x-values")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = Fraction(c) * Fraction(q) ** e[0]
-            for xi, d in zip(xs, e[1:]):
-                v *= Fraction(xi) ** d
-            total += v
-        return total
-
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -518,7 +503,7 @@ class RationalFn:
     is decided by cross-multiplying numerators against the other side's
     denominator factors, never by comparing shapes, unless both sides
     carry different values at one point. A value built by
-    ``_decode_columns`` or ``_deferred_columns`` is column-backed: it keeps
+    ``_deferred_columns`` is column-backed: it keeps
     its packed form and decodes ``num`` and ``den`` on their first read
     (module docstring).
     """
@@ -600,26 +585,6 @@ class RationalFn:
         na = _scale_by_factors(self.num, common - ca)
         nb = _scale_by_factors(other.num, common - cb)
         return RationalFn(na + nb, tuple(common.elements()))
-
-    def __mul__(self, other: "RationalFn") -> "RationalFn":
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return RationalFn.zero(self.arity)
-        return RationalFn(self.num * other.num, self.den + other.den)
-
-    def mul_poly(self, p: LaurentPoly) -> "RationalFn":
-        """self times p; a column-backed self times a q-only p stays
-        column-backed, each column times the column of p, while the
-        product of the L1 bounds stays below 2^(K - 1)."""
-        if p.arity != self.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {p.arity}")
-        if p.is_zero():
-            return RationalFn.zero(self.arity)
-        if self._packed is not None and p.is_q_only():
-            out = self._times_q_column(*_q_column(p))
-            if out is not None:
-                return out
-        return RationalFn(self.num * p, self.den)
 
     def _times_q_column(
         self, col: int, low: int, l1: int, point: Optional[tuple] = None
@@ -776,29 +741,18 @@ class _Packed:
         return cols
 
 
-def _decode_columns(
-    cols: dict,
-    den: Iterable[int],
-    low: int,
-    unpacked: _UnpackMemo,
-    l1: int,
-    span: int,
+def _deferred_columns(
+    build, den: Iterable[int], low: int, unpacked: _UnpackMemo, l1: int, span: int,
+    point: Optional[tuple] = None,
 ) -> RationalFn:
     """The column-backed RationalFn of a numerator stored as packed x-keys
     (q-digit 0) with q-columns from q^low, over the distinct packed
-    (0, beta) keys of den. l1 must bound the L1 norm of the numerator below
-    2^(K - 1), and span every |x-digit| of its keys and of den. The dicts
-    are kept as given and never written to; keys are unpacked through the
-    memo unpacked when ``num`` or ``den`` is first read."""
-    return _deferred_columns(lambda: cols, den, low, unpacked, l1, span, None)
-
-
-def _deferred_columns(
-    build, den: Iterable[int], low: int, unpacked: _UnpackMemo, l1: int, span: int,
-    point: Optional[tuple],
-) -> RationalFn:
-    """A deferred column-backed RationalFn: as ``_decode_columns``, with
-    the columns that the zero-argument build returns on their first read."""
+    (0, beta) keys of den, carrying point: the columns are what the
+    zero-argument build returns on their first read. l1 must bound the L1
+    norm of the numerator below 2^(K - 1), and span every |x-digit| of its
+    keys and of den. The columns are kept as built and never written to;
+    keys are unpacked through the memo unpacked when ``num`` or ``den`` is
+    first read."""
     if l1 >= _Q_BOUND:
         raise ValueError(f"L1 bound {l1} is past the {_Q_BITS}-bit q-slots")
     out = RationalFn.__new__(RationalFn)

@@ -32,7 +32,7 @@ their dens, each multiplied by the factors it lacks; a step that would
 repeat a factor raises ``RuntimeError``, so every den has distinct factors
 and the union is a set union. This builds, term for term, the numerator
 and den that ``RationalFn`` arithmetic builds for the same recursion.
-Each read returns a column-backed value (``polyring._decode_columns``)
+Each read returns a column-backed value (``polyring._deferred_columns``)
 over the stored dicts, with the entry's L1 bound and ``max_digit`` as its
 span; it decodes, when read, through an unpack memo of that value alone:
 the table keeps no unpacked key, as most of its reads decode an entry
@@ -100,8 +100,8 @@ from .coxeter import CoxeterGroup, Element
 from .polyring import (
     LaurentPoly,
     RationalFn,
-    _decode_columns,
     _decode_q,
+    _deferred_columns,
     _new,
     _pack,
     _reduce_packed,
@@ -242,8 +242,8 @@ class RPolyTable:
         """An entry as the column-backed RationalFn it stands for, its keys
         unpacked, when first read, through a memo dropped with the value."""
         den, cols, l1 = entry
-        return _decode_columns(
-            cols, den, self.low, _UnpackMemo(self.group.rank + 1), l1, self.max_digit
+        return _deferred_columns(
+            lambda: cols, den, self.low, _UnpackMemo(self.group.rank + 1), l1, self.max_digit
         )
 
     def bar_r_idx(self, u: int, v: int) -> RationalFn:

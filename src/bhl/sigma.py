@@ -35,15 +35,15 @@ whose dens become equal are added into one, so that one group is left, over
 U. Multiplying before scaling is the cheaper order: each factor lengthens
 a bar, so a classify-a3 round multiplies 13 674 stored terms where the bars
 scaled to U would have 44 601, and a factor is applied once per group, not
-once per part. The result is a column-backed ``RationalFn``
-(``polyring._decode_columns``): it keeps the columns, and decodes them
-only when its ``num`` or ``den`` is read, through the engine's unpack memo,
-so an x-key that recurs across the sigma of one engine is unpacked once. A
-product of two columns from q^low starts at q^(2 low), low the r table's.
-Since the substitution q -> 2^K is a ring homomorphism, that product is
-exact, and a decode reads it back while every coefficient of sigma stays
-below 2^(K - 1) in magnitude, which ``sigma_idx`` checks by an L1 bound,
-and passes on with the value. The keys need no check: the x-keys of every
+once per part. The result is a deferred column-backed ``RationalFn``
+(``polyring._deferred_columns``): ``_accumulate`` builds its columns on
+their first read, and they are decoded only when its ``num`` or ``den`` is
+read, through the engine's unpack memo, so an x-key that recurs across the
+sigma of one engine is unpacked once. A product of two columns from q^low
+starts at q^(2 low), low the r table's. Since the substitution q -> 2^K
+is a ring homomorphism, that product is exact, and a decode reads it back
+while every coefficient of sigma stays below 2^(K - 1) in magnitude, which
+``sigma_idx`` checks by an L1 bound, and passes on with the value. The keys need no check: the x-keys of every
 group stay inside the r table's ``max_digit``, as the ``rpoly`` docstring
 shows. U, the den and every numerator coefficient are what scaling each
 part to U would give; only the order of the additions differs, and
@@ -66,11 +66,13 @@ where S(u, v, w) = S(v_min(u, w), v); the test is exact cross-multiplied
 equality, ``sig == rhs`` in ``is_gk_idx``, and it runs on q-columns.
 ``gk_factor`` builds prod over S of (1 - q^-1 x^alpha) on columns from
 q^-|S|, each factor one copy with keys moved by alpha and columns shifted
-down one slot, over the den keys of S, with L1 bound 2^|S|; ``mul_poly``
+down one slot, over the den keys of S, with L1 bound 2^|S|; ``_gk_rhs``
 multiplies each of its columns by the column of sigma0, and the L1 bound
-by L1(sigma0). ``RationalFn.__eq__`` then multiplies sigma by the factors
-of S - U and the right-hand side by those of U - S and compares columns,
-as the ``polyring`` docstring states, with no decode.
+by L1(sigma0) (``RationalFn._times_q_column``), or, where that product of
+bounds reaches 2^(K - 1), its decoded numerator by sigma0.
+``RationalFn.__eq__`` then multiplies sigma by the factors of S - U and the
+right-hand side by those of U - S and compares columns, as the
+``polyring`` docstring states, with no decode.
 
 The x-keys of both cross-multiplied sides stay inside the r table's
 ``max_digit``, extending the argument of the ``rpoly`` docstring. Every
@@ -109,23 +111,26 @@ comparison above. So a flag is true only where that comparison says so,
 and false either by it or by a proof; sigma0 is read off the built
 columns at v_min. No flag, sigma0 or report byte depends on the point.
 
-For each (u, w), ``classify_for_w`` computes an ``_XiRow`` once: the xi
-of every y, each one's value at q0 read off the decode that gives its L1
-norm, and the mask of the y with xi != 0. Given the row, ``sigma_idx``
-builds the parts, their den union and the L1 bound as above, and raises
-as above, and returns a deferred value (``polyring._deferred_columns``)
-that carries sigma(pt), the sum of xi(q0) bar r(y, v)(pt) over the parts;
-its columns are accumulated on their first read. The GK right-hand side
-is deferred too: each column of the GK factor times the column of sigma0,
-encoded once per (u, w), and it carries sigma0(q0) G_S(pt). ``==`` then
-returns False at once when the two values differ, and ``is_zero`` is
-False when sigma(pt) != 0, with no columns built; sigma at v_min, whose
-columns give sigma0, and every triple equal at the point are built and
-compared exactly. On A3 that builds the columns of 6 281 of the 9 697
-nonzero sigma, one per GK triple. bar r(y, v)(pt) is read off the stored
-columns once per entry, through tables of q0 and x0 powers and a memo of
-x-key values. A single-shot ``sigma_idx``, ``is_gk_idx`` and every verify
-suite draw no point and keep the eager route.
+Every sigma is read from an ``_XiRow``: for one (u, w), the xi of the y
+in a mask, and the mask of those y with xi != 0. A single-shot
+``sigma_idx`` builds the row of the y <= v. ``classify_for_w`` builds the
+row of every y once per (u, w), at the point, with each xi's value at q0
+read off the decode that gives its L1 norm. From either row ``sigma_idx``
+builds the parts, their den union and the L1 bound as above, raises as
+above, and returns a deferred value whose columns are accumulated on
+their first read. Given a row with a point, the value also carries
+sigma(pt), the sum of xi(q0) bar r(y, v)(pt) over the parts. The GK
+right-hand side is deferred too: each column of the GK factor times the
+column of sigma0, encoded once per (u, w), and it carries
+sigma0(q0) G_S(pt). ``==`` then returns False at once when the two values
+differ, and ``is_zero`` is False when sigma(pt) != 0, with no columns
+built; sigma at v_min, whose columns give sigma0, and every triple equal at
+the point are built and compared exactly. On A3 that builds the columns of
+6 281 of the 9 697 nonzero sigma, one per GK triple. bar r(y, v)(pt) is
+read off the stored columns once per entry, through tables of q0 and x0
+powers and a memo of x-key values. A single-shot ``sigma_idx``,
+``is_gk_idx`` and every verify suite draw no point, so their values carry
+none and each of their comparisons is exact.
 """
 
 from __future__ import annotations
@@ -135,6 +140,7 @@ import os
 import random
 from math import prod
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .coxeter import CoxeterGroup, Element, _bits
 from .demazure import v_min_idx
@@ -144,7 +150,6 @@ from .polyring import (
     RationalFn,
     _Q_BITS,
     _Q_MASK,
-    _decode_columns,
     _decode_q,
     _deferred_columns,
     _new,
@@ -252,25 +257,22 @@ def _monomial(xs, exponents) -> int:
     return prod(pow(x, d, _P) for x, d in zip(xs, exponents)) % _P
 
 
-class _XiRow:
-    """What classify computes once per (u, w): the column and L1 norm of
-    q^-len(y) xi(u, y, w) for each y with xi != 0, its value at the point,
-    and the mask of those y."""
+class _XiRow(NamedTuple):
+    """The xi of one (u, w) that sigma reads: y -> ``SigmaEngine._xi`` of
+    each y asked with xi != 0, so with its value at point when point is
+    not None, and the mask of those y."""
 
-    __slots__ = ("point", "xis", "values", "mask")
-
-    def __init__(self, point: _Point, xis: dict, values: dict, mask: int):
-        self.point = point
-        self.xis = xis
-        self.values = values
-        self.mask = mask
+    point: _Point | None
+    xis: dict
+    mask: int
 
 
 def _accumulate(parts: list, union: frozenset) -> dict:
     """The numerator of sigma over union from its parts (see
     ``SigmaEngine.sigma_idx``): x-key -> column."""
     groups: dict = {}  # den -> the sum of its parts, x-key -> column
-    for (col_xi, _), (den, bar, _) in parts:
+    for xi, (den, bar, _) in parts:
+        col_xi = xi[0]
         acc = groups.setdefault(den, {})
         get = acc.get
         for key, col in bar.items():
@@ -343,8 +345,8 @@ class SigmaEngine:
                     key += b
                     out[key] = get(key, 0) - (col >> _Q_BITS)
                 num = out
-            val = _decode_columns(
-                num, den, -len(roots), self._unpacked, 1 << len(roots),
+            val = _deferred_columns(
+                lambda: num, den, -len(roots), self._unpacked, 1 << len(roots),
                 self.rtable.max_digit,
             )
             self._gk_factor[roots] = val
@@ -374,80 +376,66 @@ class SigmaEngine:
             return col, l1
         return col, l1, point.q_value(terms, -length)
 
-    def _xi_row(self, u: int, w: int, point: _Point) -> _XiRow:
-        """The xi of every y for one (u, w), their values at point and the
-        mask of the y with xi != 0; a y whose reach mask has no x >= u is
-        skipped without asking ``_xi``, as its xi is an empty sum."""
+    def _xi_row(self, u: int, w: int, ys: int, point: _Point | None = None) -> _XiRow:
+        """The ``_XiRow`` of (u, w) over the y in the mask ys, at point when
+        given; a y whose reach mask has no x >= u is skipped without asking
+        ``_xi``, as its xi is an empty sum."""
         up, reach = self.group.up_masks[u], self.theta.reach
-        xis, values, mask = {}, {}, 0
-        for y in range(self.group.order):
+        xis, mask = {}, 0
+        for y in _bits(ys):
             if up & reach(y, w):
-                col, l1, value = self._xi(u, y, w, point)
-                if col:
-                    xis[y] = col, l1
-                    values[y] = value
+                xi = self._xi(u, y, w, point)
+                if xi[0]:
+                    xis[y] = xi
                     mask |= 1 << y
-        return _XiRow(point, xis, values, mask)
+        return _XiRow(point, xis, mask)
 
     def sigma_idx(self, u: int, v: int, w: int, row: _XiRow | None = None) -> RationalFn:
         """sigma(u, v, w) over den U, the union of the dens of the bar r(y, v)
-        whose xi(u, y, w) is nonzero. Each part q^-len(y) xi bar r(y, v) is
-        added into the sum of the parts with its den, one int product per
-        column of bar r(y, v) as the r table stores it (its dicts are read
-        only). Then, for each beta in U, each group whose den lacks beta is
+        whose xi(u, y, w) is nonzero, read from row, by default the
+        ``_xi_row`` of the y <= v with no point; classify passes the row of
+        every y at its point. Each part q^-len(y) xi bar r(y, v) is added
+        into the sum of the parts with its den, one int product per column
+        of bar r(y, v) as the r table stores it (its dicts are read only).
+        Then, for each beta in U, each group whose den lacks beta is
         multiplied by 1 - x^beta, and groups whose dens meet are added,
         until one group is left, over U: multiplying first costs one
         product per stored term, and a factor is applied once per group,
-        not once per part (``_accumulate``). A y with no x >= u in its
-        reach mask gets xi = 0 without asking ``_xi``, as its xi is an
-        empty sum. classify passes its ``_XiRow``, which holds the xi of
-        every y of one (u, w) and whose mask names the y with xi != 0.
+        not once per part (``_accumulate``).
 
-        The value is column-backed, its columns from q^(2 low), decoded
-        only when read. The L1 bound of the sum, over the parts, of L1(xi)
-        times the L1 bound of bar r(y, v) times 2^|U - den| (each factor
-        1 - x^beta at most doubles it) must stay below 2^(K - 1), or
-        ``RuntimeError`` is raised, with a row too; the value carries it.
-        This is, term for term, what the chain of ``RationalFn.__add__``
-        over y builds, as long as no partial sum of that chain is zero (the
-        chain would restart its den there): U is the same union, not a
-        fixed D_v, so at v_min nothing needs dividing out. Given a row, the
-        value is deferred: it carries sigma at the row's point, the sum of
-        xi(q0) bar r(y, v)(pt) over the parts, and ``_accumulate`` runs on
-        the first read of its columns."""
+        The value is deferred and column-backed, its columns from
+        q^(2 low), accumulated on their first read and decoded only when
+        read. The L1 bound of the sum, over the parts, of L1(xi) times the
+        L1 bound of bar r(y, v) times 2^|U - den| (each factor 1 - x^beta at
+        most doubles it) must stay below 2^(K - 1), or ``RuntimeError`` is
+        raised, also when the row has a point; the value carries it. This
+        is, term for term, what the chain of ``RationalFn.__add__`` over y
+        builds, as long as no partial sum of that chain is zero (the chain
+        would restart its den there): U is the same union, not a fixed
+        D_v, so at v_min nothing needs dividing out. When the row has a
+        point, the value carries sigma there, the sum of
+        xi(q0) bar r(y, v)(pt) over the parts."""
         g = self.group
+        if row is None:
+            row = self._xi_row(u, w, g.down_masks[v])
+        xis, point = row.xis, row.point
         bar_r = self.rtable.bar_r_packed_idx
-        if row is not None:
-            ys = list(_bits(g.down_masks[v] & row.mask))
-            xis = row.xis
-            parts = [(xis[y], bar_r(y, v)) for y in ys]
-        else:
-            up, reach = g.up_masks[u], self.theta.reach
-            parts = []
-            for y in _bits(g.down_masks[v]):
-                if up & reach(y, w):  # else no x >= u reaches [e, w]: an empty sum
-                    xi = self._xi(u, y, w)
-                    if xi[0]:
-                        parts.append((xi, bar_r(y, v)))
+        ys = list(_bits(g.down_masks[v] & row.mask))
+        parts = [(xis[y], bar_r(y, v)) for y in ys]
         union = frozenset().union(*(entry[0] for _, entry in parts))
-        l1 = sum(l1_xi * l1_bar << len(union) - len(den)
-                 for (_, l1_xi), (den, _, l1_bar) in parts)
+        l1 = sum(xi[1] * l1_bar << len(union) - len(den)
+                 for xi, (den, _, l1_bar) in parts)
         if l1 >= self.rtable._l1_limit:
             raise RuntimeError(
                 f"sigma(u={g.word_str(u)}, v={g.word_str(v)}, w={g.word_str(w)}) "
                 f"has L1 bound {l1}, past the q-column slots"
             )
-        low, span = 2 * self.rtable.low, self.rtable.max_digit
-        if row is None:
-            return _decode_columns(
-                _accumulate(parts, union), union, low, self._unpacked, l1, span
-            )
-        point, values = row.point, row.values
-        at = point.bar
-        value = sum(values[y] * at(y, v) for y in ys) % _P
+        if point is not None:
+            at = point.bar
+            point = (point, sum(xis[y][2] * at(y, v) for y in ys) % _P)
         return _deferred_columns(
-            lambda: _accumulate(parts, union), union, low, self._unpacked, l1, span,
-            (point, value),
+            lambda: _accumulate(parts, union), union, 2 * self.rtable.low, self._unpacked,
+            l1, self.rtable.max_digit, point,
         )
 
     def sigma(self, u: Element, v: Element, w: Element) -> RationalFn:
@@ -483,14 +471,7 @@ class SigmaEngine:
 
     # -- GK form -------------------------------------------------------------
 
-    def is_gk_idx(
-        self,
-        u: int,
-        v: int,
-        w: int,
-        sig: RationalFn | None = None,
-        sigma0: LaurentPoly | None = None,
-    ) -> bool:
+    def is_gk_idx(self, u: int, v: int, w: int) -> bool:
         g = self.group
         vm = v_min_idx(g, u, w)
         if not g.leq_idx(vm, v):
@@ -498,10 +479,8 @@ class SigmaEngine:
                 "GK type is undefined when sigma vanishes "
                 f"(v={g.word_str(v)} is not >= v_min={g.word_str(vm)})"
             )
-        if sig is None:
-            sig = self.sigma_idx(u, v, w)
-        if sigma0 is None:
-            sigma0 = self.sigma0_idx(u, w)
+        sig = self.sigma_idx(u, v, w)
+        sigma0 = self.sigma0_idx(u, w)
         return sig == self._gk_rhs(s_set_idx(g, vm, v), sigma0, _q_column(sigma0))
 
     def _gk_rhs(self, roots: frozenset, sigma0: LaurentPoly, column: tuple,
@@ -509,15 +488,17 @@ class SigmaEngine:
         """The GK right-hand side gk_factor(roots) times sigma0, deferred:
         each column of the factor times column, sigma0's (column, low, L1
         norm) from ``polyring._q_column``. With value, sigma0 at q0, it
-        carries value times the factor's value at the engine's point. Past
-        the L1 bound of the column path it is ``mul_poly``'s tuple
-        product."""
+        carries value times the factor's value at the engine's point. Where
+        the product of the L1 bounds reaches 2^(K - 1), it is the decoded
+        numerator of the factor times sigma0, with no point value."""
         gk = self.gk_factor(roots)
         point = None
         if value is not None:
             point = (self._point, self._point.gk(roots) * value % _P)
         out = gk._times_q_column(*column, point)
-        return gk.mul_poly(sigma0.embed(self.group.rank)) if out is None else out
+        if out is None:
+            return RationalFn(gk.num * sigma0.embed(self.group.rank), gk.den)
+        return out
 
     def is_gk(self, u: Element, v: Element, w: Element) -> bool:
         g = self.group
@@ -546,6 +527,7 @@ class SigmaEngine:
         if self._point is None:
             self._point = _Point(self)
         point = self._point
+        everything = (1 << g.order) - 1
         rows = []
         nonzero = 0
         gk = 0
@@ -553,7 +535,7 @@ class SigmaEngine:
         for u in range(g.order):
             vm = v_min_idx(g, u, w)
             u_word = g.word_str(u)
-            row = self._xi_row(u, w, point)
+            row = self._xi_row(u, w, everything, point)
             for v in _bits(g.up_masks[vm]):
                 sig = self.sigma_idx(u, v, w, row)
                 if sig.is_zero():

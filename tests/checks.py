@@ -5,10 +5,12 @@ root count under a trivial inverse KL polynomial, and the classical limit of
 r. Each returns how many cases it compared and raises AssertionError at the
 first failure. Beside them, the classical R by its own recursion (the
 oracle for R read off the bar r table), exact evaluation of a
-``RationalFn``, the adjoint-involution check of a classify report, S(u, v)
-by a scan of every positive root (the oracle for ``rpoly.s_set_idx``), and
-two predicates only tests ask: "exactly q^k" on a ``LaurentPoly`` and the
-image of a root under an element.
+``LaurentPoly`` and of a ``RationalFn``, products of ``RationalFn`` values
+on their decoded numerators (the oracles for the column products of
+``sigma``), the adjoint-involution and smoothness checks of a classify
+report, S(u, v) by a scan of every positive root (the oracle for
+``rpoly.s_set_idx``), and two predicates only tests ask: "exactly q^k" on
+a ``LaurentPoly`` and the image of a root under an element.
 
 Also the tuple-key division by 1 - x^beta, the reference that the packed
 kernel behind ``binomial_divide`` and ``RationalFn.reduced()`` is compared
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from bhl.coxeter import CoxeterGroup, Element, _bits
+from bhl.demazure import v_min_idx
 from bhl.kl import KLTable
 from bhl.polyring import LaurentPoly, RationalFn
 from bhl.rpoly import RPolyTable, s_set_idx
@@ -140,7 +143,7 @@ def check_r_numerical_limit(
     checked = 0
     for u, v in pairs:
         approx = evaluate(rtable.r_idx(u, v), q, xs)
-        exact = rtable.classical_idx(u, v).evaluate(q)
+        exact = evaluate_poly(rtable.classical_idx(u, v), q)
         if exact == 0:
             if approx != 0:
                 raise AssertionError(f"limit mismatch at {u},{v}")
@@ -178,18 +181,43 @@ def classical_r_by_recursion(g: CoxeterGroup) -> dict:
     return table
 
 
+def evaluate_poly(p: LaurentPoly, q, xs: tuple = ()) -> Fraction:
+    """p at q and the torus point xs, exactly; q and xs may be Fractions or
+    ints."""
+    if len(xs) != p.arity:
+        raise ValueError("wrong number of x-values")
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        v = Fraction(c) * Fraction(q) ** e[0]
+        for xi, d in zip(xs, e[1:]):
+            v *= Fraction(xi) ** d
+        total += v
+    return total
+
+
 def evaluate(f: RationalFn, q, xs: tuple = ()) -> Fraction:
     """f at q and the torus point xs, exactly; q and xs may be Fractions or
     ints. The reduced form is evaluated, so a den factor that cancels may
     vanish at xs."""
     r = f.reduced()
-    val = r.num.evaluate(q, xs)
+    val = evaluate_poly(r.num, q, xs)
     for b in r.den:
         d = Fraction(1)
         for xi, deg in zip(xs, b):
             d *= Fraction(xi) ** deg
         val /= 1 - d
     return val
+
+
+def rf_mul(a: RationalFn, b: RationalFn) -> RationalFn:
+    """a times b: the product of the decoded numerators over both dens."""
+    return RationalFn(a.num * b.num, a.den + b.den)
+
+
+def rf_mul_poly(f: RationalFn, p: LaurentPoly) -> RationalFn:
+    """f times the polynomial p, on the decoded numerator: the oracle for
+    the column product of ``SigmaEngine._gk_rhs``."""
+    return RationalFn(f.num * p, f.den)
 
 
 def s_set_by_scan(g: CoxeterGroup, u: int, v: int) -> frozenset:
@@ -239,6 +267,25 @@ def adjoint_mismatches(g: CoxeterGroup, rows) -> list:
         for (u, v, w), row in keyed
         if flags.get((g.mul_idx(w0, w), g.inv_table[v], g.mul_idx(w0, u))) != row[3]
     ]
+
+
+def smoothness_mismatches(g: CoxeterGroup, rows) -> list:
+    """The (u, v, w, is_gk) of the report rows flagged GK, words as
+    printed, with |S(v_min, v)| != len(v) - len(v_min), v_min = v_min(u, w).
+    |S(v_min, v)| is the degree of v in the Bruhat graph of [v_min, v], so
+    equality is the rational-smoothness condition of Carrell and Peterson
+    at v. Every GK row of every report checked meets it; it is only
+    necessary, so a wrong flag on a non-GK row that also meets it
+    passes."""
+    parse = g.parse_word_idx
+    out = []
+    for u, v, w, flag, *_ in rows:
+        if flag:
+            vi = parse(v)
+            vm = v_min_idx(g, parse(u), parse(w))
+            if len(s_set_idx(g, vm, vi)) != g.lengths[vi] - g.lengths[vm]:
+                out.append((u, v, w, flag))
+    return out
 
 
 def binomial_divide_tuples(p: LaurentPoly, beta: tuple) -> LaurentPoly | None:
@@ -292,8 +339,8 @@ def mu_idx(engine: SigmaEngine, v: int) -> dict:
     """y -> q^(-len(y)) * bar r(y, v) over y <= v."""
     g = engine.group
     return {
-        y: engine.rtable.bar_r_idx(y, v).mul_poly(
-            LaurentPoly.q_power(g.rank, -g.lengths[y])
+        y: rf_mul_poly(
+            engine.rtable.bar_r_idx(y, v), LaurentPoly.q_power(g.rank, -g.lengths[y])
         )
         for y in _bits(g.down_masks[v])
     }
@@ -320,15 +367,13 @@ def sigma_via_mu_idx(engine: SigmaEngine, u: int, v: int, w: int) -> RationalFn:
         cell: dict = {}
         for y, c in mu.items():
             for s, poly in engine.theta.product(x, y).items():
-                add = c.mul_poly(poly.embed(g.rank))
+                add = rf_mul_poly(c, poly.embed(g.rank))
                 prev = cell.get(s)
                 cell[s] = add if prev is None else prev + add
         val = RationalFn.zero(g.rank)
         for s, rf in cell.items():
             if g.leq_idx(s, w):
-                val = val + rf.mul_poly(
-                    LaurentPoly.q_power(g.rank, g.lengths[s])
-                )
+                val = val + rf_mul_poly(rf, LaurentPoly.q_power(g.rank, g.lengths[s]))
         total = total + val
     return total
 

@@ -20,7 +20,6 @@ from bhl.polyring import (
     LaurentPoly,
     RationalFn,
     _columns_equal,
-    _decode_columns,
     _decode_q,
     _deferred_columns,
     _divide_packed,
@@ -37,7 +36,16 @@ from bhl.polyring import (
     binomial_divide,
 )
 from bhl.rpoly import RPolyTable
-from checks import binomial_divide_tuples, evaluate, is_q_monomial, reduced_tuples
+from bhl.sigma import SigmaEngine
+from checks import (
+    binomial_divide_tuples,
+    evaluate,
+    evaluate_poly,
+    is_q_monomial,
+    reduced_tuples,
+    rf_mul,
+    rf_mul_poly,
+)
 
 
 def lp(arity, terms):
@@ -109,7 +117,7 @@ def test_rational_add_example():
 def test_rational_eq_and_zero():
     p = RationalFn(lp(1, {(0, 0): 1, (2, 1): 3}))
     assert p == p
-    z = RationalFn.zero(1) * RationalFn(lp(1, {(0, 1): 1}), ((1,),))
+    z = rf_mul(RationalFn.zero(1), RationalFn(lp(1, {(0, 1): 1}), ((1,),)))
     assert z.is_zero() and z.den == ()
 
 
@@ -143,7 +151,7 @@ def test_q_only_projection():
 
 def test_evaluate_exact():
     p = lp(1, {(1, 1): 1, (0, 0): -1})  # q*x1 - 1
-    assert p.evaluate(Fraction(1, 2), (Fraction(4),)) == Fraction(1)
+    assert evaluate_poly(p, Fraction(1, 2), (Fraction(4),)) == Fraction(1)
     f = RationalFn(lp(1, {(0, 1): 1}), ((1,),))  # x1/(1 - x1)
     assert evaluate(f, 1, (Fraction(1, 2),)) == Fraction(1)
 
@@ -334,7 +342,7 @@ def division_cases(
     return RationalFn(LaurentPoly(n, terms), betas)
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(division_cases())
 def test_packed_division_matches_oracle(f):
     assert_division_matches_oracle(f)
@@ -408,7 +416,7 @@ def _columns(p: LaurentPoly, low: int) -> dict:
     return {k: _encode_q(pairs, low) for k, pairs in by_x.items()}
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(division_cases())
 def test_column_division_matches_oracle(f):
     """_divide_packed on q-columns, decoded, is the tuple-key quotient:
@@ -469,7 +477,7 @@ def assert_division_matches_oracle_or_refuses(f: RationalFn) -> None:
         f.reduced()
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(division_cases(shifts=(BOUND - 6, -BOUND + 2, 0)))
 def test_packed_division_near_the_digit_bound(f):
     """Every term of a coordinate moved next to the bound."""
@@ -483,7 +491,7 @@ WIDE_DEGREES = st.one_of(
 )
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(division_cases(degrees=WIDE_DEGREES, coeffs=st.integers(1, 5)))
 def test_packed_division_across_the_digit_range(f):
     """Terms of one coordinate near both ends of the bound at once, where a
@@ -570,9 +578,9 @@ def test_columns_past_the_l1_limit_compare_on_the_eager_path(monkeypatch):
     x1, x2 = _pack((0, 1, 0)), _pack((0, 0, 1))
     big = 1 << 60
     cols = {0: big, x1: big << _Q_BITS}
-    a = _decode_columns(cols, {x1}, 0, memo, 2 * big, 2)
-    b = _decode_columns(_times_binomial(cols, x2), {x1, x2}, 0, memo, 4 * big, 2)
-    c = _decode_columns({0: big, x1: -big << _Q_BITS}, {x1}, 0, memo, 2 * big, 2)
+    a = _deferred_columns(lambda: cols, {x1}, 0, memo, 2 * big, 2)
+    b = _deferred_columns(lambda: _times_binomial(cols, x2), {x1, x2}, 0, memo, 4 * big, 2)
+    c = _deferred_columns(lambda: {0: big, x1: -big << _Q_BITS}, {x1}, 0, memo, 2 * big, 2)
     assert (2 * big << 1) + 4 * big >= _Q_BOUND
     assert _columns_equal(a._packed, b._packed) is None
     assert _columns_equal(b._packed, c._packed) is None
@@ -594,31 +602,50 @@ def test_columns_past_the_l1_limit_compare_on_the_eager_path(monkeypatch):
 
 def test_column_backed_form_refuses_an_l1_bound_past_the_slots():
     with pytest.raises(ValueError, match="q-slots"):
-        _decode_columns({0: 1}, (), 0, _UnpackMemo(1), _Q_BOUND, 0)
+        _deferred_columns(lambda: {0: 1}, (), 0, _UnpackMemo(1), _Q_BOUND, 0)
 
 
-def test_column_mul_poly_past_the_l1_limit_decodes(monkeypatch):
-    """mul_poly by a q-only polynomial stays on the columns while the
-    product of the L1 bounds fits, and otherwise multiplies the decoded
-    numerator; both give the eager product."""
+def test_times_q_column_at_and_past_the_l1_limit():
+    """_times_q_column multiplies each column by the column of a
+    q-polynomial into a deferred value that carries the point value it is
+    given, while the product of the L1 bounds is below 2^(K - 1), and
+    returns None once it reaches it; inside, the product is the oracle's."""
     memo = _UnpackMemo(2)
     x1 = _pack((0, 1))
-    val = _decode_columns({0: 3, x1: -(1 << _Q_BITS)}, {x1}, -1, memo, 4, 1)
-    for scale in (5, 1 << 62):
-        p = LaurentPoly(1, {(2, 0): scale, (4, 0): -1})
-        got = val.mul_poly(p)
-        want = RationalFn(val.num * p, val.den)
-        assert (got._packed is not None) == (scale == 5)
+    val = _deferred_columns(lambda: {0: 3, x1: -(1 << _Q_BITS)}, {x1}, -1, memo, 4, 1)
+    point = (object(), 7)
+    for l1, fits in ((_Q_BOUND // 4 - 1, True), (_Q_BOUND // 4, False)):
+        p = LaurentPoly(0, {(2,): l1 - 1, (4,): -1})  # L1 norm l1
+        got = val._times_q_column(*polyring._q_column(p), point)
+        if not fits:
+            assert got is None
+            continue
+        assert got._packed._cols is None and got._packed.point == point
+        want = rf_mul_poly(val, p.embed(1))
         assert (got.num, got.den) == (want.num, want.den)
-    with pytest.raises(ValueError, match="arity"):
-        val.mul_poly(LaurentPoly(2, {(0, 0, 0): 1}))
 
 
-def test_deferred_values_build_on_read_and_mul_poly_keeps_its_tuple_route():
+def test_gk_rhs_past_the_l1_limit_takes_the_tuple_product():
+    """The GK right-hand side stays on the columns while L1(sigma0) 2^|S|
+    is below 2^(K - 1), and from there on is the decoded GK factor times
+    sigma0; both equal the oracle product term for term."""
+    g = build_group("A2")
+    eng = SigmaEngine(g)
+    roots = frozenset(range(len(g.positive_roots)))  # L1 bound 2^3
+    gk = eng.gk_factor(roots)
+    for l1, fits in ((_Q_BOUND // 8 - 1, True), (_Q_BOUND // 8, False)):
+        sigma0 = LaurentPoly(0, {(0,): l1 - 1, (1,): 1})
+        got = eng._gk_rhs(roots, sigma0, polyring._q_column(sigma0))
+        want = rf_mul_poly(gk, sigma0.embed(g.rank))
+        assert (got._packed is not None) == fits
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_deferred_values_build_on_read():
     """A deferred value builds its columns on the first read that needs
     them, once: not for its arity, den, L1 bound or a point value that
-    settles is_zero or ==. mul_poly past the L1 limit still multiplies the
-    decoded numerator, and inside it stays deferred and drops the point."""
+    settles is_zero or ==, and not for a product made from it by
+    _times_q_column, which builds its own on its first read."""
     memo = _UnpackMemo(2)
     x1 = _pack((0, 1))
     builds = []
@@ -632,17 +659,13 @@ def test_deferred_values_build_on_read_and_mul_poly_keeps_its_tuple_route():
     other = _deferred_columns(build, {x1}, -1, memo, 4, 1, (point, 6))
     assert val.arity == 1 and not val.is_zero() and not val == other
     assert builds == []
+    p = LaurentPoly(0, {(2,): 5, (4,): -1})
+    got = val._times_q_column(*polyring._q_column(p))
+    assert builds == [] and got._packed.point is None
     twin = _deferred_columns(build, {x1}, -1, memo, 4, 1, (point, 5))
     assert val == twin and len(builds) == 2
-    assert val == _decode_columns(build(), {x1}, -1, memo, 4, 1)
+    assert val == _deferred_columns(build, {x1}, -1, memo, 4, 1)
     assert len(builds) == 3
-    for scale in (5, 1 << 62):
-        p = LaurentPoly(1, {(2, 0): scale, (4, 0): -1})
-        got = val.mul_poly(p)
-        want = RationalFn(val.num * p, val.den)
-        if scale == 5:
-            assert got._packed._cols is None and got._packed.point is None
-        else:
-            assert got._packed is None
-        assert (got.num, got.den) == (want.num, want.den)
+    want = rf_mul_poly(val, p.embed(1))
+    assert (got.num, got.den) == (want.num, want.den)
     assert len(builds) == 3

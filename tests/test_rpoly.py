@@ -22,6 +22,8 @@ from checks import (
     classical_r_by_recursion,
     evaluate,
     reduced_tuples,
+    rf_mul,
+    rf_mul_poly,
     root_action,
     s_set_by_scan,
 )
@@ -224,11 +226,11 @@ def _r_by_rational_recursion(g):
                 beta = tuple(-c for c in g.cols[g.inv_table[v]][i])
                 if g.lengths[su] < g.lengths[u]:
                     head = RationalFn(one_minus_q, (beta,))
-                    val = head * table[u, sv] + table[su, sv]
+                    val = rf_mul(head, table[u, sv]) + table[su, sv]
                 else:
                     x_beta = LaurentPoly.monomial(0, beta)
                     head = RationalFn(one_minus_q * x_beta, (beta,))
-                    val = head * table[u, sv] + table[su, sv].mul_poly(q)
+                    val = rf_mul(head, table[u, sv]) + rf_mul_poly(table[su, sv], q)
             table[u, v] = val
     return table
 

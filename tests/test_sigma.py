@@ -19,8 +19,8 @@ from bhl.polyring import (
     LaurentPoly,
     RationalFn,
     _columns_equal,
-    _decode_columns,
     _decode_q,
+    _deferred_columns,
     _times_binomial,
     _unpack,
     _UnpackMemo,
@@ -30,7 +30,7 @@ from bhl.rpoly import s_set, s_set_idx
 from bhl.sigma import SigmaEngine, classify, verify_main_theorem, verify_vanishing
 from bhl.verify import SUITE_NAMES, run_suite
 
-from checks import mu_element, sigma_via_mu_idx, theta_from_product
+from checks import mu_element, rf_mul_poly, sigma_via_mu_idx, theta_from_product
 
 # the twenty non-product-form triples in rank 2, canonical words,
 # sorted lexicographically
@@ -409,9 +409,9 @@ def test_single_shot_sigma_asks_xi_only_where_some_x_reaches(a3, monkeypatch):
     asked = []
     original = SigmaEngine._xi
 
-    def counting(self, u, y, w):
+    def counting(self, u, y, w, point=None):
         asked.append((u, y, w))
-        return original(self, u, y, w)
+        return original(self, u, y, w, point)
 
     monkeypatch.setattr(SigmaEngine, "_xi", counting)
     assert verify_main_theorem(a3, engine=eng)
@@ -433,7 +433,7 @@ def _sigma_by_rational_sum(eng, u, v, w):
     for y in _bits(g.down_masks[v]):
         xi = _xi_poly(eng, u, y, w)
         if not xi.is_zero():
-            acc = acc + eng.rtable.bar_r_idx(y, v).mul_poly(xi.embed(g.rank))
+            acc = acc + rf_mul_poly(eng.rtable.bar_r_idx(y, v), xi.embed(g.rank))
     return acc
 
 
@@ -458,12 +458,14 @@ def test_packed_sigma_matches_rational_sum_term_for_term(
 
 def _classify_path_mismatches(eng, pairs, vs):
     """The (u, v, w) whose sigma on the classify path differs from the
-    RationalFn chain term for term: one ``_XiRow`` per (u, w), as
-    classify_for_w builds it, and the deferred columns read."""
+    RationalFn chain term for term: one ``_XiRow`` of every y per (u, w),
+    at the point, as classify_for_w builds it, and the deferred columns
+    read."""
     point = sigma._Point(eng)
+    everything = (1 << eng.group.order) - 1
     wrong = []
     for u, w in pairs:
-        row = eng._xi_row(u, w, point)
+        row = eng._xi_row(u, w, everything, point)
         for v in vs:
             got = eng.sigma_idx(u, v, w, row)
             want = _sigma_by_rational_sum(eng, u, v, w)
@@ -503,7 +505,7 @@ def test_sigma_keys_stay_within_the_table_digit_bound(a3, b3):
         seen = 0
         for _ in range(n_pairs):
             u, w = rng.randrange(g.order), rng.randrange(g.order)
-            row = eng._xi_row(u, w, point)
+            row = eng._xi_row(u, w, (1 << g.order) - 1, point)
             for v in range(g.order):
                 sig = eng.sigma_idx(u, v, w, row)
                 for x in (*(e[1:] for e in sig.num.terms), *sig.den):
@@ -650,7 +652,7 @@ def test_group_mismatch_rejected(a2, b2, engine_a2, engine_b2):
 
 # sha256 prefixes over the decoded (sorted num.terms, den) of bar_r_idx at
 # every pair and of sigma_idx at 300 triples drawn with seed 21, recorded
-# when ``_decode_columns`` still decoded at once: reading a column-backed
+# when column-backed values still decoded at once: reading a column-backed
 # value must give the same terms
 DECODED_DIGESTS = {
     "B2": ("bc32b5abbc79a83b", "18c56245001f0138"),
@@ -688,11 +690,12 @@ def _gk_comparisons(eng, pairs) -> list:
     out = []
     for u, w in pairs:
         vm = v_min_idx(g, u, w)
-        sigma0 = eng.sigma0_idx(u, w).embed(g.rank)
-        row = eng._xi_row(u, w, point)
+        sigma0 = eng.sigma0_idx(u, w)
+        column = polyring._q_column(sigma0)
+        row = eng._xi_row(u, w, (1 << g.order) - 1, point)
         for v in _bits(g.up_masks[vm]):
             sig = eng.sigma_idx(u, v, w, row)
-            rhs = eng.gk_factor(s_set_idx(g, vm, v)).mul_poly(sigma0)
+            rhs = eng._gk_rhs(s_set_idx(g, vm, v), sigma0, column)
             assert _columns_equal(sig._packed, rhs._packed) is not None, (u, v, w)
             eager = RationalFn(sig.num, sig.den) == RationalFn(rhs.num, rhs.den)
             out.append((sig == rhs, eager))
@@ -730,10 +733,11 @@ def test_gk_cross_multiplied_keys_stay_within_the_table_digit_bound(a3, b3):
         for _ in range(n_pairs):
             u, w = rng.randrange(g.order), rng.randrange(g.order)
             vm = v_min_idx(g, u, w)
-            sigma0 = eng.sigma0_idx(u, w).embed(g.rank)
+            sigma0 = eng.sigma0_idx(u, w)
+            column = polyring._q_column(sigma0)
             for v in _bits(g.up_masks[vm]):
                 a = eng.sigma_idx(u, v, w)._packed
-                b = eng.gk_factor(s_set_idx(g, vm, v)).mul_poly(sigma0)._packed
+                b = eng._gk_rhs(s_set_idx(g, vm, v), sigma0, column)._packed
                 for side, lacks in ((a, b.den - a.den), (b, a.den - b.den)):
                     cols = side.cols
                     for beta in lacks:
@@ -763,8 +767,8 @@ def test_gk_factor_with_one_fault_changes_a_flag(a2, monkeypatch, fault):
         else:
             key = self._root_keys[min(roots)]
             cols, low = {**packed.cols, key: -packed.cols[key]}, packed.low
-        return _decode_columns(
-            cols, packed.den, low, packed.unpacked, packed.l1, packed.span
+        return _deferred_columns(
+            lambda: cols, packed.den, low, packed.unpacked, packed.l1, packed.span
         )
 
     monkeypatch.setattr(SigmaEngine, "gk_factor", faulty)
@@ -782,10 +786,11 @@ def test_mixed_eager_and_column_equality(a2, engine_a2):
     for u in range(g.order):
         for w in range(g.order):
             vm = v_min_idx(g, u, w)
-            sigma0 = engine_a2.sigma0_idx(u, w).embed(g.rank)
+            sigma0 = engine_a2.sigma0_idx(u, w)
+            column = polyring._q_column(sigma0)
             for v in _bits(g.up_masks[vm]):
                 sig = engine_a2.sigma_idx(u, v, w)
-                rhs = engine_a2.gk_factor(s_set_idx(g, vm, v)).mul_poly(sigma0)
+                rhs = engine_a2._gk_rhs(s_set_idx(g, vm, v), sigma0, column)
                 copy = RationalFn(sig.num, sig.den)
                 terms = dict(sig.num.terms)
                 first = min(terms)
@@ -835,7 +840,7 @@ def test_column_sigma_at_v_min_with_a_den_or_an_x_is_refused(a2, monkeypatch, ex
             cols, den = _times_binomial(p.cols, b), p.den | {b}
         else:
             cols, den = {key + b: col for key, col in p.cols.items()}, p.den
-        return _decode_columns(cols, den, p.low, p.unpacked, 2 * p.l1, p.span)
+        return _deferred_columns(lambda: cols, den, p.low, p.unpacked, 2 * p.l1, p.span)
 
     monkeypatch.setattr(eng, "sigma_idx", padded)
     with pytest.raises(RuntimeError, match="kept torus dependence"):
@@ -871,8 +876,9 @@ def test_import_leaves_multiprocessing_out_and_two_jobs_still_fork():
 
 
 def _exact_path_rows(eng, w) -> tuple:
-    """classify_for_w's (nonzero, gk, rows) by the eager exact path: sigma
-    with no row, built at once, and ``is_gk_idx``."""
+    """classify_for_w's (nonzero, gk, rows) by the exact path: sigma with
+    no row, so with no point value, compared with its GK right-hand side
+    built with no point value either."""
     g = eng.group
     rows = []
     w_word = g.word_str(w)
@@ -883,7 +889,10 @@ def _exact_path_rows(eng, w) -> tuple:
             assert sig._packed.point is None and not sig.is_zero()
             if v == vm:
                 sigma0 = eng._sigma0(u, w, sig)
-            flag = eng.is_gk_idx(u, v, w, sig, sigma0)
+                column = polyring._q_column(sigma0)
+            rhs = eng._gk_rhs(s_set_idx(g, vm, v), sigma0, column)
+            assert rhs._packed.point is None
+            flag = sig == rhs
             rows.append((g.word_str(u), g.word_str(v), w_word, flag, str(sigma0)))
     return len(rows), sum(row[3] for row in rows), rows
 
@@ -970,7 +979,7 @@ def test_sigma_past_the_l1_limit_raises_although_the_point_settles_it(a2, monkey
     u, v, w = (g.parse_word_idx(word) for word in A2_EXCEPTIONS[0])
     eng = SigmaEngine(g)
     eng.classify_for_w(w)
-    row = eng._xi_row(u, w, eng._point)
+    row = eng._xi_row(u, w, (1 << g.order) - 1, eng._point)
     sig = eng.sigma_idx(u, v, w, row)
     vm = v_min_idx(g, u, w)
     sigma0 = eng.sigma0_idx(u, w)
