@@ -274,23 +274,36 @@ class ThetaTable:
             col += totals[x] if part == supp else _sum_at(prods[x], part)
         return col
 
-    def thetas(self, x: int, y: int, ws: int) -> list:
-        """[(w, theta(x, y, w) as a q-column from q^0) for each w in the bit
-        mask ws, lowest w first]. theta reads w only through the part of the
-        support of T_x T_{y^{-1}} below it, so the w of one call that cover
-        the same part share one sum; nothing is kept after the call."""
+    def theta_groups(self, x: int, y: int, ws: int) -> list:
+        """[(a bit mask of w, theta(x, y, w) as a q-column from q^0 for
+        every w of the mask)], the masks splitting ws. theta reads w only
+        through the part of the support of T_x T_{y^{-1}} below it: the w
+        above the whole support (ws AND the up masks over it) share the
+        stored total, and the others share one sum per part. Nothing is
+        kept after the call."""
         supports, prods, totals = self._columns.get(y) or self._column(y)
         supp, prod = supports[x], prods[x]
-        down_masks = self.group.down_masks
-        sums = {supp: totals[x]}
+        up = self.group.up_masks
+        above = ws
+        for t in prod:
+            above &= up[t]
         out = []
-        for w in _bits(ws):
+        if above:
+            out.append((above, totals[x]))
+        parts: dict = {}  # part of the support -> mask of its w
+        down_masks = self.group.down_masks
+        for w in _bits(ws & ~above):
             part = supp & down_masks[w]
-            col = sums.get(part)
-            if col is None:
-                col = sums[part] = _sum_at(prod, part)
-            out.append((w, col))
+            parts[part] = parts.get(part, 0) | 1 << w
+        out.extend((mask, _sum_at(prod, part)) for part, mask in parts.items())
         return out
+
+    def thetas(self, x: int, y: int, ws: int) -> list:
+        """[(w, theta(x, y, w) as a q-column from q^0) for each w in the bit
+        mask ws, lowest w first]: ``theta_groups``, one entry per w."""
+        return sorted(
+            (w, col) for mask, col in self.theta_groups(x, y, ws) for w in _bits(mask)
+        )
 
     def theta_idx(self, x: int, y: int, w: int) -> LaurentPoly:
         """theta(x, y, w), decoded from ``thetas`` at the one w."""

@@ -54,8 +54,9 @@ Representation conventions:
   there at once. Reads that build the columns: ``num`` and ``den``,
   ``is_zero`` unless the value is nonzero at its point, ``==`` unless both
   sides carry different values at one point, the build of a product made
-  from it by ``_times_q_column``, and sigma's ``_q_polynomial``. ``arity``
-  and a settled ``==`` or ``is_zero`` build nothing. ``_times_q_column``
+  from it by ``_times_q_column``, sigma's ``_torus_free_column`` and the
+  divisibility test of the ``poles`` suite. ``arity`` and a settled ``==``
+  or ``is_zero`` build nothing. ``_times_q_column``
   multiplies a column-backed value by a q-polynomial given as its column:
   each column times that one, into a deferred value that carries the
   point value it is given, while the product of the L1 bounds stays below
@@ -84,8 +85,11 @@ Representation conventions:
   one copy of the terms and one shifted subtraction, not a general product.
 - Exact division by 1 - x^beta runs on packed keys, in
   ``_divide_packed``, and has one route: ``reduced()`` and
-  ``binomial_divide`` (one factor) both go through ``_reduce``, and the
-  r table's ``reduced_den_idx`` through ``_reduce_packed`` on its columns.
+  ``binomial_divide`` (one factor) both go through ``_reduce``. Its first
+  phase, the coset sums of ``_cosets``, is also the divisibility test
+  ``_divides_packed`` that the ``poles`` suite of ``verify`` runs on stored
+  columns (``_packed_of`` packs a value that has none), building no
+  quotient.
   A term's coset of Z*beta is pinned by one digit, the top nonzero digit
   of beta, read with a shift and a mask. Division therefore needs every
   degree of the numerator and of beta inside (-2^19, 2^19); one outside
@@ -427,19 +431,11 @@ def _packed_factor(beta: tuple, arity: int, spans: tuple) -> int:
     return b
 
 
-def _divide_packed(num: dict, b: int) -> Optional[dict]:
+def _cosets(num: dict, b: int) -> dict:
     """
-    Exact quotient num / (1 - X^b) on packed keys, or None when the division
-    leaves a remainder; b packs a nonzero nonnegative x-degree vector beta.
-
-    Group the terms into cosets of the shift lattice Z*b: divisibility by
-    1 - X^b means exactly that every coset sums to zero (set X^b = 1), and
-    on a coset with coefficients c_t at X^(rep + t*b) the quotient has the
-    running prefix sums as coefficients, because multiplying
-    sum_t g_t X^(rep + t*b) by 1 - X^b yields first differences. Every
-    coset sum is tested before any quotient term is made, and a prefix sum
-    is written only where it is nonzero, so the work is linear in the terms
-    of num and of the quotient however far apart those terms lie.
+    The terms of num grouped into cosets of the shift lattice Z*b, b the
+    packed key of a nonzero nonnegative x-degree vector beta: rep -> the
+    (t, c) of each term c X^(rep + t*b).
 
     One digit pins the coset: with j the top nonzero digit of b (found from
     b's bit length, as no digit of b is negative), a key with digit d
@@ -448,9 +444,7 @@ def _divide_packed(num: dict, b: int) -> Optional[dict]:
     adding 2^19 to every digit up to j, which makes them all nonnegative.
     Every representative must keep its digits inside the bound, or it
     would carry into the next digit and two cosets could share a key;
-    ``_packed_factor`` checks that for num. Keys of the quotient then lie
-    between terms of their coset, digit by digit, so their digits stay
-    inside the bound as well.
+    ``_packed_factor`` checks that for num.
     """
     j = (b.bit_length() - 1) // _DIGIT_BITS
     shift = _DIGIT_BITS * j
@@ -465,12 +459,46 @@ def _divide_packed(num: dict, b: int) -> Optional[dict]:
             classes[rep] = [(t, c)]
         else:
             items.append((t, c))
+    return classes
+
+
+def _sums_vanish(classes: dict) -> bool:
+    """Whether every coset of ``_cosets`` sums to zero: on q-columns, exact
+    while the L1 norm of the numerator is below 2^(K - 1)."""
     for items in classes.values():
         total = 0
         for _, c in items:
             total += c
         if total:
-            return None
+            return False
+    return True
+
+
+def _divides_packed(num: dict, b: int) -> bool:
+    """Whether 1 - X^b divides num exactly, b as for ``_divide_packed``:
+    its first phase, which builds no quotient."""
+    return _sums_vanish(_cosets(num, b))
+
+
+def _divide_packed(num: dict, b: int) -> Optional[dict]:
+    """
+    Exact quotient num / (1 - X^b) on packed keys, or None when the division
+    leaves a remainder; b packs a nonzero nonnegative x-degree vector beta.
+
+    Group the terms into cosets of the shift lattice Z*b (``_cosets``):
+    divisibility by 1 - X^b means exactly that every coset sums to zero
+    (set X^b = 1), and on a coset with coefficients c_t at X^(rep + t*b)
+    the quotient has the running prefix sums as coefficients, because
+    multiplying sum_t g_t X^(rep + t*b) by 1 - X^b yields first differences.
+    Every coset sum is tested before any quotient term is made, and a prefix
+    sum is written only where it is nonzero, so the work is linear in the
+    terms of num and of the quotient however far apart those terms lie.
+    Keys of the quotient lie between terms of their coset, digit by digit,
+    so their digits stay inside the bound as well.
+    """
+    classes = _cosets(num, b)
+    if not _sums_vanish(classes):
+        return None
     quot: dict = {}
     for rep, items in classes.items():
         items.sort()
@@ -759,6 +787,32 @@ def _deferred_columns(
     out._num = out._den = None
     out._packed = _Packed(build, frozenset(den), low, unpacked, l1, span, point)
     return out
+
+
+def _packed_of(val: RationalFn) -> _Packed:
+    """The packed form of val: its own when val is column-backed, else its
+    numerator packed once into x-keys -> q-columns from its lowest q-degree,
+    over the packed keys of its den, with its L1 norm and its largest
+    |x-degree| as span. A den that repeats a factor raises ``ValueError``,
+    since a packed den is a set; so does an L1 norm of 2^(K - 1) or more."""
+    packed = val._packed
+    if packed is not None:
+        return packed
+    num, den = val.num, val.den
+    if len(set(den)) < len(den):
+        raise ValueError(f"den {den} repeats a factor; a packed den holds distinct ones")
+    low = min((e[0] for e in num.terms), default=0)
+    cols: dict = {}
+    for e, c in num.terms.items():
+        key = _pack((0,) + e[1:])
+        cols[key] = cols.get(key, 0) + (c << _Q_BITS * (e[0] - low))
+    degrees = [abs(d) for e in num.terms for d in e[1:]] + [d for b in den for d in b]
+    span = max(degrees, default=0)
+    l1 = sum(abs(c) for c in num.terms.values())
+    keys = [_pack((0,) + b) for b in den]
+    return _deferred_columns(
+        lambda: cols, keys, low, _UnpackMemo(num.arity + 1), l1, span
+    )._packed
 
 
 def _nonzero_shifted(cols: dict, shift: int) -> dict:

@@ -36,8 +36,9 @@ Each read returns a column-backed value (``polyring._deferred_columns``)
 over the stored dicts, with the entry's L1 bound and ``max_digit`` as its
 span; it decodes, when read, through an unpack memo of that value alone:
 the table keeps no unpacked key, as most of its reads decode an entry
-once. ``reduced_den_idx`` divides the columns as they are stored,
-unpacking only its den.
+once. The ``poles`` suite of ``verify`` reads the stored entries as they
+are: it tests each den factor outside S(u, v) for exact division of the
+columns (``polyring._divides_packed``), with no quotient and no decode.
 
 Adding keys multiplies monomials only while every digit stays inside the
 packed bound, so a table refuses (``ValueError``) a group whose fill could
@@ -65,8 +66,8 @@ lacks and the tail by the b factors it lacks,
 
 since 1 - q^-1 and each 1 - x^beta at most double the L1 norm and a shift
 keeps it. The step raises ``ValueError`` when B reaches 2^(K - 1), before
-any column is tested for zero. The reduction of ``reduced_den_idx`` and the
-sum of ``sigma`` carry the bound on (see there).
+any column is tested for zero, so every coset sum of the ``poles`` test
+is exact; the sum of ``sigma`` carries the bound on (see there).
 
 The recursion always pivots on the smallest-index left descent of v;
 independence of the pivot is a tested property, not an assumption.
@@ -104,9 +105,7 @@ from .polyring import (
     _deferred_columns,
     _new,
     _pack,
-    _reduce_packed,
     _times_binomial,
-    _unpack,
     _UnpackMemo,
 )
 
@@ -248,33 +247,6 @@ class RPolyTable:
 
     def bar_r_idx(self, u: int, v: int) -> RationalFn:
         return self._rational(self.bar_r_packed_idx(u, v))
-
-    def reduced_den_idx(self, u: int, v: int) -> tuple:
-        """The den of ``bar_r_idx(u, v).reduced()``, reduced on the stored
-        columns by ``polyring._reduce_packed`` with no decode of the
-        numerator. ``max_digit`` bounds every degree of the entry, so it
-        stands in for the entry's spans in the carry check.
-
-        Each division tests coset sums and prefix sums for zero, which is
-        exact while the L1 norm of the numerator it divides is below
-        2^(K - 1). The entry's own is at most its bound B, and an exact
-        quotient has at most M = ``max_digit`` terms per coset, each a
-        prefix sum of the coset it came from, so each one multiplies the L1
-        norm by at most M. After s exact divisions every numerator divided
-        had L1 norm at most B * M^s; if that is not below 2^(K - 1), a zero
-        test may have misread and ``ValueError`` is raised."""
-        den, cols, l1 = self.bar_r_packed_idx(u, v)
-        n = self.group.rank
-        den = tuple(sorted(_unpack(b, n + 1)[1:] for b in den))
-        kept = _reduce_packed(cols, den, n, (self.max_digit,) * (n + 1))[1]
-        if l1 * self.max_digit ** (len(den) - len(kept)) >= self._l1_limit:
-            g = self.group
-            raise ValueError(
-                f"cannot reduce bar r(u={g.word_str(u)}, v={g.word_str(v)}) "
-                f"of {g.cartan_type} on {self._q_bits}-bit q-slots: its "
-                "quotients may pass them"
-            )
-        return kept
 
     def r_idx(self, u: int, v: int) -> RationalFn:
         return self.bar_r_idx(u, v).bar_q()

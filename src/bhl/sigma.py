@@ -53,9 +53,16 @@ sigma0(u, w) is sigma at v = v_min read as it is built, with no
 cancelling: only y = v_min contributes there and bar r(v_min, v_min) = 1,
 so U is empty and the numerator has no x. That is asserted, not assumed:
 a sigma at v_min with a den factor or an x raises in ``classify`` and
-fails the main-theorem check. It is read off the columns: the value is
-torus-free when no column but that of the x-key 0 is nonzero and, if that
-one is, the den is empty; sigma0 is that one column, decoded.
+fails the main-theorem check. It is read off the columns
+(``_torus_free_column``; a value that has none is packed once by
+``polyring._packed_of``): the value is torus-free when no column but that
+of the x-key 0 is nonzero and, if that one is, the den is empty; sigma0 is
+that one column, decoded. The main-theorem check decodes nothing: it
+folds v_min once per (u, w) and compares that column, as one int, with the
+column of q^-len(v_min) times the length series of [u, w v_min], built by
+one shift-add per element of the interval. Both are taken from the lower
+of their lows, and every coefficient of either is below 2^(K - 1), so the
+ints are equal exactly when the polynomials are.
 
 A triple with v >= v_min(u, w) is "of GK type" when
 
@@ -63,7 +70,10 @@ A triple with v >= v_min(u, w) is "of GK type" when
                      (1 - q^-1 x^alpha) / (1 - x^alpha),
 
 where S(u, v, w) = S(v_min(u, w), v); the test is exact cross-multiplied
-equality, ``sig == rhs`` in ``is_gk_idx``, and it runs on q-columns.
+equality, ``sig == rhs`` in ``_is_gk``, and it runs on q-columns.
+``_is_gk`` takes v_min and sigma0's column from its caller, so the
+``gk-base`` suite builds them once per (u, w); ``is_gk_idx(u, v, w)``
+builds them for its one triple.
 ``gk_factor`` builds prod over S of (1 - q^-1 x^alpha) on columns from
 q^-|S|, each factor one copy with keys moved by alpha and columns shifted
 down one slot, over the den keys of S, with L1 bound 2^|S|; ``_gk_rhs``
@@ -154,6 +164,7 @@ from .polyring import (
     _deferred_columns,
     _new,
     _pack,
+    _packed_of,
     _q_column,
     _times_binomial,
     _unpack,
@@ -288,22 +299,19 @@ def _accumulate(parts: list, union: frozenset) -> dict:
     return groups.get(union, {})  # {} when sigma has no part
 
 
-def _q_polynomial(val: RationalFn) -> LaurentPoly | None:
-    """The numerator of val as a q-polynomial, or None when val has a den
-    factor or an x. Nothing is cancelled: sigma at v_min has an empty den,
-    since only y = v_min contributes there (module docstring). A
-    column-backed val is read off its columns: it is torus-free when no
-    column but that of the x-key 0 is nonzero, and that column is nonzero
-    only over an empty den; only that column is decoded."""
-    packed = val._packed
-    if packed is None:
-        if val.den or not val.num.is_q_only():
-            return None
-        return val.num.q_only()
+def _torus_free_column(val: RationalFn) -> tuple | None:
+    """(column, low) of the numerator of val as a q-polynomial, its column
+    from q^low, or None when val has a den factor or an x. Nothing is
+    cancelled: sigma at v_min has an empty den, since only y = v_min
+    contributes there (module docstring). It is read off the packed form
+    (``polyring._packed_of``, which packs a value that has none once): val
+    is torus-free when no column but that of the x-key 0 is nonzero, and
+    that column is nonzero only over an empty den."""
+    packed = _packed_of(val)
     col = packed.cols.get(0, 0)
     if (col and packed.den) or any(c for key, c in packed.cols.items() if key):
         return None
-    return _new(0, {(d,): c for d, c in _decode_q(col, packed.low)})
+    return col, packed.low
 
 
 class SigmaEngine:
@@ -448,14 +456,16 @@ class SigmaEngine:
         return self._sigma0(u, w, self.sigma_idx(u, v_min_idx(self.group, u, w), w))
 
     def _sigma0(self, u: int, w: int, sig_at_vmin: RationalFn) -> LaurentPoly:
-        val = _q_polynomial(sig_at_vmin)
-        if val is None:
+        """sigma at v_min as a q-polynomial: its ``_torus_free_column``,
+        decoded."""
+        found = _torus_free_column(sig_at_vmin)
+        if found is None:
             raise RuntimeError(
                 "sigma at v_min kept torus dependence; this is a bug, "
                 f"not bad input (u={self.group.word_str(u)}, "
                 f"w={self.group.word_str(w)}, value={sig_at_vmin})"
             )
-        return val
+        return _new(0, {(d,): c for d, c in _decode_q(*found)})
 
     def sigma0(self, u: Element, w: Element) -> LaurentPoly:
         g = self.group
@@ -463,25 +473,30 @@ class SigmaEngine:
         g.check_same(w.group)
         return self.sigma0_idx(u.index, w.index)
 
-    def main_theorem_rhs_idx(self, u: int, w: int) -> LaurentPoly:
-        """q^(-len(v_min)) times the length generating series of [u, w*v_min]."""
-        g = self.group
-        vm = v_min_idx(g, u, w)
-        return g.poincare_idx(u, g.mul_idx(w, vm)).shift_q(-g.lengths[vm])
-
     # -- GK form -------------------------------------------------------------
 
     def is_gk_idx(self, u: int, v: int, w: int) -> bool:
+        vm = v_min_idx(self.group, u, w)
+        return self._is_gk(u, v, w, vm, self._sigma0_column(u, w, vm))
+
+    def _sigma0_column(self, u: int, w: int, vm: int) -> tuple:
+        """(sigma0(u, w), its (column, low, L1 norm) from
+        ``polyring._q_column``), vm = v_min(u, w): what ``_is_gk`` reads,
+        built once per (u, w)."""
+        sigma0 = self._sigma0(u, w, self.sigma_idx(u, vm, w))
+        return sigma0, _q_column(sigma0)
+
+    def _is_gk(self, u: int, v: int, w: int, vm: int, sigma0: tuple) -> bool:
+        """``is_gk_idx`` with vm = v_min(u, w) and ``_sigma0_column`` of
+        (u, w) given, so that a caller asking many v of one (u, w) builds
+        sigma0 once."""
         g = self.group
-        vm = v_min_idx(g, u, w)
         if not g.leq_idx(vm, v):
             raise ValueError(
                 "GK type is undefined when sigma vanishes "
                 f"(v={g.word_str(v)} is not >= v_min={g.word_str(vm)})"
             )
-        sig = self.sigma_idx(u, v, w)
-        sigma0 = self.sigma0_idx(u, w)
-        return sig == self._gk_rhs(s_set_idx(g, vm, v), sigma0, _q_column(sigma0))
+        return self.sigma_idx(u, v, w) == self._gk_rhs(s_set_idx(g, vm, v), *sigma0)
 
     def _gk_rhs(self, roots: frozenset, sigma0: LaurentPoly, column: tuple,
                 value: int | None = None) -> RationalFn:
@@ -670,11 +685,24 @@ def classify(
 
 
 def _main_theorem_for_w(engine: SigmaEngine, w: int) -> bool:
+    """For every u: sigma(u, v_min, w) is torus-free and its column equals
+    that of q^-len(v_min) times the length series of [u, w v_min], one
+    shift-add per element of the interval; both columns are taken from
+    the lower of their lows, so they are equal as ints exactly when the
+    polynomials are (every coefficient is below 2^(K - 1))."""
     g = engine.group
+    lengths = g.lengths
     for u in range(g.order):
         vm = v_min_idx(g, u, w)
-        val = _q_polynomial(engine.sigma_idx(u, vm, w))
-        if val is None or val != engine.main_theorem_rhs_idx(u, w):
+        found = _torus_free_column(engine.sigma_idx(u, vm, w))
+        if found is None:
+            return False
+        col, low = found
+        base = min(low, lengths[u] - lengths[vm])
+        rhs = 0
+        for z in _bits(g.interval_mask(u, g.mul_idx(w, vm))):
+            rhs += 1 << _Q_BITS * (lengths[z] - lengths[vm] - base)
+        if col << _Q_BITS * (low - base) != rhs:
             return False
     return True
 

@@ -11,7 +11,6 @@ The suites exposed through the command line are the eight names in
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -27,7 +26,13 @@ from .demazure import (
     v_min_idx,
 )
 from .kl import KLTable, check_theta_power_conjecture
-from .polyring import LaurentPoly
+from .polyring import (
+    _Q_BOUND,
+    LaurentPoly,
+    _divides_packed,
+    _packed_factor,
+    _packed_of,
+)
 from .rpoly import s_set_idx
 from .sigma import (
     _VANISHING_EXHAUSTIVE_ORDER,
@@ -86,6 +91,12 @@ def _suite_theta(
     g: CoxeterGroup, samples, seed, engine: SigmaEngine
 ) -> SuiteResult:
     theta = engine.theta
+    word = g.word_str
+
+    def fail(what: str, **at) -> SuiteResult:
+        where = ", ".join(f"{k}={word(el)}" for k, el in at.items())
+        return SuiteResult("theta", False, f"{what} at {where}")
+
     checked = 0
     # support extrema of T_u T_v: min u*v, max Demazure product
     for u, v in _tuples(g, 2, samples, seed):
@@ -94,25 +105,25 @@ def _suite_theta(
         uv = g.mul_idx(u, v)
         mx = circ_idx(g, u, v)
         if uv not in supp or mx not in supp:
-            return SuiteResult("theta", False, f"support extrema missing at {u},{v}")
+            return fail("support extrema missing", u=u, v=v)
         if not all(g.leq_idx(uv, s) and g.leq_idx(s, mx) for s in supp):
-            return SuiteResult("theta", False, f"support extrema wrong at {u},{v}")
+            return fail("support extrema wrong", u=u, v=v)
         checked += 1
     for x, y, w in _tuples(g, 3, samples, seed + 1):
         xyi = g.mul_idx(x, g.inv_table[y])
         val = theta.theta_idx(x, y, w)
         if not g.leq_idx(xyi, w):
             if not val.is_zero():
-                return SuiteResult("theta", False, f"nonzero theta at {x},{y},{w}")
+                return fail("nonzero theta", x=x, y=y, w=w)
             continue
         if sum(val.coefficients()) != 1:  # theta at q = 1
-            return SuiteResult("theta", False, f"q=1 value wrong at {x},{y},{w}")
+            return fail("q=1 value wrong", x=x, y=y, w=w)
         low = (g.lengths[x] + g.lengths[y] + g.lengths[xyi]) // 2
         if val.q_min_degree() < low or val.q_max_degree() > g.lengths[x] + g.lengths[y]:
-            return SuiteResult("theta", False, f"degree window wrong at {x},{y},{w}")
+            return fail("degree window wrong", x=x, y=y, w=w)
         if g.leq_idx(circ_idx(g, x, g.inv_table[y]), w):
             if val != LaurentPoly.q_power(0, g.lengths[x] + g.lengths[y]):
-                return SuiteResult("theta", False, f"full power case wrong at {x},{y},{w}")
+                return fail("full power case wrong", x=x, y=y, w=w)
         checked += 1
     # theta(z, v_min, w) = q^len(z) along the ladder interval
     for u, w in _tuples(g, 2, samples, seed + 2):
@@ -120,7 +131,7 @@ def _suite_theta(
         wv = g.mul_idx(w, vm)
         for z in _bits(g.interval_mask(u, wv)):
             if theta.theta_idx(z, vm, w) != LaurentPoly.q_power(0, g.lengths[z]):
-                return SuiteResult("theta", False, f"ladder value wrong at {u},{w},{z}")
+                return fail("ladder value wrong", u=u, w=w, z=z)
             checked += 1
     return SuiteResult("theta", True, f"{checked} checks")
 
@@ -129,6 +140,7 @@ def _suite_theta(
 
 
 def _suite_mixed_meet(g: CoxeterGroup, samples, seed, engine) -> SuiteResult:
+    word = g.word_str
     checked = 0
     for u, w in _tuples(g, 2, samples, seed):
         cands = [
@@ -139,11 +151,13 @@ def _suite_mixed_meet(g: CoxeterGroup, samples, seed, engine) -> SuiteResult:
         m = mixed_meet_idx(g, u, w)
         if m not in cands or not all(g.leq_idx(x, m) for x in cands):
             return SuiteResult(
-                "mixed-meet", False, f"not the unique max at u={u}, w={w}"
+                "mixed-meet", False, f"not the unique max at u={word(u)}, w={word(w)}"
             )
         vm = v_min_idx(g, u, w)
         if g.mul_idx(g.inv_table[m], u) != vm:
-            return SuiteResult("mixed-meet", False, f"v_min mismatch at u={u}, w={w}")
+            return SuiteResult(
+                "mixed-meet", False, f"v_min mismatch at u={word(u)}, w={word(w)}"
+            )
         checked += 1
     return SuiteResult("mixed-meet", True, f"{checked} pairs")
 
@@ -347,31 +361,73 @@ def _suite_demazure(g: CoxeterGroup, samples, seed, engine) -> SuiteResult:
 # -- poles -------------------------------------------------------------------
 
 
+def _pole_test(g: CoxeterGroup, root_keys: list):
+    """escapes(den, cols, l1, span, allowed): whether the value with packed
+    den keys den and x-keys -> q-columns cols (L1 norm at most l1, every
+    |x-digit| at most span) keeps, after a full reduction, a den factor
+    that is not the factor of a positive root in the index set allowed.
+
+    A factor of a root in allowed needs no test; every other factor of a
+    root must divide the numerator N exactly, which one coset-sum pass over
+    the columns decides (``polyring._divides_packed``), exact while
+    l1 < 2^(K - 1) and once ``_packed_factor`` has checked that no coset
+    representative carries. No quotient is built. This is what a full
+    reduction decides: the den has distinct factors (the r fill and the
+    union of sigma raise on a repeated one), and the 1 - x^beta of distinct
+    positive roots beta are pairwise coprime irreducibles of the UFD
+    Z[q^+-1, x^+-1], since a root is a primitive vector. So a reduction
+    cancels a factor f exactly when f divides N, whatever it cancelled
+    before. A factor that is not a positive root (root_keys gives each
+    root's packed key) is an escape."""
+    n = g.rank
+    root_of = {key: a for a, key in enumerate(root_keys)}
+
+    def escapes(den, cols: dict, l1: int, span: int, allowed: frozenset) -> bool:
+        if l1 >= _Q_BOUND:
+            raise ValueError(f"L1 bound {l1} is past the q-column slots")
+        spans = (span,) * (n + 1)
+        for b in den:
+            a = root_of.get(b)
+            if a is None:
+                return True
+            if a not in allowed and not _divides_packed(
+                cols, _packed_factor(g.positive_roots[a], n, spans)
+            ):
+                return True
+        return False
+
+    return escapes
+
+
 def _suite_poles(g: CoxeterGroup, samples, seed, engine: SigmaEngine) -> SuiteResult:
+    """The reduced den of every bar r(u, v) lies in S(u, v), and that of
+    every sampled nonzero sigma(u, v, w) in S(v_min(u, w), v), each factor
+    once, decided on the stored columns by ``_pole_test``. bar touches
+    only q, so the den of bar r(u, v) is that of r(u, v). A sigma that is
+    not column-backed is packed once (``polyring._packed_of``)."""
     rtable = engine.rtable
-    # a factor that is not a positive root maps to None, which no root set
-    # holds, so it is reported as an escape
-    root_coords = {tuple(b): a for a, b in enumerate(g.positive_roots)}
+    escapes = _pole_test(g, engine._root_keys)
+    word = g.word_str
     checked = 0
     for v in range(g.order):
         for u in _bits(g.down_masks[v]):
-            # bar touches only q, so this is the reduced den of r(u, v)
-            den = Counter(rtable.reduced_den_idx(u, v))
-            allowed = s_set_idx(g, u, v)
-            for b, mult in den.items():
-                if mult > 1 or root_coords.get(b) not in allowed:
-                    return SuiteResult("poles", False, f"r denominator escapes at {u},{v}")
+            den, cols, l1 = rtable.bar_r_packed_idx(u, v)
+            if escapes(den, cols, l1, rtable.max_digit, s_set_idx(g, u, v)):
+                return SuiteResult(
+                    "poles", False, f"r denominator escapes at u={word(u)}, v={word(v)}"
+                )
             checked += 1
     for u, v, w in _tuples(g, 3, samples, seed):
         vm = v_min_idx(g, u, w)
         if not g.leq_idx(vm, v):
             continue
-        sig = engine.sigma_idx(u, v, w)
-        den = Counter(sig.reduced().den)
-        allowed = s_set_idx(g, vm, v)
-        for b, mult in den.items():
-            if mult > 1 or root_coords.get(b) not in allowed:
-                return SuiteResult("poles", False, f"sigma denominator escapes at {u},{v},{w}")
+        sig = _packed_of(engine.sigma_idx(u, v, w))
+        if escapes(sig.den, sig.cols, sig.l1, sig.span, s_set_idx(g, vm, v)):
+            return SuiteResult(
+                "poles",
+                False,
+                f"sigma denominator escapes at u={word(u)}, v={word(v)}, w={word(w)}",
+            )
         checked += 1
     return SuiteResult("poles", True, f"{checked} checks")
 
@@ -381,20 +437,26 @@ def _suite_poles(g: CoxeterGroup, samples, seed, engine: SigmaEngine) -> SuiteRe
 
 def _suite_gk_base(g: CoxeterGroup, samples, seed, engine: SigmaEngine) -> SuiteResult:
     # at w = e, v_min(u, e) = u: sigma0 is 1 and S(u, v, e) = S(u, v), so
-    # the GK test is the product formula itself
+    # the GK test is the product formula itself; sigma0 is built once per u
     checked = 0
+    e = g.identity_idx
+    vm = v_min_idx(g, e, e)
+    sigma0 = engine._sigma0_column(e, e, vm)
     for v in range(g.order):
-        if not engine.is_gk_idx(0, v, 0):
+        if not engine._is_gk(e, v, e, vm, sigma0):
             return SuiteResult("gk-base", False, f"base case fails at v={g.word_str(v)}")
         checked += 1
     if g.cartan_type.family in ("A", "D"):
         kl = KLTable(g, rtable=engine.rtable)
-        one = LaurentPoly.one(0)
+        per_u = {}  # u -> (v_min(u, e), sigma0 column)
         for v in range(g.order):
             for u in _bits(g.down_masks[v]):
-                if kl.q_idx(u, v) != one:
+                if not kl._q_is_one(u, v):
                     continue
-                if not engine.is_gk_idx(u, v, 0):
+                if u not in per_u:
+                    vm = v_min_idx(g, u, e)
+                    per_u[u] = vm, engine._sigma0_column(u, e, vm)
+                if not engine._is_gk(u, v, e, *per_u[u]):
                     return SuiteResult(
                         "gk-base",
                         False,

@@ -14,7 +14,10 @@ a ``LaurentPoly`` and the image of a root under an element.
 
 Also the tuple-key division by 1 - x^beta, the reference that the packed
 kernel behind ``binomial_divide`` and ``RationalFn.reduced()`` is compared
-against, and the mu route to sigma: the Hecke product carried out before
+against; the full reduction of a stored bar r entry (``reduced_den``) and
+the ``LaurentPoly`` recursion for the Kazhdan-Lusztig P
+(``kl_p_by_recursion``), the oracles of the ``poles`` suite and of the
+q-column route of ``KLTable``; and the mu route to sigma: the Hecke product carried out before
 the functional is applied, in ``RationalFn`` arithmetic, independent of the
 packed q-column kernel of ``SigmaEngine.sigma_idx``.
 
@@ -33,7 +36,8 @@ from fractions import Fraction
 from bhl.coxeter import CoxeterGroup, Element, _bits
 from bhl.demazure import v_min_idx
 from bhl.kl import KLTable
-from bhl.polyring import LaurentPoly, RationalFn
+from bhl import polyring
+from bhl.polyring import LaurentPoly, RationalFn, _reduce_packed, _unpack
 from bhl.rpoly import RPolyTable, s_set_idx
 from bhl.sigma import SigmaEngine
 
@@ -333,6 +337,63 @@ def reduced_tuples(f: RationalFn) -> tuple:
         else:
             num = quot
     return num, tuple(kept)
+
+
+def reduced_den(rtable: RPolyTable, u: int, v: int) -> tuple:
+    """The den of ``rtable.bar_r_idx(u, v).reduced()``, reduced on the
+    stored columns by ``polyring._reduce_packed`` with no decode of the
+    numerator: the full-reduction oracle for the ``poles`` suite, which
+    divides nothing. ``max_digit`` bounds every degree of the entry, so it
+    stands in for the entry's spans in the carry check.
+
+    Each division tests coset sums and prefix sums for zero, which is
+    exact while the L1 norm of the numerator it divides is below
+    2^(K - 1). The entry's own is at most its bound B, and an exact
+    quotient has at most M = ``max_digit`` terms per coset, each a prefix
+    sum of the coset it came from, so each one multiplies the L1 norm by at
+    most M. After s exact divisions every numerator divided had L1 norm at
+    most B * M^s; if that is not below 2^(K - 1), a zero test may have
+    misread and ``ValueError`` is raised."""
+    den, cols, l1 = rtable.bar_r_packed_idx(u, v)
+    n = rtable.group.rank
+    den = tuple(sorted(_unpack(b, n + 1)[1:] for b in den))
+    kept = _reduce_packed(cols, den, n, (rtable.max_digit,) * (n + 1))[1]
+    if l1 * rtable.max_digit ** (len(den) - len(kept)) >= polyring._Q_BOUND:
+        g = rtable.group
+        raise ValueError(
+            f"cannot reduce bar r(u={g.word_str(u)}, v={g.word_str(v)}) "
+            f"of {g.cartan_type} on {polyring._Q_BITS}-bit q-slots: its "
+            "quotients may pass them"
+        )
+    return kept
+
+
+def kl_p_by_recursion(g: CoxeterGroup, rtable: RPolyTable) -> dict:
+    """(u, v) -> P(u, v) over every pair u <= v, by the truncated recursion
+    on ``LaurentPoly`` terms: minus the terms of degree at most
+    (len(v) - len(u) - 1)/2 of the sum over u < z <= v of R(u, z) P(z, v),
+    only the products of terms within that cut formed. The oracle for the
+    q-column route of ``KLTable``."""
+    table: dict = {}
+    for v in range(g.order):
+        for u in sorted(_bits(g.down_masks[v]), key=g.lengths.__getitem__, reverse=True):
+            if u == v:
+                table[u, v] = LaurentPoly.one(0)
+                continue
+            cut = (g.lengths[v] - g.lengths[u] - 1) // 2
+            acc: dict = {}
+            for z in _bits(g.interval_mask(u, v)):
+                if z == u:
+                    continue
+                p_terms = table[z, v].terms
+                for (a,), r in rtable.classical_idx(u, z).terms.items():
+                    if a > cut:
+                        continue
+                    for (b,), c in p_terms.items():
+                        if a + b <= cut:
+                            acc[a + b] = acc.get(a + b, 0) + r * c
+            table[u, v] = LaurentPoly(0, {(d,): -c for d, c in acc.items()})
+    return table
 
 
 def mu_idx(engine: SigmaEngine, v: int) -> dict:

@@ -157,12 +157,14 @@ def test_verify_all_suites_b2(capsys):
             ["--type", "B3", "--samples", "40"],
             "4dfb98c64f6534a68cae98d17267e0074be5d3b8282a9685da1c1ece57325665",
         ),
+        (["--type", "A3"], "e393cdbd222b915240f604fc59fb24a1bc4831f6c8a4df401a9247d65538d5c8"),
     ],
-    ids=["B2", "B3-samples40"],
+    ids=["B2", "B3-samples40", "A3"],
 )
 def test_verify_all_stdout_is_pinned(capsys, args, digest):
     """The sha256 of the whole stdout pins every suite's detail count, so a
-    change in what a suite samples or counts shows here."""
+    change in what a suite samples or counts shows here. A3 scans every
+    triple, poles included."""
     code, out, _ = invoke(capsys, "verify", "--suite", "all", *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

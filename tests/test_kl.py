@@ -11,7 +11,7 @@ from bhl.rpoly import RPolyTable
 from bhl.sigma import SigmaEngine
 from bhl.verify import run_suite
 
-from checks import check_kl_defining_identity, is_q_monomial
+from checks import check_kl_defining_identity, is_q_monomial, kl_p_by_recursion
 
 
 def test_p_base_cases(a3):
@@ -126,7 +126,7 @@ def _scan_per_pair(g, theta):
 def _planted_table(g):
     """A ThetaTable whose int theta is 1 + q at one seeded (x, y, w) with
     P(x y^-1, w) = 1, w the largest such; returns (table, triple). The plant
-    sits on the int sum that the scan reads."""
+    sits on the int sums that the scan reads, split off the group of w."""
     rng = random.Random(20240811)
     x, y = rng.randrange(g.order), rng.randrange(g.order)
     z = g.mul_idx(x, g.inv_table[y])
@@ -135,12 +135,15 @@ def _planted_table(g):
     planted = (x, y, w)
 
     class Planted(ThetaTable):
-        def thetas(self, xx, yy, ws):
-            one_plus_q = _encode_q([(0, 1), (1, 1)], 0)
-            return [
-                (ww, one_plus_q if (xx, yy, ww) == planted else col)
-                for ww, col in super().thetas(xx, yy, ws)
-            ]
+        def theta_groups(self, xx, yy, ws):
+            out = []
+            for mask, col in super().theta_groups(xx, yy, ws):
+                if (xx, yy) == (x, y) and mask >> w & 1:
+                    out.append((1 << w, _encode_q([(0, 1), (1, 1)], 0)))
+                    mask &= ~(1 << w)
+                if mask:
+                    out.append((mask, col))
+            return out
 
     return Planted(g), planted
 
@@ -189,3 +192,38 @@ def test_kl_conjecture_suite_reuses_the_engine_r_table(a3, monkeypatch):
     res = run_suite("kl-conjecture", a3, engine=engine)
     assert res.ok, res.detail
     assert built == []
+
+
+@pytest.mark.parametrize("cartan_type, top_slots", [("G2", 0), ("A3", 5), ("B3", 49)])
+def test_p_columns_match_the_laurent_recursion(cartan_type, top_slots, request):
+    """P decoded from its q-column equals the truncated LaurentPoly
+    recursion on every pair, and is 0 off the Bruhat order. Every P(u, v)
+    with u < v makes the kept slots of the int sum negative, so the sign
+    fix runs on each; top_slots counts the pairs whose top kept slot
+    itself holds a nonzero (negative) coefficient, deg P = cut > 0. A
+    dihedral group has none: all its P are 1."""
+    g = request.getfixturevalue(cartan_type.lower())
+    kl = KLTable(g)
+    want = kl_p_by_recursion(g, kl.rtable)
+    top_slot = 0
+    for v in range(g.order):
+        for u in range(g.order):
+            got = kl.p_idx(u, v)
+            assert got == want.get((u, v), LaurentPoly.zero(0)), (u, v)
+            cut = (g.lengths[v] - g.lengths[u] - 1) // 2
+            top_slot += (u, v) in want and u != v and got.q_max_degree() == cut > 0
+    assert top_slot == top_slots
+
+
+def test_p_column_l1_guard_raises(a3, monkeypatch):
+    """The largest L1 bound of an A3 sum R(u, z) P(z, v) is 200: with the
+    slot bound at 201 every P is built, at 200 the guard raises."""
+    monkeypatch.setattr(kl_module, "_Q_BOUND", 201)
+    kl = KLTable(a3)
+    for v in range(a3.order):
+        for u in _bits(a3.down_masks[v]):
+            kl.p_idx(u, v)
+    monkeypatch.setattr(kl_module, "_Q_BOUND", 200)
+    kl = KLTable(a3)
+    with pytest.raises(RuntimeError, match="L1 bound 200"):
+        kl.p_idx(a3.identity_idx, a3.longest_idx)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -7,10 +8,19 @@ from fractions import Fraction
 import pytest
 
 import bhl
-from bhl import polyring
-from bhl.coxeter import build_group
+from bhl import polyring, verify
+from bhl.coxeter import _bits, build_group
 from bhl.demazure import v_min_idx
-from bhl.polyring import LaurentPoly, RationalFn, _decode_q, _pack, _unpack
+from bhl.polyring import (
+    LaurentPoly,
+    RationalFn,
+    _decode_q,
+    _divides_packed,
+    _pack,
+    _packed_factor,
+    _times_binomial,
+    _unpack,
+)
 from bhl.rpoly import RPolyTable, s_set, s_set_idx
 from bhl.sigma import SigmaEngine
 from bhl.verify import run_suite
@@ -21,6 +31,7 @@ from checks import (
     check_r_numerical_limit,
     classical_r_by_recursion,
     evaluate,
+    reduced_den,
     reduced_tuples,
     rf_mul,
     rf_mul_poly,
@@ -114,14 +125,15 @@ def test_pole_containment_suite(a2, b2, engine_a2, engine_b2):
 
 @pytest.mark.parametrize("cartan", ["A3", "B3", "C3", "G2"])
 def test_reduced_den_matches_reduced_rational(cartan):
-    """The den reduced on the packed entry equals the den of the unpacked
-    entry's reduced() and of the tuple-key oracle, on every pair."""
+    """The den the full-reduction oracle reduces on the packed entry equals
+    the den of the unpacked entry's reduced() and of the tuple-key oracle,
+    on every pair."""
     g = build_group(cartan)
     table = RPolyTable(g)
     for u in range(g.order):
         for v in range(g.order):
             entry = table.bar_r_idx(u, v)
-            got = table.reduced_den_idx(u, v)
+            got = reduced_den(table, u, v)
             assert got == entry.reduced().den, (u, v)
             assert got == reduced_tuples(entry)[1], (u, v)
 
@@ -134,6 +146,132 @@ def test_pole_suite_fails_on_non_root_factor(a2, monkeypatch):
     monkeypatch.setattr(eng, "sigma_idx", lambda u, v, w, row=None: bad)
     res = run_suite("poles", a2, engine=eng)
     assert not res.ok and "sigma denominator escapes" in res.detail
+
+
+def _full_reduction_escapes(kept, allowed, root_of) -> bool:
+    """The verdict of a full reduction: a kept factor that is no positive
+    root of allowed."""
+    return any(root_of.get(_pack((0,) + tuple(b))) not in allowed for b in kept)
+
+
+def _check_factors(g, escapes, root_of, den, cols, l1, span, kept, allowed):
+    """Each den factor divides the columns exactly when the full reduction
+    cancels it, and the suite's verdict is the full reduction's."""
+    n = g.rank
+    kept_keys = {_pack((0,) + tuple(b)) for b in kept}
+    for b in den:
+        beta = _unpack(b, n + 1)[1:]
+        divides = _divides_packed(cols, _packed_factor(beta, n, (span,) * (n + 1)))
+        assert divides == (b not in kept_keys), beta
+    assert escapes(den, cols, l1, span, allowed) == _full_reduction_escapes(
+        kept, allowed, root_of
+    )
+
+
+@pytest.mark.parametrize("cartan", ["A2", "B2", "C2", "G2", "A3", "B3"])
+def test_pole_verdict_matches_full_reduction_on_r(cartan):
+    """On every r pair, a den factor divides the stored columns exactly
+    when the full reduction cancels it, and the suite's verdict is that of
+    the full reduction."""
+    g = build_group(cartan)
+    eng = SigmaEngine(g)
+    rt = eng.rtable
+    escapes = verify._pole_test(g, eng._root_keys)
+    root_of = {k: a for a, k in enumerate(eng._root_keys)}
+    for v in range(g.order):
+        for u in range(g.order):
+            den, cols, l1 = rt.bar_r_packed_idx(u, v)
+            _check_factors(
+                g, escapes, root_of, den, cols, l1, rt.max_digit,
+                reduced_den(rt, u, v), s_set_idx(g, u, v),
+            )
+
+
+@pytest.mark.parametrize("cartan, samples", [("A2", None), ("B3", 40)])
+def test_pole_verdict_matches_full_reduction_on_sigma(cartan, samples):
+    """The same on every nonzero sigma of A2 and on 40 seeded B3 triples
+    with v >= v_min, against the tuple-key reduction of the decoded
+    value."""
+    g = build_group(cartan)
+    eng = SigmaEngine(g)
+    escapes = verify._pole_test(g, eng._root_keys)
+    root_of = {k: a for a, k in enumerate(eng._root_keys)}
+    if samples is None:
+        triples = itertools.product(range(g.order), repeat=3)
+    else:
+        rng = random.Random(7)
+        triples = (tuple(rng.randrange(g.order) for _ in range(3)) for _ in range(10**6))
+    checked = 0
+    for u, v, w in triples:
+        vm = v_min_idx(g, u, w)
+        if not g.leq_idx(vm, v):
+            continue
+        sig = eng.sigma_idx(u, v, w)
+        p = polyring._packed_of(sig)
+        _check_factors(
+            g, escapes, root_of, p.den, p.cols, p.l1, p.span,
+            reduced_tuples(sig)[1], s_set_idx(g, vm, v),
+        )
+        checked += 1
+        if checked == samples:
+            break
+    assert checked == (samples or 167)
+
+
+def test_pole_suite_fails_where_one_outside_factor_stops_dividing(b3):
+    """A copy of bar r(u, v), at the B3 pair with the most den factors
+    outside S(u, v), plus the product of all but one of them: those still
+    divide, the one left does not, and the suite fails at that pair."""
+    eng = SigmaEngine(b3)
+    rt = eng.rtable
+    root_of = {k: a for a, k in enumerate(eng._root_keys)}
+
+    def outside(u, v):
+        allowed = s_set_idx(b3, u, v)
+        return sorted(b for b in rt.bar_r_packed_idx(u, v)[0] if root_of[b] not in allowed)
+
+    u, v = max(
+        ((u, v) for v in range(b3.order) for u in _bits(b3.down_masks[v])),
+        key=lambda pair: len(outside(*pair)),
+    )
+    first, *rest = outside(u, v)
+    assert rest
+    den, cols, l1 = rt.bar_r_packed_idx(u, v)
+    extra = {0: 1}
+    for b in rest:
+        extra = _times_binomial(extra, b)
+    cols = dict(cols)
+    for key, c in extra.items():
+        cols[key] = cols.get(key, 0) + c
+    rt._bar_r[u, v] = (den, cols, l1 + (1 << len(rest)))
+    n = b3.rank
+    spans = (rt.max_digit,) * (n + 1)
+    for b in rest:
+        assert _divides_packed(cols, _packed_factor(_unpack(b, n + 1)[1:], n, spans))
+    assert not _divides_packed(cols, _packed_factor(_unpack(first, n + 1)[1:], n, spans))
+    res = run_suite("poles", b3, samples=1, engine=eng)
+    word = b3.word_str
+    assert not res.ok
+    assert res.detail == f"r denominator escapes at u={word(u)}, v={word(v)}"
+
+
+def test_pole_suite_tests_each_factor_outside_s_once_on_b3_r(b3, monkeypatch):
+    """The r pairs of B3 carry 506 den factors outside S(u, v), each
+    tested once; a factor inside S is never divided. sigma is stubbed to
+    0, which has no den, so only the r pairs count."""
+    eng = SigmaEngine(b3)
+    tests = []
+    original = verify._divides_packed
+
+    def counting(cols, b):
+        tests.append(b)
+        return original(cols, b)
+
+    monkeypatch.setattr(verify, "_divides_packed", counting)
+    monkeypatch.setattr(eng, "sigma_idx", lambda u, v, w, row=None: RationalFn.zero(3))
+    res = run_suite("poles", b3, samples=40, engine=eng)
+    assert res.ok, res.detail
+    assert len(tests) == 506
 
 
 def test_deodhar_under_q1(a3):
@@ -365,7 +503,7 @@ def test_reduction_and_sigma_refuse_bounds_past_narrow_slots(a3, monkeypatch):
     eng = SigmaEngine(a3)
     e, s1, w0 = a3.identity_idx, a3.simple(1).index, a3.longest_idx
     with pytest.raises(ValueError, match="quotients may pass"):
-        eng.rtable.reduced_den_idx(s1, w0)
+        reduced_den(eng.rtable, s1, w0)
     with pytest.raises(RuntimeError, match="L1 bound"):
         eng.sigma_idx(e, w0, w0)
 

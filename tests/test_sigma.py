@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import bhl
-from bhl import polyring, sigma
+from bhl import polyring, sigma, verify
 from bhl.coxeter import GroupMismatchError, _bits, build_group
 from bhl.demazure import v_min, v_min_idx
 from bhl.hecke import ThetaTable
@@ -820,6 +820,57 @@ def test_classify_and_main_theorem_decode_no_value(a2, b2, g2, monkeypatch):
         assert got.rows == rep.rows, g.cartan_type
         assert verify_main_theorem(g), g.cartan_type
     assert _digest(classify(a2).to_csv_text()) == GOLDEN_REPORTS["A2"][0]
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_sigma0_off_by_one_fails_the_main_theorem(a3, monkeypatch, delta):
+    """sigma(s1, v_min, w0) with delta added to the coefficient of its
+    lowest q-degree, all else as built: the one changed pair makes
+    verify_main_theorem return False."""
+    eng = SigmaEngine(a3)
+    original = eng.sigma_idx
+    u, w = a3.simple(1).index, a3.longest_idx
+    vm = v_min_idx(a3, u, w)
+
+    def perturbed(uu, v, ww, row=None):
+        sig = original(uu, v, ww, row)
+        if (uu, v, ww) != (u, vm, w):
+            return sig
+        p = sig._packed
+        cols = dict(p.cols)
+        slot = ((cols[0] & -cols[0]).bit_length() - 1) // polyring._Q_BITS
+        cols[0] += delta << polyring._Q_BITS * slot
+        return _deferred_columns(lambda: cols, p.den, p.low, p.unpacked, p.l1 + 1, p.span)
+
+    assert verify_main_theorem(a3, engine=eng)
+    monkeypatch.setattr(eng, "sigma_idx", perturbed)
+    assert not verify_main_theorem(a3, engine=eng)
+
+
+def test_theta_and_mixed_meet_failures_name_elements_by_word(a2, monkeypatch):
+    """A theta of 0 at (x, y, w) = (s1, s2, w0) and a mixed meet of e at
+    (u, w) = (w0, s1) fail their suites with details that name the
+    elements by canonical word."""
+    eng = SigmaEngine(a2)
+    word = a2.word_str
+    x, y, w0 = a2.simple(1).index, a2.simple(2).index, a2.longest_idx
+    theta_idx = eng.theta.theta_idx
+
+    def zero_at(xx, yy, ww):
+        return LaurentPoly.zero(0) if (xx, yy, ww) == (x, y, w0) else theta_idx(xx, yy, ww)
+
+    monkeypatch.setattr(eng.theta, "theta_idx", zero_at)
+    res = run_suite("theta", a2, engine=eng)
+    assert not res.ok
+    assert res.detail == f"q=1 value wrong at x={word(x)}, y={word(y)}, w={word(w0)}"
+    meet = verify.mixed_meet_idx
+    monkeypatch.setattr(
+        verify, "mixed_meet_idx",
+        lambda g, u, w: 0 if (u, w) == (w0, x) else meet(g, u, w),
+    )
+    res = run_suite("mixed-meet", a2, engine=eng)
+    assert not res.ok
+    assert res.detail == f"not the unique max at u={word(w0)}, w={word(x)}"
 
 
 @pytest.mark.parametrize("extra", ["den", "x"])
