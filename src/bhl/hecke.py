@@ -54,9 +54,10 @@ the first query of that y, holds for every x the support mask of
 T_x T_{y^{-1}}, the stored entry and the sum of its values, which is theta
 for every w above the whole support. No theta is memoized. Every read goes
 through the column (``_sum_at``): ``theta_sum`` adds theta over many x at
-one w (xi), ``thetas`` gives theta of one (x, y) at many w (the power-of-q
-scan), the w of one call that cover the same part of the support sharing
-one pass; ``theta_idx`` is ``thetas`` at one w, decoded.
+one w (xi), ``theta_groups`` gives theta of one (x, y) at many w (the
+power-of-q scan), the w of one call that cover the same part of the
+support sharing one pass; ``theta_idx`` is the sum at the part below one
+w, decoded.
 
 A down step at most triples the L1 norm of a product ((q - 1) c_t and q c_t
 from c_t), and an up step or a relabel keeps it, so T_x T_{y^{-1}} has L1
@@ -298,16 +299,11 @@ class ThetaTable:
         out.extend((mask, _sum_at(prod, part)) for part, mask in parts.items())
         return out
 
-    def thetas(self, x: int, y: int, ws: int) -> list:
-        """[(w, theta(x, y, w) as a q-column from q^0) for each w in the bit
-        mask ws, lowest w first]: ``theta_groups``, one entry per w."""
-        return sorted(
-            (w, col) for mask, col in self.theta_groups(x, y, ws) for w in _bits(mask)
-        )
-
     def theta_idx(self, x: int, y: int, w: int) -> LaurentPoly:
-        """theta(x, y, w), decoded from ``thetas`` at the one w."""
-        ((_, col),) = self.thetas(x, y, 1 << w)
+        """theta(x, y, w): the lifted terms of T_x T_{y^-1} at the t <= w,
+        summed from the column of y and decoded."""
+        supports, prods, _ = self._columns.get(y) or self._column(y)
+        col = _sum_at(prods[x], supports[x] & self.group.down_masks[w])
         return _new(0, {(d,): c for d, c in _decode_q(col, 0)})
 
     def theta(self, x: Element, y: Element, w: Element) -> LaurentPoly:

@@ -151,12 +151,12 @@ def _p_one_mask(kl: KLTable, z: int) -> int:
 def check_theta_power_conjecture(
     group: CoxeterGroup,
     theta_table: ThetaTable | None = None,
-    rtable: RPolyTable | None = None,
+    kl: KLTable | None = None,
 ) -> list:
     """Scan all (x, y, w) with x y^{-1} <= w and P(x y^{-1}, w) = 1 and
     collect the triples whose theta(x, y, w) is not a single power of q.
-    P is read through rtable's classical R-polynomials when one is given,
-    so a caller holding an R table does not build a second one.
+    P is read from kl when one is given, so a caller holding a KL table
+    (a ``SigmaEngine``'s, over its r table) builds no second one.
 
     The w with P(z, w) = 1 are gathered once per z into one bit mask, so
     each P(z, w) is tested once, not once for every (x, y) with
@@ -168,8 +168,9 @@ def check_theta_power_conjecture(
     """
     g = group
     theta = theta_table if theta_table is not None else ThetaTable(g)
-    kl = KLTable(g, rtable=rtable)
+    kl = kl if kl is not None else KLTable(g)
     theta.group.check_same(g)
+    kl.group.check_same(g)
     p_one = [_p_one_mask(kl, z) for z in range(g.order)]
     violations = []
     for x in range(g.order):

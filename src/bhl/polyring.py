@@ -54,13 +54,9 @@ Representation conventions:
   there at once. Reads that build the columns: ``num`` and ``den``,
   ``is_zero`` unless the value is nonzero at its point, ``==`` unless both
   sides carry different values at one point, the build of a product made
-  from it by ``_times_q_column``, sigma's ``_torus_free_column`` and the
-  divisibility test of the ``poles`` suite. ``arity`` and a settled ``==``
-  or ``is_zero`` build nothing. ``_times_q_column``
-  multiplies a column-backed value by a q-polynomial given as its column:
-  each column times that one, into a deferred value that carries the
-  point value it is given, while the product of the L1 bounds stays below
-  2^(K - 1); past it, it returns None.
+  from it (sigma's GK right-hand side), sigma's ``_torus_free_column`` and
+  the divisibility test of the ``poles`` suite. ``arity`` and a settled
+  ``==`` or ``is_zero`` build nothing.
 - A point value is (a point, the value there mod p); ``sigma`` owns the
   point and states why a value there is a ring homomorphism's image.
   Values at one point, compared by identity, that differ prove two values
@@ -78,11 +74,10 @@ Representation conventions:
   span_a + |den_b - den_a| span_b < 2^19 and its mirror, so that every
   key of either side keeps its digits inside the packed bound and stands
   for one monomial. Both are checked on every call. Otherwise, and
-  whenever a side is not column-backed, both sides are decoded and
-  cross-multiplied on tuple keys by ``_scale_by_factors``, the tuple-key
-  twin of ``_times_binomial``, which is exact at any size; ``__add__``
-  brings both sides to one den the same way. Each factor 1 - x^beta costs
-  one copy of the terms and one shifted subtraction, not a general product.
+  whenever a side is not column-backed, both sides are decoded and each
+  numerator is multiplied by ``binomial(...)`` of every factor it lacks,
+  with the ring's own ``*``, which is exact at any size; ``__add__``
+  brings both sides to one den the same way.
 - Exact division by 1 - x^beta runs on packed keys, in
   ``_divide_packed``, and has one route: ``reduced()`` and
   ``binomial_divide`` (one factor) both go through ``_reduce``. Its first
@@ -115,6 +110,7 @@ threads that race on it write equal values.
 from __future__ import annotations
 
 from collections import Counter
+from math import prod
 from operator import add
 from typing import Iterable, Optional
 
@@ -610,26 +606,10 @@ class RationalFn:
             return self
         ca, cb = Counter(self.den), Counter(other.den)
         common = ca | cb  # multiset union: max multiplicity per factor
-        na = _scale_by_factors(self.num, common - ca)
-        nb = _scale_by_factors(other.num, common - cb)
+        arity = self.arity
+        na = prod((binomial(arity, b) for b in (common - ca).elements()), start=self.num)
+        nb = prod((binomial(arity, b) for b in (common - cb).elements()), start=other.num)
         return RationalFn(na + nb, tuple(common.elements()))
-
-    def _times_q_column(
-        self, col: int, low: int, l1: int, point: Optional[tuple] = None
-    ) -> Optional["RationalFn"]:
-        """self, column-backed, times the q-polynomial whose column from
-        q^low is col and whose L1 norm is l1, as a deferred value whose
-        columns are each column of self times col, and which carries
-        point; None when the product of the L1 bounds reaches 2^(K - 1)."""
-        packed = self._packed
-        # at least l1 even for a zero self, so col fits too
-        l1 *= max(packed.l1, 1)
-        if l1 >= _Q_BOUND:
-            return None
-        return _deferred_columns(
-            lambda: {key: c * col for key, c in packed.cols.items()},
-            packed.den, packed.low + low, packed.unpacked, l1, packed.span, point,
-        )
 
     def bar_q(self) -> "RationalFn":
         """Replace q by q^-1 in the numerator; the factors carry no q."""
@@ -649,8 +629,9 @@ class RationalFn:
                 return same
         ca, cb = Counter(self.den), Counter(other.den)
         shared = ca & cb
-        left = _scale_by_factors(self.num, cb - shared)
-        right = _scale_by_factors(other.num, ca - shared)
+        arity = self.arity
+        left = prod((binomial(arity, b) for b in (cb - shared).elements()), start=self.num)
+        right = prod((binomial(arity, b) for b in (ca - shared).elements()), start=other.num)
         return left == right
 
     def reduced(self) -> "RationalFn":
@@ -667,34 +648,6 @@ class RationalFn:
 
     def __repr__(self) -> str:
         return f"RationalFn({self})"
-
-
-def _q_column(p: LaurentPoly) -> tuple:
-    """(column, low, L1 norm) of a q-only p: its column from q^low, low its
-    lowest q-degree (0 for p = 0)."""
-    terms = [(e[0], c) for e, c in p.terms.items()]
-    low = min((d for d, _ in terms), default=0)
-    return _encode_q(terms, low), low, sum(abs(c) for _, c in terms)
-
-
-def _scale_by_factors(num: LaurentPoly, factors: Counter) -> LaurentPoly:
-    """num times 1 - x^b for every b of factors, with multiplicity, by
-    shift-and-subtract on the tuple keys: each factor adds to a copy of the
-    terms every term moved by x^b with its sign flipped, as
-    ``_times_binomial`` does on packed keys."""
-    if not factors:
-        return num
-    terms = num.terms
-    for b, mult in factors.items():
-        step = (0,) + b
-        for _ in range(mult):
-            out = terms.copy()
-            get = out.get
-            for e, c in terms.items():
-                e = tuple(map(add, e, step))
-                out[e] = get(e, 0) - c
-            terms = out
-    return _new(num.arity, _normalized(terms))
 
 
 def _reduce_packed(terms: dict, den: tuple, arity: int, spans: tuple) -> tuple:

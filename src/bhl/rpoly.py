@@ -89,7 +89,8 @@ c.m of distinct m differ, so a limit exists only if c.m <= 0 for every m
 with a_m != 0; an m with some m_j > 0 fails that once c_j is large enough.
 So every exponent of N x^-D is <= 0, and the limit is its constant term:
 R(u, v) is (-1)^|den| times the column of N at the x-key D, with q
-replaced by q^-1.
+replaced by q^-1. It is read off on every call and not kept: its one
+caller in the package, ``kl.KLTable``, keeps each R it reads as a column.
 
 All tables are per-group memos, filled single-threaded and read-only after.
 """
@@ -126,9 +127,9 @@ def _max_packed_digit(group: CoxeterGroup) -> int:
 
 class RPolyTable:
     """Memoized bar r(u, v) on packed x-keys and q-columns, and classical
-    R(u, v), over one group. ``max_digit`` bounds every digit the fill
-    forms; construction raises ``ValueError`` when it could reach the packed
-    digit bound."""
+    R(u, v) read off it, over one group. ``max_digit`` bounds every digit
+    the fill forms; construction raises ``ValueError`` when it could reach
+    the packed digit bound."""
 
     def __init__(self, group: CoxeterGroup):
         self.group = group
@@ -145,7 +146,6 @@ class RPolyTable:
         self._l1_limit = polyring._Q_BOUND
         self._one = (frozenset(), {0: 1 << (self._q_bits * -self.low)}, 1)
         self._bar_r: dict = {}
-        self._classical: dict = {}
 
     # -- deformed ------------------------------------------------------------
 
@@ -273,16 +273,9 @@ class RPolyTable:
     def classical_idx(self, u: int, v: int) -> LaurentPoly:
         """R(u, v): (-1)^|den| times the column of bar r(u, v) at the x-key
         sum of den, with q replaced by q^-1 (see the module docstring)."""
-        key = (u, v)
-        val = self._classical.get(key)
-        if val is None:
-            den, cols, _ = self.bar_r_packed_idx(u, v)
-            sign = -1 if len(den) & 1 else 1
-            col = cols.get(sum(den), 0)
-            val = self._classical[key] = _new(
-                0, {(-d,): sign * c for d, c in _decode_q(col, self.low)}
-            )
-        return val
+        den, cols, _ = self.bar_r_packed_idx(u, v)
+        sign = -1 if len(den) & 1 else 1
+        return _new(0, {(-d,): sign * c for d, c in _decode_q(cols.get(sum(den), 0), self.low)})
 
     def classical_R(self, u: Element, v: Element) -> LaurentPoly:
         g = self.group

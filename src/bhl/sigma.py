@@ -71,15 +71,18 @@ A triple with v >= v_min(u, w) is "of GK type" when
 
 where S(u, v, w) = S(v_min(u, w), v); the test is exact cross-multiplied
 equality, ``sig == rhs`` in ``_is_gk``, and it runs on q-columns.
-``_is_gk`` takes v_min and sigma0's column from its caller, so the
-``gk-base`` suite builds them once per (u, w); ``is_gk_idx(u, v, w)``
-builds them for its one triple.
+sigma0 has one form, the ``_Sigma0`` that ``_sigma0`` builds once per
+(u, w) from sigma at v_min: its column from its lowest q-degree, its L1
+norm, its decoded terms (what the report prints) and the point value
+that sigma at v_min carries, if any. ``_is_gk`` takes v_min and the
+``_Sigma0`` from its caller, so the ``gk-base`` suite builds them once per
+(u, w); ``is_gk_idx(u, v, w)`` builds them for its one triple.
 ``gk_factor`` builds prod over S of (1 - q^-1 x^alpha) on columns from
 q^-|S|, each factor one copy with keys moved by alpha and columns shifted
 down one slot, over the den keys of S, with L1 bound 2^|S|; ``_gk_rhs``
 multiplies each of its columns by the column of sigma0, and the L1 bound
-by L1(sigma0) (``RationalFn._times_q_column``), or, where that product of
-bounds reaches 2^(K - 1), its decoded numerator by sigma0.
+by L1(sigma0). That product must stay below 2^(K - 1), or ``_gk_rhs``
+raises ``RuntimeError``, as ``sigma_idx`` does past its own bound.
 ``RationalFn.__eq__`` then multiplies sigma by the factors of S - U and the
 right-hand side by those of U - S and compares columns, as the
 ``polyring`` docstring states, with no decode.
@@ -131,8 +134,11 @@ above, and returns a deferred value whose columns are accumulated on
 their first read. Given a row with a point, the value also carries
 sigma(pt), the sum of xi(q0) bar r(y, v)(pt) over the parts. The GK
 right-hand side is deferred too: each column of the GK factor times the
-column of sigma0, encoded once per (u, w), and it carries
-sigma0(q0) G_S(pt). ``==`` then returns False at once when the two values
+column of sigma0, and it carries sigma0(q0) G_S(pt). sigma0(q0) is the
+value that sigma at v_min carries: that sigma is sigma0, and the
+evaluation is a homomorphism, so sigma0 is not evaluated a second time
+(the test suite checks the two agree on every (u, w) of G2 and A3).
+``==`` then returns False at once when the two values
 differ, and ``is_zero`` is False when sigma(pt) != 0, with no columns
 built; sigma at v_min, whose columns give sigma0, and every triple equal at
 the point are built and compared exactly. On A3 that builds the columns of
@@ -155,17 +161,19 @@ from typing import NamedTuple
 from .coxeter import CoxeterGroup, Element, _bits
 from .demazure import v_min_idx
 from .hecke import ThetaTable
+from .kl import KLTable
 from .polyring import (
     LaurentPoly,
     RationalFn,
     _Q_BITS,
+    _Q_BOUND,
     _Q_MASK,
+    _Packed,
     _decode_q,
     _deferred_columns,
     _new,
     _pack,
     _packed_of,
-    _q_column,
     _times_binomial,
     _unpack,
     _UnpackMemo,
@@ -299,19 +307,30 @@ def _accumulate(parts: list, union: frozenset) -> dict:
     return groups.get(union, {})  # {} when sigma has no part
 
 
-def _torus_free_column(val: RationalFn) -> tuple | None:
-    """(column, low) of the numerator of val as a q-polynomial, its column
-    from q^low, or None when val has a den factor or an x. Nothing is
-    cancelled: sigma at v_min has an empty den, since only y = v_min
-    contributes there (module docstring). It is read off the packed form
-    (``polyring._packed_of``, which packs a value that has none once): val
-    is torus-free when no column but that of the x-key 0 is nonzero, and
-    that column is nonzero only over an empty den."""
-    packed = _packed_of(val)
+def _torus_free_column(packed: _Packed) -> int | None:
+    """The column from q^low of a packed value (``polyring._packed_of``)
+    as a q-polynomial, or None when it has a den factor or an x. Nothing
+    is cancelled: sigma at v_min has an empty den, since only y = v_min
+    contributes there (module docstring). The value is torus-free when no
+    column but that of the x-key 0 is nonzero, and that column is nonzero
+    only over an empty den."""
     col = packed.cols.get(0, 0)
     if (col and packed.den) or any(c for key, c in packed.cols.items() if key):
         return None
-    return col, packed.low
+    return col
+
+
+class _Sigma0(NamedTuple):
+    """sigma0(u, w) in the one form classify and the GK test read, built
+    once per (u, w) by ``SigmaEngine._sigma0``: its column from its lowest
+    q-degree low, its L1 norm, its decoded terms as a q-polynomial, and
+    the point value that sigma at v_min carries, (point, value) or None."""
+
+    col: int
+    low: int
+    l1: int
+    poly: LaurentPoly
+    point: tuple | None
 
 
 class SigmaEngine:
@@ -321,6 +340,7 @@ class SigmaEngine:
         self.group = group
         self.rtable = RPolyTable(group)
         self.theta = ThetaTable(group)
+        self._kl: KLTable | None = None
         self._gk_factor: dict = {}
         # the packed (0, beta) key of each positive root, by root index
         self._root_keys = [_pack((0,) + beta) for beta in group.positive_roots]
@@ -328,6 +348,13 @@ class SigmaEngine:
         self._unpacked = _UnpackMemo(group.rank + 1)
         # classify's point, drawn on its first classify_for_w
         self._point: _Point | None = None
+
+    @property
+    def kl(self) -> KLTable:
+        """The engine's KL table, over its r table; built on first use."""
+        if self._kl is None:
+            self._kl = KLTable(self.group, rtable=self.rtable)
+        return self._kl
 
     # -- building blocks -----------------------------------------------------
 
@@ -453,19 +480,26 @@ class SigmaEngine:
         return self.sigma_idx(u.index, v.index, w.index)
 
     def sigma0_idx(self, u: int, w: int) -> LaurentPoly:
-        return self._sigma0(u, w, self.sigma_idx(u, v_min_idx(self.group, u, w), w))
+        return self._sigma0(u, w, self.sigma_idx(u, v_min_idx(self.group, u, w), w)).poly
 
-    def _sigma0(self, u: int, w: int, sig_at_vmin: RationalFn) -> LaurentPoly:
-        """sigma at v_min as a q-polynomial: its ``_torus_free_column``,
-        decoded."""
-        found = _torus_free_column(sig_at_vmin)
-        if found is None:
+    def _sigma0(self, u: int, w: int, sig_at_vmin: RationalFn) -> _Sigma0:
+        """sigma at v_min as a ``_Sigma0``: its ``_torus_free_column``,
+        decoded once and moved down to its lowest q-degree, and the point
+        value it carries. sigma0 is sigma at v_min, so that value is
+        sigma0's own at the point."""
+        packed = _packed_of(sig_at_vmin)
+        col = _torus_free_column(packed)
+        if col is None:
             raise RuntimeError(
                 "sigma at v_min kept torus dependence; this is a bug, "
                 f"not bad input (u={self.group.word_str(u)}, "
                 f"w={self.group.word_str(w)}, value={sig_at_vmin})"
             )
-        return _new(0, {(d,): c for d, c in _decode_q(*found)})
+        terms = _decode_q(col, packed.low)
+        low = terms[0][0] if terms else packed.low
+        col >>= _Q_BITS * (low - packed.low)
+        poly = _new(0, {(d,): c for d, c in terms})
+        return _Sigma0(col, low, sum(abs(c) for _, c in terms), poly, packed.point)
 
     def sigma0(self, u: Element, w: Element) -> LaurentPoly:
         g = self.group
@@ -477,17 +511,10 @@ class SigmaEngine:
 
     def is_gk_idx(self, u: int, v: int, w: int) -> bool:
         vm = v_min_idx(self.group, u, w)
-        return self._is_gk(u, v, w, vm, self._sigma0_column(u, w, vm))
+        return self._is_gk(u, v, w, vm, self._sigma0(u, w, self.sigma_idx(u, vm, w)))
 
-    def _sigma0_column(self, u: int, w: int, vm: int) -> tuple:
-        """(sigma0(u, w), its (column, low, L1 norm) from
-        ``polyring._q_column``), vm = v_min(u, w): what ``_is_gk`` reads,
-        built once per (u, w)."""
-        sigma0 = self._sigma0(u, w, self.sigma_idx(u, vm, w))
-        return sigma0, _q_column(sigma0)
-
-    def _is_gk(self, u: int, v: int, w: int, vm: int, sigma0: tuple) -> bool:
-        """``is_gk_idx`` with vm = v_min(u, w) and ``_sigma0_column`` of
+    def _is_gk(self, u: int, v: int, w: int, vm: int, sigma0: _Sigma0) -> bool:
+        """``is_gk_idx`` with vm = v_min(u, w) and the ``_Sigma0`` of
         (u, w) given, so that a caller asking many v of one (u, w) builds
         sigma0 once."""
         g = self.group
@@ -496,24 +523,30 @@ class SigmaEngine:
                 "GK type is undefined when sigma vanishes "
                 f"(v={g.word_str(v)} is not >= v_min={g.word_str(vm)})"
             )
-        return self.sigma_idx(u, v, w) == self._gk_rhs(s_set_idx(g, vm, v), *sigma0)
+        return self.sigma_idx(u, v, w) == self._gk_rhs(s_set_idx(g, vm, v), sigma0)
 
-    def _gk_rhs(self, roots: frozenset, sigma0: LaurentPoly, column: tuple,
-                value: int | None = None) -> RationalFn:
+    def _gk_rhs(self, roots: frozenset, sigma0: _Sigma0) -> RationalFn:
         """The GK right-hand side gk_factor(roots) times sigma0, deferred:
-        each column of the factor times column, sigma0's (column, low, L1
-        norm) from ``polyring._q_column``. With value, sigma0 at q0, it
-        carries value times the factor's value at the engine's point. Where
-        the product of the L1 bounds reaches 2^(K - 1), it is the decoded
-        numerator of the factor times sigma0, with no point value."""
-        gk = self.gk_factor(roots)
-        point = None
-        if value is not None:
-            point = (self._point, self._point.gk(roots) * value % _P)
-        out = gk._times_q_column(*column, point)
-        if out is None:
-            return RationalFn(gk.num * sigma0.embed(self.group.rank), gk.den)
-        return out
+        each column of the factor times sigma0's column, with L1 bound the
+        product of the two. That bound must stay below 2^(K - 1), or
+        ``RuntimeError`` is raised, as in ``sigma_idx``. When sigma0
+        carries a point value, the right-hand side carries it times the
+        factor's value at that point."""
+        gk = self.gk_factor(roots)._packed
+        l1 = gk.l1 * sigma0.l1
+        if l1 >= _Q_BOUND:
+            raise RuntimeError(
+                f"the GK right-hand side over {len(roots)} roots has L1 bound {l1}, "
+                "past the q-column slots"
+            )
+        point = sigma0.point
+        if point is not None:
+            point = (point[0], point[0].gk(roots) * point[1] % _P)
+        col = sigma0.col
+        return _deferred_columns(
+            lambda: {key: c * col for key, c in gk.cols.items()},
+            gk.den, gk.low + sigma0.low, gk.unpacked, l1, gk.span, point,
+        )
 
     def is_gk(self, u: Element, v: Element, w: Element) -> bool:
         g = self.group
@@ -561,10 +594,8 @@ class SigmaEngine:
                 nonzero += 1
                 if v == vm:  # indices are sorted by length: v_min comes first
                     sigma0 = self._sigma0(u, w, sig)
-                    sigma0_str = str(sigma0)
-                    column = _q_column(sigma0)
-                    value = point.q_value((e[0], c) for e, c in sigma0.terms.items())
-                flag = sig == self._gk_rhs(s_set_idx(g, vm, v), sigma0, column, value)
+                    sigma0_str = str(sigma0.poly)
+                flag = sig == self._gk_rhs(s_set_idx(g, vm, v), sigma0)
                 if flag:
                     gk += 1
                 rows.append((u_word, g.word_str(v), w_word, flag, sigma0_str))
@@ -694,10 +725,10 @@ def _main_theorem_for_w(engine: SigmaEngine, w: int) -> bool:
     lengths = g.lengths
     for u in range(g.order):
         vm = v_min_idx(g, u, w)
-        found = _torus_free_column(engine.sigma_idx(u, vm, w))
-        if found is None:
+        packed = _packed_of(engine.sigma_idx(u, vm, w))
+        col, low = _torus_free_column(packed), packed.low
+        if col is None:
             return False
-        col, low = found
         base = min(low, lengths[u] - lengths[vm])
         rhs = 0
         for z in _bits(g.interval_mask(u, g.mul_idx(w, vm))):

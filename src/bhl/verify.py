@@ -25,7 +25,7 @@ from .demazure import (
     up_right_idx,
     v_min_idx,
 )
-from .kl import KLTable, check_theta_power_conjecture
+from .kl import check_theta_power_conjecture
 from .polyring import (
     _Q_BOUND,
     LaurentPoly,
@@ -441,21 +441,21 @@ def _suite_gk_base(g: CoxeterGroup, samples, seed, engine: SigmaEngine) -> Suite
     checked = 0
     e = g.identity_idx
     vm = v_min_idx(g, e, e)
-    sigma0 = engine._sigma0_column(e, e, vm)
+    sigma0 = engine._sigma0(e, e, engine.sigma_idx(e, vm, e))
     for v in range(g.order):
         if not engine._is_gk(e, v, e, vm, sigma0):
             return SuiteResult("gk-base", False, f"base case fails at v={g.word_str(v)}")
         checked += 1
     if g.cartan_type.family in ("A", "D"):
-        kl = KLTable(g, rtable=engine.rtable)
-        per_u = {}  # u -> (v_min(u, e), sigma0 column)
+        kl = engine.kl
+        per_u = {}  # u -> (v_min(u, e), sigma0)
         for v in range(g.order):
             for u in _bits(g.down_masks[v]):
                 if not kl._q_is_one(u, v):
                     continue
                 if u not in per_u:
                     vm = v_min_idx(g, u, e)
-                    per_u[u] = vm, engine._sigma0_column(u, e, vm)
+                    per_u[u] = vm, engine._sigma0(u, e, engine.sigma_idx(u, vm, e))
                 if not engine._is_gk(u, v, e, *per_u[u]):
                     return SuiteResult(
                         "gk-base",
@@ -499,9 +499,7 @@ def run_suite(
     if name == "poles":
         return _suite_poles(g, samples, seed, engine)
     if name == "kl-conjecture":
-        violations = check_theta_power_conjecture(
-            g, theta_table=engine.theta, rtable=engine.rtable
-        )
+        violations = check_theta_power_conjecture(g, theta_table=engine.theta, kl=engine.kl)
         return SuiteResult(
             name,
             not violations,

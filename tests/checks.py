@@ -28,10 +28,17 @@ shares no code with the lifted int step of ``ThetaTable``; the functional
 lambda_w summed on ``LaurentPoly`` dicts (``theta_from_product``); and
 theta(x, y, w) built from those two, the reference for the int sums of
 ``ThetaTable``.
+
+Last, ``code_lines``, the line count that CHANGES.md and ROADMAP.md quote
+for ``src/bhl``.
 """
 
+import ast
+import io
+import tokenize
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from bhl.coxeter import CoxeterGroup, Element, _bits
 from bhl.demazure import v_min_idx
@@ -538,3 +545,42 @@ def theta(x: Element, y: Element, w: Element) -> LaurentPoly:
     g.check_same(y.group)
     g.check_same(w.group)
     return theta_from_product(g, product_coeffs(g, x.index, y.index), w.index)
+
+
+def code_lines(path) -> int:
+    """The lines of code in the Python file path, or in every .py file
+    under the directory path: the lines that some token other than a
+    comment starts on or spans, less every line of a module, class or
+    function docstring. Blank lines, comment lines and docstrings do not
+    count; a multi-line string that is not a docstring counts whole."""
+    path = Path(path)
+    total = 0
+    for file in [path] if path.is_file() else sorted(path.rglob("*.py")):
+        source = file.read_text()
+        docstrings = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = node.body[0] if node.body else None
+                if (
+                    isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)
+                ):
+                    docstrings.update(range(first.lineno, first.end_lineno + 1))
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type not in _NOT_CODE:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(lines - docstrings)
+    return total
+
+
+_NOT_CODE = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENCODING,
+    tokenize.ENDMARKER,
+}

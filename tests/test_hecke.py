@@ -5,7 +5,7 @@ from collections.abc import Mapping
 import pytest
 
 from bhl import hecke
-from bhl.coxeter import GroupMismatchError, build_group
+from bhl.coxeter import GroupMismatchError, _bits, build_group
 from bhl.hecke import ThetaTable
 from bhl.polyring import LaurentPoly, _decode_q
 from bhl.sigma import SigmaEngine
@@ -92,13 +92,13 @@ def _decoded(col):
 
 def _assert_int_theta(table, x, y, w):
     """theta(x, y, w) from theta_idx and from the column of y (theta_sum
-    over the one x, thetas at the one w), decoded, equals the single-shot
-    oracle."""
+    over the one x, theta_groups at the one w), decoded, equals the
+    single-shot oracle."""
     want = _theta_single_shot(table.group, x, y, w)
     assert table.theta_idx(x, y, w) == want, (x, y, w)
     assert _decoded(table.theta_sum(1 << x, y, w)) == want, (x, y, w)
-    assert [(w2, _decoded(col)) for w2, col in table.thetas(x, y, 1 << w)] == [
-        (w, want)
+    assert [(ws, _decoded(col)) for ws, col in table.theta_groups(x, y, 1 << w)] == [
+        (1 << w, want)
     ], (x, y, w)
 
 
@@ -131,9 +131,10 @@ def test_masked_theta_memo_matches_single_shot_sampled_b3(b3, order):
 
 @pytest.mark.parametrize("cartan_type", ["A2", "B2", "G2", "A3", "B3"])
 def test_thetas_over_many_w_match_single_shot(cartan_type):
-    """thetas(x, y, ws), whose w share one sum per part of the support they
-    cover, gives the single-shot theta at every w of ws: every (x, y) with
-    all w, or on B3 a seeded sample of (x, y) with random masks."""
+    """theta_groups(x, y, ws), whose w share one sum per part of the
+    support they cover, gives the single-shot theta at every w of ws: every
+    (x, y) with all w, or on B3 a seeded sample of (x, y) with random
+    masks."""
     g = build_group(cartan_type)
     table = ThetaTable(g)
     everything = (1 << g.order) - 1
@@ -146,7 +147,11 @@ def test_thetas_over_many_w_match_single_shot(cartan_type):
             for _ in range(300)
         ]
     for x, y, ws in cases:
-        got = [(w, _decoded(col)) for w, col in table.thetas(x, y, ws)]
+        got = sorted(
+            (w, _decoded(col))
+            for mask, col in table.theta_groups(x, y, ws)
+            for w in _bits(mask)
+        )
         want = [
             (w, _theta_single_shot(g, x, y, w)) for w in range(g.order) if ws >> w & 1
         ]

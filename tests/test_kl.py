@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bhl import cli
 from bhl import kl as kl_module
 from bhl.coxeter import _bits
 from bhl.hecke import ThetaTable
@@ -102,7 +103,7 @@ def test_theta_power_conjecture_small(a2, a3, engine_a3):
 
 def _theta_decoded(theta, x, y, w):
     """theta(x, y, w) from the int sums the scan reads, decoded."""
-    ((_, col),) = theta.thetas(x, y, 1 << w)
+    ((_, col),) = theta.theta_groups(x, y, 1 << w)
     return LaurentPoly(0, {(d,): c for d, c in _decode_q(col, 0)})
 
 
@@ -192,6 +193,22 @@ def test_kl_conjecture_suite_reuses_the_engine_r_table(a3, monkeypatch):
     res = run_suite("kl-conjecture", a3, engine=engine)
     assert res.ok, res.detail
     assert built == []
+
+
+def test_verify_all_builds_one_kl_table(monkeypatch, capsys):
+    """``verify --type A3 --suite all``: gk-base and kl-conjecture both
+    read the engine's one KL table."""
+    built = []
+    original = KLTable.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(KLTable, "__init__", counting)
+    assert cli.run(["verify", "--type", "A3", "--suite", "all"]) == 0
+    assert "gk-base: PASS" in capsys.readouterr().out
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("cartan_type, top_slots", [("G2", 0), ("A3", 5), ("B3", 49)])

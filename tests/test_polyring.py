@@ -3,7 +3,6 @@ import random
 import re
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 import bhl
 from bhl.coxeter import _bits, build_group
 from bhl.demazure import v_min_idx
-from bhl import polyring
 from bhl.polyring import (
     _Q_BITS,
     _Q_BOUND,
@@ -27,7 +25,6 @@ from bhl.polyring import (
     _is_q_power,
     _pack,
     _packed_factor,
-    _scale_by_factors,
     _spans,
     _times_binomial,
     _unpack,
@@ -36,6 +33,7 @@ from bhl.polyring import (
     binomial_divide,
 )
 from bhl.rpoly import RPolyTable
+from bhl import sigma
 from bhl.sigma import SigmaEngine
 from checks import (
     binomial_divide_tuples,
@@ -186,21 +184,6 @@ def test_bar_is_ring_involution(a, b):
 @given(polys, betas)
 def test_binomial_divide_roundtrip(a, beta):
     assert binomial_divide(a * binomial(2, beta), beta) == a
-
-
-@settings(max_examples=200)
-@given(polys, st.dictionaries(betas, st.integers(1, 2), max_size=3))
-def test_scale_by_factors_matches_repeated_binomial_products(a, factors):
-    """The shift-and-subtract kernel behind RationalFn.__eq__ and __add__
-    equals one product by binomial() per factor and multiplicity, and keeps
-    no zero coefficient."""
-    want = a
-    for beta, mult in factors.items():
-        for _ in range(mult):
-            want = want * binomial(2, beta)
-    got = _scale_by_factors(a, Counter(factors))
-    assert got == want
-    assert all(got.coefficients())
 
 
 def random_rational(rng):
@@ -570,8 +553,9 @@ def test_sigma_division_matches_oracle_on_b3(b3, engine_b3):
 
 def test_columns_past_the_l1_limit_compare_on_the_eager_path(monkeypatch):
     """Two column-backed values whose cross-multiplied L1 bounds reach
-    2^(K - 1) are compared by the tuple cross-multiplication, and still
-    correctly; inside the bound the columns decide. a is
+    2^(K - 1) are compared by the eager cross-multiplication of their
+    decoded numerators, one ``LaurentPoly`` comparison per ``==``, and
+    still correctly; inside the bound the columns decide. a is
     2^60 (1 + q x1) / (1 - x1), b is a with 1 - x2 on both sides and c is
     a with one coefficient negated."""
     memo = _UnpackMemo(3)
@@ -586,16 +570,16 @@ def test_columns_past_the_l1_limit_compare_on_the_eager_path(monkeypatch):
     assert _columns_equal(b._packed, c._packed) is None
     assert _columns_equal(a._packed, c._packed) is False
     eager = []
-    original = polyring._scale_by_factors
+    original = LaurentPoly.__eq__
 
-    def counting(num, factors):
-        eager.append(factors)
-        return original(num, factors)
+    def counting(left, right):
+        eager.append(right)
+        return original(left, right)
 
-    monkeypatch.setattr(polyring, "_scale_by_factors", counting)
+    monkeypatch.setattr(LaurentPoly, "__eq__", counting)
     assert a == b and b == a
     assert not b == c and not c == b
-    assert len(eager) == 8
+    assert len(eager) == 4
     for x, y in ((a, b), (b, c), (a, c)):
         assert (x == y) == (RationalFn(x.num, x.den) == RationalFn(y.num, y.den))
 
@@ -605,47 +589,37 @@ def test_column_backed_form_refuses_an_l1_bound_past_the_slots():
         _deferred_columns(lambda: {0: 1}, (), 0, _UnpackMemo(1), _Q_BOUND, 0)
 
 
-def test_times_q_column_at_and_past_the_l1_limit():
-    """_times_q_column multiplies each column by the column of a
-    q-polynomial into a deferred value that carries the point value it is
-    given, while the product of the L1 bounds is below 2^(K - 1), and
-    returns None once it reaches it; inside, the product is the oracle's."""
-    memo = _UnpackMemo(2)
-    x1 = _pack((0, 1))
-    val = _deferred_columns(lambda: {0: 3, x1: -(1 << _Q_BITS)}, {x1}, -1, memo, 4, 1)
-    point = (object(), 7)
-    for l1, fits in ((_Q_BOUND // 4 - 1, True), (_Q_BOUND // 4, False)):
-        p = LaurentPoly(0, {(2,): l1 - 1, (4,): -1})  # L1 norm l1
-        got = val._times_q_column(*polyring._q_column(p), point)
-        if not fits:
-            assert got is None
-            continue
-        assert got._packed._cols is None and got._packed.point == point
-        want = rf_mul_poly(val, p.embed(1))
-        assert (got.num, got.den) == (want.num, want.den)
-
-
-def test_gk_rhs_past_the_l1_limit_takes_the_tuple_product():
-    """The GK right-hand side stays on the columns while L1(sigma0) 2^|S|
-    is below 2^(K - 1), and from there on is the decoded GK factor times
-    sigma0; both equal the oracle product term for term."""
+def test_gk_rhs_past_the_l1_limit_raises():
+    """The GK right-hand side is each column of the GK factor times the
+    column of sigma0, deferred, carrying sigma0's point value times the
+    factor's, while L1(sigma0) 2^|S| is below 2^(K - 1), and then equals the
+    oracle product term for term; from that bound on it raises."""
     g = build_group("A2")
     eng = SigmaEngine(g)
+    point = sigma._Point(eng)
     roots = frozenset(range(len(g.positive_roots)))  # L1 bound 2^3
     gk = eng.gk_factor(roots)
     for l1, fits in ((_Q_BOUND // 8 - 1, True), (_Q_BOUND // 8, False)):
-        sigma0 = LaurentPoly(0, {(0,): l1 - 1, (1,): 1})
-        got = eng._gk_rhs(roots, sigma0, polyring._q_column(sigma0))
-        want = rf_mul_poly(gk, sigma0.embed(g.rank))
-        assert (got._packed is not None) == fits
+        terms = [(2, l1 - 1), (4, -1)]  # L1 norm l1
+        col = _encode_q(terms, 2)
+        sig = _deferred_columns(lambda: {0: col}, (), 2, eng._unpacked, l1, 0, (point, 7))
+        sigma0 = eng._sigma0(g.identity_idx, g.identity_idx, sig)
+        assert (sigma0.col, sigma0.low, sigma0.l1) == (col, 2, l1)
+        if not fits:
+            with pytest.raises(RuntimeError, match="past the q-column slots"):
+                eng._gk_rhs(roots, sigma0)
+            continue
+        got = eng._gk_rhs(roots, sigma0)
+        assert got._packed._cols is None
+        assert got._packed.point == (point, point.gk(roots) * 7 % sigma._P)
+        want = rf_mul_poly(gk, sigma0.poly.embed(g.rank))
         assert (got.num, got.den) == (want.num, want.den)
 
 
 def test_deferred_values_build_on_read():
     """A deferred value builds its columns on the first read that needs
     them, once: not for its arity, den, L1 bound or a point value that
-    settles is_zero or ==, and not for a product made from it by
-    _times_q_column, which builds its own on its first read."""
+    settles is_zero or ==."""
     memo = _UnpackMemo(2)
     x1 = _pack((0, 1))
     builds = []
@@ -659,13 +633,7 @@ def test_deferred_values_build_on_read():
     other = _deferred_columns(build, {x1}, -1, memo, 4, 1, (point, 6))
     assert val.arity == 1 and not val.is_zero() and not val == other
     assert builds == []
-    p = LaurentPoly(0, {(2,): 5, (4,): -1})
-    got = val._times_q_column(*polyring._q_column(p))
-    assert builds == [] and got._packed.point is None
     twin = _deferred_columns(build, {x1}, -1, memo, 4, 1, (point, 5))
     assert val == twin and len(builds) == 2
     assert val == _deferred_columns(build, {x1}, -1, memo, 4, 1)
-    assert len(builds) == 3
-    want = rf_mul_poly(val, p.embed(1))
-    assert (got.num, got.den) == (want.num, want.den)
     assert len(builds) == 3

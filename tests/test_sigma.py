@@ -690,12 +690,11 @@ def _gk_comparisons(eng, pairs) -> list:
     out = []
     for u, w in pairs:
         vm = v_min_idx(g, u, w)
-        sigma0 = eng.sigma0_idx(u, w)
-        column = polyring._q_column(sigma0)
+        sigma0 = eng._sigma0(u, w, eng.sigma_idx(u, vm, w))
         row = eng._xi_row(u, w, (1 << g.order) - 1, point)
         for v in _bits(g.up_masks[vm]):
             sig = eng.sigma_idx(u, v, w, row)
-            rhs = eng._gk_rhs(s_set_idx(g, vm, v), sigma0, column)
+            rhs = eng._gk_rhs(s_set_idx(g, vm, v), sigma0)
             assert _columns_equal(sig._packed, rhs._packed) is not None, (u, v, w)
             eager = RationalFn(sig.num, sig.den) == RationalFn(rhs.num, rhs.den)
             out.append((sig == rhs, eager))
@@ -733,11 +732,10 @@ def test_gk_cross_multiplied_keys_stay_within_the_table_digit_bound(a3, b3):
         for _ in range(n_pairs):
             u, w = rng.randrange(g.order), rng.randrange(g.order)
             vm = v_min_idx(g, u, w)
-            sigma0 = eng.sigma0_idx(u, w)
-            column = polyring._q_column(sigma0)
+            sigma0 = eng._sigma0(u, w, eng.sigma_idx(u, vm, w))
             for v in _bits(g.up_masks[vm]):
                 a = eng.sigma_idx(u, v, w)._packed
-                b = eng._gk_rhs(s_set_idx(g, vm, v), sigma0, column)._packed
+                b = eng._gk_rhs(s_set_idx(g, vm, v), sigma0)._packed
                 for side, lacks in ((a, b.den - a.den), (b, a.den - b.den)):
                     cols = side.cols
                     for beta in lacks:
@@ -786,11 +784,10 @@ def test_mixed_eager_and_column_equality(a2, engine_a2):
     for u in range(g.order):
         for w in range(g.order):
             vm = v_min_idx(g, u, w)
-            sigma0 = engine_a2.sigma0_idx(u, w)
-            column = polyring._q_column(sigma0)
+            sigma0 = engine_a2._sigma0(u, w, engine_a2.sigma_idx(u, vm, w))
             for v in _bits(g.up_masks[vm]):
                 sig = engine_a2.sigma_idx(u, v, w)
-                rhs = engine_a2._gk_rhs(s_set_idx(g, vm, v), sigma0, column)
+                rhs = engine_a2._gk_rhs(s_set_idx(g, vm, v), sigma0)
                 copy = RationalFn(sig.num, sig.den)
                 terms = dict(sig.num.terms)
                 first = min(terms)
@@ -805,16 +802,16 @@ def test_mixed_eager_and_column_equality(a2, engine_a2):
 
 def test_classify_and_main_theorem_decode_no_value(a2, b2, g2, monkeypatch):
     """classify and the main-theorem check run on columns alone: with the
-    decode and the tuple cross-multiplication refused, the reports keep
-    their counts and sigma0, read off the column of the x-key 0 at v_min,
-    keeps its golden digest."""
+    decode and the eager cross-multiplication (``LaurentPoly.__mul__``)
+    refused, the reports keep their counts and sigma0, read off the column
+    of the x-key 0 at v_min, keeps its golden digest."""
     want = {g: classify(g) for g in (a2, b2, g2)}
 
     def refuse(*args):
         raise AssertionError("a column-backed value was decoded")
 
     monkeypatch.setattr(RationalFn, "_decode", refuse)
-    monkeypatch.setattr(polyring, "_scale_by_factors", refuse)
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
     for g, rep in want.items():
         got = classify(g)
         assert got.rows == rep.rows, g.cartan_type
@@ -940,11 +937,10 @@ def _exact_path_rows(eng, w) -> tuple:
             assert sig._packed.point is None and not sig.is_zero()
             if v == vm:
                 sigma0 = eng._sigma0(u, w, sig)
-                column = polyring._q_column(sigma0)
-            rhs = eng._gk_rhs(s_set_idx(g, vm, v), sigma0, column)
+            rhs = eng._gk_rhs(s_set_idx(g, vm, v), sigma0)
             assert rhs._packed.point is None
             flag = sig == rhs
-            rows.append((g.word_str(u), g.word_str(v), w_word, flag, str(sigma0)))
+            rows.append((g.word_str(u), g.word_str(v), w_word, flag, str(sigma0.poly)))
     return len(rows), sum(row[3] for row in rows), rows
 
 
@@ -996,6 +992,42 @@ def test_one_wrong_bar_r_point_value_changes_a_flag(a2, monkeypatch):
     assert _point_route_mismatches(a2, range(a2.order)) != []
 
 
+@pytest.mark.parametrize("cartan_type", ["G2", "A3"])
+def test_sigma_at_v_min_carries_the_value_of_sigma0_at_the_point(cartan_type):
+    """For every (u, w), the point value that sigma at v_min carries on the
+    classify path, which the GK right-hand side is scaled from, is sigma0
+    evaluated at q0 term by term."""
+    g = build_group(cartan_type)
+    eng = SigmaEngine(g)
+    point = sigma._Point(eng)
+    everything = (1 << g.order) - 1
+    for u in range(g.order):
+        for w in range(g.order):
+            row = eng._xi_row(u, w, everything, point)
+            sigma0 = eng._sigma0(u, w, eng.sigma_idx(u, v_min_idx(g, u, w), w, row))
+            terms = [(e[0], c) for e, c in sigma0.poly.terms.items()]
+            assert sigma0.point == (point, point.q_value(terms)), (u, w)
+
+
+def test_one_wrong_sigma0_point_value_changes_a_flag(a2, monkeypatch):
+    """A copy whose sigma at v_min(e, w0) carries a wrong point value flags
+    some GK triple non-GK: the GK right-hand side takes its point value
+    from there, and the point route is checked against the exact path."""
+    original = SigmaEngine.sigma_idx
+    target = (a2.identity_idx, a2.longest_idx)
+
+    def wrong(self, u, v, w, row=None):
+        val = original(self, u, v, w, row)
+        p = val._packed
+        if (u, w) != target or v != v_min_idx(self.group, u, w) or p.point is None:
+            return val
+        point = (p.point[0], (p.point[1] + 1) % sigma._P)
+        return _deferred_columns(lambda: p.cols, p.den, p.low, p.unpacked, p.l1, p.span, point)
+
+    monkeypatch.setattr(SigmaEngine, "sigma_idx", wrong)
+    assert _point_route_mismatches(a2, range(a2.order)) != []
+
+
 @pytest.mark.parametrize("bad", ["q0", "binomial"])
 def test_a_bad_first_draw_is_drawn_again(a2, monkeypatch, bad):
     """A first draw with q0 = 0, or with x0 = (1, ..., 1), where every
@@ -1033,9 +1065,8 @@ def test_sigma_past_the_l1_limit_raises_although_the_point_settles_it(a2, monkey
     row = eng._xi_row(u, w, (1 << g.order) - 1, eng._point)
     sig = eng.sigma_idx(u, v, w, row)
     vm = v_min_idx(g, u, w)
-    sigma0 = eng.sigma0_idx(u, w)
-    value = eng._point.q_value((e[0], c) for e, c in sigma0.terms.items())
-    rhs = eng._gk_rhs(s_set_idx(g, vm, v), sigma0, polyring._q_column(sigma0), value)
+    sigma0 = eng._sigma0(u, w, eng.sigma_idx(u, vm, w, row))
+    rhs = eng._gk_rhs(s_set_idx(g, vm, v), sigma0)
     assert sig._packed.point[1] != rhs._packed.point[1]
     assert not sig == rhs and sig._packed._cols is None
     original = SigmaEngine.sigma_idx
@@ -1051,10 +1082,11 @@ def test_sigma_past_the_l1_limit_raises_although_the_point_settles_it(a2, monkey
 
 
 def test_eager_sigma_against_a_deferred_rhs_compares_exactly(a2, b2, monkeypatch):
-    """classify with every sigma replaced by an eager copy, as the
-    benchmark's perturbed sigma is built, compares it with a deferred GK
-    right-hand side that carries a point value, exactly: the rows are
-    unchanged, and a copy with one coefficient negated changes them."""
+    """classify with every sigma past v_min replaced by an eager copy, as
+    the benchmark's perturbed sigma is built, compares it with a deferred
+    GK right-hand side that carries a point value (sigma at v_min keeps
+    its own, which sigma0 takes), exactly: the rows are unchanged, and a
+    copy with one coefficient negated changes them."""
     want = {g: classify(g).rows for g in (a2, b2)}
     original, original_rhs = SigmaEngine.sigma_idx, SigmaEngine._gk_rhs
     flip = []
@@ -1062,6 +1094,8 @@ def test_eager_sigma_against_a_deferred_rhs_compares_exactly(a2, b2, monkeypatch
 
     def eager(self, u, v, w, row=None):
         val = original(self, u, v, w, row)
+        if v == v_min_idx(self.group, u, w):
+            return val
         terms = dict(val.num.terms)
         if (u, v, w) in flip:
             first = min(terms)
