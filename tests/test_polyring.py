@@ -589,31 +589,55 @@ def test_column_backed_form_refuses_an_l1_bound_past_the_slots():
         _deferred_columns(lambda: {0: 1}, (), 0, _UnpackMemo(1), _Q_BOUND, 0)
 
 
+def _gk_sigma0(eng, point, terms, low, l1):
+    """The ``_Sigma0`` of a torus-free sigma at v_min whose one column holds
+    the q-polynomial terms from q^low, with L1 bound l1 and point value 7."""
+    col = _encode_q(terms, low)
+    sig = _deferred_columns(lambda: {0: col}, (), low, eng._unpacked, l1, 0, (point, 7))
+    sigma0 = eng._sigma0(eng.group.identity_idx, eng.group.identity_idx, sig)
+    assert (sigma0.col, sigma0.low, sigma0.l1) == (col, low, l1)
+    return sigma0
+
+
+def test_times_q_column_at_and_past_the_l1_limit():
+    """For every set S of positive roots of A2, the GK right-hand side is
+    each column of the GK factor times the column of sigma0, deferred,
+    carrying sigma0's point value times the factor's, while L1(sigma0) 2^|S|
+    is below 2^(K - 1), and then equals the oracle product term for term;
+    one past that bound it raises. With S empty the bound is sigma0's own,
+    which no column-backed sigma0 reaches."""
+    g = build_group("A2")
+    eng = SigmaEngine(g)
+    point = sigma._Point(eng)
+    n = len(g.positive_roots)
+    for roots in (frozenset(r for r in range(n) if m >> r & 1) for m in range(1 << n)):
+        gk = eng.gk_factor(roots)
+        edge = _Q_BOUND >> len(roots)
+        for l1, fits in ((edge - 1, True), (edge, False))[: 2 if roots else 1]:
+            sigma0 = _gk_sigma0(eng, point, [(-1, l1 - 1), (3, -1)], -1, l1)
+            if not fits:
+                with pytest.raises(RuntimeError, match="past the q-column slots"):
+                    eng._gk_rhs(roots, sigma0)
+                continue
+            got = eng._gk_rhs(roots, sigma0)
+            assert got._packed._cols is None
+            assert got._packed.point == (point, point.gk(roots) * 7 % sigma._P)
+            want = rf_mul_poly(gk, sigma0.poly.embed(g.rank))
+            assert (got.num, got.den) == (want.num, want.den)
+
+
 def test_gk_rhs_past_the_l1_limit_raises():
-    """The GK right-hand side is each column of the GK factor times the
-    column of sigma0, deferred, carrying sigma0's point value times the
-    factor's, while L1(sigma0) 2^|S| is below 2^(K - 1), and then equals the
-    oracle product term for term; from that bound on it raises."""
+    """From the bound L1(sigma0) 2^|S| >= 2^(K - 1) on, the GK right-hand
+    side raises RuntimeError, as sigma_idx does, and builds nothing: there
+    is no decoded fallback product."""
     g = build_group("A2")
     eng = SigmaEngine(g)
     point = sigma._Point(eng)
     roots = frozenset(range(len(g.positive_roots)))  # L1 bound 2^3
-    gk = eng.gk_factor(roots)
-    for l1, fits in ((_Q_BOUND // 8 - 1, True), (_Q_BOUND // 8, False)):
-        terms = [(2, l1 - 1), (4, -1)]  # L1 norm l1
-        col = _encode_q(terms, 2)
-        sig = _deferred_columns(lambda: {0: col}, (), 2, eng._unpacked, l1, 0, (point, 7))
-        sigma0 = eng._sigma0(g.identity_idx, g.identity_idx, sig)
-        assert (sigma0.col, sigma0.low, sigma0.l1) == (col, 2, l1)
-        if not fits:
-            with pytest.raises(RuntimeError, match="past the q-column slots"):
-                eng._gk_rhs(roots, sigma0)
-            continue
-        got = eng._gk_rhs(roots, sigma0)
-        assert got._packed._cols is None
-        assert got._packed.point == (point, point.gk(roots) * 7 % sigma._P)
-        want = rf_mul_poly(gk, sigma0.poly.embed(g.rank))
-        assert (got.num, got.den) == (want.num, want.den)
+    for l1 in (_Q_BOUND // 8, _Q_BOUND // 2, _Q_BOUND - 1):
+        sigma0 = _gk_sigma0(eng, point, [(2, l1 - 1), (4, -1)], 2, l1)
+        with pytest.raises(RuntimeError, match="over 3 roots has L1 bound"):
+            eng._gk_rhs(roots, sigma0)
 
 
 def test_deferred_values_build_on_read():
