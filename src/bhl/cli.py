@@ -34,11 +34,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import signal
 import sys
-from decimal import Decimal
 
 from .coxeter import (
     CoxeterGroup,
@@ -58,7 +56,10 @@ def _build(args) -> CoxeterGroup:
     cap = os.environ.get("BHL_MAX_ORDER")
     if not cap:
         return build_group(args.type)
-    # Decimal, unlike int(), reads a digit string of any length
+    # Decimal, unlike int(), reads a digit string of any length; imported
+    # here, as json is below, so that import bhl.cli loads neither
+    from decimal import Decimal
+
     max_order = int(Decimal(cap)) if _is_ascii_number(cap.strip()) else 0
     if max_order < 1:
         raise ValueError(f"BHL_MAX_ORDER must be a positive integer, got {cap!r}")
@@ -120,6 +121,8 @@ def _cmd_sigma(args) -> int:
     w = g.from_word(args.w)
     val = SigmaEngine(g).sigma(u, v, w)
     if args.format == "json":
+        import json
+
         print(
             json.dumps(
                 {
@@ -183,6 +186,8 @@ def _cmd_verify(args) -> int:
 
 
 def _positive_int(text: str) -> int:
+    from decimal import Decimal
+
     n = int(Decimal(text)) if _is_ascii_number(text.strip()) else 0
     if n < 1:
         raise argparse.ArgumentTypeError(

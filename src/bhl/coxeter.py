@@ -22,9 +22,8 @@ comma-separated indices ("1,2,1"), which is accepted for all ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .polyring import LaurentPoly
 
@@ -82,8 +81,7 @@ def _is_ascii_number(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-@dataclass(frozen=True)
-class CartanType:
+class CartanType(NamedTuple):
     """A finite Weyl group family label: A, B, C, D or G, plus a rank."""
 
     family: str
@@ -173,14 +171,34 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
 class Element:
     """A handle into a CoxeterGroup; all structure lives in the group.
-    Equality and hash are the dataclass's, over (group, index): the group
-    compares by identity, as CoxeterGroup defines no __eq__."""
+    Immutable. Equality and hash are over (group, index): the group
+    compares by identity, as CoxeterGroup defines no __eq__. Not a tuple,
+    so that + and int * do not act on an element as on a pair."""
 
-    group: "CoxeterGroup"
-    index: int
+    __slots__ = ("group", "index")
+
+    def __init__(self, group: "CoxeterGroup", index: int):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "index", index)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Element, (self.group, self.index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.group is other.group and self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.index))
 
     def length(self) -> int:
         return self.group.lengths[self.index]

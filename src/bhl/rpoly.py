@@ -146,6 +146,7 @@ class RPolyTable:
         self._l1_limit = polyring._Q_BOUND
         self._one = (frozenset(), {0: 1 << (self._q_bits * -self.low)}, 1)
         self._bar_r: dict = {}
+        self._pivots: dict = {}  # v -> (smallest left descent i, packed root)
 
     # -- deformed ------------------------------------------------------------
 
@@ -164,14 +165,14 @@ class RPolyTable:
             f"bug (u={g.word_str(u)}, v={g.word_str(v)})"
         )
 
-    def _step(self, u: int, v: int, i: int) -> tuple:
+    def _step(self, u: int, v: int, i: int, beta: int) -> tuple:
         """One step of the conjugated recursion, pivoting on the left
-        descent i of v; returns the entry of bar r(u, v). Every column
-        shifted down one q-slot must have slot 0 empty."""
+        descent i of v with beta = ``_pivot_root(v, i)``; returns the entry
+        of bar r(u, v). Every column shifted down one q-slot must have
+        slot 0 empty."""
         g = self.group
         sv = g.lmult[v][i]
         su = g.lmult[u][i]
-        beta = self._pivot_root(v, i)
         den_a, num_a, l1_a = self.bar_r_packed_idx(u, sv)
         den_b, num_b, l1_b = self.bar_r_packed_idx(su, sv)
         bits = self._q_bits
@@ -232,8 +233,12 @@ class RPolyTable:
             elif not g.leq_idx(u, v):
                 val = _ZERO
             else:
-                mask = g.left_desc_masks[v]
-                val = self._step(u, v, (mask & -mask).bit_length() - 1)
+                pivot = self._pivots.get(v)
+                if pivot is None:
+                    mask = g.left_desc_masks[v]
+                    i = (mask & -mask).bit_length() - 1
+                    pivot = self._pivots[v] = (i, self._pivot_root(v, i))
+                val = self._step(u, v, *pivot)
             self._bar_r[key] = val
         return val
 

@@ -151,12 +151,10 @@ none and each of their comparisons is exact.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from math import prod
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .coxeter import CoxeterGroup, Element, _bits
 from .demazure import v_min_idx
@@ -602,16 +600,15 @@ class SigmaEngine:
         return nonzero, gk, rows
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Per-type classification statistics plus the per-triple audit rows."""
 
     cartan_type: str
     total_triples: int
     nonzero_count: int
     gk_count: int
-    exceptions: list = field(default_factory=list)  # (u, v, w) word triples
-    rows: list = field(default_factory=list)  # (u, v, w, is_gk, sigma0 str)
+    exceptions: Sequence = ()  # (u, v, w) word triples
+    rows: Sequence = ()  # (u, v, w, is_gk, sigma0 str)
 
     def to_json_dict(self) -> dict:
         return {
@@ -625,6 +622,8 @@ class ClassificationReport:
         }
 
     def to_json_text(self) -> str:
+        import json  # here, not at the top, so that import bhl does not load it
+
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
     def to_csv_text(self) -> str:
@@ -671,7 +670,7 @@ def _map_over_w(engine: SigmaEngine, fn, jobs: int) -> list:
     order = engine.group.order
     workers = min(jobs, order, os.cpu_count() or 1)
     if workers > 1:
-        # imported only here: it is a third of the package's import time
+        # imported only here, so that import bhl does not load it
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():

@@ -11,8 +11,8 @@ The suites exposed through the command line are the eight names in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .coxeter import CoxeterGroup, _bits
 from .demazure import (
@@ -67,8 +67,7 @@ DEFAULT_SAMPLES = 2000
 _EXHAUSTIVE_ORDER = {2: 120, 3: 24}
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     ok: bool
     detail: str

@@ -58,7 +58,7 @@ def r_idx_with_pivot(rtable: RPolyTable, u: int, v: int, i: int) -> RationalFn:
         return RationalFn.zero(g.rank)
     if not g.left_desc_masks[v] >> i & 1:
         raise ValueError(f"s{i + 1} is not a left descent of the target")
-    return rtable._rational(rtable._step(u, v, i)).bar_q()
+    return rtable._rational(rtable._step(u, v, i, rtable._pivot_root(v, i))).bar_q()
 
 
 def check_r_descent_independence(g: CoxeterGroup, rtable: RPolyTable | None = None) -> int:

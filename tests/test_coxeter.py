@@ -1,3 +1,4 @@
+import copy
 from itertools import combinations
 
 import pytest
@@ -26,6 +27,11 @@ def test_orders_and_root_counts(a2, b2, a3, b3, g2):
 
 def test_type_parsing_and_validation():
     assert str(CartanType.parse("b3")) == "B3"
+    assert repr(CartanType.parse("a3")) == "CartanType(family='A', rank=3)"
+    assert CartanType.parse("A3") == CartanType("A", 3) != CartanType("A", 4)
+    assert hash(CartanType.parse("A3")) == hash(CartanType("A", 3))
+    with pytest.raises(AttributeError):
+        CartanType("A", 3).rank = 4
     for bad in ("E8", "G3", "D2", "A0", "xyz", "B"):
         with pytest.raises(UnsupportedTypeError):
             CartanType.parse(bad)
@@ -287,13 +293,18 @@ def test_b_and_c_labels_agree_on_order_data(b2, c2):
 
 
 def test_element_equality_and_hash(a2):
-    """Elements compare by (group identity, index), as the frozen dataclass
-    generates it: never equal to a bare index or to an element of another
-    build of the same type, and usable as dict keys."""
+    """Elements compare by (group identity, index): never equal to a bare
+    index, to the pair (group, index) or to an element of another build of
+    the same type, and usable as dict keys. A copy is equal; a field
+    cannot be assigned."""
     for i in range(a2.order):
         assert a2.element(i) == a2.element(i)
         assert hash(a2.element(i)) == hash(a2.element(i))
         assert a2.element(i) != i
+        assert a2.element(i) != (a2, i)
+        assert copy.copy(a2.element(i)) == a2.element(i)
+    with pytest.raises(AttributeError):
+        a2.identity().index = 1
     assert a2.element(1) != a2.element(2)
     assert build_group("A2").identity() != build_group("A2").identity()
     by_element = {w: w.index for w in a2.elements()}

@@ -27,7 +27,13 @@ from bhl.polyring import (
     binomial,
 )
 from bhl.rpoly import s_set, s_set_idx
-from bhl.sigma import SigmaEngine, classify, verify_main_theorem, verify_vanishing
+from bhl.sigma import (
+    ClassificationReport,
+    SigmaEngine,
+    classify,
+    verify_main_theorem,
+    verify_vanishing,
+)
 from bhl.verify import SUITE_NAMES, run_suite
 
 from checks import mu_element, rf_mul_poly, sigma_via_mu_idx, theta_from_product
@@ -180,6 +186,32 @@ def test_classify_reports_match_golden_digests(cartan_type):
     assert (_digest(rep.to_csv_text()), _digest(rep.to_json_text())) == (
         GOLDEN_REPORTS[cartan_type]
     )
+
+
+def test_report_built_by_keyword_renders_the_same_bytes(a2):
+    """A report built by keyword from classify's fields renders the golden
+    bytes; one built from the four counts alone has no exception or row,
+    and no report's fields can be assigned."""
+    rep = classify(a2)
+    again = ClassificationReport(
+        cartan_type=rep.cartan_type,
+        total_triples=rep.total_triples,
+        nonzero_count=rep.nonzero_count,
+        gk_count=rep.gk_count,
+        exceptions=list(rep.exceptions),
+        rows=list(rep.rows),
+    )
+    assert again == rep
+    assert (_digest(again.to_csv_text()), _digest(again.to_json_text())) == GOLDEN_REPORTS["A2"]
+    bare = ClassificationReport(cartan_type="A2", total_triples=216, nonzero_count=0, gk_count=0)
+    assert bare.to_csv_text() == "type,u,v,w,is_gk,sigma0\n"
+    assert '"exceptions": []' in bare.to_json_text()
+    with pytest.raises(AttributeError):
+        rep.gk_count = 0
+    result = verify.SuiteResult("theta", True, "1 checks")
+    assert repr(result) == "SuiteResult(name='theta', ok=True, detail='1 checks')"
+    with pytest.raises(AttributeError):
+        result.ok = False
 
 
 def test_classify_deterministic_across_jobs(a2):
@@ -918,6 +950,35 @@ def test_import_leaves_multiprocessing_out_and_two_jobs_still_fork():
     assert imported == "False"
     nonzero, gk, two_cpus, forked = counts.split()
     assert (nonzero, gk) == ("167", "147") and forked == two_cpus
+
+
+# loaded by none of these imports: dataclasses brings inspect, ast, dis and
+# tokenize with it, and json, decimal and multiprocessing are imported only
+# where they are used
+_HEAVY_MODULES = {
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "json", "decimal", "multiprocessing",
+}
+
+
+@pytest.mark.parametrize("modules", ["bhl, bhl.verify", "bhl.cli"])
+def test_import_loads_no_heavy_module(modules):
+    """A fresh isolated interpreter's import of the package adds none of
+    _HEAVY_MODULES to sys.modules; what its site module loaded before the
+    import is not counted."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(bhl.__file__).parent.parent)!r})\n"
+        "before = set(sys.modules)\n"
+        f"import {modules}\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "bhl" in added
+    assert not added & _HEAVY_MODULES
 
 
 # -- the point route of classify ----------------------------------------------
