@@ -52,15 +52,21 @@ from .rpoly import RPolyTable
 from .sigma import SigmaEngine, classify
 from .verify import SUITE_NAMES, run_suite
 
+
+def _ascii_int(text: str) -> int:
+    """text as an int when, stripped, it is one or more ASCII digits, else
+    0. Decimal, unlike int(), reads a digit string of any length; it is
+    imported here, as json is below, so that import bhl.cli loads neither."""
+    from decimal import Decimal
+
+    return int(Decimal(text)) if _is_ascii_number(text.strip()) else 0
+
+
 def _build(args) -> CoxeterGroup:
     cap = os.environ.get("BHL_MAX_ORDER")
     if not cap:
         return build_group(args.type)
-    # Decimal, unlike int(), reads a digit string of any length; imported
-    # here, as json is below, so that import bhl.cli loads neither
-    from decimal import Decimal
-
-    max_order = int(Decimal(cap)) if _is_ascii_number(cap.strip()) else 0
+    max_order = _ascii_int(cap)
     if max_order < 1:
         raise ValueError(f"BHL_MAX_ORDER must be a positive integer, got {cap!r}")
     return build_group(args.type, max_order=max_order)
@@ -80,62 +86,38 @@ def _cmd_group(args) -> int:
     return 0
 
 
-def _cmd_meet(args) -> int:
-    g = _build(args)
-    u = g.from_word(args.u)
-    w = g.from_word(args.w)
-    print(mixed_meet(u, w).word())
-    return 0
-
-
-def _cmd_vmin(args) -> int:
-    g = _build(args)
-    u = g.from_word(args.u)
-    w = g.from_word(args.w)
-    print(v_min(u, w).word())
-    return 0
-
-
-def _cmd_theta(args) -> int:
-    g = _build(args)
-    x = g.from_word(args.x)
-    y = g.from_word(args.y)
-    w = g.from_word(args.w)
-    print(ThetaTable(g).theta(x, y, w))
-    return 0
-
-
-def _cmd_rpoly(args) -> int:
-    g = _build(args)
-    u = g.from_word(args.u)
-    v = g.from_word(args.v)
+def _rpoly_text(args, g: CoxeterGroup, u, v) -> str:
     rtable = RPolyTable(g)
-    print(rtable.bar_r_idx(u.index, v.index) if args.bar else rtable.r(u, v))
-    return 0
+    return str(rtable.bar_r_idx(u.index, v.index) if args.bar else rtable.r(u, v))
 
 
-def _cmd_sigma(args) -> int:
-    g = _build(args)
-    u = g.from_word(args.u)
-    v = g.from_word(args.v)
-    w = g.from_word(args.w)
+def _sigma_text(args, g: CoxeterGroup, u, v, w) -> str:
     val = SigmaEngine(g).sigma(u, v, w)
-    if args.format == "json":
-        import json
+    if args.format != "json":
+        return f"σ = {val}"
+    import json
 
-        print(
-            json.dumps(
-                {
-                    "type": str(g.cartan_type),
-                    "u": u.word(),
-                    "v": v.word(),
-                    "w": w.word(),
-                    "sigma": str(val),
-                }
-            )
-        )
-    else:
-        print(f"σ = {val}")
+    return json.dumps(
+        {"type": str(g.cartan_type), "u": u.word(), "v": v.word(), "w": w.word(),
+         "sigma": str(val)}
+    )
+
+
+# The subcommands that read element words: name -> (help, the word options
+# read, in order, and the text printed for (args, group, those elements)).
+_WORD_COMMANDS = {
+    "meet": ("mixed meet of u and w", "uw", lambda args, g, u, w: mixed_meet(u, w).word()),
+    "vmin": ("least v with nonzero sigma", "uw", lambda args, g, u, w: v_min(u, w).word()),
+    "theta": ("pairing polynomial", "xyw", lambda args, g, *xyw: ThetaTable(g).theta(*xyw)),
+    "rpoly": ("deformed R rational function", "uv", _rpoly_text),
+    "sigma": ("the matrix coefficient", "uvw", _sigma_text),
+}
+
+
+def _cmd_words(args) -> int:
+    g = _build(args)
+    _, letters, text = _WORD_COMMANDS[args.command]
+    print(text(args, g, *(g.from_word(getattr(args, c)) for c in letters)))
     return 0
 
 
@@ -186,9 +168,7 @@ def _cmd_verify(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    from decimal import Decimal
-
-    n = int(Decimal(text)) if _is_ascii_number(text.strip()) else 0
+    n = _ascii_int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(
             f"must be an integer of at least 1, got {text!r}"
@@ -212,34 +192,13 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--info", action="store_true", help="also print histogram and roots")
     sp.set_defaults(func=_cmd_group)
 
-    sp = with_type(sub.add_parser("meet", help="mixed meet of u and w"))
-    sp.add_argument("-u", required=True)
-    sp.add_argument("-w", required=True)
-    sp.set_defaults(func=_cmd_meet)
-
-    sp = with_type(sub.add_parser("vmin", help="least v with nonzero sigma"))
-    sp.add_argument("-u", required=True)
-    sp.add_argument("-w", required=True)
-    sp.set_defaults(func=_cmd_vmin)
-
-    sp = with_type(sub.add_parser("theta", help="pairing polynomial"))
-    sp.add_argument("-x", required=True)
-    sp.add_argument("-y", required=True)
-    sp.add_argument("-w", required=True)
-    sp.set_defaults(func=_cmd_theta)
-
-    sp = with_type(sub.add_parser("rpoly", help="deformed R rational function"))
-    sp.add_argument("-u", required=True)
-    sp.add_argument("-v", required=True)
-    sp.add_argument("--bar", action="store_true", help="replace q by q^-1")
-    sp.set_defaults(func=_cmd_rpoly)
-
-    sp = with_type(sub.add_parser("sigma", help="the matrix coefficient"))
-    sp.add_argument("-u", required=True)
-    sp.add_argument("-v", required=True)
-    sp.add_argument("-w", required=True)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=_cmd_sigma)
+    for name, (text, letters, _) in _WORD_COMMANDS.items():
+        sp = with_type(sub.add_parser(name, help=text))
+        for c in letters:
+            sp.add_argument("-" + c, required=True)
+        sp.set_defaults(func=_cmd_words)
+    sub.choices["rpoly"].add_argument("--bar", action="store_true", help="replace q by q^-1")
+    sub.choices["sigma"].add_argument("--format", choices=("text", "json"), default="text")
 
     sp = with_type(sub.add_parser("classify", help="classify all triples"))
     sp.add_argument("--jobs", type=_positive_int, default=1)

@@ -207,8 +207,8 @@ class Element:
         return Element(self.group, self.group.inv_table[self.index])
 
     def __mul__(self, other: "Element") -> "Element":
-        self.group.check_same(other.group)
-        return Element(self.group, self.group.mul_idx(self.index, other.index))
+        g = self.group
+        return Element(g, g.mul_idx(*g.indices(self, other)))
 
     def word(self) -> str:
         return self.group.word_str(self.index)
@@ -461,9 +461,12 @@ class CoxeterGroup:
         if self is not other:
             raise GroupMismatchError("elements belong to different groups")
 
-    def _idx(self, u: Element) -> int:
-        self.check_same(u.group)
-        return u.index
+    def indices(self, *elements: Element) -> tuple:
+        """The index of each element, in order, after checking that each
+        belongs to this group (``GroupMismatchError`` if one does not)."""
+        for el in elements:
+            self.check_same(el.group)
+        return tuple(el.index for el in elements)
 
     def element(self, index: int) -> Element:
         if not 0 <= index < self.order:
@@ -488,18 +491,18 @@ class CoxeterGroup:
         return Element(self, self.parse_word_idx(text))
 
     def bruhat_leq(self, u: Element, w: Element) -> bool:
-        return self.leq_idx(self._idx(u), self._idx(w))
+        return self.leq_idx(*self.indices(u, w))
 
     def weak_leq_right(self, u: Element, w: Element) -> bool:
-        return self.weak_leq_right_idx(self._idx(u), self._idx(w))
+        return self.weak_leq_right_idx(*self.indices(u, w))
 
     def interval(self, u: Element, w: Element) -> list:
-        mask = self.interval_mask(self._idx(u), self._idx(w))
+        mask = self.interval_mask(*self.indices(u, w))
         return [Element(self, x) for x in _bits(mask)]
 
     def poincare(self, u: Element, w: Element) -> LaurentPoly:
         """Sum of q^len(x) over the Bruhat interval [u, w]."""
-        return self.poincare_idx(self._idx(u), self._idx(w))
+        return self.poincare_idx(*self.indices(u, w))
 
     def positive_root_index(self, vec: Sequence[int]) -> int:
         a = self._pos_index.get(tuple(vec))
@@ -520,7 +523,7 @@ class CoxeterGroup:
 
     def random_reduced_word(self, w: Element, rng) -> tuple:
         """A reduced word for w, peeling a random left descent each step."""
-        x = self._idx(w)
+        (x,) = self.indices(w)
         out = []
         while x != 0:
             i = rng.choice(list(_bits(self.left_desc_masks[x])))

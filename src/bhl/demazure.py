@@ -93,44 +93,38 @@ def fold_word_idx(g: CoxeterGroup, letters, x: int, step: str) -> int:
 
 # -- Element-level API -------------------------------------------------------
 
-def _pair(u: Element, v: Element) -> CoxeterGroup:
-    u.group.check_same(v.group)
-    return u.group
+def _lift(op, a: Element, b: Element) -> Element:
+    """The index-level op of a and b, as an element of their group."""
+    g = a.group
+    return Element(g, op(g, *g.indices(a, b)))
 
 
 def circ(u: Element, v: Element) -> Element:
     """The Demazure product u o v."""
-    g = _pair(u, v)
-    return Element(g, circ_idx(g, u.index, v.index))
+    return _lift(circ_idx, u, v)
 
 
 def up_left(w: Element, x: Element) -> Element:
-    g = _pair(w, x)
-    return Element(g, up_left_idx(g, w.index, x.index))
+    return _lift(up_left_idx, w, x)
 
 
 def down_left(w: Element, x: Element) -> Element:
-    g = _pair(w, x)
-    return Element(g, down_left_idx(g, w.index, x.index))
+    return _lift(down_left_idx, w, x)
 
 
 def up_right(x: Element, w: Element) -> Element:
-    g = _pair(x, w)
-    return Element(g, up_right_idx(g, x.index, w.index))
+    return _lift(up_right_idx, x, w)
 
 
 def down_right(x: Element, w: Element) -> Element:
-    g = _pair(x, w)
-    return Element(g, down_right_idx(g, x.index, w.index))
+    return _lift(down_right_idx, x, w)
 
 
 def mixed_meet(u: Element, w: Element) -> Element:
     """The unique Bruhat-maximal m with m <=_R u and m <= w."""
-    g = _pair(u, w)
-    return Element(g, mixed_meet_idx(g, u.index, w.index))
+    return _lift(mixed_meet_idx, u, w)
 
 
 def v_min(u: Element, w: Element) -> Element:
     """U_{w^{-1}} down-arrow u, the least v with nonvanishing pairing."""
-    g = _pair(u, w)
-    return Element(g, v_min_idx(g, u.index, w.index))
+    return _lift(v_min_idx, u, w)

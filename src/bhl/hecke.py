@@ -307,7 +307,4 @@ class ThetaTable:
         return _new(0, {(d,): c for d, c in _decode_q(col, 0)})
 
     def theta(self, x: Element, y: Element, w: Element) -> LaurentPoly:
-        g = self.group
-        for el in (x, y, w):
-            g.check_same(el.group)
-        return self.theta_idx(x.index, y.index, w.index)
+        return self.theta_idx(*self.group.indices(x, y, w))

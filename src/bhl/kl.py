@@ -126,16 +126,10 @@ class KLTable:
         )
 
     def kl_P(self, u: Element, v: Element) -> LaurentPoly:
-        g = self.group
-        g.check_same(u.group)
-        g.check_same(v.group)
-        return self.p_idx(u.index, v.index)
+        return self.p_idx(*self.group.indices(u, v))
 
     def kl_Q(self, u: Element, v: Element) -> LaurentPoly:
-        g = self.group
-        g.check_same(u.group)
-        g.check_same(v.group)
-        return self.q_idx(u.index, v.index)
+        return self.q_idx(*self.group.indices(u, v))
 
 
 def _p_one_mask(kl: KLTable, z: int) -> int:

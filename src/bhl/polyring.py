@@ -41,22 +41,19 @@ Representation conventions:
   exactly.
 - ``_deferred_columns`` constructs a *column-backed* ``RationalFn``: it
   keeps the packed form (``_Packed``: x-keys -> columns from q^low, the
-  set of packed (0, beta) den keys, an unpack memo, an L1 bound below
-  2^(K - 1), ``span``, a bound on every |x-digit| of the keys and den
-  keys, and optionally a point value) and decodes ``num`` and ``den`` on
-  their first read, caching them. Its columns are built by a zero-argument
-  function it keeps, on the first read of ``_Packed.cols``; a caller that
-  has them already passes ``lambda: cols``. The keys are unpacked through
-  the ``_UnpackMemo`` it is given: sigma's engine keeps one for its
-  lifetime, so a key that recurs across sigma values is unpacked once,
-  and a one-shot read of the r table passes a fresh one that is dropped
-  with the value. The den keys, low, L1 bound, span and point value are
-  there at once. Reads that build the columns: ``num`` and ``den``,
-  ``is_zero`` unless the value is nonzero at its point, ``==`` unless both
-  sides carry different values at one point, the build of a product made
-  from it (sigma's GK right-hand side), sigma's ``_torus_free_column`` and
-  the divisibility test of the ``poles`` suite. ``arity`` and a settled
-  ``==`` or ``is_zero`` build nothing.
+  set of packed (0, beta) den keys, the digit count n of a key, an L1
+  bound below 2^(K - 1), ``span``, a bound on every |x-digit| of the keys
+  and den keys, and optionally a point value) and decodes ``num`` and
+  ``den`` on their first read, caching them. Its columns are built by a
+  zero-argument function it keeps, on the first read of ``_Packed.cols``;
+  a caller that has them already passes ``lambda: cols``. The den keys,
+  low, n, L1 bound, span and point value are there at once. Reads that
+  build the columns: ``num`` and ``den``, ``is_zero`` unless the value is
+  nonzero at its point, ``==`` unless both sides carry different values at
+  one point, the build of a product made from it (sigma's GK right-hand
+  side), sigma's ``_torus_free_column`` and the divisibility test of the
+  ``poles`` suite. ``arity`` and a settled ``==`` or ``is_zero`` build
+  nothing.
 - A point value is (a point, the value there mod p); ``sigma`` owns the
   point and states why a value there is a ring homomorphism's image.
   Values at one point, compared by identity, that differ prove two values
@@ -568,22 +565,21 @@ class RationalFn:
         return self._den
 
     def _decode(self) -> None:
-        """Decode the packed form once; every key is unpacked through the
-        form's memo, so keys that recur across values are unpacked once."""
+        """Decode the packed form once."""
         p = self._packed
-        unpacked = p.unpacked
+        n = p.n
         num = {
-            unpacked[key + d]: c
+            _unpack(key + d, n): c
             for key, col in p.cols.items()
             for d, c in _decode_q(col, p.low)
         }
-        self._den = tuple(sorted(unpacked[b][1:] for b in p.den)) if num else ()
-        self._num = _new(unpacked.n - 1, num)
+        self._den = tuple(sorted(_unpack(b, n)[1:] for b in p.den)) if num else ()
+        self._num = _new(n - 1, num)
 
     @property
     def arity(self) -> int:
         if self._num is None:
-            return self._packed.unpacked.n - 1
+            return self._packed.n - 1
         return self._num.arity
 
     def is_zero(self) -> bool:
@@ -681,35 +677,24 @@ def _reduce(num: LaurentPoly, den: tuple) -> tuple:
     return _new(num.arity, {_unpack(k, n): c for k, c in terms.items()}), kept
 
 
-class _UnpackMemo(dict):
-    """Packed key -> exponent tuple of n entries, unpacked on first read."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, key: int) -> tuple:
-        val = self[key] = _unpack(key, self.n)
-        return val
-
-
 class _Packed:
     """The packed form of a column-backed RationalFn: packed x-keys
     (q-digit 0) -> q-columns from q^low, the frozenset of packed (0, beta)
-    den keys, the unpack memo, an L1 bound of the numerator below
-    2^(K - 1), span, a bound on |d| for every x-digit of every key and den
-    key, and point, None or (a point, the value there). The columns are
-    what the zero-argument ``build`` returns on the first read of ``cols``;
-    every other field is there from the start."""
+    den keys, n, the number of digits of a key (the arity plus one), an L1
+    bound of the numerator below 2^(K - 1), span, a bound on |d| for every
+    x-digit of every key and den key, and point, None or (a point, the
+    value there). The columns are what the zero-argument ``build`` returns
+    on the first read of ``cols``; every other field is there from the
+    start."""
 
-    __slots__ = ("_cols", "_build", "den", "low", "unpacked", "l1", "span", "point")
+    __slots__ = ("_cols", "_build", "den", "low", "n", "l1", "span", "point")
 
-    def __init__(self, build, den, low, unpacked, l1, span, point):
+    def __init__(self, build, den, low, n, l1, span, point):
         self._cols = None
         self._build = build
         self.den = den
         self.low = low
-        self.unpacked = unpacked
+        self.n = n
         self.l1 = l1
         self.span = span
         self.point = point
@@ -723,22 +708,20 @@ class _Packed:
 
 
 def _deferred_columns(
-    build, den: Iterable[int], low: int, unpacked: _UnpackMemo, l1: int, span: int,
+    build, den: Iterable[int], low: int, n: int, l1: int, span: int,
     point: Optional[tuple] = None,
 ) -> RationalFn:
     """The column-backed RationalFn of a numerator stored as packed x-keys
-    (q-digit 0) with q-columns from q^low, over the distinct packed
-    (0, beta) keys of den, carrying point: the columns are what the
+    (q-digit 0) of n digits with q-columns from q^low, over the distinct
+    packed (0, beta) keys of den, carrying point: the columns are what the
     zero-argument build returns on their first read. l1 must bound the L1
     norm of the numerator below 2^(K - 1), and span every |x-digit| of its
-    keys and of den. The columns are kept as built and never written to;
-    keys are unpacked through the memo unpacked when ``num`` or ``den`` is
-    first read."""
+    keys and of den. The columns are kept as built and never written to."""
     if l1 >= _Q_BOUND:
         raise ValueError(f"L1 bound {l1} is past the {_Q_BITS}-bit q-slots")
     out = RationalFn.__new__(RationalFn)
     out._num = out._den = None
-    out._packed = _Packed(build, frozenset(den), low, unpacked, l1, span, point)
+    out._packed = _Packed(build, frozenset(den), low, n, l1, span, point)
     return out
 
 
@@ -763,9 +746,7 @@ def _packed_of(val: RationalFn) -> _Packed:
     span = max(degrees, default=0)
     l1 = sum(abs(c) for c in num.terms.values())
     keys = [_pack((0,) + b) for b in den]
-    return _deferred_columns(
-        lambda: cols, keys, low, _UnpackMemo(num.arity + 1), l1, span
-    )._packed
+    return _deferred_columns(lambda: cols, keys, low, num.arity + 1, l1, span)._packed
 
 
 def _nonzero_shifted(cols: dict, shift: int) -> dict:

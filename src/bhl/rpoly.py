@@ -34,9 +34,7 @@ and the union is a set union. This builds, term for term, the numerator
 and den that ``RationalFn`` arithmetic builds for the same recursion.
 Each read returns a column-backed value (``polyring._deferred_columns``)
 over the stored dicts, with the entry's L1 bound and ``max_digit`` as its
-span; it decodes, when read, through an unpack memo of that value alone:
-the table keeps no unpacked key, as most of its reads decode an entry
-once. The ``poles`` suite of ``verify`` reads the stored entries as they
+span. The ``poles`` suite of ``verify`` reads the stored entries as they
 are: it tests each den factor outside S(u, v) for exact division of the
 columns (``polyring._divides_packed``), with no quotient and no decode.
 
@@ -107,7 +105,6 @@ from .polyring import (
     _new,
     _pack,
     _times_binomial,
-    _UnpackMemo,
 )
 
 __all__ = ["RPolyTable", "s_set", "s_set_idx"]
@@ -243,11 +240,10 @@ class RPolyTable:
         return val
 
     def _rational(self, entry: tuple) -> RationalFn:
-        """An entry as the column-backed RationalFn it stands for, its keys
-        unpacked, when first read, through a memo dropped with the value."""
+        """An entry as the column-backed RationalFn it stands for."""
         den, cols, l1 = entry
         return _deferred_columns(
-            lambda: cols, den, self.low, _UnpackMemo(self.group.rank + 1), l1, self.max_digit
+            lambda: cols, den, self.low, self.group.rank + 1, l1, self.max_digit
         )
 
     def bar_r_idx(self, u: int, v: int) -> RationalFn:
@@ -257,10 +253,7 @@ class RPolyTable:
         return self.bar_r_idx(u, v).bar_q()
 
     def r(self, u: Element, v: Element) -> RationalFn:
-        g = self.group
-        g.check_same(u.group)
-        g.check_same(v.group)
-        return self.r_idx(u.index, v.index)
+        return self.r_idx(*self.group.indices(u, v))
 
     def prefill(self) -> None:
         """Fill every pair; call before sharing across workers."""
@@ -283,10 +276,7 @@ class RPolyTable:
         return _new(0, {(-d,): sign * c for d, c in _decode_q(cols.get(sum(den), 0), self.low)})
 
     def classical_R(self, u: Element, v: Element) -> LaurentPoly:
-        g = self.group
-        g.check_same(u.group)
-        g.check_same(v.group)
-        return self.classical_idx(u.index, v.index)
+        return self.classical_idx(*self.group.indices(u, v))
 
 
 def s_set_idx(g: CoxeterGroup, u: int, v: int) -> frozenset:
@@ -299,5 +289,4 @@ def s_set_idx(g: CoxeterGroup, u: int, v: int) -> frozenset:
 def s_set(u: Element, v: Element) -> frozenset:
     """S(u, v) as a set of positive-root indices."""
     g = u.group
-    g.check_same(v.group)
-    return s_set_idx(g, u.index, v.index)
+    return s_set_idx(g, *g.indices(u, v))

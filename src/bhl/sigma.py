@@ -38,14 +38,13 @@ scaled to U would have 44 601, and a factor is applied once per group, not
 once per part. The result is a deferred column-backed ``RationalFn``
 (``polyring._deferred_columns``): ``_accumulate`` builds its columns on
 their first read, and they are decoded only when its ``num`` or ``den`` is
-read, through the engine's unpack memo, so an x-key that recurs across the
-sigma of one engine is unpacked once. A product of two columns from q^low
-starts at q^(2 low), low the r table's. Since the substitution q -> 2^K
-is a ring homomorphism, that product is exact, and a decode reads it back
-while every coefficient of sigma stays below 2^(K - 1) in magnitude, which
-``sigma_idx`` checks by an L1 bound, and passes on with the value. The keys need no check: the x-keys of every
-group stay inside the r table's ``max_digit``, as the ``rpoly`` docstring
-shows. U, the den and every numerator coefficient are what scaling each
+read. A product of two columns from q^low starts at q^(2 low), low the r
+table's. Since the substitution q -> 2^K is a ring homomorphism, that
+product is exact, and a decode reads it back while every coefficient of
+sigma stays below 2^(K - 1) in magnitude, which ``sigma_idx`` checks by an
+L1 bound, and passes on with the value. The keys need no check: the x-keys
+of every group stay inside the r table's ``max_digit``, as the ``rpoly``
+docstring shows. U, the den and every numerator coefficient are what scaling each
 part to U would give; only the order of the additions differs, and
 nothing is kept between calls.
 
@@ -99,13 +98,14 @@ most twice the largest coordinate sum of the positive roots, which is at
 most ``max_digit``, and the table refuses a group whose ``max_digit``
 reaches the digit bound. The comparison also checks a looser bound on
 every call, built from the ``span`` of each value (``max_digit`` here),
-and decodes to the tuple route if it fails; the test suite checks the
-tight one on sampled A3 and B3 pairs. Classification enumerates all
-|W|^3 triples, counts those with v >= v_min (asserting their sigma is indeed
-nonzero), counts the GK ones, and reports the exceptions in canonical word
-form. The enumeration parallelizes over w against read-only shared tables;
-the report is sorted canonically afterwards, so its bytes do not depend on
-the worker count.
+and takes the eager route if it fails (both sides decoded and
+cross-multiplied by the ring's own ``*``, as the ``polyring`` docstring
+states); the test suite checks the tight one on sampled A3 and B3 pairs.
+Classification enumerates all |W|^3 triples, counts those with
+v >= v_min (asserting their sigma is indeed nonzero), counts the GK ones,
+and reports the exceptions in canonical word form. The enumeration
+parallelizes over w against read-only shared tables; the report is sorted
+canonically afterwards, so its bytes do not depend on the worker count.
 
 classify settles most non-GK triples at one point. On its first
 ``classify_for_w`` the engine draws (q0, x0) in (Z/p)^(r + 1),
@@ -174,7 +174,6 @@ from .polyring import (
     _packed_of,
     _times_binomial,
     _unpack,
-    _UnpackMemo,
 )
 from .rpoly import RPolyTable, s_set_idx
 
@@ -189,9 +188,13 @@ __all__ = [
 # verify_vanishing scans every triple of a group up to this order
 _VANISHING_EXHAUSTIVE_ORDER = 10
 
-# classify's point: residues mod this prime, drawn from the package seed
+# the package seed: classify draws its point from it, and the sampled
+# verifications draw their samples from it by default
+DEFAULT_SEED = 20240811
+_POINT_SEED = DEFAULT_SEED
+
+# classify's point: residues mod this prime
 _P = (1 << 61) - 1
-_POINT_SEED = 20240811
 
 
 def _draw_point(rng: random.Random, n: int) -> list:
@@ -342,8 +345,6 @@ class SigmaEngine:
         self._gk_factor: dict = {}
         # the packed (0, beta) key of each positive root, by root index
         self._root_keys = [_pack((0,) + beta) for beta in group.positive_roots]
-        # packed key -> exponent tuple, for every sigma decode of the engine
-        self._unpacked = _UnpackMemo(group.rank + 1)
         # classify's point, drawn on its first classify_for_w
         self._point: _Point | None = None
 
@@ -379,7 +380,7 @@ class SigmaEngine:
                     out[key] = get(key, 0) - (col >> _Q_BITS)
                 num = out
             val = _deferred_columns(
-                lambda: num, den, -len(roots), self._unpacked, 1 << len(roots),
+                lambda: num, den, -len(roots), self.group.rank + 1, 1 << len(roots),
                 self.rtable.max_digit,
             )
             self._gk_factor[roots] = val
@@ -467,15 +468,12 @@ class SigmaEngine:
             at = point.bar
             point = (point, sum(xis[y][2] * at(y, v) for y in ys) % _P)
         return _deferred_columns(
-            lambda: _accumulate(parts, union), union, 2 * self.rtable.low, self._unpacked,
+            lambda: _accumulate(parts, union), union, 2 * self.rtable.low, g.rank + 1,
             l1, self.rtable.max_digit, point,
         )
 
     def sigma(self, u: Element, v: Element, w: Element) -> RationalFn:
-        g = self.group
-        for el in (u, v, w):
-            g.check_same(el.group)
-        return self.sigma_idx(u.index, v.index, w.index)
+        return self.sigma_idx(*self.group.indices(u, v, w))
 
     def sigma0_idx(self, u: int, w: int) -> LaurentPoly:
         return self._sigma0(u, w, self.sigma_idx(u, v_min_idx(self.group, u, w), w)).poly
@@ -500,10 +498,7 @@ class SigmaEngine:
         return _Sigma0(col, low, sum(abs(c) for _, c in terms), poly, packed.point)
 
     def sigma0(self, u: Element, w: Element) -> LaurentPoly:
-        g = self.group
-        g.check_same(u.group)
-        g.check_same(w.group)
-        return self.sigma0_idx(u.index, w.index)
+        return self.sigma0_idx(*self.group.indices(u, w))
 
     # -- GK form -------------------------------------------------------------
 
@@ -543,14 +538,11 @@ class SigmaEngine:
         col = sigma0.col
         return _deferred_columns(
             lambda: {key: c * col for key, c in gk.cols.items()},
-            gk.den, gk.low + sigma0.low, gk.unpacked, l1, gk.span, point,
+            gk.den, gk.low + sigma0.low, gk.n, l1, gk.span, point,
         )
 
     def is_gk(self, u: Element, v: Element, w: Element) -> bool:
-        g = self.group
-        for el in (u, v, w):
-            g.check_same(el.group)
-        return self.is_gk_idx(u.index, v.index, w.index)
+        return self.is_gk_idx(*self.group.indices(u, v, w))
 
     # -- classification ------------------------------------------------------
 
@@ -751,12 +743,15 @@ def verify_main_theorem(
 def verify_vanishing(
     group: CoxeterGroup,
     samples: int = 2000,
-    seed: int = 987654321,
+    seed: int = DEFAULT_SEED,
     engine: SigmaEngine | None = None,
 ) -> bool:
     """Check sigma(u, v, w) == 0 for v not >= v_min(u, w); exhaustive for
     groups of order at most ``_VANISHING_EXHAUSTIVE_ORDER``, else on
-    ``samples`` seeded random triples."""
+    ``samples`` seeded random triples. samples must be at least 1, or
+    ValueError is raised."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     engine = _engine_for(group, engine)
     g = group
     if g.order <= _VANISHING_EXHAUSTIVE_ORDER:

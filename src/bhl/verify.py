@@ -36,6 +36,7 @@ from .polyring import (
 from .rpoly import s_set_idx
 from .sigma import (
     _VANISHING_EXHAUSTIVE_ORDER,
+    DEFAULT_SEED,
     SigmaEngine,
     _engine_for,
     verify_main_theorem,
@@ -48,18 +49,6 @@ __all__ = [
     "run_suite",
 ]
 
-SUITE_NAMES = [
-    "main-theorem",
-    "vanishing",
-    "theta",
-    "mixed-meet",
-    "demazure",
-    "poles",
-    "kl-conjecture",
-    "gk-base",
-]
-
-DEFAULT_SEED = 20240811
 DEFAULT_SAMPLES = 2000
 
 # exhaustive cutoffs by tuple size: quadratic checks scan all pairs up to
@@ -83,12 +72,25 @@ def _tuples(g: CoxeterGroup, k: int, samples: int | None, seed: int):
     return (tuple(rng.randrange(g.order) for _ in range(k)) for _ in range(n))
 
 
+# -- main theorem and vanishing (checked in ``sigma``) ---------------------
+
+
+def _suite_main_theorem(g: CoxeterGroup, samples, seed, engine, jobs) -> SuiteResult:
+    ok = verify_main_theorem(g, engine=engine, jobs=jobs)
+    return SuiteResult("main-theorem", ok, f"{g.order * g.order} pairs")
+
+
+def _suite_vanishing(g: CoxeterGroup, samples, seed, engine, jobs) -> SuiteResult:
+    n = samples if samples is not None else DEFAULT_SAMPLES
+    ok = verify_vanishing(g, samples=n, seed=seed, engine=engine)
+    exhaustive = g.order <= _VANISHING_EXHAUSTIVE_ORDER
+    return SuiteResult("vanishing", ok, "exhaustive" if exhaustive else f"{n} samples")
+
+
 # -- theta ---------------------------------------------------------------
 
 
-def _suite_theta(
-    g: CoxeterGroup, samples, seed, engine: SigmaEngine
-) -> SuiteResult:
+def _suite_theta(g: CoxeterGroup, samples, seed, engine: SigmaEngine, jobs) -> SuiteResult:
     theta = engine.theta
     word = g.word_str
 
@@ -138,7 +140,7 @@ def _suite_theta(
 # -- mixed meet ------------------------------------------------------------
 
 
-def _suite_mixed_meet(g: CoxeterGroup, samples, seed, engine) -> SuiteResult:
+def _suite_mixed_meet(g: CoxeterGroup, samples, seed, engine, jobs) -> SuiteResult:
     word = g.word_str
     checked = 0
     for u, w in _tuples(g, 2, samples, seed):
@@ -177,7 +179,7 @@ def _reduced_subword_closure(g: CoxeterGroup, letters: tuple) -> set:
     return out
 
 
-def _suite_demazure(g: CoxeterGroup, samples, seed, engine) -> SuiteResult:
+def _suite_demazure(g: CoxeterGroup, samples, seed, engine, jobs) -> SuiteResult:
     rng = random.Random(seed)
     name = "demazure"
     w0 = g.longest_idx
@@ -398,7 +400,7 @@ def _pole_test(g: CoxeterGroup, root_keys: list):
     return escapes
 
 
-def _suite_poles(g: CoxeterGroup, samples, seed, engine: SigmaEngine) -> SuiteResult:
+def _suite_poles(g: CoxeterGroup, samples, seed, engine: SigmaEngine, jobs) -> SuiteResult:
     """The reduced den of every bar r(u, v) lies in S(u, v), and that of
     every sampled nonzero sigma(u, v, w) in S(v_min(u, w), v), each factor
     once, decided on the stored columns by ``_pole_test``. bar touches
@@ -434,7 +436,7 @@ def _suite_poles(g: CoxeterGroup, samples, seed, engine: SigmaEngine) -> SuiteRe
 # -- gk base -----------------------------------------------------------------
 
 
-def _suite_gk_base(g: CoxeterGroup, samples, seed, engine: SigmaEngine) -> SuiteResult:
+def _suite_gk_base(g: CoxeterGroup, samples, seed, engine: SigmaEngine, jobs) -> SuiteResult:
     # at w = e, v_min(u, e) = u: sigma0 is 1 and S(u, v, e) = S(u, v), so
     # the GK test is the product formula itself; sigma0 is built once per u
     checked = 0
@@ -465,7 +467,29 @@ def _suite_gk_base(g: CoxeterGroup, samples, seed, engine: SigmaEngine) -> Suite
     return SuiteResult("gk-base", True, f"{checked} checks")
 
 
+# -- kl conjecture ---------------------------------------------------------
+
+
+def _suite_kl_conjecture(g: CoxeterGroup, samples, seed, engine, jobs) -> SuiteResult:
+    violations = check_theta_power_conjecture(g, theta_table=engine.theta, kl=engine.kl)
+    detail = f"{len(violations)} violations" if violations else "no violations"
+    return SuiteResult("kl-conjecture", not violations, detail)
+
+
 # -- dispatch -----------------------------------------------------------------
+
+# name -> suite(g, samples, seed, engine, jobs), in the order of "all"
+_SUITES = {
+    "main-theorem": _suite_main_theorem,
+    "vanishing": _suite_vanishing,
+    "theta": _suite_theta,
+    "mixed-meet": _suite_mixed_meet,
+    "demazure": _suite_demazure,
+    "poles": _suite_poles,
+    "kl-conjecture": _suite_kl_conjecture,
+    "gk-base": _suite_gk_base,
+}
+SUITE_NAMES = list(_SUITES)
 
 
 def run_suite(
@@ -479,31 +503,7 @@ def run_suite(
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     engine = _engine_for(group, engine)
-    g = group
-    if name == "main-theorem":
-        ok = verify_main_theorem(g, engine=engine, jobs=jobs)
-        return SuiteResult(name, ok, f"{g.order * g.order} pairs")
-    if name == "vanishing":
-        n = samples if samples is not None else DEFAULT_SAMPLES
-        ok = verify_vanishing(g, samples=n, seed=seed, engine=engine)
-        exhaustive = g.order <= _VANISHING_EXHAUSTIVE_ORDER
-        detail = "exhaustive" if exhaustive else f"{n} samples"
-        return SuiteResult(name, ok, detail)
-    if name == "theta":
-        return _suite_theta(g, samples, seed, engine)
-    if name == "mixed-meet":
-        return _suite_mixed_meet(g, samples, seed, engine)
-    if name == "demazure":
-        return _suite_demazure(g, samples, seed, engine)
-    if name == "poles":
-        return _suite_poles(g, samples, seed, engine)
-    if name == "kl-conjecture":
-        violations = check_theta_power_conjecture(g, theta_table=engine.theta, kl=engine.kl)
-        return SuiteResult(
-            name,
-            not violations,
-            "no violations" if not violations else f"{len(violations)} violations",
-        )
-    if name == "gk-base":
-        return _suite_gk_base(g, samples, seed, engine)
-    raise ValueError(f"unknown suite {name!r}")
+    suite = _SUITES.get(name)
+    if suite is None:
+        raise ValueError(f"unknown suite {name!r}")
+    return suite(group, samples, seed, engine, jobs)

@@ -30,11 +30,13 @@ theta(x, y, w) built from those two, the reference for the int sums of
 ``ThetaTable``.
 
 Last, ``code_lines``, the line count that CHANGES.md and ROADMAP.md quote
-for ``src/bhl``.
+for ``src/bhl``. Run as a script, ``PYTHONPATH=src python3 tests/checks.py
+src/bhl`` prints it for each file under the path and then the total.
 """
 
 import ast
 import io
+import sys
 import tokenize
 from dataclasses import dataclass
 from fractions import Fraction
@@ -256,7 +258,7 @@ def root_action(g: CoxeterGroup, w: Element, root) -> tuple:
     """Image of a root under w, in simple-root coordinates; the root may be
     given as a positive-root index or a coordinate tuple."""
     vec = g.positive_roots[root] if isinstance(root, int) else tuple(root)
-    cols = g.cols[g._idx(w)]
+    cols = g.cols[g.indices(w)[0]]
     return tuple(sum(vec[j] * cols[j][k] for j in range(g.rank)) for k in range(g.rank))
 
 
@@ -553,9 +555,8 @@ def code_lines(path) -> int:
     comment starts on or spans, less every line of a module, class or
     function docstring. Blank lines, comment lines and docstrings do not
     count; a multi-line string that is not a docstring counts whole."""
-    path = Path(path)
     total = 0
-    for file in [path] if path.is_file() else sorted(path.rglob("*.py")):
+    for file in _py_files(path):
         source = file.read_text()
         docstrings = set()
         for node in ast.walk(ast.parse(source)):
@@ -575,6 +576,12 @@ def code_lines(path) -> int:
     return total
 
 
+def _py_files(path) -> list:
+    """The Python file path, or every .py file under the directory path."""
+    path = Path(path)
+    return [path] if path.is_file() else sorted(path.rglob("*.py"))
+
+
 _NOT_CODE = {
     tokenize.COMMENT,
     tokenize.NL,
@@ -584,3 +591,11 @@ _NOT_CODE = {
     tokenize.ENCODING,
     tokenize.ENDMARKER,
 }
+
+
+if __name__ == "__main__":
+    # code_lines of each file under the path given, then of the whole path
+    root = sys.argv[1]
+    for file in _py_files(root):
+        print(f"{code_lines(file):6} {file}")
+    print(f"{code_lines(root):6} total")

@@ -79,6 +79,22 @@ def test_sigma_json_format(capsys):
     assert payload["sigma"] == str(expected)
 
 
+def test_word_commands_refuse_a_missing_or_foreign_word_option(capsys):
+    """Each word subcommand exits 2 with nothing on stdout when one of its
+    word options is missing, or when it is given another command's."""
+    words = {"meet": "uw", "vmin": "uw", "theta": "xyw", "rpoly": "uv", "sigma": "uvw"}
+    for command, letters in words.items():
+        given = [["-" + c, "1"] for c in letters]
+        code, out, _ = invoke(capsys, command, "--type", "A2", *sum(given, []))
+        assert code == 0 and out
+        for i in range(len(given)):
+            rest = sum(given[:i] + given[i + 1 :], [])
+            assert invoke(capsys, command, "--type", "A2", *rest)[:2] == (2, "")
+        for c in sorted(set("uvwxy") - set(letters)):
+            argv = [command, "--type", "A2", *sum(given, []), "-" + c, "1"]
+            assert invoke(capsys, *argv)[:2] == (2, ""), argv
+
+
 def test_sigma_words_non_reduced_input(capsys):
     # non-reduced input words are accepted; output words are canonical
     code, out, _ = invoke(

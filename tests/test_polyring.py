@@ -28,7 +28,6 @@ from bhl.polyring import (
     _spans,
     _times_binomial,
     _unpack,
-    _UnpackMemo,
     binomial,
     binomial_divide,
 )
@@ -558,13 +557,13 @@ def test_columns_past_the_l1_limit_compare_on_the_eager_path(monkeypatch):
     still correctly; inside the bound the columns decide. a is
     2^60 (1 + q x1) / (1 - x1), b is a with 1 - x2 on both sides and c is
     a with one coefficient negated."""
-    memo = _UnpackMemo(3)
+    n = 3
     x1, x2 = _pack((0, 1, 0)), _pack((0, 0, 1))
     big = 1 << 60
     cols = {0: big, x1: big << _Q_BITS}
-    a = _deferred_columns(lambda: cols, {x1}, 0, memo, 2 * big, 2)
-    b = _deferred_columns(lambda: _times_binomial(cols, x2), {x1, x2}, 0, memo, 4 * big, 2)
-    c = _deferred_columns(lambda: {0: big, x1: -big << _Q_BITS}, {x1}, 0, memo, 2 * big, 2)
+    a = _deferred_columns(lambda: cols, {x1}, 0, n, 2 * big, 2)
+    b = _deferred_columns(lambda: _times_binomial(cols, x2), {x1, x2}, 0, n, 4 * big, 2)
+    c = _deferred_columns(lambda: {0: big, x1: -big << _Q_BITS}, {x1}, 0, n, 2 * big, 2)
     assert (2 * big << 1) + 4 * big >= _Q_BOUND
     assert _columns_equal(a._packed, b._packed) is None
     assert _columns_equal(b._packed, c._packed) is None
@@ -586,14 +585,14 @@ def test_columns_past_the_l1_limit_compare_on_the_eager_path(monkeypatch):
 
 def test_column_backed_form_refuses_an_l1_bound_past_the_slots():
     with pytest.raises(ValueError, match="q-slots"):
-        _deferred_columns(lambda: {0: 1}, (), 0, _UnpackMemo(1), _Q_BOUND, 0)
+        _deferred_columns(lambda: {0: 1}, (), 0, 1, _Q_BOUND, 0)
 
 
 def _gk_sigma0(eng, point, terms, low, l1):
     """The ``_Sigma0`` of a torus-free sigma at v_min whose one column holds
     the q-polynomial terms from q^low, with L1 bound l1 and point value 7."""
     col = _encode_q(terms, low)
-    sig = _deferred_columns(lambda: {0: col}, (), low, eng._unpacked, l1, 0, (point, 7))
+    sig = _deferred_columns(lambda: {0: col}, (), low, eng.group.rank + 1, l1, 0, (point, 7))
     sigma0 = eng._sigma0(eng.group.identity_idx, eng.group.identity_idx, sig)
     assert (sigma0.col, sigma0.low, sigma0.l1) == (col, low, l1)
     return sigma0
@@ -644,7 +643,7 @@ def test_deferred_values_build_on_read():
     """A deferred value builds its columns on the first read that needs
     them, once: not for its arity, den, L1 bound or a point value that
     settles is_zero or ==."""
-    memo = _UnpackMemo(2)
+    n = 2
     x1 = _pack((0, 1))
     builds = []
 
@@ -653,11 +652,11 @@ def test_deferred_values_build_on_read():
         return {0: 3, x1: -(1 << _Q_BITS)}
 
     point = object()
-    val = _deferred_columns(build, {x1}, -1, memo, 4, 1, (point, 5))
-    other = _deferred_columns(build, {x1}, -1, memo, 4, 1, (point, 6))
+    val = _deferred_columns(build, {x1}, -1, n, 4, 1, (point, 5))
+    other = _deferred_columns(build, {x1}, -1, n, 4, 1, (point, 6))
     assert val.arity == 1 and not val.is_zero() and not val == other
     assert builds == []
-    twin = _deferred_columns(build, {x1}, -1, memo, 4, 1, (point, 5))
+    twin = _deferred_columns(build, {x1}, -1, n, 4, 1, (point, 5))
     assert val == twin and len(builds) == 2
-    assert val == _deferred_columns(build, {x1}, -1, memo, 4, 1)
+    assert val == _deferred_columns(build, {x1}, -1, n, 4, 1)
     assert len(builds) == 3

@@ -13,7 +13,16 @@ import pytest
 import bhl
 from bhl import polyring, sigma, verify
 from bhl.coxeter import GroupMismatchError, _bits, build_group
-from bhl.demazure import v_min, v_min_idx
+from bhl.demazure import (
+    circ,
+    down_left,
+    down_right,
+    mixed_meet,
+    up_left,
+    up_right,
+    v_min,
+    v_min_idx,
+)
 from bhl.hecke import ThetaTable
 from bhl.polyring import (
     LaurentPoly,
@@ -23,7 +32,6 @@ from bhl.polyring import (
     _deferred_columns,
     _times_binomial,
     _unpack,
-    _UnpackMemo,
     binomial,
 )
 from bhl.rpoly import s_set, s_set_idx
@@ -332,6 +340,33 @@ def test_vanishing_exhaustive_small(a2, b2, engine_a2, engine_b2):
     assert verify_vanishing(b2, engine=engine_b2)
 
 
+def test_vanishing_refuses_fewer_than_one_sample(a3, engine_a3):
+    """A sampled vanishing check with no sample would pass having checked
+    nothing; it raises, as run_suite does."""
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_vanishing(a3, samples=samples, engine=engine_a3)
+
+
+def test_vanishing_samples_the_package_seed_by_default(a3, monkeypatch):
+    """verify_vanishing and the vanishing suite draw the same triples when
+    no seed is given: both default to the package seed, which classify's
+    point is drawn from too."""
+    assert sigma._POINT_SEED == sigma.DEFAULT_SEED == verify.DEFAULT_SEED
+    eng = SigmaEngine(a3)
+    original, asked = eng.sigma_idx, []
+
+    def recording(u, v, w, row=None):
+        asked.append((u, v, w))
+        return original(u, v, w, row)
+
+    monkeypatch.setattr(eng, "sigma_idx", recording)
+    assert verify_vanishing(a3, samples=5, engine=eng)
+    library, asked[:] = asked[:], []
+    assert run_suite("vanishing", a3, samples=5, engine=eng).ok
+    assert len(library) == 5 and asked == library
+
+
 def test_sigma_pole_containment_a2(a2, engine_a2):
     g = a2
     coords = {tuple(b): a for a, b in enumerate(g.positive_roots)}
@@ -588,24 +623,22 @@ def test_single_shot_sigma_after_classify_keeps_no_state(a3):
 
 
 def test_bar_r_reads_keep_no_unpack_memo(a3):
-    """Decoding every bar r of A3 through bar_r_idx leaves no unpacked key
-    on the r table; only sigma's decode keeps an unpack memo, on its
-    engine, and sigma read after those decodes still matches the chain."""
+    """Decoding every bar r of A3 through bar_r_idx adds no attribute to
+    the r table or the engine, and neither does decoding sigma, which
+    still matches the chain after those decodes."""
     eng = SigmaEngine(a3)
-    names = set(vars(eng.rtable))
+    names = set(vars(eng.rtable)), set(vars(eng))
     for u in range(a3.order):
         for v in range(a3.order):
-            eng.rtable.bar_r_idx(u, v)
-    assert set(vars(eng.rtable)) == names
-    assert not any(isinstance(val, _UnpackMemo) for val in vars(eng.rtable).values())
-    assert not eng._unpacked
+            eng.rtable.bar_r_idx(u, v).num
+    assert (set(vars(eng.rtable)), set(vars(eng))) == names
     rng = random.Random(12)
     for _ in range(200):
         u, v, w = (rng.randrange(a3.order) for _ in range(3))
         got = eng.sigma_idx(u, v, w)
         want = _sigma_by_rational_sum(eng, u, v, w)
         assert (got.num.terms, got.den) == (want.num.terms, want.den), (u, v, w)
-    assert eng._unpacked
+    assert (set(vars(eng.rtable)), set(vars(eng))) == names
 
 
 def test_classify_round_binomial_steps(a3, monkeypatch):
@@ -665,6 +698,28 @@ def test_unreduced_factor_at_v_min_is_not_cancelled(a2, monkeypatch):
     assert not verify_main_theorem(a2, engine=eng)
     monkeypatch.setattr(eng, "sigma_idx", original)
     assert verify_main_theorem(a2, engine=eng)
+
+
+def test_every_element_entry_point_rejects_an_element_of_another_build(a2, engine_a2):
+    """Each public entry point that takes elements raises GroupMismatchError
+    when any one of them comes from another build of the same type."""
+    other = build_group("A2")
+    rtable, kl = engine_a2.rtable, engine_a2.kl
+    entries = [
+        (engine_a2.sigma, 3), (engine_a2.sigma0, 2), (engine_a2.is_gk, 3),
+        (rtable.r, 2), (rtable.classical_R, 2), (s_set, 2),
+        (kl.kl_P, 2), (kl.kl_Q, 2), (engine_a2.theta.theta, 3),
+        (a2.bruhat_leq, 2), (a2.weak_leq_right, 2), (a2.interval, 2), (a2.poincare, 2),
+        (lambda w: a2.random_reduced_word(w, random.Random(0)), 1),
+        (circ, 2), (up_left, 2), (down_left, 2), (up_right, 2), (down_right, 2),
+        (mixed_meet, 2), (v_min, 2), (lambda a, b: a * b, 2),
+    ]
+    for fn, n in entries:
+        for i in range(n):
+            args = [a2.longest()] * n
+            args[i] = other.longest()
+            with pytest.raises(GroupMismatchError):
+                fn(*args)
 
 
 def test_group_mismatch_rejected(a2, b2, engine_a2, engine_b2):
@@ -798,7 +853,7 @@ def test_gk_factor_with_one_fault_changes_a_flag(a2, monkeypatch, fault):
             key = self._root_keys[min(roots)]
             cols, low = {**packed.cols, key: -packed.cols[key]}, packed.low
         return _deferred_columns(
-            lambda: cols, packed.den, low, packed.unpacked, packed.l1, packed.span
+            lambda: cols, packed.den, low, packed.n, packed.l1, packed.span
         )
 
     monkeypatch.setattr(SigmaEngine, "gk_factor", faulty)
@@ -869,7 +924,7 @@ def test_sigma0_off_by_one_fails_the_main_theorem(a3, monkeypatch, delta):
         cols = dict(p.cols)
         slot = ((cols[0] & -cols[0]).bit_length() - 1) // polyring._Q_BITS
         cols[0] += delta << polyring._Q_BITS * slot
-        return _deferred_columns(lambda: cols, p.den, p.low, p.unpacked, p.l1 + 1, p.span)
+        return _deferred_columns(lambda: cols, p.den, p.low, p.n, p.l1 + 1, p.span)
 
     assert verify_main_theorem(a3, engine=eng)
     monkeypatch.setattr(eng, "sigma_idx", perturbed)
@@ -920,7 +975,7 @@ def test_column_sigma_at_v_min_with_a_den_or_an_x_is_refused(a2, monkeypatch, ex
             cols, den = _times_binomial(p.cols, b), p.den | {b}
         else:
             cols, den = {key + b: col for key, col in p.cols.items()}, p.den
-        return _deferred_columns(lambda: cols, den, p.low, p.unpacked, 2 * p.l1, p.span)
+        return _deferred_columns(lambda: cols, den, p.low, p.n, 2 * p.l1, p.span)
 
     monkeypatch.setattr(eng, "sigma_idx", padded)
     with pytest.raises(RuntimeError, match="kept torus dependence"):
@@ -1083,7 +1138,7 @@ def test_one_wrong_sigma0_point_value_changes_a_flag(a2, monkeypatch):
         if (u, w) != target or v != v_min_idx(self.group, u, w) or p.point is None:
             return val
         point = (p.point[0], (p.point[1] + 1) % sigma._P)
-        return _deferred_columns(lambda: p.cols, p.den, p.low, p.unpacked, p.l1, p.span, point)
+        return _deferred_columns(lambda: p.cols, p.den, p.low, p.n, p.l1, p.span, point)
 
     monkeypatch.setattr(SigmaEngine, "sigma_idx", wrong)
     assert _point_route_mismatches(a2, range(a2.order)) != []
