@@ -27,13 +27,7 @@ from .hecke import ThetaTable
 from .kl import KLTable, check_theta_power_conjecture
 from .polyring import LaurentPoly, RationalFn, binomial, binomial_divide
 from .rpoly import RPolyTable, s_set
-from .sigma import (
-    ClassificationReport,
-    SigmaEngine,
-    classify,
-    verify_main_theorem,
-    verify_vanishing,
-)
+from .sigma import ClassificationReport, SigmaEngine, classify
 
 __all__ = [
     "CartanType",
@@ -63,8 +57,6 @@ __all__ = [
     "ClassificationReport",
     "SigmaEngine",
     "classify",
-    "verify_main_theorem",
-    "verify_vanishing",
 ]
 
 __version__ = "0.1.0"

@@ -44,7 +44,7 @@ len(t^{-1}) = len(c(t)) = len(t): a lifted entry is relabelled with its
 ints unchanged.
 
 ``product(x, y)`` is a read-only view of the stored entry, a mapping
-t -> c_t whose values are decoded (``polyring._decode_q`` from q^-len(t))
+t -> c_t whose values are decoded (``polyring._q_poly`` from q^-len(t))
 only when read. The walk, the relabels and the columns never read it.
 
 theta(x, y, w) sums L_t over the t in supp(T_x T_{y^{-1}}) with t <= w: the
@@ -77,7 +77,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .coxeter import CoxeterGroup, Element, _bits
-from .polyring import _Q_BITS, _Q_BOUND, LaurentPoly, _decode_q, _new
+from .polyring import _Q_BITS, _Q_BOUND, LaurentPoly, _q_poly
 
 __all__ = ["ThetaTable"]
 
@@ -150,7 +150,7 @@ class _Product(Mapping):
 
     def __getitem__(self, t: int) -> LaurentPoly:
         col = self._lifted[t]
-        return _new(0, {(d,): c for d, c in _decode_q(col, -self._lengths[t])})
+        return _q_poly(col, -self._lengths[t])
 
     def __iter__(self):
         return iter(self._lifted)
@@ -304,7 +304,7 @@ class ThetaTable:
         summed from the column of y and decoded."""
         supports, prods, _ = self._columns.get(y) or self._column(y)
         col = _sum_at(prods[x], supports[x] & self.group.down_masks[w])
-        return _new(0, {(d,): c for d, c in _decode_q(col, 0)})
+        return _q_poly(col, 0)
 
     def theta(self, x: Element, y: Element, w: Element) -> LaurentPoly:
         return self.theta_idx(*self.group.indices(x, y, w))

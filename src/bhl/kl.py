@@ -46,7 +46,7 @@ from .polyring import (
     _decode_q,
     _encode_q,
     _is_q_power,
-    _new,
+    _q_poly,
 )
 from .rpoly import RPolyTable
 from .hecke import ThetaTable
@@ -111,7 +111,7 @@ class KLTable:
 
     def p_idx(self, u: int, v: int) -> LaurentPoly:
         """P(u, v), decoded from its column on every read."""
-        return _new(0, {(d,): c for d, c in _decode_q(self._p_column(u, v)[0], 0)})
+        return _q_poly(self._p_column(u, v)[0], 0)
 
     def _q_is_one(self, u: int, v: int) -> bool:
         """Whether Q(u, v) = 1, on the column of P(w0 v, w0 u)."""

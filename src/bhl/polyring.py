@@ -51,9 +51,8 @@ Representation conventions:
   build the columns: ``num`` and ``den``, ``is_zero`` unless the value is
   nonzero at its point, ``==`` unless both sides carry different values at
   one point, the build of a product made from it (sigma's GK right-hand
-  side), sigma's ``_torus_free_column`` and the divisibility test of the
-  ``poles`` suite. ``arity`` and a settled ``==`` or ``is_zero`` build
-  nothing.
+  side), sigma's ``_sigma0`` and the divisibility test of the ``poles``
+  suite. ``arity`` and a settled ``==`` or ``is_zero`` build nothing.
 - A point value is (a point, the value there mod p); ``sigma`` owns the
   point and states why a value there is a ring homomorphism's image.
   Values at one point, compared by identity, that differ prove two values
@@ -366,6 +365,11 @@ def _new(arity: int, terms: dict) -> LaurentPoly:
     out.arity = arity
     out.terms = terms
     return out
+
+
+def _q_poly(col: int, low: int) -> LaurentPoly:
+    """The q-polynomial of the column col from q^low, decoded."""
+    return _new(0, {(d,): c for d, c in _decode_q(col, low)})
 
 
 def _monomial_str(e: tuple) -> str:

@@ -51,17 +51,12 @@ nothing is kept between calls.
 sigma0(u, w) is sigma at v = v_min read as it is built, with no
 cancelling: only y = v_min contributes there and bar r(v_min, v_min) = 1,
 so U is empty and the numerator has no x. That is asserted, not assumed:
-a sigma at v_min with a den factor or an x raises in ``classify`` and
-fails the main-theorem check. It is read off the columns
-(``_torus_free_column``; a value that has none is packed once by
-``polyring._packed_of``): the value is torus-free when no column but that
-of the x-key 0 is nonzero and, if that one is, the den is empty; sigma0 is
-that one column, decoded. The main-theorem check decodes nothing: it
-folds v_min once per (u, w) and compares that column, as one int, with the
-column of q^-len(v_min) times the length series of [u, w v_min], built by
-one shift-add per element of the interval. Both are taken from the lower
-of their lows, and every coefficient of either is below 2^(K - 1), so the
-ints are equal exactly when the polynomials are.
+``_sigma0`` reads the columns (a value that has none is packed once by
+``polyring._packed_of``) and raises when any column but that of the x-key
+0 is nonzero, or that one is nonzero over a den; ``classify`` lets the
+error through, and the main-theorem suite of ``verify`` fails. sigma0 is
+that one column, moved down to its lowest occupied slot, and it is
+decoded only where it is printed: the classify row and ``sigma0_idx``.
 
 A triple with v >= v_min(u, w) is "of GK type" when
 
@@ -72,10 +67,10 @@ where S(u, v, w) = S(v_min(u, w), v); the test is exact cross-multiplied
 equality, ``sig == rhs`` in ``_is_gk``, and it runs on q-columns.
 sigma0 has one form, the ``_Sigma0`` that ``_sigma0`` builds once per
 (u, w) from sigma at v_min: its column from its lowest q-degree, its L1
-norm, its decoded terms (what the report prints) and the point value
-that sigma at v_min carries, if any. ``_is_gk`` takes v_min and the
-``_Sigma0`` from its caller, so the ``gk-base`` suite builds them once per
-(u, w); ``is_gk_idx(u, v, w)`` builds them for its one triple.
+bound, which is sigma's own, and the point value that sigma at v_min
+carries, if any. ``_is_gk`` takes v_min and the ``_Sigma0`` from its
+caller, which ``_sigma0_at(u, w)`` builds for ``is_gk_idx``,
+``sigma0_idx`` and the ``gk-base`` suite, once per (u, w).
 ``gk_factor`` builds prod over S of (1 - q^-1 x^alpha) on columns from
 q^-|S|, each factor one copy with keys moved by alpha and columns shifted
 down one slot, over the den keys of S, with L1 bound 2^|S|; ``_gk_rhs``
@@ -166,12 +161,11 @@ from .polyring import (
     _Q_BITS,
     _Q_BOUND,
     _Q_MASK,
-    _Packed,
     _decode_q,
     _deferred_columns,
-    _new,
     _pack,
     _packed_of,
+    _q_poly,
     _times_binomial,
     _unpack,
 )
@@ -181,12 +175,7 @@ __all__ = [
     "SigmaEngine",
     "ClassificationReport",
     "classify",
-    "verify_main_theorem",
-    "verify_vanishing",
 ]
-
-# verify_vanishing scans every triple of a group up to this order
-_VANISHING_EXHAUSTIVE_ORDER = 10
 
 # the package seed: classify draws its point from it, and the sampled
 # verifications draw their samples from it by default
@@ -308,29 +297,16 @@ def _accumulate(parts: list, union: frozenset) -> dict:
     return groups.get(union, {})  # {} when sigma has no part
 
 
-def _torus_free_column(packed: _Packed) -> int | None:
-    """The column from q^low of a packed value (``polyring._packed_of``)
-    as a q-polynomial, or None when it has a den factor or an x. Nothing
-    is cancelled: sigma at v_min has an empty den, since only y = v_min
-    contributes there (module docstring). The value is torus-free when no
-    column but that of the x-key 0 is nonzero, and that column is nonzero
-    only over an empty den."""
-    col = packed.cols.get(0, 0)
-    if (col and packed.den) or any(c for key, c in packed.cols.items() if key):
-        return None
-    return col
-
-
 class _Sigma0(NamedTuple):
-    """sigma0(u, w) in the one form classify and the GK test read, built
-    once per (u, w) by ``SigmaEngine._sigma0``: its column from its lowest
-    q-degree low, its L1 norm, its decoded terms as a q-polynomial, and
-    the point value that sigma at v_min carries, (point, value) or None."""
+    """sigma0(u, w) in the one form classify, the GK test and the
+    main-theorem suite read, built once per (u, w) by
+    ``SigmaEngine._sigma0``: its column from its lowest q-degree low, an
+    L1 bound, and the point value that sigma at v_min carries,
+    (point, value) or None."""
 
     col: int
     low: int
     l1: int
-    poly: LaurentPoly
     point: tuple | None
 
 
@@ -476,26 +452,38 @@ class SigmaEngine:
         return self.sigma_idx(*self.group.indices(u, v, w))
 
     def sigma0_idx(self, u: int, w: int) -> LaurentPoly:
-        return self._sigma0(u, w, self.sigma_idx(u, v_min_idx(self.group, u, w), w)).poly
+        sigma0 = self._sigma0_at(u, w)[1]
+        return _q_poly(sigma0.col, sigma0.low)
 
     def _sigma0(self, u: int, w: int, sig_at_vmin: RationalFn) -> _Sigma0:
-        """sigma at v_min as a ``_Sigma0``: its ``_torus_free_column``,
-        decoded once and moved down to its lowest q-degree, and the point
-        value it carries. sigma0 is sigma at v_min, so that value is
-        sigma0's own at the point."""
+        """sigma at v_min as a ``_Sigma0``, read off its packed form with
+        nothing cancelled or decoded. It must be torus-free: no column but
+        that of the x-key 0 is nonzero, and that one is nonzero only over
+        an empty den; else ``RuntimeError`` is raised. The column is moved
+        down to its lowest occupied slot, the one that holds its lowest
+        set bit (as in ``polyring._decode_q``); the L1 bound and the point
+        value are the packed value's, and as sigma0 is sigma at v_min, they
+        are sigma0's own."""
         packed = _packed_of(sig_at_vmin)
-        col = _torus_free_column(packed)
-        if col is None:
+        cols = packed.cols
+        col = cols.get(0, 0)
+        # len(cols) > (0 in cols): some x-key other than 0 has a column
+        if (col and packed.den) or (
+            len(cols) > (0 in cols) and any(c for key, c in cols.items() if key)
+        ):
             raise RuntimeError(
                 "sigma at v_min kept torus dependence; this is a bug, "
                 f"not bad input (u={self.group.word_str(u)}, "
                 f"w={self.group.word_str(w)}, value={sig_at_vmin})"
             )
-        terms = _decode_q(col, packed.low)
-        low = terms[0][0] if terms else packed.low
-        col >>= _Q_BITS * (low - packed.low)
-        poly = _new(0, {(d,): c for d, c in terms})
-        return _Sigma0(col, low, sum(abs(c) for _, c in terms), poly, packed.point)
+        skip = ((col & -col).bit_length() - 1) // _Q_BITS if col else 0
+        return _Sigma0(col >> _Q_BITS * skip, packed.low + skip, packed.l1, packed.point)
+
+    def _sigma0_at(self, u: int, w: int) -> tuple:
+        """(v_min(u, w), the ``_Sigma0`` of (u, w)), from a single-shot
+        sigma at v_min."""
+        vm = v_min_idx(self.group, u, w)
+        return vm, self._sigma0(u, w, self.sigma_idx(u, vm, w))
 
     def sigma0(self, u: Element, w: Element) -> LaurentPoly:
         return self.sigma0_idx(*self.group.indices(u, w))
@@ -503,8 +491,7 @@ class SigmaEngine:
     # -- GK form -------------------------------------------------------------
 
     def is_gk_idx(self, u: int, v: int, w: int) -> bool:
-        vm = v_min_idx(self.group, u, w)
-        return self._is_gk(u, v, w, vm, self._sigma0(u, w, self.sigma_idx(u, vm, w)))
+        return self._is_gk(u, v, w, *self._sigma0_at(u, w))
 
     def _is_gk(self, u: int, v: int, w: int, vm: int, sigma0: _Sigma0) -> bool:
         """``is_gk_idx`` with vm = v_min(u, w) and the ``_Sigma0`` of
@@ -584,7 +571,7 @@ class SigmaEngine:
                 nonzero += 1
                 if v == vm:  # indices are sorted by length: v_min comes first
                     sigma0 = self._sigma0(u, w, sig)
-                    sigma0_str = str(sigma0.poly)
+                    sigma0_str = str(_q_poly(sigma0.col, sigma0.low))
                 flag = sig == self._gk_rhs(s_set_idx(g, vm, v), sigma0)
                 if flag:
                     gk += 1
@@ -704,74 +691,3 @@ def classify(
     )
     assert report.gk_count + len(report.exceptions) == report.nonzero_count
     return report
-
-
-def _main_theorem_for_w(engine: SigmaEngine, w: int) -> bool:
-    """For every u: sigma(u, v_min, w) is torus-free and its column equals
-    that of q^-len(v_min) times the length series of [u, w v_min], one
-    shift-add per element of the interval; both columns are taken from
-    the lower of their lows, so they are equal as ints exactly when the
-    polynomials are (every coefficient is below 2^(K - 1))."""
-    g = engine.group
-    lengths = g.lengths
-    for u in range(g.order):
-        vm = v_min_idx(g, u, w)
-        packed = _packed_of(engine.sigma_idx(u, vm, w))
-        col, low = _torus_free_column(packed), packed.low
-        if col is None:
-            return False
-        base = min(low, lengths[u] - lengths[vm])
-        rhs = 0
-        for z in _bits(g.interval_mask(u, g.mul_idx(w, vm))):
-            rhs += 1 << _Q_BITS * (lengths[z] - lengths[vm] - base)
-        if col << _Q_BITS * (low - base) != rhs:
-            return False
-    return True
-
-
-def verify_main_theorem(
-    group: CoxeterGroup,
-    engine: SigmaEngine | None = None,
-    jobs: int = 1,
-) -> bool:
-    """Check sigma(u, v_min, w) is torus-free and matches the translated
-    Bruhat-interval length series, for every pair (u, w)."""
-    engine = _engine_for(group, engine)
-    return all(_map_over_w(engine, _main_theorem_for_w, jobs))
-
-
-def verify_vanishing(
-    group: CoxeterGroup,
-    samples: int = 2000,
-    seed: int = DEFAULT_SEED,
-    engine: SigmaEngine | None = None,
-) -> bool:
-    """Check sigma(u, v, w) == 0 for v not >= v_min(u, w); exhaustive for
-    groups of order at most ``_VANISHING_EXHAUSTIVE_ORDER``, else on
-    ``samples`` seeded random triples. samples must be at least 1, or
-    ValueError is raised."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    engine = _engine_for(group, engine)
-    g = group
-    if g.order <= _VANISHING_EXHAUSTIVE_ORDER:
-        for u in range(g.order):
-            for w in range(g.order):
-                up = g.up_masks[v_min_idx(g, u, w)]
-                for v in range(g.order):
-                    if not up >> v & 1:
-                        if not engine.sigma_idx(u, v, w).is_zero():
-                            return False
-        return True
-    rng = random.Random(seed)
-    found = 0
-    while found < samples:
-        u = rng.randrange(g.order)
-        v = rng.randrange(g.order)
-        w = rng.randrange(g.order)
-        if g.leq_idx(v_min_idx(g, u, w), v):
-            continue
-        if not engine.sigma_idx(u, v, w).is_zero():
-            return False
-        found += 1
-    return True

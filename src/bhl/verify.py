@@ -4,14 +4,14 @@ a whole group, exhaustively where the group is small enough and on seeded
 random samples otherwise, and reports a pass/fail with a count of what was
 checked.
 
-The suites exposed through the command line are the eight names in
-``SUITE_NAMES``.
+``run_suite`` runs one of the eight suites named in ``SUITE_NAMES``; it is
+the one route to them, for ``bhl verify`` and for library callers alike.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import NamedTuple
 
 from .coxeter import CoxeterGroup, _bits
@@ -27,6 +27,7 @@ from .demazure import (
 )
 from .kl import check_theta_power_conjecture
 from .polyring import (
+    _Q_BITS,
     _Q_BOUND,
     LaurentPoly,
     _divides_packed,
@@ -34,14 +35,7 @@ from .polyring import (
     _packed_of,
 )
 from .rpoly import s_set_idx
-from .sigma import (
-    _VANISHING_EXHAUSTIVE_ORDER,
-    DEFAULT_SEED,
-    SigmaEngine,
-    _engine_for,
-    verify_main_theorem,
-    verify_vanishing,
-)
+from .sigma import DEFAULT_SEED, SigmaEngine, _engine_for, _map_over_w
 
 __all__ = [
     "SUITE_NAMES",
@@ -54,6 +48,9 @@ DEFAULT_SAMPLES = 2000
 # exhaustive cutoffs by tuple size: quadratic checks scan all pairs up to
 # order 120, cubic checks all triples up to order 24
 _EXHAUSTIVE_ORDER = {2: 120, 3: 24}
+
+# the vanishing suite scans every triple of a group up to this order
+_VANISHING_EXHAUSTIVE_ORDER = 10
 
 
 class SuiteResult(NamedTuple):
@@ -72,19 +69,69 @@ def _tuples(g: CoxeterGroup, k: int, samples: int | None, seed: int):
     return (tuple(rng.randrange(g.order) for _ in range(k)) for _ in range(n))
 
 
-# -- main theorem and vanishing (checked in ``sigma``) ---------------------
+# -- main theorem and vanishing ---------------------------------------------
+
+
+def _main_theorem_for_w(engine: SigmaEngine, w: int) -> tuple | None:
+    """The first u, with what fails there, at which sigma(u, v_min, w) is
+    torus-dependent or differs from q^-len(v_min) times the length series
+    of [u, w v_min]; None when every u passes. Nothing is decoded: the
+    ``SigmaEngine._sigma0`` of (u, w) must start at q^(len(u) - len(v_min)),
+    where the series does, and its column times q^len(u) must equal, as one
+    int, the series' column from q^0, one add of q^len(z) per element z of
+    the interval. Every coefficient of either is below 2^(K - 1), so the
+    ints are equal exactly when the polynomials are."""
+    g = engine.group
+    lengths = g.lengths
+    powers = [1 << _Q_BITS * d for d in lengths]  # z -> q^len(z) from q^0
+    for u in range(g.order):
+        vm = v_min_idx(g, u, w)
+        sig = engine.sigma_idx(u, vm, w)
+        try:
+            sigma0 = engine._sigma0(u, w, sig)
+        except RuntimeError:
+            return u, "sigma at v_min is torus-dependent"
+        series = sum(map(powers.__getitem__, _bits(g.interval_mask(u, g.mul_idx(w, vm)))))
+        if (sigma0.low, sigma0.col * powers[u]) != (lengths[u] - lengths[vm], series):
+            return u, "sigma0 differs from the interval series"
+    return None
 
 
 def _suite_main_theorem(g: CoxeterGroup, samples, seed, engine, jobs) -> SuiteResult:
-    ok = verify_main_theorem(g, engine=engine, jobs=jobs)
-    return SuiteResult("main-theorem", ok, f"{g.order * g.order} pairs")
+    """sigma(u, v_min, w) is torus-free and is the translated length series
+    of [u, w v_min], on every pair (u, w); a failure names the u of the
+    smallest w that fails, whatever jobs is."""
+    for w, failed in enumerate(_map_over_w(engine, _main_theorem_for_w, jobs)):
+        if failed is not None:
+            u, what = failed
+            word = g.word_str
+            return SuiteResult("main-theorem", False, f"{what} at u={word(u)}, w={word(w)}")
+    return SuiteResult("main-theorem", True, f"{g.order * g.order} pairs")
 
 
 def _suite_vanishing(g: CoxeterGroup, samples, seed, engine, jobs) -> SuiteResult:
-    n = samples if samples is not None else DEFAULT_SAMPLES
-    ok = verify_vanishing(g, samples=n, seed=seed, engine=engine)
-    exhaustive = g.order <= _VANISHING_EXHAUSTIVE_ORDER
-    return SuiteResult("vanishing", ok, "exhaustive" if exhaustive else f"{n} samples")
+    """sigma(u, v, w) == 0 for v not >= v_min(u, w): on every such triple,
+    u, then w, then v, of a group of order at most
+    ``_VANISHING_EXHAUSTIVE_ORDER``, else on the first samples of them in
+    a stream drawn u, v, w from ``random.Random(seed)``, where a draw with
+    v >= v_min is passed over. A failure names the first failing triple."""
+    order = g.order
+    if order <= _VANISHING_EXHAUSTIVE_ORDER:
+        n, detail = None, "exhaustive"
+        triples = ((u, v, w) for u, w, v in product(range(order), repeat=3))
+    else:
+        n = samples if samples is not None else DEFAULT_SAMPLES
+        detail = f"{n} samples"
+        draw = random.Random(seed).randrange
+        triples = iter(lambda: (draw(order), draw(order), draw(order)), None)
+    below = ((u, v, w) for u, v, w in triples if not g.leq_idx(v_min_idx(g, u, w), v))
+    word = g.word_str
+    for u, v, w in islice(below, n):
+        if not engine.sigma_idx(u, v, w).is_zero():
+            return SuiteResult(
+                "vanishing", False, f"sigma nonzero at u={word(u)}, v={word(v)}, w={word(w)}"
+            )
+    return SuiteResult("vanishing", True, detail)
 
 
 # -- theta ---------------------------------------------------------------
@@ -441,10 +488,9 @@ def _suite_gk_base(g: CoxeterGroup, samples, seed, engine: SigmaEngine, jobs) ->
     # the GK test is the product formula itself; sigma0 is built once per u
     checked = 0
     e = g.identity_idx
-    vm = v_min_idx(g, e, e)
-    sigma0 = engine._sigma0(e, e, engine.sigma_idx(e, vm, e))
+    base = engine._sigma0_at(e, e)
     for v in range(g.order):
-        if not engine._is_gk(e, v, e, vm, sigma0):
+        if not engine._is_gk(e, v, e, *base):
             return SuiteResult("gk-base", False, f"base case fails at v={g.word_str(v)}")
         checked += 1
     if g.cartan_type.family in ("A", "D"):
@@ -455,8 +501,7 @@ def _suite_gk_base(g: CoxeterGroup, samples, seed, engine: SigmaEngine, jobs) ->
                 if not kl._q_is_one(u, v):
                     continue
                 if u not in per_u:
-                    vm = v_min_idx(g, u, e)
-                    per_u[u] = vm, engine._sigma0(u, e, engine.sigma_idx(u, vm, e))
+                    per_u[u] = engine._sigma0_at(u, e)
                 if not engine._is_gk(u, v, e, *per_u[u]):
                     return SuiteResult(
                         "gk-base",

@@ -17,7 +17,7 @@ from bhl.coxeter import build_group, _bits
 from bhl.kl import KLTable, check_theta_power_conjecture
 from bhl.polyring import LaurentPoly
 from bhl.rpoly import s_set_idx
-from bhl.sigma import classify, verify_main_theorem, verify_vanishing
+from bhl.sigma import classify
 from bhl.verify import run_suite
 
 from checks import (
@@ -74,17 +74,17 @@ def test_criterion_03_a3_classification(a3, engine_a3):
 
 
 def test_criterion_04_main_theorem(a2, b2, a3, engine_a2, engine_b2, engine_a3):
-    assert verify_main_theorem(a2, engine=engine_a2)
-    assert verify_main_theorem(b2, engine=engine_b2)
-    assert verify_main_theorem(a3, engine=engine_a3)
+    assert run_suite("main-theorem", a2, engine=engine_a2).ok
+    assert run_suite("main-theorem", b2, engine=engine_b2).ok
+    assert run_suite("main-theorem", a3, engine=engine_a3).ok
     print("PASS criterion 4: sigma at v_min is torus-free and equals the "
           "interval series on A2, B2, A3")
 
 
 def test_criterion_05_vanishing(a2, b2, a3, engine_a2, engine_b2, engine_a3):
-    assert verify_vanishing(a2, engine=engine_a2)
-    assert verify_vanishing(b2, engine=engine_b2)
-    assert verify_vanishing(a3, samples=2000, engine=engine_a3)
+    assert run_suite("vanishing", a2, engine=engine_a2).ok
+    assert run_suite("vanishing", b2, engine=engine_b2).ok
+    assert run_suite("vanishing", a3, samples=2000, engine=engine_a3).ok
     print("PASS criterion 5: vanishing exhaustive on A2/B2 and on 2000 "
           "sampled A3 triples")
 

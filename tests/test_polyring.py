@@ -25,6 +25,7 @@ from bhl.polyring import (
     _is_q_power,
     _pack,
     _packed_factor,
+    _q_poly,
     _spans,
     _times_binomial,
     _unpack,
@@ -621,7 +622,7 @@ def test_times_q_column_at_and_past_the_l1_limit():
             got = eng._gk_rhs(roots, sigma0)
             assert got._packed._cols is None
             assert got._packed.point == (point, point.gk(roots) * 7 % sigma._P)
-            want = rf_mul_poly(gk, sigma0.poly.embed(g.rank))
+            want = rf_mul_poly(gk, _q_poly(sigma0.col, sigma0.low).embed(g.rank))
             assert (got.num, got.den) == (want.num, want.den)
 
 

@@ -30,18 +30,13 @@ from bhl.polyring import (
     _columns_equal,
     _decode_q,
     _deferred_columns,
+    _q_poly,
     _times_binomial,
     _unpack,
     binomial,
 )
 from bhl.rpoly import s_set, s_set_idx
-from bhl.sigma import (
-    ClassificationReport,
-    SigmaEngine,
-    classify,
-    verify_main_theorem,
-    verify_vanishing,
-)
+from bhl.sigma import ClassificationReport, SigmaEngine, classify
 from bhl.verify import SUITE_NAMES, run_suite
 
 from checks import mu_element, rf_mul_poly, sigma_via_mu_idx, theta_from_product
@@ -331,29 +326,25 @@ def test_classify_rows_match_public_gk_api(a2, b2, engine_a2, engine_b2):
 
 
 def test_main_theorem(a2, b2, engine_a2, engine_b2):
-    assert verify_main_theorem(a2, engine=engine_a2)
-    assert verify_main_theorem(b2, engine=engine_b2)
+    assert run_suite("main-theorem", a2, engine=engine_a2).ok
+    assert run_suite("main-theorem", b2, engine=engine_b2).ok
 
 
 def test_vanishing_exhaustive_small(a2, b2, engine_a2, engine_b2):
-    assert verify_vanishing(a2, engine=engine_a2)
-    assert verify_vanishing(b2, engine=engine_b2)
+    assert run_suite("vanishing", a2, engine=engine_a2).ok
+    assert run_suite("vanishing", b2, engine=engine_b2).ok
 
 
 def test_vanishing_refuses_fewer_than_one_sample(a3, engine_a3):
     """A sampled vanishing check with no sample would pass having checked
-    nothing; it raises, as run_suite does."""
+    nothing; it raises."""
     for samples in (0, -5):
         with pytest.raises(ValueError, match="at least 1"):
-            verify_vanishing(a3, samples=samples, engine=engine_a3)
+            run_suite("vanishing", a3, samples=samples, engine=engine_a3)
 
 
-def test_vanishing_samples_the_package_seed_by_default(a3, monkeypatch):
-    """verify_vanishing and the vanishing suite draw the same triples when
-    no seed is given: both default to the package seed, which classify's
-    point is drawn from too."""
-    assert sigma._POINT_SEED == sigma.DEFAULT_SEED == verify.DEFAULT_SEED
-    eng = SigmaEngine(a3)
+def _recorded_sigma_calls(monkeypatch, eng) -> list:
+    """The (u, v, w) of every sigma_idx call on eng from now on."""
     original, asked = eng.sigma_idx, []
 
     def recording(u, v, w, row=None):
@@ -361,10 +352,28 @@ def test_vanishing_samples_the_package_seed_by_default(a3, monkeypatch):
         return original(u, v, w, row)
 
     monkeypatch.setattr(eng, "sigma_idx", recording)
-    assert verify_vanishing(a3, samples=5, engine=eng)
-    library, asked[:] = asked[:], []
-    assert run_suite("vanishing", a3, samples=5, engine=eng).ok
-    assert len(library) == 5 and asked == library
+    return asked
+
+
+def test_vanishing_samples_the_package_seed_by_default(a3, monkeypatch):
+    """With no seed, the vanishing suite asks sigma at the first triples of
+    an independent re-draw from the package seed, which classify's point
+    is drawn from too: u, v, w in turn from random.Random(20240811), a
+    draw with v >= v_min passed over but taken from the generator all the
+    same. A suite that drew in another order, or drew again in place of a
+    passed-over draw, asks other triples."""
+    assert sigma._POINT_SEED == sigma.DEFAULT_SEED == verify.DEFAULT_SEED == 20240811
+    eng = SigmaEngine(a3)
+    asked = _recorded_sigma_calls(monkeypatch, eng)
+    assert run_suite("vanishing", a3, samples=12, engine=eng).ok
+    rng, want, passed_over = random.Random(20240811), [], 0
+    while len(want) < 12:
+        u, v, w = (a3.element(rng.randrange(a3.order)) for _ in range(3))
+        if a3.bruhat_leq(v_min(u, w), v):
+            passed_over += 1
+        else:
+            want.append((u.index, v.index, w.index))
+    assert asked == want and passed_over > 0
 
 
 def test_sigma_pole_containment_a2(a2, engine_a2):
@@ -481,7 +490,7 @@ def test_single_shot_sigma_asks_xi_only_where_some_x_reaches(a3, monkeypatch):
         return original(self, u, y, w, point)
 
     monkeypatch.setattr(SigmaEngine, "_xi", counting)
-    assert verify_main_theorem(a3, engine=eng)
+    assert run_suite("main-theorem", a3, engine=eng).ok
     want = [
         (u, y, w)
         for w in range(a3.order)
@@ -681,7 +690,7 @@ def test_classify_round_binomial_steps(a3, monkeypatch):
 def test_unreduced_factor_at_v_min_is_not_cancelled(a2, monkeypatch):
     """sigma0 is read off sigma at v_min as built, with no cancelling: a
     sigma at v_min carrying (1 - x^beta)/(1 - x^beta) makes classify_for_w
-    raise and verify_main_theorem return False."""
+    raise and the main-theorem suite fail."""
     eng = SigmaEngine(a2)
     original = eng.sigma_idx
     beta = a2.positive_roots[0]
@@ -695,9 +704,10 @@ def test_unreduced_factor_at_v_min_is_not_cancelled(a2, monkeypatch):
     monkeypatch.setattr(eng, "sigma_idx", padded)
     with pytest.raises(RuntimeError, match="kept torus dependence"):
         eng.classify_for_w(a2.identity_idx)
-    assert not verify_main_theorem(a2, engine=eng)
+    res = run_suite("main-theorem", a2, engine=eng)
+    assert res == ("main-theorem", False, "sigma at v_min is torus-dependent at u=e, w=e")
     monkeypatch.setattr(eng, "sigma_idx", original)
-    assert verify_main_theorem(a2, engine=eng)
+    assert run_suite("main-theorem", a2, engine=eng).ok
 
 
 def test_every_element_entry_point_rejects_an_element_of_another_build(a2, engine_a2):
@@ -728,10 +738,6 @@ def test_group_mismatch_rejected(a2, b2, engine_a2, engine_b2):
     # an engine over another group is refused, not silently used
     with pytest.raises(GroupMismatchError):
         classify(a2, engine=engine_b2)
-    with pytest.raises(GroupMismatchError):
-        verify_main_theorem(a2, engine=engine_b2)
-    with pytest.raises(GroupMismatchError):
-        verify_vanishing(a2, engine=engine_b2)
     for name in SUITE_NAMES:
         with pytest.raises(GroupMismatchError):
             run_suite(name, a2, engine=engine_b2)
@@ -888,7 +894,7 @@ def test_mixed_eager_and_column_equality(a2, engine_a2):
 
 
 def test_classify_and_main_theorem_decode_no_value(a2, b2, g2, monkeypatch):
-    """classify and the main-theorem check run on columns alone: with the
+    """classify and the main-theorem suite run on columns alone: with the
     decode and the eager cross-multiplication (``LaurentPoly.__mul__``)
     refused, the reports keep their counts and sigma0, read off the column
     of the x-key 0 at v_min, keeps its golden digest."""
@@ -902,23 +908,19 @@ def test_classify_and_main_theorem_decode_no_value(a2, b2, g2, monkeypatch):
     for g, rep in want.items():
         got = classify(g)
         assert got.rows == rep.rows, g.cartan_type
-        assert verify_main_theorem(g), g.cartan_type
+        assert run_suite("main-theorem", g).ok, g.cartan_type
     assert _digest(classify(a2).to_csv_text()) == GOLDEN_REPORTS["A2"][0]
 
 
-@pytest.mark.parametrize("delta", [1, -1])
-def test_sigma0_off_by_one_fails_the_main_theorem(a3, monkeypatch, delta):
-    """sigma(s1, v_min, w0) with delta added to the coefficient of its
-    lowest q-degree, all else as built: the one changed pair makes
-    verify_main_theorem return False."""
-    eng = SigmaEngine(a3)
-    original = eng.sigma_idx
-    u, w = a3.simple(1).index, a3.longest_idx
-    vm = v_min_idx(a3, u, w)
+def _sigma0_off_by(eng, pairs, delta):
+    """eng.sigma_idx with delta added to the coefficient of the lowest
+    q-degree of sigma at v_min for each (u, w) in pairs, all else as
+    built."""
+    g, original = eng.group, eng.sigma_idx
 
-    def perturbed(uu, v, ww, row=None):
-        sig = original(uu, v, ww, row)
-        if (uu, v, ww) != (u, vm, w):
+    def perturbed(u, v, w, row=None):
+        sig = original(u, v, w, row)
+        if (u, w) not in pairs or v != v_min_idx(g, u, w):
             return sig
         p = sig._packed
         cols = dict(p.cols)
@@ -926,9 +928,91 @@ def test_sigma0_off_by_one_fails_the_main_theorem(a3, monkeypatch, delta):
         cols[0] += delta << polyring._Q_BITS * slot
         return _deferred_columns(lambda: cols, p.den, p.low, p.n, p.l1 + 1, p.span)
 
-    assert verify_main_theorem(a3, engine=eng)
-    monkeypatch.setattr(eng, "sigma_idx", perturbed)
-    assert not verify_main_theorem(a3, engine=eng)
+    return perturbed
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_sigma0_off_by_one_fails_the_main_theorem(a3, monkeypatch, delta):
+    """sigma(s1, v_min, w0) with delta added to the coefficient of its
+    lowest q-degree, all else as built: the one changed pair makes the
+    main-theorem suite fail, naming it by canonical words."""
+    eng = SigmaEngine(a3)
+    u, w = a3.simple(1).index, a3.longest_idx
+    assert run_suite("main-theorem", a3, engine=eng).ok
+    monkeypatch.setattr(eng, "sigma_idx", _sigma0_off_by(eng, {(u, w)}, delta))
+    res = run_suite("main-theorem", a3, engine=eng)
+    assert res == (
+        "main-theorem", False,
+        f"sigma0 differs from the interval series at u=1, w={a3.word_str(w)}",
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_main_theorem_failure_names_the_pair_of_the_smallest_w(a2, monkeypatch, jobs):
+    """sigma0 off by one at (u, w) = (e, w0) and (w0, s1): the suite names
+    (w0, s1), the pair of the smaller w, serially and with two workers,
+    which start on w0, the longest w."""
+    eng = SigmaEngine(a2)
+    w0, s1 = a2.longest_idx, a2.simple(1).index
+    monkeypatch.setattr(eng, "sigma_idx", _sigma0_off_by(eng, {(0, w0), (w0, s1)}, 1))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    res = run_suite("main-theorem", a2, engine=eng, jobs=jobs)
+    assert res.detail == "sigma0 differs from the interval series at u=121, w=1"
+
+
+def test_vanishing_failure_names_the_first_nonzero_triple(a2, a3, monkeypatch):
+    """sigma made nonzero on one triple below v_min fails the vanishing
+    suite, naming that triple by canonical words: (w0, e, e) on exhaustive
+    A2, and the third sampled triple on sampled A3."""
+    for g, samples, pick in ((a2, None, None), (a3, 20, 2)):
+        eng = SigmaEngine(g)
+        asked = _recorded_sigma_calls(monkeypatch, eng)
+        assert run_suite("vanishing", g, samples=samples, engine=eng).ok
+        target = asked[pick] if pick is not None else (g.longest_idx, 0, 0)
+        assert target in asked
+        original = eng.sigma_idx
+
+        def nonzero(u, v, w, row=None):
+            return original(0, 0, 0) if (u, v, w) == target else original(u, v, w, row)
+
+        monkeypatch.setattr(eng, "sigma_idx", nonzero)
+        res = run_suite("vanishing", g, samples=samples, engine=eng)
+        u, v, w = (g.word_str(x) for x in target)
+        assert res == ("vanishing", False, f"sigma nonzero at u={u}, v={v}, w={w}")
+
+
+@pytest.mark.parametrize("where", ["base", "product-form"])
+def test_one_flipped_gk_comparison_at_e_fails_gk_base(a3, monkeypatch, where):
+    """One GK comparison at w = e answered the other way fails the gk-base
+    suite: at (e, s2, e), in the base-case loop, or at the KL-trivial
+    (s1, s1 s2, e) of type A, in the product-form loop."""
+    eng = SigmaEngine(a3)
+    original = eng._is_gk
+    target = (0, 2, 0) if where == "base" else (1, a3.parse_word_idx("12"), 0)
+
+    def flipped(u, v, w, vm, sigma0):
+        return original(u, v, w, vm, sigma0) != ((u, v, w) == target)
+
+    monkeypatch.setattr(eng, "_is_gk", flipped)
+    res = run_suite("gk-base", a3, engine=eng)
+    detail = "base case fails at v=2" if where == "base" else "product form fails at u=1, v=12"
+    assert res == ("gk-base", False, detail)
+
+
+def test_one_wrong_fold_fails_demazure(a2, monkeypatch):
+    """An up_right fold of the canonical word of w0 that returns the wrong
+    element fails the demazure suite at w0."""
+    w0 = a2.longest_idx
+    canon = tuple(i + 1 for i in a2.words[w0])
+    fold = verify.fold_word_idx
+
+    def wrong(g, letters, x, step):
+        out = fold(g, letters, x, step)
+        return (out + 1) % g.order if (tuple(letters), step) == (canon, "up_right") else out
+
+    monkeypatch.setattr(verify, "fold_word_idx", wrong)
+    res = run_suite("demazure", a2)
+    assert res == ("demazure", False, f"braid fold differs at w={w0}")
 
 
 def test_theta_and_mixed_meet_failures_name_elements_by_word(a2, monkeypatch):
@@ -960,8 +1044,8 @@ def test_theta_and_mixed_meet_failures_name_elements_by_word(a2, monkeypatch):
 @pytest.mark.parametrize("extra", ["den", "x"])
 def test_column_sigma_at_v_min_with_a_den_or_an_x_is_refused(a2, monkeypatch, extra):
     """A column-backed sigma at v_min times (1 - x^beta)/(1 - x^beta), or
-    times x^beta, makes classify_for_w raise and verify_main_theorem return
-    False, as an eager one does."""
+    times x^beta, makes classify_for_w raise and the main-theorem suite
+    fail, as an eager one does."""
     eng = SigmaEngine(a2)
     original = eng.sigma_idx
     b = eng._root_keys[0]
@@ -980,7 +1064,8 @@ def test_column_sigma_at_v_min_with_a_den_or_an_x_is_refused(a2, monkeypatch, ex
     monkeypatch.setattr(eng, "sigma_idx", padded)
     with pytest.raises(RuntimeError, match="kept torus dependence"):
         eng.classify_for_w(a2.identity_idx)
-    assert not verify_main_theorem(a2, engine=eng)
+    res = run_suite("main-theorem", a2, engine=eng)
+    assert res == ("main-theorem", False, "sigma at v_min is torus-dependent at u=e, w=e")
 
 
 def test_import_leaves_multiprocessing_out_and_two_jobs_still_fork():
@@ -1056,7 +1141,8 @@ def _exact_path_rows(eng, w) -> tuple:
             rhs = eng._gk_rhs(s_set_idx(g, vm, v), sigma0)
             assert rhs._packed.point is None
             flag = sig == rhs
-            rows.append((g.word_str(u), g.word_str(v), w_word, flag, str(sigma0.poly)))
+            sigma0_str = str(_q_poly(sigma0.col, sigma0.low))
+            rows.append((g.word_str(u), g.word_str(v), w_word, flag, sigma0_str))
     return len(rows), sum(row[3] for row in rows), rows
 
 
@@ -1121,7 +1207,7 @@ def test_sigma_at_v_min_carries_the_value_of_sigma0_at_the_point(cartan_type):
         for w in range(g.order):
             row = eng._xi_row(u, w, everything, point)
             sigma0 = eng._sigma0(u, w, eng.sigma_idx(u, v_min_idx(g, u, w), w, row))
-            terms = [(e[0], c) for e, c in sigma0.poly.terms.items()]
+            terms = _decode_q(sigma0.col, sigma0.low)
             assert sigma0.point == (point, point.q_value(terms)), (u, w)
 
 
