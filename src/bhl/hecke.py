@@ -56,8 +56,8 @@ for every w above the whole support. No theta is memoized. Every read goes
 through the column (``_sum_at``): ``theta_sum`` adds theta over many x at
 one w (xi), ``theta_groups`` gives theta of one (x, y) at many w (the
 power-of-q scan), the w of one call that cover the same part of the
-support sharing one pass; ``theta_idx`` is the sum at the part below one
-w, decoded.
+support sharing one pass; ``theta_idx`` is the ``theta_sum`` of one x,
+decoded.
 
 A down step at most triples the L1 norm of a product ((q - 1) c_t and q c_t
 from c_t), and an up step or a relabel keeps it, so T_x T_{y^{-1}} has L1
@@ -300,11 +300,8 @@ class ThetaTable:
         return out
 
     def theta_idx(self, x: int, y: int, w: int) -> LaurentPoly:
-        """theta(x, y, w): the lifted terms of T_x T_{y^-1} at the t <= w,
-        summed from the column of y and decoded."""
-        supports, prods, _ = self._columns.get(y) or self._column(y)
-        col = _sum_at(prods[x], supports[x] & self.group.down_masks[w])
-        return _q_poly(col, 0)
+        """theta(x, y, w): the ``theta_sum`` of x alone, decoded."""
+        return _q_poly(self.theta_sum(1 << x, y, w), 0)
 
     def theta(self, x: Element, y: Element, w: Element) -> LaurentPoly:
         return self.theta_idx(*self.group.indices(x, y, w))

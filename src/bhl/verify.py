@@ -6,6 +6,8 @@ checked.
 
 ``run_suite`` runs one of the eight suites named in ``SUITE_NAMES``; it is
 the one route to them, for ``bhl verify`` and for library callers alike.
+A suite that fails at elements names the first failing ones by canonical
+word (``_fail``); kl-conjecture counts its violations.
 """
 
 from __future__ import annotations
@@ -69,6 +71,23 @@ def _tuples(g: CoxeterGroup, k: int, samples: int | None, seed: int):
     return (tuple(rng.randrange(g.order) for _ in range(k)) for _ in range(n))
 
 
+def _fail(g: CoxeterGroup, name: str, what: str, **at) -> SuiteResult:
+    """The failing result of suite name: what, at the elements at, each
+    named by its canonical word."""
+    where = ", ".join(f"{k}={g.word_str(el)}" for k, el in at.items())
+    return SuiteResult(name, False, f"{what} at {where}")
+
+
+def _is_max(g: CoxeterGroup, m: int, xs) -> bool:
+    """m is one of xs and Bruhat-above all of them."""
+    return m in xs and all(g.leq_idx(x, m) for x in xs)
+
+
+def _is_min(g: CoxeterGroup, m: int, xs) -> bool:
+    """m is one of xs and Bruhat-below all of them."""
+    return m in xs and all(g.leq_idx(m, x) for x in xs)
+
+
 # -- main theorem and vanishing ---------------------------------------------
 
 
@@ -104,8 +123,7 @@ def _suite_main_theorem(g: CoxeterGroup, samples, seed, engine, jobs) -> SuiteRe
     for w, failed in enumerate(_map_over_w(engine, _main_theorem_for_w, jobs)):
         if failed is not None:
             u, what = failed
-            word = g.word_str
-            return SuiteResult("main-theorem", False, f"{what} at u={word(u)}, w={word(w)}")
+            return _fail(g, "main-theorem", what, u=u, w=w)
     return SuiteResult("main-theorem", True, f"{g.order * g.order} pairs")
 
 
@@ -125,12 +143,9 @@ def _suite_vanishing(g: CoxeterGroup, samples, seed, engine, jobs) -> SuiteResul
         draw = random.Random(seed).randrange
         triples = iter(lambda: (draw(order), draw(order), draw(order)), None)
     below = ((u, v, w) for u, v, w in triples if not g.leq_idx(v_min_idx(g, u, w), v))
-    word = g.word_str
     for u, v, w in islice(below, n):
         if not engine.sigma_idx(u, v, w).is_zero():
-            return SuiteResult(
-                "vanishing", False, f"sigma nonzero at u={word(u)}, v={word(v)}, w={word(w)}"
-            )
+            return _fail(g, "vanishing", "sigma nonzero", u=u, v=v, w=w)
     return SuiteResult("vanishing", True, detail)
 
 
@@ -139,39 +154,28 @@ def _suite_vanishing(g: CoxeterGroup, samples, seed, engine, jobs) -> SuiteResul
 
 def _suite_theta(g: CoxeterGroup, samples, seed, engine: SigmaEngine, jobs) -> SuiteResult:
     theta = engine.theta
-    word = g.word_str
-
-    def fail(what: str, **at) -> SuiteResult:
-        where = ", ".join(f"{k}={word(el)}" for k, el in at.items())
-        return SuiteResult("theta", False, f"{what} at {where}")
-
     checked = 0
     # support extrema of T_u T_v: min u*v, max Demazure product
     for u, v in _tuples(g, 2, samples, seed):
-        prod = theta.product(u, g.inv_table[v])  # T_u T_v with v = (v^-1)^-1
-        supp = list(prod)
-        uv = g.mul_idx(u, v)
-        mx = circ_idx(g, u, v)
-        if uv not in supp or mx not in supp:
-            return fail("support extrema missing", u=u, v=v)
-        if not all(g.leq_idx(uv, s) and g.leq_idx(s, mx) for s in supp):
-            return fail("support extrema wrong", u=u, v=v)
+        supp = list(theta.product(u, g.inv_table[v]))  # T_u T_v, v = (v^-1)^-1
+        if not (_is_min(g, g.mul_idx(u, v), supp) and _is_max(g, circ_idx(g, u, v), supp)):
+            return _fail(g, "theta", "support extrema wrong", u=u, v=v)
         checked += 1
     for x, y, w in _tuples(g, 3, samples, seed + 1):
         xyi = g.mul_idx(x, g.inv_table[y])
         val = theta.theta_idx(x, y, w)
         if not g.leq_idx(xyi, w):
             if not val.is_zero():
-                return fail("nonzero theta", x=x, y=y, w=w)
+                return _fail(g, "theta", "nonzero theta", x=x, y=y, w=w)
             continue
         if sum(val.coefficients()) != 1:  # theta at q = 1
-            return fail("q=1 value wrong", x=x, y=y, w=w)
+            return _fail(g, "theta", "q=1 value wrong", x=x, y=y, w=w)
         low = (g.lengths[x] + g.lengths[y] + g.lengths[xyi]) // 2
         if val.q_min_degree() < low or val.q_max_degree() > g.lengths[x] + g.lengths[y]:
-            return fail("degree window wrong", x=x, y=y, w=w)
+            return _fail(g, "theta", "degree window wrong", x=x, y=y, w=w)
         if g.leq_idx(circ_idx(g, x, g.inv_table[y]), w):
             if val != LaurentPoly.q_power(0, g.lengths[x] + g.lengths[y]):
-                return fail("full power case wrong", x=x, y=y, w=w)
+                return _fail(g, "theta", "full power case wrong", x=x, y=y, w=w)
         checked += 1
     # theta(z, v_min, w) = q^len(z) along the ladder interval
     for u, w in _tuples(g, 2, samples, seed + 2):
@@ -179,7 +183,7 @@ def _suite_theta(g: CoxeterGroup, samples, seed, engine: SigmaEngine, jobs) -> S
         wv = g.mul_idx(w, vm)
         for z in _bits(g.interval_mask(u, wv)):
             if theta.theta_idx(z, vm, w) != LaurentPoly.q_power(0, g.lengths[z]):
-                return fail("ladder value wrong", u=u, w=w, z=z)
+                return _fail(g, "theta", "ladder value wrong", u=u, w=w, z=z)
             checked += 1
     return SuiteResult("theta", True, f"{checked} checks")
 
@@ -188,7 +192,6 @@ def _suite_theta(g: CoxeterGroup, samples, seed, engine: SigmaEngine, jobs) -> S
 
 
 def _suite_mixed_meet(g: CoxeterGroup, samples, seed, engine, jobs) -> SuiteResult:
-    word = g.word_str
     checked = 0
     for u, w in _tuples(g, 2, samples, seed):
         cands = [
@@ -197,20 +200,161 @@ def _suite_mixed_meet(g: CoxeterGroup, samples, seed, engine, jobs) -> SuiteResu
             if g.weak_leq_right_idx(x, u) and g.leq_idx(x, w)
         ]
         m = mixed_meet_idx(g, u, w)
-        if m not in cands or not all(g.leq_idx(x, m) for x in cands):
-            return SuiteResult(
-                "mixed-meet", False, f"not the unique max at u={word(u)}, w={word(w)}"
-            )
-        vm = v_min_idx(g, u, w)
-        if g.mul_idx(g.inv_table[m], u) != vm:
-            return SuiteResult(
-                "mixed-meet", False, f"v_min mismatch at u={word(u)}, w={word(w)}"
-            )
+        if not _is_max(g, m, cands):
+            return _fail(g, "mixed-meet", "not the unique max", u=u, w=w)
+        if g.mul_idx(g.inv_table[m], u) != v_min_idx(g, u, w):
+            return _fail(g, "mixed-meet", "v_min mismatch", u=u, w=w)
         checked += 1
     return SuiteResult("mixed-meet", True, f"{checked} pairs")
 
 
 # -- demazure ---------------------------------------------------------------
+
+# Each law of the demazure suite takes the group and one sampled tuple and
+# returns what fails there, or None when the law holds.
+
+
+def _action_laws(g: CoxeterGroup, u: int, v: int, x: int) -> str | None:
+    """Monoid action laws: folding u o v equals folding v then u (left),
+    u then v (right)."""
+    uv = circ_idx(g, u, v)
+    if down_left_idx(g, uv, x) != down_left_idx(g, u, down_left_idx(g, v, x)):
+        return "left down action law fails"
+    if up_left_idx(g, uv, x) != up_left_idx(g, u, up_left_idx(g, v, x)):
+        return "left up action law fails"
+    if down_right_idx(g, x, uv) != down_right_idx(g, down_right_idx(g, x, u), v):
+        return "right down action law fails"
+    if up_right_idx(g, x, uv) != up_right_idx(g, up_right_idx(g, x, u), v):
+        return "right up action law fails"
+    return None
+
+
+def _product_routes(g: CoxeterGroup, u: int, v: int) -> str | None:
+    """The two Demazure product routes agree; longest-element conjugations
+    and the down/product exchange."""
+    w0 = g.longest_idx
+    if circ_idx(g, u, v) != up_right_idx(g, u, v):
+        return "product routes differ"
+    if g.mul_idx(up_left_idx(g, u, v), w0) != down_left_idx(g, u, g.mul_idx(v, w0)):
+        return "w0 exchange fails"
+    if down_right_idx(g, u, v) != g.mul_idx(w0, circ_idx(g, g.mul_idx(w0, u), v)):
+        return "down via product (right) fails"
+    if down_left_idx(g, u, v) != g.mul_idx(circ_idx(g, u, g.mul_idx(v, w0)), w0):
+        return "down via product (left) fails"
+    return None
+
+
+def _monotonicity(g: CoxeterGroup, u: int, x: int, w: int) -> str | None:
+    """The product and the down actions are monotone, the down actions
+    antitone in the acting element."""
+    leq = g.leq_idx
+    if leq(u, x):
+        if not leq(down_left_idx(g, w, u), down_left_idx(g, w, x)):
+            return "left down monotone fails"
+        if not leq(down_right_idx(g, u, w), down_right_idx(g, x, w)):
+            return "right down monotone fails"
+        if not leq(circ_idx(g, u, w), circ_idx(g, x, w)):
+            return "product monotone in the left factor fails"
+        if not leq(circ_idx(g, w, u), circ_idx(g, w, x)):
+            return "product monotone in the right factor fails"
+    if leq(x, w):
+        if not leq(down_left_idx(g, w, u), down_left_idx(g, x, u)):
+            return "left down antitone fails"
+        if not leq(down_right_idx(g, u, w), down_right_idx(g, u, x)):
+            return "right down antitone fails"
+    return None
+
+
+def _translates(g: CoxeterGroup, u: int, v: int) -> str | None:
+    """Translated-interval extrema against brute force; u[1,v] and [u,w0]v
+    share their minimum, as do [1,u]v and u[v,w0]."""
+    left_translate = [g.mul_idx(u, z) for z in _bits(g.down_masks[v])]
+    right_translate = [g.mul_idx(z, v) for z in _bits(g.down_masks[u])]
+    top = circ_idx(g, u, v)
+    if not (_is_max(g, top, left_translate) and _is_max(g, top, right_translate)):
+        return "translate max fails"
+    m_right = down_right_idx(g, u, v)  # u down-arrow U_v
+    m_left = down_left_idx(g, u, v)  # U_u down-arrow v
+    if not (_is_min(g, m_right, left_translate) and _is_min(g, m_left, right_translate)):
+        return "translate min fails"
+    w0 = g.longest_idx
+    upper_right = [g.mul_idx(z, v) for z in _bits(g.interval_mask(u, w0))]
+    upper_left = [g.mul_idx(u, z) for z in _bits(g.interval_mask(v, w0))]
+    if not (_is_min(g, m_right, upper_right) and _is_min(g, m_left, upper_left)):
+        return "upper translate min fails"
+    return None
+
+
+def _weak_order(g: CoxeterGroup, u: int, w: int) -> str | None:
+    """Weak-order consequences of the down actions."""
+    weak = g.weak_leq_right_idx
+    if not weak(down_right_idx(g, u, w), u):
+        return "down leaves the weak interval"
+    if not g.leq_idx(g.mul_idx(u, down_right_idx(g, g.inv_table[u], w)), w):
+        return "meet candidate above w"
+    for up in _bits(g.down_masks[u]):
+        if weak(up, u) and not weak(down_right_idx(g, up, w), u):
+            return "relative down fails"
+    if weak(w, g.inv_table[u]) and not weak(g.mul_idx(u, w), u):
+        return "translate weak fails"
+    return None
+
+
+def _prefix_lifting(g: CoxeterGroup, a: int, b: int, c: int) -> str | None:
+    """Lifting through a common weak prefix, and conditional order
+    reversal."""
+    weak, leq = g.weak_leq_right_idx, g.leq_idx
+    ab, ac = g.mul_idx(a, b), g.mul_idx(a, c)
+    if weak(a, ab) and weak(a, ac) and leq(ab, ac) and not leq(b, c):
+        return "prefix lifting fails"
+    ai = g.inv_table[a]
+    if weak(b, ai) and weak(c, ai) and leq(b, c) and not leq(ac, ab):
+        return "reversal fails"
+    return None
+
+
+def _ladder(g: CoxeterGroup, u: int, w: int) -> str | None:
+    """The ladder around v_min: lengths add, the bracket interval matches,
+    the two chains are strict, and only v itself divides back into
+    [1, w]."""
+    lengths, rmult = g.lengths, g.rmult
+    vm = v_min_idx(g, u, w)
+    wv = g.mul_idx(w, vm)
+    if lengths[wv] != lengths[w] + lengths[vm]:
+        return "ladder lengths fail"
+    vmi = g.inv_table[vm]
+    bracket = {z for z in _bits(g.up_masks[u]) if g.leq_idx(g.mul_idx(z, vmi), w)}
+    interval = set(_bits(g.interval_mask(u, wv)))
+    if bracket != interval:
+        return "bracket interval fails"
+    letters = g.words[vm]
+    x = w
+    for i in letters:
+        if lengths[rmult[x][i]] <= lengths[x]:
+            return "ascending chain fails"
+        x = rmult[x][i]
+    for z in interval:
+        zz = z
+        for i in reversed(letters):
+            if lengths[rmult[zz][i]] >= lengths[zz]:
+                return "descending chain fails"
+            zz = rmult[zz][i]
+        for vp in _bits(g.down_masks[vm]):
+            if vp != vm and g.leq_idx(g.mul_idx(z, g.inv_table[vp]), w):
+                return "divisor uniqueness fails"
+    return None
+
+
+# (names of the sampled elements, seed offset, law), in the order they run
+_DEMAZURE_LAWS = (
+    (("u", "v", "x"), 1, _action_laws),
+    (("u", "v"), 2, _product_routes),
+    (("u", "x", "w"), 3, _monotonicity),
+    (("u", "v"), 4, _translates),
+    (("u", "w"), 5, _weak_order),
+    (("a", "b", "c"), 6, _prefix_lifting),
+    (("u", "w"), 7, _ladder),
+)
 
 
 def _reduced_subword_closure(g: CoxeterGroup, letters: tuple) -> set:
@@ -228,10 +372,7 @@ def _reduced_subword_closure(g: CoxeterGroup, letters: tuple) -> set:
 
 def _suite_demazure(g: CoxeterGroup, samples, seed, engine, jobs) -> SuiteResult:
     rng = random.Random(seed)
-    name = "demazure"
-    w0 = g.longest_idx
     checked = 0
-
     # folding is independent of the chosen reduced word, for all four actions
     for w in range(g.order):
         canon = tuple(i + 1 for i in g.words[w])
@@ -240,44 +381,9 @@ def _suite_demazure(g: CoxeterGroup, samples, seed, engine, jobs) -> SuiteResult
             word = g.random_reduced_word(g.element(w), rng)
             for x in probes:
                 for step in ("up_left", "down_left", "up_right", "down_right"):
-                    if fold_word_idx(g, word, x, step) != fold_word_idx(
-                        g, canon, x, step
-                    ):
-                        return SuiteResult(name, False, f"braid fold differs at w={w}")
+                    if fold_word_idx(g, word, x, step) != fold_word_idx(g, canon, x, step):
+                        return _fail(g, "demazure", "braid fold differs", w=w)
                 checked += 1
-
-    # monoid action laws: folding u o v equals folding v then u (left),
-    # u then v (right)
-    for u, v, x in _tuples(g, 3, samples, seed + 1):
-        uv = circ_idx(g, u, v)
-        if down_left_idx(g, uv, x) != down_left_idx(g, u, down_left_idx(g, v, x)):
-            return SuiteResult(name, False, f"left down action law fails at {u},{v},{x}")
-        if up_left_idx(g, uv, x) != up_left_idx(g, u, up_left_idx(g, v, x)):
-            return SuiteResult(name, False, f"left up action law fails at {u},{v},{x}")
-        if down_right_idx(g, x, uv) != down_right_idx(g, down_right_idx(g, x, u), v):
-            return SuiteResult(name, False, f"right down action law fails at {u},{v},{x}")
-        if up_right_idx(g, x, uv) != up_right_idx(g, up_right_idx(g, x, u), v):
-            return SuiteResult(name, False, f"right up action law fails at {u},{v},{x}")
-        checked += 1
-
-    for u, v in _tuples(g, 2, samples, seed + 2):
-        # the two Demazure product routes agree
-        if circ_idx(g, u, v) != up_right_idx(g, u, v):
-            return SuiteResult(name, False, f"product routes differ at {u},{v}")
-        # longest-element conjugations and down/product exchange
-        lhs = g.mul_idx(up_left_idx(g, u, v), w0)
-        if lhs != down_left_idx(g, u, g.mul_idx(v, w0)):
-            return SuiteResult(name, False, f"w0 exchange fails at {u},{v}")
-        if down_right_idx(g, u, v) != g.mul_idx(
-            w0, circ_idx(g, g.mul_idx(w0, u), v)
-        ):
-            return SuiteResult(name, False, f"down via product (right) fails at {u},{v}")
-        if down_left_idx(g, u, v) != g.mul_idx(
-            circ_idx(g, u, g.mul_idx(v, w0)), w0
-        ):
-            return SuiteResult(name, False, f"down via product (left) fails at {u},{v}")
-        checked += 1
-
     # reduced-subword membership matches the product criterion
     for _ in range(30):
         word = tuple(rng.randrange(1, g.rank + 1) for _ in range(rng.randrange(0, 9)))
@@ -287,123 +393,15 @@ def _suite_demazure(g: CoxeterGroup, samples, seed, engine, jobs) -> SuiteResult
             top = up_left_idx(g, g.rmult[0][i - 1], top)
         for w in range(g.order):
             if (w in contained) != g.leq_idx(w, top):
-                return SuiteResult(name, False, f"subword criterion fails for {word}")
+                return _fail(g, "demazure", "subword criterion fails", w=w, top=top)
         checked += 1
-
-    # monotonicity of the product and the down actions
-    for u, x, w in _tuples(g, 3, samples, seed + 3):
-        if g.leq_idx(u, x):
-            if not g.leq_idx(down_left_idx(g, w, u), down_left_idx(g, w, x)):
-                return SuiteResult(name, False, f"left down monotone fails at {u},{x},{w}")
-            if not g.leq_idx(down_right_idx(g, u, w), down_right_idx(g, x, w)):
-                return SuiteResult(name, False, f"right down monotone fails at {u},{x},{w}")
-            if not g.leq_idx(circ_idx(g, u, w), circ_idx(g, x, w)):
-                return SuiteResult(name, False, f"product monotone fails at {u},{x},{w}")
-            if not g.leq_idx(circ_idx(g, w, u), circ_idx(g, w, x)):
-                return SuiteResult(name, False, f"product monotone fails at {w};{u},{x}")
-        if g.leq_idx(x, w):
-            if not g.leq_idx(down_left_idx(g, w, u), down_left_idx(g, x, u)):
-                return SuiteResult(name, False, f"left down antitone fails at {u},{x},{w}")
-            if not g.leq_idx(down_right_idx(g, u, w), down_right_idx(g, u, x)):
-                return SuiteResult(name, False, f"right down antitone fails at {u},{x},{w}")
-        checked += 1
-
-    # translated-interval extrema against brute force; u[1,v] and [u,w0]v
-    # share their minimum, as do [1,u]v and u[v,w0]
-    for u, v in _tuples(g, 2, samples, seed + 4):
-        left_translate = [g.mul_idx(u, z) for z in _bits(g.down_masks[v])]
-        right_translate = [g.mul_idx(z, v) for z in _bits(g.down_masks[u])]
-        top = circ_idx(g, u, v)
-        if not all(g.leq_idx(z, top) for z in left_translate) or top not in left_translate:
-            return SuiteResult(name, False, f"translate max fails at {u},{v}")
-        if not all(g.leq_idx(z, top) for z in right_translate) or top not in right_translate:
-            return SuiteResult(name, False, f"translate max fails at {u},{v}")
-        m_right = down_right_idx(g, u, v)  # u down-arrow U_v
-        m_left = down_left_idx(g, u, v)  # U_u down-arrow v
-        if not all(g.leq_idx(m_right, z) for z in left_translate) or m_right not in left_translate:
-            return SuiteResult(name, False, f"translate min fails at {u},{v}")
-        if not all(g.leq_idx(m_left, z) for z in right_translate) or m_left not in right_translate:
-            return SuiteResult(name, False, f"translate min fails at {u},{v}")
-        upper_right = [g.mul_idx(z, v) for z in _bits(g.interval_mask(u, w0))]
-        if not all(g.leq_idx(m_right, z) for z in upper_right) or m_right not in upper_right:
-            return SuiteResult(name, False, f"upper translate min fails at {u},{v}")
-        upper_left = [g.mul_idx(u, z) for z in _bits(g.interval_mask(v, w0))]
-        if not all(g.leq_idx(m_left, z) for z in upper_left) or m_left not in upper_left:
-            return SuiteResult(name, False, f"upper translate min fails at {u},{v}")
-        checked += 1
-
-    # weak-order consequences of the down actions
-    for u, w in _tuples(g, 2, samples, seed + 5):
-        if not g.weak_leq_right_idx(down_right_idx(g, u, w), u):
-            return SuiteResult(name, False, f"down stays weakly below at {u},{w}")
-        m = g.mul_idx(u, down_right_idx(g, g.inv_table[u], w))
-        if not g.leq_idx(m, w):
-            return SuiteResult(name, False, f"meet candidate above w at {u},{w}")
-        for up in _bits(g.down_masks[u]):
-            if g.weak_leq_right_idx(up, u):
-                if not g.weak_leq_right_idx(down_right_idx(g, up, w), u):
-                    return SuiteResult(name, False, f"relative down fails at {up},{u},{w}")
-        if g.weak_leq_right_idx(w, g.inv_table[u]):
-            if not g.weak_leq_right_idx(g.mul_idx(u, w), u):
-                return SuiteResult(name, False, f"translate weak fails at {u},{w}")
-        checked += 1
-
-    # lifting through a common weak prefix, and conditional order reversal
-    for a, b, c in _tuples(g, 3, samples, seed + 6):
-        wz, wv = g.mul_idx(a, b), g.mul_idx(a, c)
-        if (
-            g.weak_leq_right_idx(a, wz)
-            and g.weak_leq_right_idx(a, wv)
-            and g.leq_idx(wz, wv)
-        ):
-            if not g.leq_idx(b, c):
-                return SuiteResult(name, False, f"prefix lifting fails at {a},{b},{c}")
-        ui = g.inv_table[a]
-        if (
-            g.weak_leq_right_idx(b, ui)
-            and g.weak_leq_right_idx(c, ui)
-            and g.leq_idx(b, c)
-        ):
-            if not g.leq_idx(g.mul_idx(a, c), g.mul_idx(a, b)):
-                return SuiteResult(name, False, f"reversal fails at {a},{b},{c}")
-        checked += 1
-
-    # the ladder around v_min: lengths add, the bracket interval matches,
-    # the two chains are strict, and only v itself divides back into [1, w]
-    for u, w in _tuples(g, 2, samples, seed + 7):
-        vm = v_min_idx(g, u, w)
-        wv = g.mul_idx(w, vm)
-        if g.lengths[wv] != g.lengths[w] + g.lengths[vm]:
-            return SuiteResult(name, False, f"ladder lengths fail at {u},{w}")
-        vmi = g.inv_table[vm]
-        bracket = {
-            z
-            for z in _bits(g.up_masks[u])
-            if g.leq_idx(g.mul_idx(z, vmi), w)
-        }
-        interval = set(_bits(g.interval_mask(u, wv)))
-        if bracket != interval:
-            return SuiteResult(name, False, f"bracket interval fails at {u},{w}")
-        letters = tuple(i + 1 for i in g.words[vm])
-        x = w
-        for i in letters:
-            nxt = g.rmult[x][i - 1]
-            if g.lengths[nxt] <= g.lengths[x]:
-                return SuiteResult(name, False, f"ascending chain fails at {u},{w}")
-            x = nxt
-        for z in interval:
-            zz = z
-            for i in reversed(letters):
-                nxt = g.rmult[zz][i - 1]
-                if g.lengths[nxt] >= g.lengths[zz]:
-                    return SuiteResult(name, False, f"descending chain fails at {u},{w}")
-                zz = nxt
-            for vp in _bits(g.down_masks[vm]):
-                if g.leq_idx(g.mul_idx(z, g.inv_table[vp]), w) and vp != vm:
-                    return SuiteResult(name, False, f"divisor uniqueness fails at {u},{w}")
-        checked += 1
-
-    return SuiteResult(name, True, f"{checked} checks")
+    for names, offset, law in _DEMAZURE_LAWS:
+        for t in _tuples(g, len(names), samples, seed + offset):
+            what = law(g, *t)
+            if what is not None:
+                return _fail(g, "demazure", what, **dict(zip(names, t)))
+            checked += 1
+    return SuiteResult("demazure", True, f"{checked} checks")
 
 
 # -- poles -------------------------------------------------------------------
@@ -455,15 +453,12 @@ def _suite_poles(g: CoxeterGroup, samples, seed, engine: SigmaEngine, jobs) -> S
     not column-backed is packed once (``polyring._packed_of``)."""
     rtable = engine.rtable
     escapes = _pole_test(g, engine._root_keys)
-    word = g.word_str
     checked = 0
     for v in range(g.order):
         for u in _bits(g.down_masks[v]):
             den, cols, l1 = rtable.bar_r_packed_idx(u, v)
             if escapes(den, cols, l1, rtable.max_digit, s_set_idx(g, u, v)):
-                return SuiteResult(
-                    "poles", False, f"r denominator escapes at u={word(u)}, v={word(v)}"
-                )
+                return _fail(g, "poles", "r denominator escapes", u=u, v=v)
             checked += 1
     for u, v, w in _tuples(g, 3, samples, seed):
         vm = v_min_idx(g, u, w)
@@ -471,11 +466,7 @@ def _suite_poles(g: CoxeterGroup, samples, seed, engine: SigmaEngine, jobs) -> S
             continue
         sig = _packed_of(engine.sigma_idx(u, v, w))
         if escapes(sig.den, sig.cols, sig.l1, sig.span, s_set_idx(g, vm, v)):
-            return SuiteResult(
-                "poles",
-                False,
-                f"sigma denominator escapes at u={word(u)}, v={word(v)}, w={word(w)}",
-            )
+            return _fail(g, "poles", "sigma denominator escapes", u=u, v=v, w=w)
         checked += 1
     return SuiteResult("poles", True, f"{checked} checks")
 
@@ -491,7 +482,7 @@ def _suite_gk_base(g: CoxeterGroup, samples, seed, engine: SigmaEngine, jobs) ->
     base = engine._sigma0_at(e, e)
     for v in range(g.order):
         if not engine._is_gk(e, v, e, *base):
-            return SuiteResult("gk-base", False, f"base case fails at v={g.word_str(v)}")
+            return _fail(g, "gk-base", "base case fails", v=v)
         checked += 1
     if g.cartan_type.family in ("A", "D"):
         kl = engine.kl
@@ -503,11 +494,7 @@ def _suite_gk_base(g: CoxeterGroup, samples, seed, engine: SigmaEngine, jobs) ->
                 if u not in per_u:
                     per_u[u] = engine._sigma0_at(u, e)
                 if not engine._is_gk(u, v, e, *per_u[u]):
-                    return SuiteResult(
-                        "gk-base",
-                        False,
-                        f"product form fails at u={g.word_str(u)}, v={g.word_str(v)}",
-                    )
+                    return _fail(g, "gk-base", "product form fails", u=u, v=v)
                 checked += 1
     return SuiteResult("gk-base", True, f"{checked} checks")
 

@@ -1012,7 +1012,60 @@ def test_one_wrong_fold_fails_demazure(a2, monkeypatch):
 
     monkeypatch.setattr(verify, "fold_word_idx", wrong)
     res = run_suite("demazure", a2)
-    assert res == ("demazure", False, f"braid fold differs at w={w0}")
+    assert res == ("demazure", False, "braid fold differs at w=121")
+
+
+# one wrong fold or product that each law of the demazure suite, and its
+# subword block, is the first to catch: (patched in the verify module or
+# on the group class, name, arguments, wrong value, samples, detail),
+# elements by canonical word in A2
+DEMAZURE_FAULTS = {
+    "action-laws": (
+        "verify", "down_left_idx", ("1", "1"), "1", None,
+        "left down action law fails at u=1, v=2, x=1",
+    ),
+    "product-routes": (
+        "group", "mul_idx", ("121", "1"), "2", None,
+        "down via product (right) fails at u=1, v=e",
+    ),
+    "monotonicity": (
+        "verify", "circ_idx", ("1", "21"), "e", 2,
+        "product monotone in the left factor fails at u=e, x=1, w=21",
+    ),
+    "translates": ("group", "mul_idx", ("1", "2"), "1", None, "translate max fails at u=1, v=2"),
+    "weak-order": (
+        "verify", "down_right_idx", ("e", "1"), "1", 1,
+        "down leaves the weak interval at u=e, w=1",
+    ),
+    "prefix-lifting": (
+        "group", "mul_idx", ("12", "12"), "12", None,
+        "prefix lifting fails at a=12, b=12, c=e",
+    ),
+    "ladder": ("verify", "v_min_idx", ("1", "1"), "1", None, "ladder lengths fail at u=1, w=1"),
+    "subword": (
+        "verify", "up_left_idx", ("1", "1"), "e", None,
+        "subword criterion fails at w=1, top=e",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", DEMAZURE_FAULTS.values(), ids=DEMAZURE_FAULTS.keys())
+def test_one_wrong_fold_or_product_fails_its_demazure_law(a2, engine_a2, monkeypatch, fault):
+    """One wrong value of a fold, a Demazure product or the group product
+    fails the demazure suite at the first law that sees it, and the detail
+    names the law and its elements by canonical word."""
+    where, name, args, bad, samples, detail = fault
+    owner = verify if where == "verify" else type(a2)
+    at = tuple(map(a2.parse_word_idx, args))
+    bad = a2.parse_word_idx(bad)
+    right = getattr(owner, name)
+
+    def wrong(*call):
+        return bad if call[-2:] == at else right(*call)
+
+    monkeypatch.setattr(owner, name, wrong)
+    res = run_suite("demazure", a2, samples=samples, engine=engine_a2)
+    assert res == ("demazure", False, detail)
 
 
 def test_theta_and_mixed_meet_failures_name_elements_by_word(a2, monkeypatch):
