@@ -48,15 +48,16 @@ docstring shows. U, the den and every numerator coefficient are what scaling eac
 part to U would give; only the order of the additions differs, and
 nothing is kept between calls.
 
-sigma0(u, w) is sigma at v = v_min read as it is built, with no
-cancelling: only y = v_min contributes there and bar r(v_min, v_min) = 1,
-so U is empty and the numerator has no x. That is asserted, not assumed:
-``_sigma0`` reads the columns (a value that has none is packed once by
-``polyring._packed_of``) and raises when any column but that of the x-key
-0 is nonzero, or that one is nonzero over a den; ``classify`` lets the
-error through, and the main-theorem suite of ``verify`` fails. sigma0 is
-that one column, moved down to its lowest occupied slot, and it is
-decoded only where it is printed: the classify row and ``sigma0_idx``.
+sigma0(u, w) is sigma at v = v_min read off the xi row, with no sigma
+built: among the y <= v_min only y = v_min has xi(u, y, w) != 0, and
+bar r(v_min, v_min) = 1 (the ``u == v`` branch of
+``RPolyTable.bar_r_packed_idx``), so sigma at v_min is its one part
+q^-len(v_min) xi(u, v_min, w), over an empty den and with no x. That is
+asserted, not assumed: ``_sigma0`` raises when v_min is not the only
+y <= v_min in the row's mask; ``classify`` lets the error through, and
+the main-theorem suite of ``verify`` fails. sigma0 is the row's column at
+v_min, from the r table's low, and it is decoded only where it is
+printed: the classify row and ``sigma0_idx``.
 
 A triple with v >= v_min(u, w) is "of GK type" when
 
@@ -65,12 +66,13 @@ A triple with v >= v_min(u, w) is "of GK type" when
 
 where S(u, v, w) = S(v_min(u, w), v); the test is exact cross-multiplied
 equality, ``sig == rhs`` in ``_is_gk``, and it runs on q-columns.
-sigma0 has one form, the ``_Sigma0`` that ``_sigma0`` builds once per
-(u, w) from sigma at v_min: its column from its lowest q-degree, its L1
-bound, which is sigma's own, and the point value that sigma at v_min
-carries, if any. ``_is_gk`` takes v_min and the ``_Sigma0`` from its
-caller, which ``_sigma0_at(u, w)`` builds for ``is_gk_idx``,
-``sigma0_idx`` and the ``gk-base`` suite, once per (u, w).
+sigma0 has one form, the ``_Sigma0`` that ``_sigma0`` reads once per
+(u, w) off an xi row: its column from the r table's low, its L1 norm and,
+for a row with a point, its value there. ``_is_gk`` takes v_min and the
+``_Sigma0`` from its caller: ``classify_for_w`` reads it off the row it
+builds for every v, and ``_sigma0_at(u, w)`` off the row of the
+y <= v_min for ``is_gk_idx``, ``sigma0_idx`` and the ``gk-base`` and
+main-theorem suites.
 ``gk_factor`` builds prod over S of (1 - q^-1 x^alpha) on columns from
 q^-|S|, each factor one copy with keys moved by alpha and columns shifted
 down one slot, over the den keys of S, with L1 bound 2^|S|; ``_gk_rhs``
@@ -116,8 +118,8 @@ random, a fixed nonzero cross-multiplied difference of degree d vanishes
 there with probability at most d/p (Schwartz 1980; Zippel 1979), so
 equality is then only likely, and the triple takes the exact column
 comparison above. So a flag is true only where that comparison says so,
-and false either by it or by a proof; sigma0 is read off the built
-columns at v_min. No flag, sigma0 or report byte depends on the point.
+and false either by it or by a proof; sigma0 is read off the row's
+column at v_min. No flag, sigma0 or report byte depends on the point.
 
 Every sigma is read from an ``_XiRow``: for one (u, w), the xi of the y
 in a mask, and the mask of those y with xi != 0. A single-shot
@@ -129,17 +131,15 @@ above, and returns a deferred value whose columns are accumulated on
 their first read. Given a row with a point, the value also carries
 sigma(pt), the sum of xi(q0) bar r(y, v)(pt) over the parts. The GK
 right-hand side is deferred too: each column of the GK factor times the
-column of sigma0, and it carries sigma0(q0) G_S(pt). sigma0(q0) is the
-value that sigma at v_min carries: that sigma is sigma0, and the
-evaluation is a homomorphism, so sigma0 is not evaluated a second time
-(the test suite checks the two agree on every (u, w) of G2 and A3).
-``==`` then returns False at once when the two values
-differ, and ``is_zero`` is False when sigma(pt) != 0, with no columns
-built; sigma at v_min, whose columns give sigma0, and every triple equal at
-the point are built and compared exactly. On A3 that builds the columns of
-6 281 of the 9 697 nonzero sigma, one per GK triple. bar r(y, v)(pt) is
-read off the stored columns once per entry, through tables of q0 and x0
-powers and a memo of x-key values. A single-shot ``sigma_idx``,
+column of sigma0, and it carries sigma0(q0) G_S(pt), sigma0(q0) the
+row's value at v_min (the test suite checks that it is sigma0 at q0, and
+the value sigma at v_min carries, on every (u, w) of G2 and A3). ``==``
+then returns False at once when the two values differ, and ``is_zero`` is
+False when sigma(pt) != 0, with no columns built; every triple equal at
+the point, sigma at v_min among them, is built and compared exactly. On
+A3 that builds the columns of 6 281 of the 9 697 nonzero sigma, one per
+GK triple. bar r(y, v)(pt) is read off the stored columns once per entry,
+through tables of q0 and x0 powers and a memo of x-key values. A single-shot ``sigma_idx``,
 ``is_gk_idx`` and every verify suite draw no point, so their values carry
 none and each of their comparisons is exact.
 """
@@ -164,7 +164,6 @@ from .polyring import (
     _decode_q,
     _deferred_columns,
     _pack,
-    _packed_of,
     _q_poly,
     _times_binomial,
     _unpack,
@@ -299,10 +298,10 @@ def _accumulate(parts: list, union: frozenset) -> dict:
 
 class _Sigma0(NamedTuple):
     """sigma0(u, w) in the one form classify, the GK test and the
-    main-theorem suite read, built once per (u, w) by
-    ``SigmaEngine._sigma0``: its column from its lowest q-degree low, an
-    L1 bound, and the point value that sigma at v_min carries,
-    (point, value) or None."""
+    main-theorem suite read, read once per (u, w) off an xi row by
+    ``SigmaEngine._sigma0``: the row's column at v_min from q^low, low
+    the r table's, its L1 norm, and (point, value there) for a row with a
+    point, else None."""
 
     col: int
     low: int
@@ -455,35 +454,26 @@ class SigmaEngine:
         sigma0 = self._sigma0_at(u, w)[1]
         return _q_poly(sigma0.col, sigma0.low)
 
-    def _sigma0(self, u: int, w: int, sig_at_vmin: RationalFn) -> _Sigma0:
-        """sigma at v_min as a ``_Sigma0``, read off its packed form with
-        nothing cancelled or decoded. It must be torus-free: no column but
-        that of the x-key 0 is nonzero, and that one is nonzero only over
-        an empty den; else ``RuntimeError`` is raised. The column is moved
-        down to its lowest occupied slot, the one that holds its lowest
-        set bit (as in ``polyring._decode_q``); the L1 bound and the point
-        value are the packed value's, and as sigma0 is sigma at v_min, they
-        are sigma0's own."""
-        packed = _packed_of(sig_at_vmin)
-        cols = packed.cols
-        col = cols.get(0, 0)
-        # len(cols) > (0 in cols): some x-key other than 0 has a column
-        if (col and packed.den) or (
-            len(cols) > (0 in cols) and any(c for key, c in cols.items() if key)
-        ):
+    def _sigma0(self, u: int, w: int, vm: int, row: _XiRow) -> _Sigma0:
+        """The ``_Sigma0`` of (u, w), read off row at vm = v_min(u, w). When
+        v_min is the only y <= v_min in the row's mask, sigma at v_min is
+        its one part q^-len(v_min) xi(u, v_min, w) bar r(v_min, v_min), and
+        that bar r is 1, so sigma0 is the row's entry at v_min: its column
+        from the r table's low, its L1 norm and, for a row with a point,
+        its value there. Any other mask raises ``RuntimeError``."""
+        if row.mask & self.group.down_masks[vm] != 1 << vm:
             raise RuntimeError(
-                "sigma at v_min kept torus dependence; this is a bug, "
-                f"not bad input (u={self.group.word_str(u)}, "
-                f"w={self.group.word_str(w)}, value={sig_at_vmin})"
+                "sigma at v_min is not its v_min part; this is a bug, not bad input "
+                f"(u={self.group.word_str(u)}, w={self.group.word_str(w)})"
             )
-        skip = ((col & -col).bit_length() - 1) // _Q_BITS if col else 0
-        return _Sigma0(col >> _Q_BITS * skip, packed.low + skip, packed.l1, packed.point)
+        col, l1, *at = row.xis[vm]
+        return _Sigma0(col, self.rtable.low, l1, (row.point, at[0]) if at else None)
 
     def _sigma0_at(self, u: int, w: int) -> tuple:
-        """(v_min(u, w), the ``_Sigma0`` of (u, w)), from a single-shot
-        sigma at v_min."""
+        """(v_min(u, w), the ``_Sigma0`` of (u, w)), from the row of the
+        y <= v_min with no point."""
         vm = v_min_idx(self.group, u, w)
-        return vm, self._sigma0(u, w, self.sigma_idx(u, vm, w))
+        return vm, self._sigma0(u, w, vm, self._xi_row(u, w, self.group.down_masks[vm]))
 
     def sigma0(self, u: Element, w: Element) -> LaurentPoly:
         return self.sigma0_idx(*self.group.indices(u, w))
@@ -545,7 +535,7 @@ class SigmaEngine:
 
     def classify_for_w(self, w: int) -> tuple:
         """All triples with this w: (nonzero, gk, rows). Each (u, w) computes
-        its ``_XiRow`` once, and sigma0's column and value at the point once;
+        its ``_XiRow`` once, and reads sigma0 and its printed form off it;
         sigma and the GK right-hand side are deferred values that carry
         their values at the engine's point (module docstring)."""
         g = self.group
@@ -561,6 +551,8 @@ class SigmaEngine:
             vm = v_min_idx(g, u, w)
             u_word = g.word_str(u)
             row = self._xi_row(u, w, everything, point)
+            sigma0 = self._sigma0(u, w, vm, row)
+            sigma0_str = str(_q_poly(sigma0.col, sigma0.low))
             for v in _bits(g.up_masks[vm]):
                 sig = self.sigma_idx(u, v, w, row)
                 if sig.is_zero():
@@ -569,9 +561,6 @@ class SigmaEngine:
                         f"(u={u_word}, v={g.word_str(v)}, w={w_word})"
                     )
                 nonzero += 1
-                if v == vm:  # indices are sorted by length: v_min comes first
-                    sigma0 = self._sigma0(u, w, sig)
-                    sigma0_str = str(_q_poly(sigma0.col, sigma0.low))
                 flag = sig == self._gk_rhs(s_set_idx(g, vm, v), sigma0)
                 if flag:
                     gk += 1

@@ -93,33 +93,31 @@ def _is_min(g: CoxeterGroup, m: int, xs) -> bool:
 
 def _main_theorem_for_w(engine: SigmaEngine, w: int) -> tuple | None:
     """The first u, with what fails there, at which sigma(u, v_min, w) is
-    torus-dependent or differs from q^-len(v_min) times the length series
-    of [u, w v_min]; None when every u passes. Nothing is decoded: the
-    ``SigmaEngine._sigma0`` of (u, w) must start at q^(len(u) - len(v_min)),
-    where the series does, and its column times q^len(u) must equal, as one
-    int, the series' column from q^0, one add of q^len(z) per element z of
-    the interval. Every coefficient of either is below 2^(K - 1), so the
-    ints are equal exactly when the polynomials are."""
+    not its v_min part, or sigma0(u, w), read off the xi row of the
+    y <= v_min (``SigmaEngine._sigma0_at``), differs from q^-len(v_min)
+    times the length series of [u, w v_min]; None when every u passes. No
+    sigma is built and nothing is decoded: sigma0's column from the r
+    table's low must equal, as one int, the series' column from q^0, one
+    add of q^len(z) per element z of the interval, moved up
+    -low - len(v_min) slots. Every coefficient of either is below
+    2^(K - 1), so the ints are equal exactly when the polynomials are."""
     g = engine.group
-    lengths = g.lengths
-    powers = [1 << _Q_BITS * d for d in lengths]  # z -> q^len(z) from q^0
+    powers = [1 << _Q_BITS * d for d in g.lengths]  # z -> q^len(z) from q^0
     for u in range(g.order):
-        vm = v_min_idx(g, u, w)
-        sig = engine.sigma_idx(u, vm, w)
         try:
-            sigma0 = engine._sigma0(u, w, sig)
+            vm, sigma0 = engine._sigma0_at(u, w)
         except RuntimeError:
-            return u, "sigma at v_min is torus-dependent"
+            return u, "sigma at v_min is not its v_min part"
         series = sum(map(powers.__getitem__, _bits(g.interval_mask(u, g.mul_idx(w, vm)))))
-        if (sigma0.low, sigma0.col * powers[u]) != (lengths[u] - lengths[vm], series):
+        if sigma0.col != series << _Q_BITS * (-sigma0.low - g.lengths[vm]):
             return u, "sigma0 differs from the interval series"
     return None
 
 
 def _suite_main_theorem(g: CoxeterGroup, samples, seed, engine, jobs) -> SuiteResult:
-    """sigma(u, v_min, w) is torus-free and is the translated length series
-    of [u, w v_min], on every pair (u, w); a failure names the u of the
-    smallest w that fails, whatever jobs is."""
+    """sigma(u, v_min, w) is its v_min part and is the translated length
+    series of [u, w v_min], on every pair (u, w); a failure names the u of
+    the smallest w that fails, whatever jobs is."""
     for w, failed in enumerate(_map_over_w(engine, _main_theorem_for_w, jobs)):
         if failed is not None:
             u, what = failed
@@ -315,24 +313,20 @@ def _prefix_lifting(g: CoxeterGroup, a: int, b: int, c: int) -> str | None:
 
 def _ladder(g: CoxeterGroup, u: int, w: int) -> str | None:
     """The ladder around v_min: lengths add, the bracket interval matches,
-    the two chains are strict, and only v itself divides back into
-    [1, w]."""
+    the chain down from each z of it is strict, and only v itself divides
+    back into [1, w]."""
     lengths, rmult = g.lengths, g.rmult
     vm = v_min_idx(g, u, w)
     wv = g.mul_idx(w, vm)
     if lengths[wv] != lengths[w] + lengths[vm]:
         return "ladder lengths fail"
+    # so each letter of v_min raises the length by exactly 1 from w to w v_min
     vmi = g.inv_table[vm]
     bracket = {z for z in _bits(g.up_masks[u]) if g.leq_idx(g.mul_idx(z, vmi), w)}
     interval = set(_bits(g.interval_mask(u, wv)))
     if bracket != interval:
         return "bracket interval fails"
     letters = g.words[vm]
-    x = w
-    for i in letters:
-        if lengths[rmult[x][i]] <= lengths[x]:
-            return "ascending chain fails"
-        x = rmult[x][i]
     for z in interval:
         zz = z
         for i in reversed(letters):
@@ -534,6 +528,8 @@ def run_suite(
 ) -> SuiteResult:
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     engine = _engine_for(group, engine)
     suite = _SUITES.get(name)
     if suite is None:

@@ -17,9 +17,12 @@ kernel behind ``binomial_divide`` and ``RationalFn.reduced()`` is compared
 against; the full reduction of a stored bar r entry (``reduced_den``) and
 the ``LaurentPoly`` recursion for the Kazhdan-Lusztig P
 (``kl_p_by_recursion``), the oracles of the ``poles`` suite and of the
-q-column route of ``KLTable``; and the mu route to sigma: the Hecke product carried out before
-the functional is applied, in ``RationalFn`` arithmetic, independent of the
-packed q-column kernel of ``SigmaEngine.sigma_idx``.
+q-column route of ``KLTable``; the mu route to sigma: the Hecke product
+carried out before the functional is applied, in ``RationalFn``
+arithmetic, independent of the packed q-column kernel of
+``SigmaEngine.sigma_idx``; and sigma0 read off the built sigma at v_min
+(``sigma0_via_built_sigma``), the reference for ``SigmaEngine._sigma0``,
+which reads it off the xi row.
 
 And the Hecke oracles: T-basis elements and their products walked word by
 word with no memo (``t_mul``), one generator step at a time on
@@ -48,7 +51,7 @@ from bhl.kl import KLTable
 from bhl import polyring
 from bhl.polyring import LaurentPoly, RationalFn, _reduce_packed, _unpack
 from bhl.rpoly import RPolyTable, s_set_idx
-from bhl.sigma import SigmaEngine
+from bhl.sigma import SigmaEngine, _Sigma0
 
 
 def r_idx_with_pivot(rtable: RPolyTable, u: int, v: int, i: int) -> RationalFn:
@@ -446,6 +449,23 @@ def sigma_via_mu_idx(engine: SigmaEngine, u: int, v: int, w: int) -> RationalFn:
                 val = val + rf_mul_poly(rf, LaurentPoly.q_power(g.rank, g.lengths[s]))
         total = total + val
     return total
+
+
+def sigma0_via_built_sigma(engine: SigmaEngine, u: int, w: int, row=None) -> _Sigma0:
+    """sigma0(u, w) read off sigma at v_min as ``sigma_idx`` builds it from
+    row (by default its single-shot row), with nothing cancelled. It must be
+    torus-free: no column but that of the x-key 0 is nonzero, and that one
+    is nonzero only over an empty den; else AssertionError is raised. The
+    column is moved down to its lowest occupied slot; the L1 bound and the
+    point value are sigma's."""
+    vm = v_min_idx(engine.group, u, w)
+    sig = engine.sigma_idx(u, vm, w, row)
+    packed = polyring._packed_of(sig)
+    col = packed.cols.get(0, 0)
+    if (col and packed.den) or any(c for key, c in packed.cols.items() if key):
+        raise AssertionError(f"sigma at v_min kept torus dependence at u={u}, w={w}: {sig}")
+    skip = ((col & -col).bit_length() - 1) // polyring._Q_BITS if col else 0
+    return _Sigma0(col >> polyring._Q_BITS * skip, packed.low + skip, packed.l1, packed.point)
 
 
 @dataclass(frozen=True)

@@ -589,14 +589,10 @@ def test_column_backed_form_refuses_an_l1_bound_past_the_slots():
         _deferred_columns(lambda: {0: 1}, (), 0, 1, _Q_BOUND, 0)
 
 
-def _gk_sigma0(eng, point, terms, low, l1):
-    """The ``_Sigma0`` of a torus-free sigma at v_min whose one column holds
-    the q-polynomial terms from q^low, with L1 bound l1 and point value 7."""
-    col = _encode_q(terms, low)
-    sig = _deferred_columns(lambda: {0: col}, (), low, eng.group.rank + 1, l1, 0, (point, 7))
-    sigma0 = eng._sigma0(eng.group.identity_idx, eng.group.identity_idx, sig)
-    assert (sigma0.col, sigma0.low, sigma0.l1) == (col, low, l1)
-    return sigma0
+def _gk_sigma0(point, terms, low, l1):
+    """The ``_Sigma0`` whose column holds the q-polynomial terms from q^low,
+    with L1 bound l1 and point value 7."""
+    return sigma._Sigma0(_encode_q(terms, low), low, l1, (point, 7))
 
 
 def test_times_q_column_at_and_past_the_l1_limit():
@@ -614,7 +610,7 @@ def test_times_q_column_at_and_past_the_l1_limit():
         gk = eng.gk_factor(roots)
         edge = _Q_BOUND >> len(roots)
         for l1, fits in ((edge - 1, True), (edge, False))[: 2 if roots else 1]:
-            sigma0 = _gk_sigma0(eng, point, [(-1, l1 - 1), (3, -1)], -1, l1)
+            sigma0 = _gk_sigma0(point, [(-1, l1 - 1), (3, -1)], -1, l1)
             if not fits:
                 with pytest.raises(RuntimeError, match="past the q-column slots"):
                     eng._gk_rhs(roots, sigma0)
@@ -635,7 +631,7 @@ def test_gk_rhs_past_the_l1_limit_raises():
     point = sigma._Point(eng)
     roots = frozenset(range(len(g.positive_roots)))  # L1 bound 2^3
     for l1 in (_Q_BOUND // 8, _Q_BOUND // 2, _Q_BOUND - 1):
-        sigma0 = _gk_sigma0(eng, point, [(2, l1 - 1), (4, -1)], 2, l1)
+        sigma0 = _gk_sigma0(point, [(2, l1 - 1), (4, -1)], 2, l1)
         with pytest.raises(RuntimeError, match="over 3 roots has L1 bound"):
             eng._gk_rhs(roots, sigma0)
 

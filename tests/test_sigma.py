@@ -39,7 +39,13 @@ from bhl.rpoly import s_set, s_set_idx
 from bhl.sigma import ClassificationReport, SigmaEngine, classify
 from bhl.verify import SUITE_NAMES, run_suite
 
-from checks import mu_element, rf_mul_poly, sigma_via_mu_idx, theta_from_product
+from checks import (
+    mu_element,
+    rf_mul_poly,
+    sigma0_via_built_sigma,
+    sigma_via_mu_idx,
+    theta_from_product,
+)
 
 # the twenty non-product-form triples in rank 2, canonical words,
 # sorted lexicographically
@@ -687,27 +693,61 @@ def test_classify_round_binomial_steps(a3, monkeypatch):
     assert steps_of_round() == 6779
 
 
+def _with_xi_below_v_min(eng, extra):
+    """eng._xi_row with extra(vm, xi) added to the row of each (u, w): vm is
+    v_min(u, w), xi the row's entry there, and extra returns y -> entry
+    for y below vm."""
+    g, original = eng.group, eng._xi_row
+
+    def faulty(u, w, ys, point=None):
+        row = original(u, w, ys, point)
+        vm = v_min_idx(g, u, w)
+        added = extra(vm, row.xis[vm])
+        mask = row.mask | sum(1 << y for y in added)
+        return sigma._XiRow(row.point, {**row.xis, **added}, mask)
+
+    return faulty
+
+
 def test_unreduced_factor_at_v_min_is_not_cancelled(a2, monkeypatch):
-    """sigma0 is read off sigma at v_min as built, with no cancelling: a
-    sigma at v_min carrying (1 - x^beta)/(1 - x^beta) makes classify_for_w
-    raise and the main-theorem suite fail."""
+    """sigma0 is read off the xi row with nothing cancelled: a row whose xi
+    at s1 and s2, below v_min(w0, e) = w0, are nonzero and opposite gives a
+    sigma at v_min equal to sigma0 but over an unreduced den, and still
+    classify_for_w raises and the main-theorem suite fails at (w0, e). A
+    sigma at v_min padded by (1 - x^beta)/(1 - x^beta) and compared with
+    sigma0 keeps every flag."""
     eng = SigmaEngine(a2)
-    original = eng.sigma_idx
+    e, w0 = a2.identity_idx, a2.longest_idx
+    want = eng.classify_for_w(e)
+    sigma_idx, xi_row = eng.sigma_idx, eng._xi_row
     beta = a2.positive_roots[0]
 
     def padded(u, v, w, row=None):
-        sig = original(u, v, w, row)
+        sig = sigma_idx(u, v, w, row)
         if v != v_min_idx(a2, u, w):
             return sig
         return RationalFn(sig.num * binomial(a2.rank, beta), sig.den + (beta,))
 
     monkeypatch.setattr(eng, "sigma_idx", padded)
-    with pytest.raises(RuntimeError, match="kept torus dependence"):
-        eng.classify_for_w(a2.identity_idx)
+    assert eng.classify_for_w(e) == want
+    monkeypatch.setattr(eng, "sigma_idx", sigma_idx)
+
+    def opposite(vm, xi):
+        if vm != w0:
+            return {}
+        col, l1, *at = xi
+        return {1: xi, 2: (-col, l1, *(-a % sigma._P for a in at))}
+
+    monkeypatch.setattr(eng, "_xi_row", _with_xi_below_v_min(eng, opposite))
+    sig = eng.sigma_idx(w0, w0, e, eng._xi_row(w0, e, a2.down_masks[w0]))
+    assert len(sig._packed.den) == 3 and sig == sigma_idx(w0, w0, e)
+    with pytest.raises(RuntimeError, match=r"not its v_min part.*\(u=121, w=e\)"):
+        eng.classify_for_w(e)
     res = run_suite("main-theorem", a2, engine=eng)
-    assert res == ("main-theorem", False, "sigma at v_min is torus-dependent at u=e, w=e")
-    monkeypatch.setattr(eng, "sigma_idx", original)
+    assert res == ("main-theorem", False, "sigma at v_min is not its v_min part at u=121, w=e")
+    monkeypatch.setattr(eng, "_xi_row", xi_row)
     assert run_suite("main-theorem", a2, engine=eng).ok
+
 
 
 def test_every_element_entry_point_rejects_an_element_of_another_build(a2, engine_a2):
@@ -783,7 +823,7 @@ def _gk_comparisons(eng, pairs) -> list:
     out = []
     for u, w in pairs:
         vm = v_min_idx(g, u, w)
-        sigma0 = eng._sigma0(u, w, eng.sigma_idx(u, vm, w))
+        sigma0 = eng._sigma0_at(u, w)[1]
         row = eng._xi_row(u, w, (1 << g.order) - 1, point)
         for v in _bits(g.up_masks[vm]):
             sig = eng.sigma_idx(u, v, w, row)
@@ -825,7 +865,7 @@ def test_gk_cross_multiplied_keys_stay_within_the_table_digit_bound(a3, b3):
         for _ in range(n_pairs):
             u, w = rng.randrange(g.order), rng.randrange(g.order)
             vm = v_min_idx(g, u, w)
-            sigma0 = eng._sigma0(u, w, eng.sigma_idx(u, vm, w))
+            sigma0 = eng._sigma0_at(u, w)[1]
             for v in _bits(g.up_masks[vm]):
                 a = eng.sigma_idx(u, v, w)._packed
                 b = eng._gk_rhs(s_set_idx(g, vm, v), sigma0)._packed
@@ -877,7 +917,7 @@ def test_mixed_eager_and_column_equality(a2, engine_a2):
     for u in range(g.order):
         for w in range(g.order):
             vm = v_min_idx(g, u, w)
-            sigma0 = engine_a2._sigma0(u, w, engine_a2.sigma_idx(u, vm, w))
+            sigma0 = engine_a2._sigma0_at(u, w)[1]
             for v in _bits(g.up_masks[vm]):
                 sig = engine_a2.sigma_idx(u, v, w)
                 rhs = engine_a2._gk_rhs(s_set_idx(g, vm, v), sigma0)
@@ -913,33 +953,33 @@ def test_classify_and_main_theorem_decode_no_value(a2, b2, g2, monkeypatch):
 
 
 def _sigma0_off_by(eng, pairs, delta):
-    """eng.sigma_idx with delta added to the coefficient of the lowest
-    q-degree of sigma at v_min for each (u, w) in pairs, all else as
-    built."""
-    g, original = eng.group, eng.sigma_idx
+    """eng._xi_row with delta added to the coefficient of the lowest
+    q-degree of the row's entry at v_min for each (u, w) in pairs, all else
+    as built: the sigma0 read off that row is off by delta."""
+    g, original = eng.group, eng._xi_row
 
-    def perturbed(u, v, w, row=None):
-        sig = original(u, v, w, row)
-        if (u, w) not in pairs or v != v_min_idx(g, u, w):
-            return sig
-        p = sig._packed
-        cols = dict(p.cols)
-        slot = ((cols[0] & -cols[0]).bit_length() - 1) // polyring._Q_BITS
-        cols[0] += delta << polyring._Q_BITS * slot
-        return _deferred_columns(lambda: cols, p.den, p.low, p.n, p.l1 + 1, p.span)
+    def perturbed(u, w, ys, point=None):
+        row = original(u, w, ys, point)
+        if (u, w) not in pairs:
+            return row
+        vm = v_min_idx(g, u, w)
+        col, l1, *at = row.xis[vm]
+        slot = ((col & -col).bit_length() - 1) // polyring._Q_BITS
+        xi = (col + (delta << polyring._Q_BITS * slot), l1 + 1, *at)
+        return row._replace(xis={**row.xis, vm: xi})
 
     return perturbed
 
 
 @pytest.mark.parametrize("delta", [1, -1])
 def test_sigma0_off_by_one_fails_the_main_theorem(a3, monkeypatch, delta):
-    """sigma(s1, v_min, w0) with delta added to the coefficient of its
-    lowest q-degree, all else as built: the one changed pair makes the
-    main-theorem suite fail, naming it by canonical words."""
+    """sigma0(s1, w0) with delta added to the coefficient of its lowest
+    q-degree in the xi row, all else as built: the one changed pair makes
+    the main-theorem suite fail, naming it by canonical words."""
     eng = SigmaEngine(a3)
     u, w = a3.simple(1).index, a3.longest_idx
     assert run_suite("main-theorem", a3, engine=eng).ok
-    monkeypatch.setattr(eng, "sigma_idx", _sigma0_off_by(eng, {(u, w)}, delta))
+    monkeypatch.setattr(eng, "_xi_row", _sigma0_off_by(eng, {(u, w)}, delta))
     res = run_suite("main-theorem", a3, engine=eng)
     assert res == (
         "main-theorem", False,
@@ -954,10 +994,74 @@ def test_main_theorem_failure_names_the_pair_of_the_smallest_w(a2, monkeypatch, 
     which start on w0, the longest w."""
     eng = SigmaEngine(a2)
     w0, s1 = a2.longest_idx, a2.simple(1).index
-    monkeypatch.setattr(eng, "sigma_idx", _sigma0_off_by(eng, {(0, w0), (w0, s1)}, 1))
+    monkeypatch.setattr(eng, "_xi_row", _sigma0_off_by(eng, {(0, w0), (w0, s1)}, 1))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     res = run_suite("main-theorem", a2, engine=eng, jobs=jobs)
     assert res.detail == "sigma0 differs from the interval series at u=121, w=1"
+
+
+def _sigma0_route_mismatches(g, pairs, rows=None) -> list:
+    """The (u, w) of pairs at which sigma0 read off the xi row, single-shot
+    and at classify's point, differs from the oracle that reads it off the
+    built sigma at v_min: in its polynomial, its L1 bound or its point
+    value, or, when rows (classify's rows) is given, from the sigma0 that
+    classify prints."""
+    eng = SigmaEngine(g)
+    point = sigma._Point(eng)
+    everything = (1 << g.order) - 1
+    printed = {(u, w): s0 for u, _, w, _, s0 in rows or ()}
+    out = []
+    for u, w in pairs:
+        vm, got = eng._sigma0_at(u, w)
+        row = eng._xi_row(u, w, everything, point)
+        at = eng._sigma0(u, w, vm, row)
+        want, want_at = sigma0_via_built_sigma(eng, u, w), sigma0_via_built_sigma(eng, u, w, row)
+        polys = {str(_q_poly(s0.col, s0.low)) for s0 in (got, at, want)}
+        if rows is not None:
+            polys.add(printed[g.word_str(u), g.word_str(w)])
+        if (
+            len(polys) > 1 or len({got.l1, at.l1, want.l1}) > 1
+            or (got.point, want.point) != (None, None) or at.point != want_at.point
+        ):
+            out.append((u, w))
+    return out
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "C2", "G2", "A3"])
+def test_sigma0_off_the_row_matches_the_built_sigma_every_pair(cartan_type):
+    g = build_group(cartan_type)
+    pairs = list(itertools.product(range(g.order), repeat=2))
+    assert _sigma0_route_mismatches(g, pairs, classify(g).rows) == []
+
+
+def test_sigma0_off_the_row_matches_the_built_sigma_on_seeded_b3_pairs(b3):
+    rng = random.Random(25)
+    pairs = [(rng.randrange(b3.order), rng.randrange(b3.order)) for _ in range(300)]
+    assert _sigma0_route_mismatches(b3, pairs) == []
+
+
+def test_main_theorem_builds_no_sigma(a2, a3, monkeypatch):
+    """The main-theorem suite reads sigma0 off the xi row: on A2 and A3 it
+    passes with no sigma_idx call, which the same counter sees from the
+    vanishing suite."""
+    calls = []
+    original = SigmaEngine.sigma_idx
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(SigmaEngine, "sigma_idx", counting)
+    for g in (a2, a3):
+        assert run_suite("main-theorem", g).ok, g.cartan_type
+    assert calls == []
+    assert run_suite("vanishing", a2).ok and calls
+
+
+def test_every_suite_refuses_jobs_below_one(a2, engine_a2):
+    for name in SUITE_NAMES:
+        with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
+            run_suite(name, a2, engine=engine_a2, jobs=0)
 
 
 def test_vanishing_failure_names_the_first_nonzero_triple(a2, a3, monkeypatch):
@@ -1096,16 +1200,22 @@ def test_theta_and_mixed_meet_failures_name_elements_by_word(a2, monkeypatch):
 
 @pytest.mark.parametrize("extra", ["den", "x"])
 def test_column_sigma_at_v_min_with_a_den_or_an_x_is_refused(a2, monkeypatch, extra):
-    """A column-backed sigma at v_min times (1 - x^beta)/(1 - x^beta), or
-    times x^beta, makes classify_for_w raise and the main-theorem suite
-    fail, as an eager one does."""
+    """A row with a nonzero xi at one y below v_min, e for den and the first
+    y that v_min covers for x, gives sigma at v_min(w0, e) = w0 a den or an
+    x-term, and classify_for_w raises and the main-theorem suite fails at
+    (s1, e), the first pair whose v_min is not e. sigma0 is read off the
+    row, so a column-backed sigma at v_min(s1, e) = s1 times
+    (1 - x^beta)/(1 - x^beta) keeps every flag, and one times x^beta, whose
+    value differs from sigma0, turns that triple's flag alone false."""
     eng = SigmaEngine(a2)
-    original = eng.sigma_idx
+    e, s1, w0 = a2.identity_idx, a2.simple(1).index, a2.longest_idx
+    want = eng.classify_for_w(e)
+    sigma_idx = eng.sigma_idx
     b = eng._root_keys[0]
 
     def padded(u, v, w, row=None):
-        sig = original(u, v, w, row)
-        if v != v_min_idx(a2, u, w):
+        sig = sigma_idx(u, v, w, row)
+        if (u, v, w) != (s1, s1, e):
             return sig
         p = sig._packed
         if extra == "den":
@@ -1115,10 +1225,26 @@ def test_column_sigma_at_v_min_with_a_den_or_an_x_is_refused(a2, monkeypatch, ex
         return _deferred_columns(lambda: cols, den, p.low, p.n, 2 * p.l1, p.span)
 
     monkeypatch.setattr(eng, "sigma_idx", padded)
-    with pytest.raises(RuntimeError, match="kept torus dependence"):
-        eng.classify_for_w(a2.identity_idx)
+    nonzero, gk, rows = eng.classify_for_w(e)
+    flipped = [row[:3] for row, old in zip(rows, want[2]) if row != old]
+    assert flipped == ([] if extra == "den" else [("1", "1", "e")])
+    assert (nonzero, gk) == (want[0], want[1] - len(flipped))
+    monkeypatch.setattr(eng, "sigma_idx", sigma_idx)
+
+    def one_below(vm, xi):
+        if vm == e:
+            return {}
+        covered = [y for y in _bits(a2.down_masks[vm]) if a2.lengths[y] == a2.lengths[vm] - 1]
+        return {e if extra == "den" else covered[0]: xi}
+
+    monkeypatch.setattr(eng, "_xi_row", _with_xi_below_v_min(eng, one_below))
+    p = eng.sigma_idx(w0, w0, e, eng._xi_row(w0, e, a2.down_masks[w0]))._packed
+    assert p.den if extra == "den" else any(c for key, c in p.cols.items() if key)
+    with pytest.raises(RuntimeError, match=r"not its v_min part.*\(u=1, w=e\)"):
+        eng.classify_for_w(e)
     res = run_suite("main-theorem", a2, engine=eng)
-    assert res == ("main-theorem", False, "sigma at v_min is torus-dependent at u=e, w=e")
+    assert res == ("main-theorem", False, "sigma at v_min is not its v_min part at u=1, w=e")
+
 
 
 def test_import_leaves_multiprocessing_out_and_two_jobs_still_fork():
@@ -1180,21 +1306,21 @@ def test_import_loads_no_heavy_module(modules):
 def _exact_path_rows(eng, w) -> tuple:
     """classify_for_w's (nonzero, gk, rows) by the exact path: sigma with
     no row, so with no point value, compared with its GK right-hand side
-    built with no point value either."""
+    built with no point value either, from the sigma0 that the oracle reads
+    off the built sigma at v_min."""
     g = eng.group
     rows = []
     w_word = g.word_str(w)
     for u in range(g.order):
         vm = v_min_idx(g, u, w)
+        sigma0 = sigma0_via_built_sigma(eng, u, w)
+        sigma0_str = str(_q_poly(sigma0.col, sigma0.low))
         for v in _bits(g.up_masks[vm]):
             sig = eng.sigma_idx(u, v, w)
             assert sig._packed.point is None and not sig.is_zero()
-            if v == vm:
-                sigma0 = eng._sigma0(u, w, sig)
             rhs = eng._gk_rhs(s_set_idx(g, vm, v), sigma0)
             assert rhs._packed.point is None
             flag = sig == rhs
-            sigma0_str = str(_q_poly(sigma0.col, sigma0.low))
             rows.append((g.word_str(u), g.word_str(v), w_word, flag, sigma0_str))
     return len(rows), sum(row[3] for row in rows), rows
 
@@ -1249,25 +1375,28 @@ def test_one_wrong_bar_r_point_value_changes_a_flag(a2, monkeypatch):
 
 @pytest.mark.parametrize("cartan_type", ["G2", "A3"])
 def test_sigma_at_v_min_carries_the_value_of_sigma0_at_the_point(cartan_type):
-    """For every (u, w), the point value that sigma at v_min carries on the
-    classify path, which the GK right-hand side is scaled from, is sigma0
-    evaluated at q0 term by term."""
+    """For every (u, w), the point value of sigma0 read off the classify
+    row, which the GK right-hand side is scaled from, is sigma0 evaluated
+    at q0 term by term, and is the value that sigma at v_min carries."""
     g = build_group(cartan_type)
     eng = SigmaEngine(g)
     point = sigma._Point(eng)
     everything = (1 << g.order) - 1
     for u in range(g.order):
         for w in range(g.order):
+            vm = v_min_idx(g, u, w)
             row = eng._xi_row(u, w, everything, point)
-            sigma0 = eng._sigma0(u, w, eng.sigma_idx(u, v_min_idx(g, u, w), w, row))
+            sigma0 = eng._sigma0(u, w, vm, row)
             terms = _decode_q(sigma0.col, sigma0.low)
             assert sigma0.point == (point, point.q_value(terms)), (u, w)
+            assert eng.sigma_idx(u, vm, w, row)._packed.point == sigma0.point, (u, w)
 
 
 def test_one_wrong_sigma0_point_value_changes_a_flag(a2, monkeypatch):
     """A copy whose sigma at v_min(e, w0) carries a wrong point value flags
-    some GK triple non-GK: the GK right-hand side takes its point value
-    from there, and the point route is checked against the exact path."""
+    that GK triple non-GK: it is compared with sigma0, whose point value is
+    read off the xi row, and the point route is checked against the exact
+    path."""
     original = SigmaEngine.sigma_idx
     target = (a2.identity_idx, a2.longest_idx)
 
@@ -1320,7 +1449,7 @@ def test_sigma_past_the_l1_limit_raises_although_the_point_settles_it(a2, monkey
     row = eng._xi_row(u, w, (1 << g.order) - 1, eng._point)
     sig = eng.sigma_idx(u, v, w, row)
     vm = v_min_idx(g, u, w)
-    sigma0 = eng._sigma0(u, w, eng.sigma_idx(u, vm, w, row))
+    sigma0 = eng._sigma0(u, w, vm, row)
     rhs = eng._gk_rhs(s_set_idx(g, vm, v), sigma0)
     assert sig._packed.point[1] != rhs._packed.point[1]
     assert not sig == rhs and sig._packed._cols is None
